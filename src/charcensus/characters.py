@@ -1,10 +1,18 @@
 """Exact symmetric-group character values and zero censuses.
 
-Character values come from the classical border-strip recursion: pick a
-part t of the cycle type mu, strip every border strip of length t from
-lambda, and sum the signed sub-characters.  Removing the largest part
-first prunes fastest (a long strip usually does not exist, so whole
-branches collapse to zero immediately).
+Single character values come from the classical border-strip
+(Murnaghan-Nakayama) recursion: pick a part t of the cycle type mu,
+strip every border strip of length t from lambda, and sum the signed
+sub-characters, memoized on (lambda, mu).  The density sampler and the
+single-value CLI call use this path.
+
+Full tables and censuses apply the same rule a whole column at a time.
+For each needed pair (m, t) the sparse signed strip-removal matrix
+S(m, t), from partitions of m to partitions of m - t, is built once from
+``raw_strips``; then column(mu) = S(|mu|, mu[0]) . column(mu[1:]) with
+column(()) = [1].  Columns of sizes below n are memoized by suffix; the
+size-n columns are produced one at a time, so the census counts zeros
+per row without ever holding the table.
 
 The census side counts zeros in the full p(N) x p(N) table, both in
 total and restricted to t-core rows, and evaluates the guaranteed-zero
@@ -17,8 +25,8 @@ zero sets disjoint.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 from .counting import partition_count, tcore_count
 from .errors import GuardError
@@ -102,33 +110,64 @@ class CharacterTable:
             writer.writerow([str(lam)] + [str(v) for v in row])
 
 
-def character_table(n: int, *, max_n: int = TABLE_GUARD, threads: int = 1,
-                    order: str = "largest") -> CharacterTable:
-    """Build the full p(n) x p(n) character table of S_n.
-
-    Guarded by ``max_n`` (default 20): beyond that the exact table is
-    infeasible at desk scale and the sampling module applies.  Rows can
-    be built by a thread pool; values are exact integers, so the result
-    is identical for every thread count.
-    """
+def _check_table_size(n: int, max_n: int) -> None:
     if n < 1:
         raise ValueError("n must be positive")
     if n > max_n:
         raise GuardError(f"full table limited to n <= {max_n}, got {n}; "
                          "use density sampling beyond this scale")
+
+
+def _columns(parts: tuple[Partition, ...]) -> Iterator[list[int]]:
+    """Yield the character column of each mu in ``parts``, in order.
+
+    ``parts`` are all partitions of one n in enumeration order; entry i
+    of a column is the character of ``parts[i]``.  A strip matrix is
+    stored as flat (row, index, sign) entries: removing a border strip
+    of length t from row partition ``row`` of m leaves partition
+    ``index`` of m - t, with sign (-1)**height.
+    """
+    n = parts[0].size
+    parts_of = [[p.parts for p in enumerate_partitions(m)] for m in range(n)]
+    parts_of.append([p.parts for p in parts])
+    matrices: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    memo: dict[tuple[int, ...], list[int]] = {(): [1]}
+
+    def column(mu: tuple[int, ...], m: int) -> list[int]:
+        col = memo.get(mu)
+        if col is not None:
+            return col
+        t = mu[0]
+        prev = column(mu[1:], m - t)
+        matrix = matrices.get((m, t))
+        if matrix is None:
+            index = {lam: j for j, lam in enumerate(parts_of[m - t])}
+            matrix = matrices[m, t] = [
+                (i, index[rem], -1 if height % 2 else 1)
+                for i, lam in enumerate(parts_of[m])
+                for _, height, rem in raw_strips(lam, t)]
+        col = [0] * len(parts_of[m])
+        for i, j, sign in matrix:
+            col[i] += sign * prev[j]
+        if m < n:
+            memo[mu] = col
+        return col
+
+    for mu in parts_of[n]:
+        yield column(mu, n)
+
+
+def character_table(n: int, *, max_n: int = TABLE_GUARD) -> CharacterTable:
+    """Build the full p(n) x p(n) character table of S_n.
+
+    Guarded by ``max_n`` (default 20): beyond that the exact table is
+    infeasible at desk scale and the sampling module applies.  Built a
+    column at a time by the strip-matrix engine; ``rows`` is the
+    transpose of the columns.
+    """
+    _check_table_size(n, max_n)
     parts = tuple(enumerate_partitions(n))
-    mus = [p.parts for p in parts]
-    memo: dict = {}
-    largest = order == "largest"
-
-    def build_row(lam: Partition) -> tuple[int, ...]:
-        return tuple(_chi(lam.parts, mu, memo, largest) for mu in mus)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(build_row, parts))
-    else:
-        rows = tuple(build_row(lam) for lam in parts)
+    rows = tuple(zip(*_columns(parts)))
     return CharacterTable(n=n, partitions=parts, rows=rows)
 
 
@@ -154,22 +193,32 @@ class ZeroCensus:
         }
 
 
-def zero_count(n: int, *, max_n: int = TABLE_GUARD, threads: int = 1,
+def zero_count(n: int, *, max_n: int = TABLE_GUARD,
                table: CharacterTable | None = None) -> ZeroCensus:
-    """Exact zero census of the S_n character table, in one table pass."""
+    """Exact zero census of the S_n character table.
+
+    Without ``table`` the zeros are counted column by column as the
+    engine produces them, and the table is never held in memory.
+    """
     if table is None:
-        table = character_table(n, max_n=max_n, threads=threads)
-    total = 0
+        _check_table_size(n, max_n)
+        parts = tuple(enumerate_partitions(n))
+        row_zeros = [0] * len(parts)
+        for col in _columns(parts):
+            for i, v in enumerate(col):
+                if not v:
+                    row_zeros[i] += 1
+    else:
+        parts = table.partitions
+        row_zeros = [row.count(0) for row in table.rows]
     per_core = {t: 0 for t in range(1, n + 1)}
-    for lam, row in zip(table.partitions, table.rows):
-        row_zeros = sum(1 for v in row if v == 0)
-        total += row_zeros
-        if row_zeros:
+    for lam, zeros in zip(parts, row_zeros):
+        if zeros:
             hooks = hook_multiset(lam)
             for t in range(1, n + 1):
                 if all(h % t for h in hooks):
-                    per_core[t] += row_zeros
-    return ZeroCensus(n=n, table_dim=len(table.partitions), total_zeros=total,
+                    per_core[t] += zeros
+    return ZeroCensus(n=n, table_dim=len(parts), total_zeros=sum(row_zeros),
                       per_core_zeros=per_core)
 
 

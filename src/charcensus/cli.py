@@ -86,14 +86,14 @@ def _cmd_char_eval(args):
 
 
 def _cmd_char_table(args):
-    table = character_table(args.n, threads=args.threads)
+    table = character_table(args.n)
     return {"kind": "char_table", "N": args.n, "dim": len(table.partitions),
             "partitions": [str(p) for p in table.partitions],
             "rows": [[str(v) for v in row] for row in table.rows]}
 
 
 def _cmd_zeros_exact(args):
-    census = zero_count(args.n, threads=args.threads)
+    census = zero_count(args.n)
     return {"kind": "census", **census.to_json_dict()}
 
 
@@ -136,7 +136,7 @@ def _cmd_estimate_density(args):
 def _cmd_sweep(args):
     rows = []
     for n in args.n_list:
-        census = zero_count(n, threads=args.threads)
+        census = zero_count(n)
         lb = lower_bound_partial(n, 1, n)
         z = census.total_zeros
         p_n = census.table_dim
@@ -270,7 +270,8 @@ def _add_common(sp: argparse.ArgumentParser, default_format: str = "human") -> N
                          f"{DEFAULT_CACHE_DIR}; env CHARCENSUS_CACHE wins)")
     sp.add_argument("--out", default=None, help="write output to a file")
     sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads; results are identical for any count")
+                    help="worker threads for estimate density (ignored elsewhere); "
+                         "results are identical for any count")
 
 
 def build_parser() -> _Parser:

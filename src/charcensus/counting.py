@@ -182,22 +182,33 @@ class CountTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "CountTable":
-        with open(path, "rb") as fh:
-            if fh.read(4) != _MAGIC:
-                raise ValueError(f"{path}: not a count-table file")
-            version, kind_idx, limit_n, limit_t = struct.unpack("<HBII", fh.read(11))
-            if version != _VERSION:
-                raise ValueError(f"{path}: unsupported table version {version}")
-            kind = _KINDS[kind_idx]
-            (nrows,) = struct.unpack("<I", fh.read(4))
-            rows = []
-            for _ in range(nrows):
-                (rowlen,) = struct.unpack("<I", fh.read(4))
-                row = []
-                for _ in range(rowlen):
-                    (slen,) = struct.unpack("<I", fh.read(4))
-                    row.append(int(fh.read(slen).decode("ascii")))
-                rows.append(tuple(row))
+        """Read a table written by ``save``.  A file that is not a count
+        table or ends early raises ValueError naming the file."""
+        truncated = f"{path}: truncated count-table file"
+        try:
+            with open(path, "rb") as fh:
+                if fh.read(4) != _MAGIC:
+                    raise ValueError(f"{path}: not a count-table file")
+                version, kind_idx, limit_n, limit_t = struct.unpack("<HBII", fh.read(11))
+                if version != _VERSION:
+                    raise ValueError(f"{path}: unsupported table version {version}")
+                if kind_idx >= len(_KINDS):
+                    raise ValueError(f"{path}: unknown table kind {kind_idx}")
+                kind = _KINDS[kind_idx]
+                (nrows,) = struct.unpack("<I", fh.read(4))
+                rows = []
+                for _ in range(nrows):
+                    (rowlen,) = struct.unpack("<I", fh.read(4))
+                    row = []
+                    for _ in range(rowlen):
+                        (slen,) = struct.unpack("<I", fh.read(4))
+                        text = fh.read(slen)
+                        if len(text) != slen:
+                            raise ValueError(truncated)
+                        row.append(int(text))
+                    rows.append(tuple(row))
+        except struct.error:  # a fixed-size field cut short
+            raise ValueError(truncated) from None
         return cls(kind=kind, limit_n=limit_n,
                    limit_t=None if kind == "P" else limit_t, rows=tuple(rows))
 

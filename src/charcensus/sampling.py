@@ -109,14 +109,33 @@ class DensityEstimate:
         }
 
 
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion.
+
+    Unlike the Wald interval it does not collapse to a point when no
+    success, or no failure, is observed.  The bounds are clamped so that
+    0 <= low <= successes/trials <= high <= 1 holds exactly in floats;
+    with no trials the interval is [0, 1].
+    """
+    if trials == 0:
+        return 0.0, 1.0
+    z = 1.96
+    point = successes / trials
+    denom = 1 + z * z / trials
+    center = (point + z * z / (2 * trials)) / denom
+    half = z / denom * math.sqrt(point * (1 - point) / trials + z * z / (4 * trials * trials))
+    return max(0.0, min(point, center - half)), min(1.0, max(point, center + half))
+
+
 def estimate_zero_density(n: int, samples: int, seed: int, *,
                           threads: int = 1, max_n: int = DENSITY_GUARD,
                           step_budget: int = _STEP_BUDGET) -> DensityEstimate:
     """Estimate Z(n)/p(n)^2 from ``samples`` uniform (lambda, mu) pairs.
 
-    Reports the zero fraction with a normal-approximation 95% interval
-    and the conjectured 2/log n alongside.  Guarded by ``max_n``: one
-    character evaluation gets combinatorially expensive past desk scale.
+    Reports the zero fraction with its 95% Wilson score interval, which
+    stays honest when no zero (or no nonzero) is observed, and the
+    conjectured 2/log n alongside.  Guarded by ``max_n``: one character
+    evaluation gets combinatorially expensive past desk scale.
     """
     if n < 2:
         raise GuardError("density estimation requires n >= 2")
@@ -153,12 +172,10 @@ def estimate_zero_density(n: int, samples: int, seed: int, *,
     failures = sum(f for _, f in results)
     evaluated = samples - failures
     point = zeros / evaluated if evaluated else 0.0
-    half_width = 1.96 * math.sqrt(point * (1 - point) / evaluated) if evaluated else 0.0
+    ci_low, ci_high = wilson_interval(zeros, evaluated)
     return DensityEstimate(
         n=n, samples=samples, zeros_observed=zeros, failures=failures,
-        point_estimate=point,
-        ci_low=max(0.0, point - half_width),
-        ci_high=min(1.0, point + half_width),
+        point_estimate=point, ci_low=ci_low, ci_high=ci_high,
         conjecture_value=2 / math.log(n),
         seed=seed,
     )

@@ -81,15 +81,19 @@ def test_row_orthogonality():
                 assert s == (fact if i == j else 0)
 
 
-def test_order_independence():
-    for n in range(1, 11):
-        assert character_table(n).rows == character_table(n, order="smallest").rows
+def _per_cell_rows(n, order):
+    """The per-cell table build the column engine replaced: one
+    character_value call per cell with a shared memo."""
+    parts = list(enumerate_partitions(n))
+    memo = {}
+    return tuple(tuple(character_value(lam, mu, memo=memo, order=order) for mu in parts)
+                 for lam in parts)
 
 
-def test_threaded_table_identical():
-    base = character_table(9)
-    for k in (2, 4):
-        assert character_table(9, threads=k).rows == base.rows
+@pytest.mark.parametrize("order", ["largest", "smallest"])
+def test_table_matches_per_cell_oracle(order):
+    for n in range(1, 17):
+        assert character_table(n).rows == _per_cell_rows(n, order), n
 
 
 def test_zero_census_small():
@@ -97,10 +101,13 @@ def test_zero_census_small():
     assert zero_count(3).total_zeros == 1
 
 
-def test_zero_census_order_independent():
-    t_a = character_table(6)
-    t_b = character_table(6, order="smallest")
-    assert zero_count(6, table=t_a) == zero_count(6, table=t_b)
+def test_streaming_census_matches_table_census():
+    for n in range(1, 17):
+        assert zero_count(n) == zero_count(n, table=character_table(n)), n
+
+
+def test_zero_census_n20_pinned():
+    assert zero_count(20).total_zeros == 155176
 
 
 def test_census_per_core_consistency():

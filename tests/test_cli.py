@@ -220,3 +220,16 @@ def test_human_format_echoes_config(run):
     assert code == 0
     assert "# n = 5" in out
     assert "value" in out
+
+
+def test_truncated_cache_file_is_usage_error(run, tmp_path):
+    code, out, _ = run("count", "p", "--n", "50", "--format", "json")
+    assert code == 0
+    (path,) = (tmp_path / "cache").iterdir()
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    code, out, err = run("count", "p", "--n", "50", "--format", "json")
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["code"] == 2 and path.name in error["message"]

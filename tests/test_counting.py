@@ -125,3 +125,13 @@ def test_load_or_build_caches(tmp_path):
     assert len(files) == 1
     t2 = load_or_build("P_BOUNDED", 25, 25, cache_dir=tmp_path)
     assert t1 == t2
+
+
+def test_truncated_table_file_names_the_file(tmp_path):
+    path = tmp_path / "p.tbl"
+    build_bounded_table(4, 6).save(path)
+    data = path.read_bytes()
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match="p.tbl"):
+            CountTable.load(path)

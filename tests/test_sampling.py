@@ -12,6 +12,7 @@ from charcensus.sampling import (
     RNG_ALGORITHM,
     estimate_zero_density,
     random_partition,
+    wilson_interval,
 )
 
 # Per-n seeds for the convergence test; the shrink in sampling error is
@@ -88,6 +89,17 @@ def test_estimate_n2_density_zero():
     est = estimate_zero_density(2, 1000, seed=5)
     assert est.point_estimate == 0.0
     assert est.zeros_observed == 0
+    assert est.ci_low == 0.0 and est.ci_high > 0.0
+
+
+def test_wilson_interval_holds_the_estimate():
+    assert wilson_interval(0, 0) == (0.0, 1.0)
+    assert wilson_interval(5, 5)[1] == 1.0
+    for trials in (1, 2, 3, 7, 10, 99, 1000, 100003):
+        for successes in sorted({0, 1, trials // 3, trials // 2, trials - 1, trials}):
+            low, high = wilson_interval(successes, trials)
+            assert 0.0 <= low <= successes / trials <= high <= 1.0
+            assert low < high
 
 
 def test_estimate_deterministic_across_threads():
