@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-from .counting import partition_count
+from .counting import divisor_sums, partition_count
 from .errors import GuardError, NumericError
 from .logreal import LogReal
 
@@ -26,10 +26,7 @@ ETA_TAIL_CAP = 1.00873  # upper bound for the eta tail witness v, any y >= sqrt(
 P_EXACT_LIMIT = 100_000  # largest n for which bound evaluators use exact p(n)
 
 _SERIES_CAP = 64
-_SIGMA = [0] * (_SERIES_CAP + 1)  # sigma(n) = sum of divisors
-for _d in range(1, _SERIES_CAP + 1):
-    for _m in range(_d, _SERIES_CAP + 1, _d):
-        _SIGMA[_m] += _d
+_SIGMA = divisor_sums(_SERIES_CAP)[: _SERIES_CAP + 1]  # sigma(n) = sum of divisors
 
 
 def _check_tol(tol: float) -> None:

@@ -3,21 +3,42 @@ and t-cores.
 
 Three count families, all plain Python ints (never floats):
 
-* p(n)        -- partitions of n, via Euler's pentagonal recurrence;
+* p(n)        -- partitions of n, via Euler's pentagonal recurrence
+                 p(m) = sum_k (-1)^(k+1) [p(m - k(3k-1)/2) + p(m - k(3k+1)/2)];
 * p_t(n)      -- partitions of n into parts of size at most t, via the
                  classic part-by-part DP;
-* c_t(n)      -- t-core partitions of n, as the q^n coefficient of
-                 prod (1-q^{tn})^t / prod (1-q^n), with the denominator
-                 inverted through the pentagonal recurrence.
+* c_t(n)      -- t-core partitions of n, from the generating function
+                 prod (1-q^{tk})^t / prod (1-q^k) = A_t(q^t) P(q), i.e.
 
-A brute-force t-core counter over full enumeration serves as the
-independent oracle for c_t at small n.
+                     c_t(n) = sum_{w <= n/t} a_t(w) p(n - t w),
+
+                 where a_t(w) are the coefficients of the eta power
+                 A_t(q) = prod_k (1-q^k)^t.  Taking the log-derivative of
+                 A_t gives the exact recurrence
+
+                     w a_t(w) = -t sum_{j=1..w} sigma(j) a_t(w - j),
+
+                 with sigma the divisor sum, so one c_t(n) costs
+                 O((n/t)^2) multiplications once p(0..n) is known.
+
+The pentagonal recurrence is run as a C-level gather: while the cache
+holds p(0..m-1), the term p(m - g) is p[-g], so the negative offsets of
+the pentagonal numbers g <= m are kept in one list per sign and read
+with an ``operator.itemgetter`` that is rebuilt only when a new
+pentagonal number comes into range (about 500 times up to n = 10^5).
+Each step is then two C-level sums, with no Python bytecode per term.
+
+sigma comes from one sieve that grows on demand and is shared with the
+eta series of ``asymptotics``.  A brute-force t-core counter over full
+enumeration serves as the independent oracle for c_t at small n.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter, mul
 from pathlib import Path
 
 from .errors import GuardError
@@ -26,7 +47,22 @@ from .partitions import enumerate_partitions, is_t_core
 BRUTEFORCE_GUARD = 40
 
 _p_cache: list[int] = [1]
-_tcore_cache: dict[int, list[int]] = {}
+_sigma: list[int] = [0]  # _sigma[j] = sigma(j); _sigma[0] is a placeholder
+
+
+def divisor_sums(limit: int) -> list[int]:
+    """The shared sieve of sigma(j), the sum of the divisors of j, grown
+    to cover 0 <= j <= limit.  The returned list may be longer than
+    limit + 1; callers must not modify it."""
+    global _sigma
+    if limit >= len(_sigma):
+        size = max(limit + 1, 2 * len(_sigma))
+        sig = [0] * size
+        for d in range(1, size):
+            for m in range(d, size, d):
+                sig[m] += d
+        _sigma = sig
+    return _sigma
 
 
 def _pentagonal_pairs(limit: int):
@@ -44,21 +80,34 @@ def _pentagonal_pairs(limit: int):
         k += 1
 
 
+def _gather(offsets: list[int]):
+    """itemgetter over offsets that always returns a tuple."""
+    if len(offsets) > 1:
+        return itemgetter(*offsets)
+    if offsets:
+        (i,) = offsets
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
+
+
 def partition_count(n: int) -> int:
     """Exact p(n), the number of partitions of n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n < len(_p_cache):
-        return _p_cache[n]
-    pents = list(_pentagonal_pairs(n))
-    for m in range(len(_p_cache), n + 1):
-        total = 0
-        for g, sign in pents:
-            if g > m:
-                break
-            total += sign * _p_cache[m - g]
-        _p_cache.append(total)
-    return _p_cache[n]
+    p = _p_cache
+    if n < len(p):
+        return p[n]
+    pos, neg = [], []  # -g for each pentagonal g <= m, by recurrence sign
+    pending = _pentagonal_pairs(n)
+    g, sign = next(pending)
+    for m in range(len(p), n + 1):
+        if g <= m:
+            while g <= m:
+                (pos if sign > 0 else neg).append(-g)
+                g, sign = next(pending, (n + 1, 0))
+            get_pos, get_neg = _gather(pos), _gather(neg)
+        p.append(sum(get_pos(p)) - sum(get_neg(p)))
+    return p[n]
 
 
 def bounded_partition_count(t: int, n: int) -> int:
@@ -76,36 +125,15 @@ def bounded_partition_count(t: int, n: int) -> int:
     return dp[n]
 
 
-def _core_series(t: int, limit: int) -> list[int]:
-    """Coefficients of prod (1-q^{tn})^t / prod (1-q^n) up to q^limit."""
-    # Numerator: multiply in (1 - q^{t n})^t one n at a time, expanded
-    # binomially; descending index keeps the update in place.
-    num = [0] * (limit + 1)
-    num[0] = 1
-    for n in range(1, limit // t + 1):
-        step = t * n
-        jmax = min(t, limit // step)
-        coeffs = [0] * (jmax + 1)
-        c = 1
-        for j in range(1, jmax + 1):
-            c = c * (t - j + 1) // j
-            coeffs[j] = -c if j % 2 else c
-        for m in range(limit, step - 1, -1):
-            acc = num[m]
-            for j in range(1, min(jmax, m // step) + 1):
-                acc += coeffs[j] * num[m - j * step]
-            num[m] = acc
-    # Divide by the Euler product via the pentagonal recurrence.
-    pents = list(_pentagonal_pairs(limit))
-    out = [0] * (limit + 1)
-    for m in range(limit + 1):
-        acc = num[m]
-        for g, sign in pents:
-            if g > m:
-                break
-            acc += sign * out[m - g]
-        out[m] = acc
-    return out
+def _eta_power(t: int, limit: int) -> list[int]:
+    """a_t(0..limit), the coefficients of prod_k (1-q^k)^t."""
+    sigma = divisor_sums(limit)
+    a = [1]
+    for w in range(1, limit + 1):
+        # sum_{j=1..w} sigma(j) a(w-j), pairing a(w-1), ..., a(0) with
+        # sigma(1), sigma(2), ...; the division by w is exact
+        a.append(-t * sum(map(mul, reversed(a), islice(sigma, 1, None))) // w)
+    return a
 
 
 def tcore_count(t: int, n: int) -> int:
@@ -114,11 +142,9 @@ def tcore_count(t: int, n: int) -> int:
         raise ValueError("t must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    cached = _tcore_cache.get(t)
-    if cached is None or len(cached) <= n:
-        cached = _core_series(t, n)
-        _tcore_cache[t] = cached
-    return cached[n]
+    partition_count(n)
+    # p[n::-t] is p(n), p(n-t), ..., p(n mod t)
+    return sum(map(mul, _eta_power(t, n // t), _p_cache[n::-t]))
 
 
 def tcore_count_bruteforce(t: int, n: int, guard: int = BRUTEFORCE_GUARD) -> int:
@@ -231,8 +257,13 @@ def build_bounded_table(limit_t: int, limit_n: int) -> CountTable:
 
 def build_tcore_table(limit_t: int, limit_n: int) -> CountTable:
     """c_t(n) for all 1 <= t <= limit_t, 0 <= n <= limit_n."""
-    rows = tuple(tuple(_core_series(t, limit_n)) for t in range(1, limit_t + 1))
-    return CountTable("TCORE", limit_n, limit_t, rows)
+    partition_count(limit_n)
+    p = _p_cache
+    rows = []
+    for t in range(1, limit_t + 1):
+        a = _eta_power(t, limit_n // t)
+        rows.append(tuple(sum(map(mul, a, p[m::-t])) for m in range(limit_n + 1)))
+    return CountTable("TCORE", limit_n, limit_t, tuple(rows))
 
 
 def table_path(cache_dir: str | Path, kind: str, limit_n: int,

@@ -7,6 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from charcensus import cli
 from charcensus.cli import main
 
 
@@ -187,6 +188,44 @@ def test_guard_exit_code(run):
     code, _, err = run("zeros", "exact", "--n", "50")
     assert code == 3
     assert json.loads(err)["error"]["type"] == "guard"
+
+
+@pytest.fixture()
+def no_work(monkeypatch):
+    """Make every exact counter the guarded commands reach fail loudly, so
+    a refusal test also shows that no work started."""
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the cost guard")
+
+    for name in ("load_or_build", "tcore_count", "lower_bound_partial"):
+        monkeypatch.setattr(cli, name, fail)
+
+
+def _refusal(run, *argv):
+    code, out, err = run(*argv, "--format", "json")
+    assert code == 3 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["code"] == 3 and error["type"] == "guard"
+    return error["message"]
+
+
+def test_count_p_cost_guard(run, no_work):
+    message = _refusal(run, "count", "p", "--n", str(10**7))
+    assert str(cli.P_GUARD_N) in message
+
+
+def test_count_core_cost_guard(run, no_work):
+    message = _refusal(run, "count", "core", "--t", "2", "--n", "100000")
+    assert "2500000000" in message and str(cli.CORE_GUARD_STEPS) in message
+    _refusal(run, "count", "core", "--t", str(10**7), "--n", str(10**7))
+
+
+def test_zeros_lower_bound_cost_guard(run, no_work):
+    message = _refusal(run, "zeros", "lower-bound", "--n", "20000", "--t-lo", "200")
+    assert str(cli.LOWER_BOUND_GUARD_STEPS) in message
+    _refusal(run, "zeros", "lower-bound", "--n", str(10**7), "--t-lo", "1",
+             "--t-hi", "1")
 
 
 def test_usage_exit_code(run):
