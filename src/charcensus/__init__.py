@@ -12,7 +12,6 @@ from .partitions import (
     strips_of_length,
 )
 from .counting import (
-    CountTable,
     bounded_partition_count,
     partition_count,
     tcore_count,
@@ -53,7 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Partition", "Hook", "StripRemoval", "enumerate_partitions",
     "hook_multiset", "is_t_core", "parse_partition", "strips_of_length",
-    "CountTable", "bounded_partition_count", "partition_count",
+    "bounded_partition_count", "partition_count",
     "tcore_count", "tcore_count_bruteforce",
     "CharacterTable", "ZeroCensus", "character_table", "character_value",
     "class_size", "lower_bound_partial", "lower_bound_sum", "zero_count",

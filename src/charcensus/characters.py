@@ -230,10 +230,13 @@ def lower_bound_partial(n: int, t_lo: int, t_hi: int) -> int:
     """
     if not (1 <= t_lo <= t_hi <= n):
         raise ValueError(f"need 1 <= t_lo <= t_hi <= n, got ({t_lo}, {t_hi}, {n})")
-    dp = [1] + [0] * n  # p_t(m) built incrementally over t
+    # dp[m] = p_t(m) for m <= n - t, built incrementally over t; step t
+    # reads only dp[n - t].  For t > n/2 the step is empty: dp[n - t]
+    # already holds p(n - t), which is p_t(n - t).
+    dp = [1] + [0] * n
     total = 0
     for t in range(1, t_hi + 1):
-        for m in range(t, n + 1):
+        for m in range(t, n - t + 1):
             dp[m] += dp[m - t]
         if t >= t_lo:
             total += tcore_count(t, n) * dp[n - t]

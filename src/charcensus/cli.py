@@ -4,8 +4,10 @@ Batch and non-interactive: every subcommand resolves its configuration,
 runs one computation, and emits a machine-readable result.  JSON output
 follows the versioned schema shipped in ``schemas/``; CSV encodes the
 same values (big integers as decimal strings, reals as shortest
-round-trip doubles).  Exit codes: 0 success, 1 numeric breakdown,
-2 usage error, 3 guard refusal; errors go to stderr as a JSON object.
+round-trip doubles).  Exit codes: 0 success, 1 numeric breakdown or an
+internal error, 2 usage error (bad input, or an --out file that cannot
+be written), 3 guard refusal; every error goes to stderr as one JSON
+object, never as a traceback.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import argparse
 import csv
 import io
 import json
-import os
 import secrets
 import sys
+import traceback
 
 from .asymptotics import (
     core_count_bound,
@@ -31,20 +33,26 @@ from .characters import (
     lower_bound_partial,
     zero_count,
 )
-from .counting import load_or_build, tcore_count, tcore_count_bruteforce
+from .counting import (
+    bounded_partition_count,
+    partition_count,
+    tcore_count,
+    tcore_count_bruteforce,
+)
 from .errors import GuardError, NumericError
 from .partitions import parse_partition
 from .sampling import estimate_zero_density
 
 SCHEMA_VERSION = 1
-DEFAULT_CACHE_DIR = "./.charcensus-cache"
 
 # Cost guards: a request above one of these is refused (exit 3) before any
 # work starts.  Measured on a 2-core Xeon: p(0..n) at n = 10^5 takes 2.5 s;
-# one c_t(n) takes (n/t)^2 eta-power steps, 10^8 of them 2-3 s; the
-# guaranteed-zero sum adds n * t_hi steps of the p_t table, and a cost of
-# 1.7 * 10^8 (n = 8000) took 4.9-7.1 s.
+# one p_t(n) with t < n takes t n additions, 5 * 10^7 of them 4.9 s
+# (n = 20000) to 7.1 s (n = 10^5); one c_t(n) takes (n/t)^2 eta-power
+# steps, 10^8 of them 2-3 s; the guaranteed-zero sum adds n * t_hi steps
+# of the p_t table, and a cost of 1.7 * 10^8 (n = 8000) took 4.9-7.1 s.
 P_GUARD_N = 100_000
+PT_GUARD_STEPS = 5 * 10**7
 CORE_GUARD_STEPS = 10**8
 LOWER_BOUND_GUARD_STEPS = 2 * 10**8
 
@@ -77,15 +85,16 @@ def _guard_p(n: int) -> None:
 
 def _cmd_count_p(args):
     _guard_p(args.n)
-    table = load_or_build("P", args.n, cache_dir=args.cache_dir)
     return {"kind": "count", "family": "p", "n": args.n, "t": None,
-            "value": str(table.value(args.n))}
+            "value": str(partition_count(args.n))}
 
 
 def _cmd_count_pt(args):
-    table = load_or_build("P_BOUNDED", args.n, args.t, cache_dir=args.cache_dir)
+    _guard_p(args.n)
+    if args.t < args.n:
+        _guard(args.t * args.n, PT_GUARD_STEPS, "t n (steps of the p_t(n) recurrence)")
     return {"kind": "count", "family": "pt", "n": args.n, "t": args.t,
-            "value": str(table.value(args.n, t=args.t))}
+            "value": str(bounded_partition_count(args.t, args.n))}
 
 
 def _cmd_count_core(args):
@@ -156,8 +165,7 @@ def _cmd_bounds_saddle(args):
 
 
 def _cmd_estimate_density(args):
-    est = estimate_zero_density(args.n, args.samples, args.seed,
-                                threads=args.threads)
+    est = estimate_zero_density(args.n, args.samples, args.seed)
     return {"kind": "density", **est.to_json_dict()}
 
 
@@ -264,8 +272,12 @@ def _emit(args, command: str, result: dict) -> None:
     else:
         text = _result_to_human(config, result)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: "
+                             f"{exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -293,13 +305,7 @@ def _add_common(sp: argparse.ArgumentParser, default_format: str = "human") -> N
     sp.add_argument("--format", choices=("json", "csv", "human"),
                     default=default_format,
                     help=f"output format (default {default_format})")
-    sp.add_argument("--cache-dir", default=None,
-                    help=f"count-table cache directory (default "
-                         f"{DEFAULT_CACHE_DIR}; env CHARCENSUS_CACHE wins)")
     sp.add_argument("--out", default=None, help="write output to a file")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads for estimate density (ignored elsewhere); "
-                         "results are identical for any count")
 
 
 def build_parser() -> _Parser:
@@ -410,14 +416,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code or 0
-    if args.cache_dir is None:
-        args.cache_dir = os.environ.get("CHARCENSUS_CACHE") or DEFAULT_CACHE_DIR
-    elif os.environ.get("CHARCENSUS_CACHE"):
-        args.cache_dir = os.environ["CHARCENSUS_CACHE"]
     if getattr(args, "seed", "absent") is None:
         args.seed = secrets.randbits(63)
     try:
-        result = args.func(args)
+        _emit(args, args.command, args.func(args))
     except GuardError as exc:
         _write_error(3, "guard", exc)
         return 3
@@ -427,7 +429,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _write_error(2, "usage", exc)
         return 2
-    _emit(args, args.command, result)
+    except Exception as exc:  # any other fault: one JSON line, no traceback
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        _write_error(1, "internal", f"{type(exc).__name__}: {exc} "
+                                    f"(in {where.name}, {where.filename}:{where.lineno})")
+        return 1
     return 0
 
 

@@ -35,11 +35,8 @@ enumeration serves as the independent oracle for c_t at small n.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter, mul
-from pathlib import Path
 
 from .errors import GuardError
 from .partitions import enumerate_partitions, is_t_core
@@ -125,6 +122,18 @@ def bounded_partition_count(t: int, n: int) -> int:
     return dp[n]
 
 
+def build_bounded_table(limit_t: int, limit_n: int) -> tuple[tuple[int, ...], ...]:
+    """p_t(n) for all 0 <= t <= limit_t, 0 <= n <= limit_n, as rows:
+    ``rows[t][n] = p_t(n)``."""
+    dp = [1] + [0] * limit_n
+    rows = [tuple(dp)]
+    for part in range(1, limit_t + 1):
+        for m in range(part, limit_n + 1):
+            dp[m] += dp[m - part]
+        rows.append(tuple(dp))
+    return tuple(rows)
+
+
 def _eta_power(t: int, limit: int) -> list[int]:
     """a_t(0..limit), the coefficients of prod_k (1-q^k)^t."""
     sigma = divisor_sums(limit)
@@ -160,135 +169,3 @@ def tcore_count_bruteforce(t: int, n: int, guard: int = BRUTEFORCE_GUARD) -> int
     if n > guard:
         raise GuardError(f"brute-force t-core count limited to n <= {guard}, got {n}")
     return sum(1 for lam in enumerate_partitions(n) if is_t_core(lam, t))
-
-
-# ---------------------------------------------------------------------------
-# Persistent count tables
-
-_MAGIC = b"CCTB"
-_VERSION = 1
-_KINDS = ("P", "P_BOUNDED", "TCORE")
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Immutable dense table of exact counts.
-
-    kind P holds p(0..limit_n); P_BOUNDED holds p_t(0..limit_n) for
-    t = 0..limit_t; TCORE holds c_t(0..limit_n) for t = 1..limit_t.
-    """
-
-    kind: str
-    limit_n: int
-    limit_t: int | None
-    rows: tuple[tuple[int, ...], ...]
-
-    def value(self, n: int, t: int | None = None) -> int:
-        if self.kind == "P":
-            return self.rows[0][n]
-        if t is None:
-            raise ValueError(f"kind {self.kind} needs a t index")
-        row = t if self.kind == "P_BOUNDED" else t - 1
-        return self.rows[row][n]
-
-    def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<HBII", _VERSION, _KINDS.index(self.kind),
-                                 self.limit_n, 0 if self.limit_t is None else self.limit_t))
-            fh.write(struct.pack("<I", len(self.rows)))
-            for row in self.rows:
-                fh.write(struct.pack("<I", len(row)))
-                for v in row:
-                    s = str(v).encode("ascii")
-                    fh.write(struct.pack("<I", len(s)))
-                    fh.write(s)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CountTable":
-        """Read a table written by ``save``.  A file that is not a count
-        table or ends early raises ValueError naming the file."""
-        truncated = f"{path}: truncated count-table file"
-        try:
-            with open(path, "rb") as fh:
-                if fh.read(4) != _MAGIC:
-                    raise ValueError(f"{path}: not a count-table file")
-                version, kind_idx, limit_n, limit_t = struct.unpack("<HBII", fh.read(11))
-                if version != _VERSION:
-                    raise ValueError(f"{path}: unsupported table version {version}")
-                if kind_idx >= len(_KINDS):
-                    raise ValueError(f"{path}: unknown table kind {kind_idx}")
-                kind = _KINDS[kind_idx]
-                (nrows,) = struct.unpack("<I", fh.read(4))
-                rows = []
-                for _ in range(nrows):
-                    (rowlen,) = struct.unpack("<I", fh.read(4))
-                    row = []
-                    for _ in range(rowlen):
-                        (slen,) = struct.unpack("<I", fh.read(4))
-                        text = fh.read(slen)
-                        if len(text) != slen:
-                            raise ValueError(truncated)
-                        row.append(int(text))
-                    rows.append(tuple(row))
-        except struct.error:  # a fixed-size field cut short
-            raise ValueError(truncated) from None
-        return cls(kind=kind, limit_n=limit_n,
-                   limit_t=None if kind == "P" else limit_t, rows=tuple(rows))
-
-
-def build_p_table(limit_n: int) -> CountTable:
-    partition_count(limit_n)
-    return CountTable("P", limit_n, None, (tuple(_p_cache[: limit_n + 1]),))
-
-
-def build_bounded_table(limit_t: int, limit_n: int) -> CountTable:
-    """p_t(n) for all 0 <= t <= limit_t, 0 <= n <= limit_n."""
-    dp = [1] + [0] * limit_n
-    rows = [tuple(dp)]
-    for part in range(1, limit_t + 1):
-        for m in range(part, limit_n + 1):
-            dp[m] += dp[m - part]
-        rows.append(tuple(dp))
-    return CountTable("P_BOUNDED", limit_n, limit_t, tuple(rows))
-
-
-def build_tcore_table(limit_t: int, limit_n: int) -> CountTable:
-    """c_t(n) for all 1 <= t <= limit_t, 0 <= n <= limit_n."""
-    partition_count(limit_n)
-    p = _p_cache
-    rows = []
-    for t in range(1, limit_t + 1):
-        a = _eta_power(t, limit_n // t)
-        rows.append(tuple(sum(map(mul, a, p[m::-t])) for m in range(limit_n + 1)))
-    return CountTable("TCORE", limit_n, limit_t, tuple(rows))
-
-
-def table_path(cache_dir: str | Path, kind: str, limit_n: int,
-               limit_t: int | None = None) -> Path:
-    suffix = "" if limit_t is None else f"-t{limit_t}"
-    return Path(cache_dir) / f"{kind.lower()}-n{limit_n}{suffix}.tbl"
-
-
-def load_or_build(kind: str, limit_n: int, limit_t: int | None = None,
-                  cache_dir: str | Path | None = None) -> CountTable:
-    """Fetch a table from the cache directory, building and storing it
-    on a miss.  With cache_dir=None the table is built in memory only."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown table kind {kind!r}")
-    path = None
-    if cache_dir is not None:
-        path = table_path(cache_dir, kind, limit_n, limit_t)
-        if path.exists():
-            return CountTable.load(path)
-    if kind == "P":
-        table = build_p_table(limit_n)
-    elif kind == "P_BOUNDED":
-        table = build_bounded_table(limit_t, limit_n)
-    else:
-        table = build_tcore_table(limit_t, limit_n)
-    if path is not None:
-        table.save(path)
-    return table

@@ -11,8 +11,8 @@ weight mu by conjugacy-class size.
 
 Randomness: every run is driven by one 64-bit seed.  Sample chunks of
 fixed size draw from independent substreams whose seeds are derived
-from (seed, chunk index) by SHA-256, so the merged estimate is
-bit-identical for every worker count.
+from (seed, chunk index) by SHA-256, so the estimate is bit-identical
+for a given (n, samples, seed).
 """
 
 from __future__ import annotations
@@ -20,21 +20,19 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .characters import BudgetExceeded, _chi
-from .counting import CountTable, build_bounded_table
+from .counting import build_bounded_table
 from .errors import GuardError
 from .partitions import Partition
 
 DENSITY_GUARD = 60
 RNG_ALGORITHM = "mt19937-sha256-streams-v1"
-_CHUNK = 2048  # samples per substream; fixed so results ignore worker count
+_CHUNK = 2048  # samples per substream; changing it changes every report
 # memo misses allowed per character evaluation; sized above the worst-case
 # cold-start state count at n = 60 (~2.5e6), so within the guard no sample
-# can fail and reports stay identical for every worker count.  Past a
-# raised guard, failure accounting may depend on memo warmth.
+# can fail.
 _STEP_BUDGET = 10_000_000
 
 
@@ -44,26 +42,27 @@ def _stream_rng(seed: int, index: int) -> random.Random:
 
 
 def random_partition(n: int, rng: random.Random,
-                     table: CountTable | None = None) -> Partition:
+                     table: tuple[tuple[int, ...], ...] | None = None) -> Partition:
     """Draw one partition of n, exactly uniformly.
 
-    ``table`` must be a P_BOUNDED count table covering n (built on the
-    fly when omitted; pass one in when drawing repeatedly).
+    ``table`` holds ``table[t][m] = p_t(m)`` for all t, m <= n, as
+    ``build_bounded_table(n, n)`` returns (built on the fly when
+    omitted; pass one in when drawing repeatedly).
     """
     if n < 1:
         raise ValueError("n must be positive")
     if table is None:
         table = build_bounded_table(n, n)
-    if table.kind != "P_BOUNDED" or table.limit_n < n or table.limit_t < n:
-        raise GuardError(f"need a P_BOUNDED table covering n={n}")
+    if len(table) <= n or len(table[n]) <= n:
+        raise GuardError(f"need a bounded count table covering n={n}")
     parts = []
     remaining, cap = n, n
     while remaining:
-        r = rng.randrange(table.value(remaining, t=cap))
+        r = rng.randrange(table[cap][remaining])
         lo, hi = 1, cap  # p_k(remaining) is cumulative in k; invert it
         while lo < hi:
             mid = (lo + hi) // 2
-            if table.value(remaining, t=mid) > r:
+            if table[mid][remaining] > r:
                 hi = mid
             else:
                 lo = mid + 1
@@ -128,7 +127,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def estimate_zero_density(n: int, samples: int, seed: int, *,
-                          threads: int = 1, max_n: int = DENSITY_GUARD,
+                          max_n: int = DENSITY_GUARD,
                           step_budget: int = _STEP_BUDGET) -> DensityEstimate:
     """Estimate Z(n)/p(n)^2 from ``samples`` uniform (lambda, mu) pairs.
 
@@ -163,11 +162,7 @@ def estimate_zero_density(n: int, samples: int, seed: int, *,
         return zeros, failures
 
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        results = [run_chunk(i) for i in range(n_chunks)]
+    results = [run_chunk(i) for i in range(n_chunks)]
     zeros = sum(z for z, _ in results)
     failures = sum(f for _, f in results)
     evaluated = samples - failures

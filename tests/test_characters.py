@@ -1,7 +1,9 @@
+import functools
 import math
 
 import pytest
 
+from charcensus import characters
 from charcensus.characters import (
     character_table,
     character_value,
@@ -146,6 +148,34 @@ def test_lower_bound_additivity():
         lower_bound_partial(n, 5, 3)
     with pytest.raises(ValueError):
         lower_bound_partial(n, 0, 3)
+
+
+def _lower_bound_partial_oracle(n, t_lo, t_hi):
+    """The earlier loop: brings p_t(m) up to date for every m <= n."""
+    dp = [1] + [0] * n
+    total = 0
+    for t in range(1, t_hi + 1):
+        for m in range(t, n + 1):
+            dp[m] += dp[m - t]
+        if t >= t_lo:
+            total += tcore_count(t, n) * dp[n - t]
+    return total
+
+
+def test_lower_bound_partial_matches_full_loop_oracle(monkeypatch):
+    # every 1 <= t_lo <= t_hi <= n <= 60; the oracle is additive in t,
+    # so its one-term values give every range; c_t is memoized to keep
+    # the 37k calls cheap (it is tested against its own oracles)
+    monkeypatch.setattr(characters, "tcore_count", functools.cache(tcore_count))
+    for n in range(1, 61):
+        prefix = [0]
+        for t in range(1, n + 1):
+            prefix.append(prefix[-1] + _lower_bound_partial_oracle(n, t, t))
+        for t_lo in range(1, n + 1):
+            for t_hi in range(t_lo, n + 1):
+                assert lower_bound_partial(n, t_lo, t_hi) \
+                    == prefix[t_hi] - prefix[t_lo - 1], (n, t_lo, t_hi)
+    assert lower_bound_sum(1000) == _lower_bound_partial_oracle(1000, 1, 1000)
 
 
 def test_lower_bound_below_exact_census():

@@ -19,10 +19,9 @@ def schema():
 
 
 @pytest.fixture()
-def run(capsys, tmp_path, monkeypatch, schema):
+def run(capsys, schema):
     """Run the CLI, returning (exit_code, stdout, stderr); JSON output is
     validated against the shipped schema on every call."""
-    monkeypatch.setenv("CHARCENSUS_CACHE", str(tmp_path / "cache"))
 
     def _run(*argv):
         code = main(list(argv))
@@ -48,6 +47,17 @@ def test_count_p(run):
     code, out, _ = run("count", "p", "--n", "100", "--format", "json")
     assert code == 0
     assert json.loads(out)["result"]["value"] == "190569292"
+
+
+def test_count_p_and_pt_write_no_file(run, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv, value in ((("count", "p", "--n", "100"), "190569292"),
+                        (("count", "pt", "--t", "3", "--n", "10"), "14"),
+                        (("count", "pt", "--t", "20", "--n", "10"), "42")):
+        code, out, _ = run(*argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["result"]["value"] == value
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_count_core_brute_matches_series(run):
@@ -131,7 +141,7 @@ def test_estimate_density_deterministic(run):
     _, a, _ = run("estimate", "density", "--n", "10", "--samples", "500",
                   "--seed", "3", "--format", "json")
     _, b, _ = run("estimate", "density", "--n", "10", "--samples", "500",
-                  "--seed", "3", "--threads", "4", "--format", "json")
+                  "--seed", "3", "--format", "json")
     assert json.loads(a)["result"] == json.loads(b)["result"]
 
 
@@ -197,7 +207,8 @@ def no_work(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("work started before the cost guard")
 
-    for name in ("load_or_build", "tcore_count", "lower_bound_partial"):
+    for name in ("partition_count", "bounded_partition_count", "tcore_count",
+                 "lower_bound_partial"):
         monkeypatch.setattr(cli, name, fail)
 
 
@@ -213,6 +224,20 @@ def _refusal(run, *argv):
 def test_count_p_cost_guard(run, no_work):
     message = _refusal(run, "count", "p", "--n", str(10**7))
     assert str(cli.P_GUARD_N) in message
+
+
+def test_count_pt_cost_guard(run, no_work):
+    message = _refusal(run, "count", "pt", "--t", "1000", "--n", "100000")
+    assert "100000000" in message and str(cli.PT_GUARD_STEPS) in message
+    _refusal(run, "count", "pt", "--t", str(10**7), "--n", str(10**7))
+
+
+@pytest.mark.parametrize("t, n", [("5", "-3"), ("0", "10")])
+def test_count_pt_usage_error(run, t, n):
+    code, out, err = run("count", "pt", "--t", t, "--n", n, "--format", "json")
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["type"] == "usage"
 
 
 def test_count_core_cost_guard(run, no_work):
@@ -246,14 +271,6 @@ def test_no_bound_regime_is_guard(run):
     assert "regime" in json.loads(err)["error"]["message"]
 
 
-def test_cache_dir_env_wins(run, tmp_path, monkeypatch):
-    env_dir = tmp_path / "cache"
-    code, out, _ = run("count", "p", "--n", "30", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["config"]["cache_dir"] == str(env_dir)
-    assert any(env_dir.iterdir())
-
-
 def test_human_format_echoes_config(run):
     code, out, _ = run("count", "p", "--n", "5")
     assert code == 0
@@ -261,14 +278,25 @@ def test_human_format_echoes_config(run):
     assert "value" in out
 
 
-def test_truncated_cache_file_is_usage_error(run, tmp_path):
-    code, out, _ = run("count", "p", "--n", "50", "--format", "json")
-    assert code == 0
-    (path,) = (tmp_path / "cache").iterdir()
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) // 2])
-    code, out, err = run("count", "p", "--n", "50", "--format", "json")
+def test_unwritable_out_file_is_usage_error(run, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run("count", "p", "--n", "10", "--format", "json",
+                         "--out", str(target))
     assert code == 2 and out == ""
     (line,) = err.splitlines()
     error = json.loads(line)["error"]
-    assert error["code"] == 2 and path.name in error["message"]
+    assert error["code"] == 2 and error["type"] == "usage"
+    assert str(target) in error["message"]
+
+
+def test_unexpected_error_is_one_json_line(run, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_count_p", broken)
+    code, out, err = run("count", "p", "--n", "10", "--format", "json")
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["code"] == 1 and error["type"] == "internal"
+    assert "RuntimeError: boom" in error["message"]

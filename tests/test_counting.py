@@ -3,13 +3,9 @@ import pytest
 from charcensus import asymptotics, counting
 from charcensus.characters import lower_bound_sum
 from charcensus.counting import (
-    CountTable,
     bounded_partition_count,
     build_bounded_table,
-    build_p_table,
-    build_tcore_table,
     divisor_sums,
-    load_or_build,
     partition_count,
     tcore_count,
     tcore_count_bruteforce,
@@ -195,9 +191,8 @@ def test_tcore_matches_series_oracle_300():
 
 
 def test_tcore_table_matches_series_oracle():
-    table = build_tcore_table(30, 120)
     for t in range(1, 31):
-        assert list(table.rows[t - 1]) == _core_series(t, 120), t
+        assert [tcore_count(t, m) for m in range(121)] == _core_series(t, 120), t
 
 
 def test_lower_bound_sum_pinned():
@@ -216,36 +211,9 @@ def test_bruteforce_guard():
 
 
 def test_count_table_lookup():
-    pt = build_p_table(30)
-    assert pt.value(0) == 1 and pt.value(30) == partition_count(30)
-    bt = build_bounded_table(10, 30)
-    assert bt.value(0, t=0) == 1
-    assert bt.value(17, t=4) == bounded_partition_count(4, 17)
-    ct = build_tcore_table(6, 25)
-    assert ct.value(0, t=3) == 1
-    assert ct.value(19, t=5) == tcore_count(5, 19)
-
-
-def test_count_table_round_trip(tmp_path):
-    for table in (build_p_table(20), build_bounded_table(8, 20), build_tcore_table(5, 20)):
-        path = tmp_path / f"{table.kind}.tbl"
-        table.save(path)
-        assert CountTable.load(path) == table
-
-
-def test_load_or_build_caches(tmp_path):
-    t1 = load_or_build("P_BOUNDED", 25, 25, cache_dir=tmp_path)
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    t2 = load_or_build("P_BOUNDED", 25, 25, cache_dir=tmp_path)
-    assert t1 == t2
-
-
-def test_truncated_table_file_names_the_file(tmp_path):
-    path = tmp_path / "p.tbl"
-    build_bounded_table(4, 6).save(path)
-    data = path.read_bytes()
-    for cut in range(len(data)):
-        path.write_bytes(data[:cut])
-        with pytest.raises(ValueError, match="p.tbl"):
-            CountTable.load(path)
+    rows = build_bounded_table(10, 30)
+    assert len(rows) == 11 and all(len(row) == 31 for row in rows)
+    assert rows[0][0] == 1 and rows[0][17] == 0
+    for t in range(1, 11):
+        for n in range(31):
+            assert rows[t][n] == bounded_partition_count(t, n), (t, n)
