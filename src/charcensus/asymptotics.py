@@ -278,14 +278,13 @@ def rademacher_main_term(n: int) -> LogReal:
                             - math.log(4 * math.sqrt(3) * n))
 
 
-def _log_p(n: int, p_exact_limit: int) -> tuple[float, str]:
-    if n <= p_exact_limit:
+def _log_p(n: int) -> tuple[float, str]:
+    if n <= P_EXACT_LIMIT:
         return math.log(partition_count(n)), "exact"
     return rademacher_main_term(n).log, "rademacher"
 
 
-def bounded_count_estimate(n: int, t: int,
-                           p_exact_limit: int = P_EXACT_LIMIT) -> LogReal:
+def bounded_count_estimate(n: int, t: int) -> LogReal:
     """Estimate of p_t(n), partitions of n with parts at most t:
 
         p(n) * exp(-(2/C) sqrt(n) exp(-C t / (2 sqrt n)))
@@ -304,7 +303,7 @@ def bounded_count_estimate(n: int, t: int,
         warnings.warn(f"offset x = {x:.3g} outside the validity window "
                       f"|x| <= n^(1/4) = {n ** 0.25:.3g}; estimate is unreliable",
                       stacklevel=2)
-    log_p, _ = _log_p(n, p_exact_limit)
+    log_p, _ = _log_p(n)
     damping = (2 / GROWTH_CONSTANT) * sqrt_n \
         * math.exp(-GROWTH_CONSTANT * t / (2 * sqrt_n))
     return LogReal.from_log(log_p - damping)
@@ -361,7 +360,6 @@ class BoundReport:
     regime: str
     bound: LogReal
     p_source: str | None = None
-    epsilon: float | None = None
     comparison: LogReal | None = None
     ratio: float | None = None
 
@@ -417,46 +415,53 @@ def core_count_bound_gamma_form(n: int, t: int) -> LogReal:
 P32_REGIMES = ("P32_I", "P32_II", "P32_III", "P32_IV")
 
 
-def _select_core_regime(n: int, t: int, epsilon: float, f: float) -> str | None:
+def _check_bound_args(n: int, t: int, epsilon: float) -> None:
+    if n < 100:
+        raise GuardError(f"regime bounds require n >= 100, got {n}")
+    if not 6 <= t <= n:
+        raise GuardError(f"regime bounds require 6 <= t <= n, got t={t}")
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+
+
+def _regime(n: int, t: int, epsilon: float) -> str:
+    """The range of t that both bound families split on: "I" up to
+    2 pi sqrt(2n) / sqrt((1 + epsilon) log n), "III" from f on, "II"
+    above 2 pi sqrt(2n) / sqrt(log n).  Raises GuardError in the gap
+    between the regime-i and regime-ii ranges."""
     log_n = math.log(n)
-    part_i_hi = 2 * math.pi * math.sqrt(2 * n) / math.sqrt((1 + epsilon) * log_n)
-    part_ii_lo = 2 * math.pi * math.sqrt(2 * n) / math.sqrt(log_n)
-    part_iv_lo = math.sqrt(6) / (2 * math.pi) * math.sqrt(n) * log_n
-    if t <= part_i_hi:
-        return "P32_I"
-    if n >= 300_000 and t > part_iv_lo:
-        return "P32_IV"
-    if t >= f:
-        return "P32_III"
-    if t > part_ii_lo:
-        return "P32_II"
-    return None  # gap between the regime-i and regime-ii ranges
+    if t <= 2 * math.pi * math.sqrt(2 * n) / math.sqrt((1 + epsilon) * log_n):
+        return "I"
+    if t >= split_thresholds(n).f:
+        return "III"
+    if t > 2 * math.pi * math.sqrt(2 * n) / math.sqrt(log_n):
+        return "II"
+    raise GuardError(
+        f"no bound regime applies at n={n}, t={t}: t falls in the gap "
+        f"between the regime-i range (epsilon={epsilon}) and the "
+        f"regime-ii range")
 
 
 def core_count_bound(n: int, t: int, epsilon: float = 0.5,
-                     regime: str | None = None,
-                     p_exact_limit: int = P_EXACT_LIMIT) -> BoundReport:
+                     regime: str | None = None) -> BoundReport:
     """Evaluate the core-count bound main term in the regime that the
     (n, t) ranges select (or a caller-forced regime).
 
     Regime I is an asymptotic equality; II, III and IV are lower-bound
-    main terms.  III and IV go through p(n), exact when n is within
-    ``p_exact_limit``.  Raises GuardError when t falls in the uncovered
-    gap between the regime-i and regime-ii ranges.
+    main terms.  IV replaces II or III when n >= 3 * 10^5 and
+    t > (sqrt 6 / 2 pi) sqrt(n) log n.  III and IV go through p(n),
+    exact up to ``P_EXACT_LIMIT``.  Raises GuardError when t falls in
+    the uncovered gap between the regime-i and regime-ii ranges.
     """
-    if n < 100:
-        raise GuardError(f"core-count bounds require n >= 100, got {n}")
-    if not 6 <= t <= n:
-        raise GuardError(f"core-count bounds require 6 <= t <= n, got t={t}")
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    _check_bound_args(n, t, epsilon)
     if regime is None:
-        regime = _select_core_regime(n, t, epsilon, split_thresholds(n).f)
-        if regime is None:
-            raise GuardError(
-                f"no bound regime applies at n={n}, t={t}: t falls in the gap "
-                f"between the regime-i range (epsilon={epsilon}) and the "
-                f"regime-ii range")
+        regime = "P32_" + _regime(n, t, epsilon)
+        # The regime-iv range starts above the regime-ii one (their ratio
+        # grows like log(n)^(3/2) and exceeds 1.9 at n = 3 * 10^5), so it
+        # never meets the gap.
+        if (regime != "P32_I" and n >= 300_000
+                and t > math.sqrt(6) / (2 * math.pi) * math.sqrt(n) * math.log(n)):
+            regime = "P32_IV"
     elif regime not in P32_REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     p_source = None
@@ -465,23 +470,22 @@ def core_count_bound(n: int, t: int, epsilon: float = 0.5,
     elif regime == "P32_II":
         log_bound = _core_log_ii(n, t)
     else:
-        log_p, p_source = _log_p(n, p_exact_limit)
+        log_p, p_source = _log_p(n)
         damping = _core_damping_iii(n, t) if regime == "P32_III" \
             else _core_damping_iv(n, t)
         log_bound = log_p - damping
     return BoundReport(n=n, t=t, regime=regime, bound=LogReal.from_log(log_bound),
-                       p_source=p_source, epsilon=epsilon)
+                       p_source=p_source)
 
 
-def full_table_bound(n: int, exact_zeros: int | None = None,
-                     p_exact_limit: int = P_EXACT_LIMIT) -> BoundReport:
+def full_table_bound(n: int, exact_zeros: int | None = None) -> BoundReport:
     """Asymptotic lower-bound main term for the total zero count:
     2 p(n)^2 / log n.  Purely asymptotic; at desk scale the report is
     meant to carry the exact-census ratio, not an inequality claim.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    log_p, p_source = _log_p(n, p_exact_limit)
+    log_p, p_source = _log_p(n)
     log_bound = math.log(2) + 2 * log_p - math.log(math.log(n))
     report = BoundReport(n=n, t=None, regime="T12",
                          bound=LogReal.from_log(log_bound), p_source=p_source)
@@ -490,39 +494,22 @@ def full_table_bound(n: int, exact_zeros: int | None = None,
     return report
 
 
-def strip_zero_bound(n: int, t: int, epsilon: float = 0.5,
-                     p_exact_limit: int = P_EXACT_LIMIT) -> BoundReport:
+def strip_zero_bound(n: int, t: int, epsilon: float = 0.5) -> BoundReport:
     """Lower-bound main term for the zero count restricted to t-core rows.
 
     Multiplies the regime-appropriate core-count form by p(n) (regimes
     T13_I, T13_II), or uses p(n)^2 damped by the top-regime exponential
     plus the p(n-t)/p(n) decay (T13_III, for t >= f).
     """
-    if n < 100:
-        raise GuardError(f"strip bounds require n >= 100, got {n}")
-    if not 6 <= t <= n:
-        raise GuardError(f"strip bounds require 6 <= t <= n, got t={t}")
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    log_n = math.log(n)
-    part_i_hi = 2 * math.pi * math.sqrt(2 * n) / math.sqrt((1 + epsilon) * log_n)
-    part_ii_lo = 2 * math.pi * math.sqrt(2 * n) / math.sqrt(log_n)
-    f = split_thresholds(n).f
-    log_p, p_source = _log_p(n, p_exact_limit)
-    if t <= part_i_hi:
-        regime = "T13_I"
+    _check_bound_args(n, t, epsilon)
+    regime = "T13_" + _regime(n, t, epsilon)
+    log_p, p_source = _log_p(n)
+    if regime == "T13_I":
         log_bound = _core_log_i(n, t) + log_p
-    elif t >= f:
-        regime = "T13_III"
-        decay = GROWTH_CONSTANT * t / (math.sqrt(n - t) + math.sqrt(n))
-        log_bound = 2 * log_p - (_core_damping_iii(n, t) + decay)
-    elif t > part_ii_lo:
-        regime = "T13_II"
+    elif regime == "T13_II":
         log_bound = _core_log_ii(n, t) + log_p
     else:
-        raise GuardError(
-            f"no bound regime applies at n={n}, t={t}: t falls in the gap "
-            f"between the regime-i range (epsilon={epsilon}) and the "
-            f"regime-ii range")
+        decay = GROWTH_CONSTANT * t / (math.sqrt(n - t) + math.sqrt(n))
+        log_bound = 2 * log_p - (_core_damping_iii(n, t) + decay)
     return BoundReport(n=n, t=t, regime=regime, bound=LogReal.from_log(log_bound),
-                       p_source=p_source, epsilon=epsilon)
+                       p_source=p_source)

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .counting import partition_count, tcore_count
+from .counting import tcore_count
 from .errors import GuardError
 from .partitions import Partition, enumerate_partitions, hook_multiset, raw_strips
 
@@ -110,11 +110,11 @@ class CharacterTable:
             writer.writerow([str(lam)] + [str(v) for v in row])
 
 
-def _check_table_size(n: int, max_n: int) -> None:
+def _check_table_size(n: int) -> None:
     if n < 1:
         raise ValueError("n must be positive")
-    if n > max_n:
-        raise GuardError(f"full table limited to n <= {max_n}, got {n}; "
+    if n > TABLE_GUARD:
+        raise GuardError(f"full table limited to n <= {TABLE_GUARD}, got {n}; "
                          "use density sampling beyond this scale")
 
 
@@ -157,15 +157,15 @@ def _columns(parts: tuple[Partition, ...]) -> Iterator[list[int]]:
         yield column(mu, n)
 
 
-def character_table(n: int, *, max_n: int = TABLE_GUARD) -> CharacterTable:
+def character_table(n: int) -> CharacterTable:
     """Build the full p(n) x p(n) character table of S_n.
 
-    Guarded by ``max_n`` (default 20): beyond that the exact table is
+    Guarded at ``TABLE_GUARD`` (n <= 20): beyond that the exact table is
     infeasible at desk scale and the sampling module applies.  Built a
     column at a time by the strip-matrix engine; ``rows`` is the
     transpose of the columns.
     """
-    _check_table_size(n, max_n)
+    _check_table_size(n)
     parts = tuple(enumerate_partitions(n))
     rows = tuple(zip(*_columns(parts)))
     return CharacterTable(n=n, partitions=parts, rows=rows)
@@ -193,24 +193,20 @@ class ZeroCensus:
         }
 
 
-def zero_count(n: int, *, max_n: int = TABLE_GUARD,
-               table: CharacterTable | None = None) -> ZeroCensus:
-    """Exact zero census of the S_n character table.
+def zero_count(n: int) -> ZeroCensus:
+    """Exact zero census of the S_n character table, guarded like
+    ``character_table``.
 
-    Without ``table`` the zeros are counted column by column as the
-    engine produces them, and the table is never held in memory.
+    The zeros are counted column by column as the engine produces them,
+    and the table is never held in memory.
     """
-    if table is None:
-        _check_table_size(n, max_n)
-        parts = tuple(enumerate_partitions(n))
-        row_zeros = [0] * len(parts)
-        for col in _columns(parts):
-            for i, v in enumerate(col):
-                if not v:
-                    row_zeros[i] += 1
-    else:
-        parts = table.partitions
-        row_zeros = [row.count(0) for row in table.rows]
+    _check_table_size(n)
+    parts = tuple(enumerate_partitions(n))
+    row_zeros = [0] * len(parts)
+    for col in _columns(parts):
+        for i, v in enumerate(col):
+            if not v:
+                row_zeros[i] += 1
     per_core = {t: 0 for t in range(1, n + 1)}
     for lam, zeros in zip(parts, row_zeros):
         if zeros:

@@ -21,6 +21,7 @@ import sys
 import traceback
 
 from .asymptotics import (
+    P32_REGIMES,
     core_count_bound,
     full_table_bound,
     solve_saddle,
@@ -378,7 +379,7 @@ def build_parser() -> _Parser:
     p32.add_argument("--n", type=int, required=True)
     p32.add_argument("--t", type=int, required=True)
     p32.add_argument("--epsilon", type=float, default=0.5)
-    p32.add_argument("--regime", choices=("P32_I", "P32_II", "P32_III", "P32_IV"),
+    p32.add_argument("--regime", choices=P32_REGIMES,
                      default=None, help="force a regime instead of auto-selecting")
     p32.set_defaults(func=_cmd_bounds_p32, command="bounds.p32")
     sad = bounds.add_parser("saddle",

@@ -156,16 +156,17 @@ def tcore_count(t: int, n: int) -> int:
     return sum(map(mul, _eta_power(t, n // t), _p_cache[n::-t]))
 
 
-def tcore_count_bruteforce(t: int, n: int, guard: int = BRUTEFORCE_GUARD) -> int:
+def tcore_count_bruteforce(t: int, n: int) -> int:
     """c_t(n) straight from the definition: enumerate and test hooks.
 
-    Refuses n above the enumeration guard; this is an oracle, not a
+    Refuses n above ``BRUTEFORCE_GUARD``; this is an oracle, not a
     production path.
     """
     if t < 1:
         raise ValueError("t must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > guard:
-        raise GuardError(f"brute-force t-core count limited to n <= {guard}, got {n}")
+    if n > BRUTEFORCE_GUARD:
+        raise GuardError(f"brute-force t-core count limited to n <= {BRUTEFORCE_GUARD}, "
+                         f"got {n}")
     return sum(1 for lam in enumerate_partitions(n) if is_t_core(lam, t))

@@ -126,20 +126,19 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return max(0.0, min(point, center - half)), min(1.0, max(point, center + half))
 
 
-def estimate_zero_density(n: int, samples: int, seed: int, *,
-                          max_n: int = DENSITY_GUARD,
-                          step_budget: int = _STEP_BUDGET) -> DensityEstimate:
+def estimate_zero_density(n: int, samples: int, seed: int) -> DensityEstimate:
     """Estimate Z(n)/p(n)^2 from ``samples`` uniform (lambda, mu) pairs.
 
     Reports the zero fraction with its 95% Wilson score interval, which
     stays honest when no zero (or no nonzero) is observed, and the
-    conjectured 2/log n alongside.  Guarded by ``max_n``: one character
-    evaluation gets combinatorially expensive past desk scale.
+    conjectured 2/log n alongside.  Guarded at ``DENSITY_GUARD`` (n <= 60):
+    one character evaluation gets combinatorially expensive past desk
+    scale.
     """
     if n < 2:
         raise GuardError("density estimation requires n >= 2")
-    if n > max_n:
-        raise GuardError(f"density estimation limited to n <= {max_n}, got {n}")
+    if n > DENSITY_GUARD:
+        raise GuardError(f"density estimation limited to n <= {DENSITY_GUARD}, got {n}")
     if samples < 1:
         raise ValueError("samples must be positive")
     table = build_bounded_table(n, n)
@@ -153,7 +152,7 @@ def estimate_zero_density(n: int, samples: int, seed: int, *,
             lam = random_partition(n, rng, table)
             mu = random_partition(n, rng, table)
             try:
-                value = _chi(lam.parts, mu.parts, memo, True, [step_budget])
+                value = _chi(lam.parts, mu.parts, memo, True, [_STEP_BUDGET])
             except BudgetExceeded:
                 failures += 1
                 continue

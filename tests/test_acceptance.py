@@ -37,7 +37,7 @@ def desk():
     """Tables and censuses for every N up to 14, built once."""
     t0 = time.time()
     tables = {n: character_table(n) for n in range(1, MAX_CENSUS_N + 1)}
-    censuses = {n: zero_count(n, table=tables[n]) for n in tables}
+    censuses = {n: zero_count(n) for n in tables}
     return tables, censuses, time.time() - t0
 
 

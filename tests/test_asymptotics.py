@@ -5,6 +5,7 @@ import pytest
 
 from charcensus.asymptotics import (
     GROWTH_CONSTANT,
+    P_EXACT_LIMIT,
     bounded_count_estimate,
     core_count_bound,
     core_count_bound_gamma_form,
@@ -18,7 +19,13 @@ from charcensus.asymptotics import (
     strip_zero_bound,
     tcore_count_estimate,
 )
-from charcensus.asymptotics import _eta_direct
+from charcensus.asymptotics import (
+    _core_damping_iii,
+    _core_log_i,
+    _core_log_ii,
+    _eta_direct,
+    _log_p,
+)
 from charcensus.characters import zero_count
 from charcensus.counting import bounded_partition_count, partition_count, tcore_count
 from charcensus.errors import GuardError, NumericError
@@ -376,3 +383,91 @@ def test_bound_report_json_shape():
     assert d["log_exact"] is None and d["ratio"] is None
     d2 = rep.with_comparison(LogReal.from_value(tcore_count(900, 1000))).to_json_dict()
     assert d2["ratio"] > 1
+
+
+# ---------------------------------------------------------------------------
+# regime selection against the per-family range chains it replaced
+
+def _core_regime_oracle(n, t, epsilon, f):
+    log_n = math.log(n)
+    part_i_hi = 2 * math.pi * math.sqrt(2 * n) / math.sqrt((1 + epsilon) * log_n)
+    part_ii_lo = 2 * math.pi * math.sqrt(2 * n) / math.sqrt(log_n)
+    part_iv_lo = math.sqrt(6) / (2 * math.pi) * math.sqrt(n) * log_n
+    if t <= part_i_hi:
+        return "P32_I"
+    if n >= 300_000 and t > part_iv_lo:
+        return "P32_IV"
+    if t >= f:
+        return "P32_III"
+    if t > part_ii_lo:
+        return "P32_II"
+    return None
+
+
+def _strip_oracle(n, t, epsilon):
+    log_n = math.log(n)
+    part_i_hi = 2 * math.pi * math.sqrt(2 * n) / math.sqrt((1 + epsilon) * log_n)
+    part_ii_lo = 2 * math.pi * math.sqrt(2 * n) / math.sqrt(log_n)
+    f = split_thresholds(n).f
+    log_p, _ = _log_p(n)
+    if t <= part_i_hi:
+        return "T13_I", _core_log_i(n, t) + log_p
+    if t >= f:
+        decay = C * t / (math.sqrt(n - t) + math.sqrt(n))
+        return "T13_III", 2 * log_p - (_core_damping_iii(n, t) + decay)
+    if t > part_ii_lo:
+        return "T13_II", _core_log_ii(n, t) + log_p
+    return None
+
+
+def _check_against_oracles(n, ts, epsilon):
+    f = split_thresholds(n).f
+    for t in ts:
+        expected = _core_regime_oracle(n, t, epsilon, f)
+        if expected is None:
+            with pytest.raises(GuardError):
+                core_count_bound(n, t, epsilon)
+        else:
+            rep = core_count_bound(n, t, epsilon)
+            assert rep.regime == expected, (n, t, epsilon)
+            forced = core_count_bound(n, t, epsilon, regime=expected)
+            assert rep.bound.log == forced.bound.log, (n, t, epsilon)
+        expected = _strip_oracle(n, t, epsilon)
+        if expected is None:
+            with pytest.raises(GuardError):
+                strip_zero_bound(n, t, epsilon)
+        else:
+            rep = strip_zero_bound(n, t, epsilon)
+            assert (rep.regime, rep.bound.log) == expected, (n, t, epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.5, 0.9])
+def test_regime_selection_matches_oracles_every_t(epsilon):
+    for n in (100, 137, 1000, 2000):
+        _check_against_oracles(n, range(6, n + 1), epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.5, 0.9])
+def test_regime_selection_matches_oracles_large_n(epsilon):
+    # sampled t plus the integers around every range limit; P32_IV only
+    # exists from n = 3 * 10^5 on
+    rng = random.Random(5)
+    seen = set()
+    for n in (300_000, 1_000_000):
+        log_n = math.log(n)
+        limits = (2 * math.pi * math.sqrt(2 * n) / math.sqrt((1 + epsilon) * log_n),
+                  2 * math.pi * math.sqrt(2 * n) / math.sqrt(log_n),
+                  split_thresholds(n).f,
+                  math.sqrt(6) / (2 * math.pi) * math.sqrt(n) * log_n)
+        ts = {rng.randint(6, n) for _ in range(200)}
+        ts |= {int(x) + d for x in limits for d in (-1, 0, 1, 2)}
+        _check_against_oracles(n, sorted(ts), epsilon)
+        seen |= {core_count_bound(n, t, epsilon).regime for t in ts
+                 if _core_regime_oracle(n, t, epsilon, limits[2]) is not None}
+    assert seen == {"P32_I", "P32_II", "P32_III", "P32_IV"}
+
+
+def test_p_exact_limit_pinned():
+    n = P_EXACT_LIMIT + 1
+    assert full_table_bound(n).p_source == "rademacher"
+    assert strip_zero_bound(n, 6).p_source == "rademacher"

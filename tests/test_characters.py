@@ -105,7 +105,14 @@ def test_zero_census_small():
 
 def test_streaming_census_matches_table_census():
     for n in range(1, 17):
-        assert zero_count(n) == zero_count(n, table=character_table(n)), n
+        table = character_table(n)
+        census = zero_count(n)
+        assert census.table_dim == len(table.rows), n
+        assert census.total_zeros == sum(row.count(0) for row in table.rows), n
+        for t in range(1, n + 1):
+            assert census.per_core_zeros[t] == sum(
+                row.count(0) for lam, row in zip(table.partitions, table.rows)
+                if is_t_core(lam, t)), (n, t)
 
 
 def test_zero_census_n20_pinned():
