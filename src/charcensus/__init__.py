@@ -3,13 +3,10 @@ matching asymptotic bound evaluators and a Monte Carlo density probe."""
 
 from .partitions import (
     Partition,
-    Hook,
-    StripRemoval,
     enumerate_partitions,
     hook_multiset,
     is_t_core,
     parse_partition,
-    strips_of_length,
 )
 from .counting import (
     bounded_partition_count,
@@ -50,8 +47,8 @@ from .errors import CharcensusError, GuardError, NumericError
 __version__ = "0.1.0"
 
 __all__ = [
-    "Partition", "Hook", "StripRemoval", "enumerate_partitions",
-    "hook_multiset", "is_t_core", "parse_partition", "strips_of_length",
+    "Partition", "enumerate_partitions", "hook_multiset", "is_t_core",
+    "parse_partition",
     "bounded_partition_count", "partition_count",
     "tcore_count", "tcore_count_bruteforce",
     "CharacterTable", "ZeroCensus", "character_table", "character_value",

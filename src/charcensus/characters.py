@@ -3,13 +3,14 @@
 Single character values come from the classical border-strip
 (Murnaghan-Nakayama) recursion: pick a part t of the cycle type mu,
 strip every border strip of length t from lambda, and sum the signed
-sub-characters, memoized on (lambda, mu).  The density sampler and the
-single-value CLI call use this path.
+sub-characters, memoized on (beta mask of lambda, mu).  The density
+sampler and the single-value CLI call use this path.
 
 Full tables and censuses apply the same rule a whole column at a time.
 For each needed pair (m, t) the sparse signed strip-removal matrix
 S(m, t), from partitions of m to partitions of m - t, is built once from
-``raw_strips``; then column(mu) = S(|mu|, mu[0]) . column(mu[1:]) with
+``beta_strips``, with the partitions of each size indexed by their beta
+masks; then column(mu) = S(|mu|, mu[0]) . column(mu[1:]) with
 column(()) = [1].  Columns of sizes below n are memoized by suffix; the
 size-n columns are produced one at a time, so the census counts zeros
 per row without ever holding the table.
@@ -30,7 +31,7 @@ from typing import Iterator
 
 from .counting import tcore_count
 from .errors import GuardError
-from .partitions import Partition, enumerate_partitions, hook_multiset, raw_strips
+from .partitions import Partition, beta_mask, beta_strips, enumerate_partitions
 
 TABLE_GUARD = 20
 
@@ -39,7 +40,7 @@ class BudgetExceeded(Exception):
     """Internal signal: one character evaluation exceeded its step budget."""
 
 
-def _chi(lam: tuple[int, ...], mu: tuple[int, ...], memo: dict,
+def _chi(lam: int, mu: tuple[int, ...], memo: dict,
          largest_first: bool, budget: list[int] | None = None) -> int:
     if not mu:
         return 1
@@ -56,9 +57,9 @@ def _chi(lam: tuple[int, ...], mu: tuple[int, ...], memo: dict,
     else:
         t, rest = mu[-1], mu[:-1]
     total = 0
-    for _, height, rem in raw_strips(lam, t):
+    for odd, rem in beta_strips(lam, t):
         sub = _chi(rem, rest, memo, largest_first, budget)
-        total += -sub if height % 2 else sub
+        total += -sub if odd else sub
     memo[key] = total
     return total
 
@@ -79,7 +80,7 @@ def character_value(lam: Partition, mu: Partition, *, memo: dict | None = None,
         raise ValueError(f"unknown order {order!r}")
     if memo is None:
         memo = {}
-    return _chi(lam.parts, mu.parts, memo, order == "largest")
+    return _chi(beta_mask(lam.parts), mu.parts, memo, order == "largest")
 
 
 @dataclass(frozen=True)
@@ -94,11 +95,6 @@ class CharacterTable:
     n: int
     partitions: tuple[Partition, ...]
     rows: tuple[tuple[int, ...], ...]
-
-    def value(self, lam: Partition, mu: Partition) -> int:
-        i = self.partitions.index(lam)
-        j = self.partitions.index(mu)
-        return self.rows[i][j]
 
     def write_csv(self, fh) -> None:
         """CSV with a header row of mu strings and a leading lam column."""
@@ -125,11 +121,12 @@ def _columns(parts: tuple[Partition, ...]) -> Iterator[list[int]]:
     of a column is the character of ``parts[i]``.  A strip matrix is
     stored as flat (row, index, sign) entries: removing a border strip
     of length t from row partition ``row`` of m leaves partition
-    ``index`` of m - t, with sign (-1)**height.
+    ``index`` of m - t, with sign (-1)**height.  Row partitions are
+    held as beta masks, column partitions as part tuples.
     """
     n = parts[0].size
-    parts_of = [[p.parts for p in enumerate_partitions(m)] for m in range(n)]
-    parts_of.append([p.parts for p in parts])
+    parts_of = [[beta_mask(p.parts) for p in enumerate_partitions(m)] for m in range(n)]
+    parts_of.append([beta_mask(p.parts) for p in parts])
     matrices: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     memo: dict[tuple[int, ...], list[int]] = {(): [1]}
 
@@ -143,9 +140,9 @@ def _columns(parts: tuple[Partition, ...]) -> Iterator[list[int]]:
         if matrix is None:
             index = {lam: j for j, lam in enumerate(parts_of[m - t])}
             matrix = matrices[m, t] = [
-                (i, index[rem], -1 if height % 2 else 1)
+                (i, index[rem], -1 if odd else 1)
                 for i, lam in enumerate(parts_of[m])
-                for _, height, rem in raw_strips(lam, t)]
+                for odd, rem in beta_strips(lam, t)]
         col = [0] * len(parts_of[m])
         for i, j, sign in matrix:
             col[i] += sign * prev[j]
@@ -153,8 +150,8 @@ def _columns(parts: tuple[Partition, ...]) -> Iterator[list[int]]:
             memo[mu] = col
         return col
 
-    for mu in parts_of[n]:
-        yield column(mu, n)
+    for mu in parts:
+        yield column(mu.parts, n)
 
 
 def character_table(n: int) -> CharacterTable:
@@ -210,9 +207,9 @@ def zero_count(n: int) -> ZeroCensus:
     per_core = {t: 0 for t in range(1, n + 1)}
     for lam, zeros in zip(parts, row_zeros):
         if zeros:
-            hooks = hook_multiset(lam)
+            mask = beta_mask(lam.parts)  # is_t_core's test, one mask for every t
             for t in range(1, n + 1):
-                if all(h % t for h in hooks):
+                if not (mask & ~(mask << t)) >> t:
                     per_core[t] += zeros
     return ZeroCensus(n=n, table_dim=len(parts), total_zeros=sum(row_zeros),
                       per_core_zeros=per_core)

@@ -123,15 +123,15 @@ def bounded_partition_count(t: int, n: int) -> int:
 
 
 def build_bounded_table(limit_t: int, limit_n: int) -> tuple[tuple[int, ...], ...]:
-    """p_t(n) for all 0 <= t <= limit_t, 0 <= n <= limit_n, as rows:
-    ``rows[t][n] = p_t(n)``."""
+    """p_t(n) for all 0 <= t <= limit_t, 0 <= n <= limit_n, n-major:
+    ``table[n][t] = p_t(n)``, so each row is cumulative in t."""
     dp = [1] + [0] * limit_n
     rows = [tuple(dp)]
     for part in range(1, limit_t + 1):
         for m in range(part, limit_n + 1):
             dp[m] += dp[m - part]
         rows.append(tuple(dp))
-    return tuple(rows)
+    return tuple(zip(*rows))
 
 
 def _eta_power(t: int, limit: int) -> list[int]:

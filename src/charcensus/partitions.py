@@ -1,14 +1,18 @@
 """Integer partitions and Young-diagram combinatorics.
 
 Everything downstream (counting, characters, sampling) indexes on the
-``Partition`` type defined here.  Hooks and border strips are enumerated
-through first-column hook lengths (beta numbers), which keeps the strip
-query at O(rows) per call instead of walking the whole diagram.
+``Partition`` type defined here.  The character paths hold a partition
+as its beta set in one Python int, the abacus of James and Kerber: row
+i of an r-row diagram sets bit lam_i + r - 1 - i, the first-column hook
+length of that row.  Trailing ones stand for zero parts and are shifted
+out, so each partition has exactly one mask.  A border strip of length
+t is a set bit b whose bit b - t is clear; removing it moves the bead
+from b to b - t, and its height is the number of beads it passes.  Both
+the strip query and the t-core test are then a few shifts and masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 
@@ -66,15 +70,6 @@ class Partition:
                 cols[j] += 1
         return Partition(cols)
 
-    def first_column_hook_lengths(self) -> list[int]:
-        """Hook lengths of the first-column boxes, top to bottom.
-
-        These are strictly decreasing and determine the diagram (beta
-        numbers for the fixed number of rows).
-        """
-        r = len(self.parts)
-        return [self.parts[i] + r - 1 - i for i in range(r)]
-
 
 def parse_partition(text: str) -> Partition:
     """Parse the bracketed text form, e.g. ``"[4,2,1]"`` or ``"[]"``."""
@@ -89,33 +84,6 @@ def parse_partition(text: str) -> Partition:
     except ValueError:
         raise ValueError(f"bad partition text {text!r}") from None
     return Partition(parts)
-
-
-@dataclass(frozen=True)
-class Hook:
-    """A hook of the diagram: its box position, length and height.
-
-    ``length`` counts the boxes of the hook; ``height`` is one less than
-    the number of rows the hook touches (the leg length).
-    """
-
-    row: int
-    col: int
-    length: int
-    height: int
-
-
-@dataclass(frozen=True)
-class StripRemoval:
-    """A border strip of a given length together with what is left.
-
-    ``sign`` is (-1)**height, the factor the strip contributes to a
-    character expansion.
-    """
-
-    hook: Hook
-    remainder: Partition
-    sign: int
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -163,48 +131,37 @@ def hook_multiset(lam: Partition) -> list[int]:
     return out
 
 
-def raw_strips(parts: tuple[int, ...], t: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Border strips of length t as (row, height, remainder parts) triples.
+def beta_mask(parts: tuple[int, ...]) -> int:
+    """The canonical beta mask of a partition given by its parts.
 
-    Scans the strictly decreasing beta numbers b_i = parts[i] + rows-1-i:
-    a strip of length t exists at row i iff b_i - t is nonnegative and
-    not itself a beta number; its height is the number of beta numbers
-    the moved one passes.  Topmost row first.  This is the hot path of
-    the character recursion, so it works on bare tuples.
+    Bit ``parts[i] + r - 1 - i`` is set for each of the r rows; trailing
+    ones, which zero parts would add, are shifted out.
     """
     r = len(parts)
-    betas = [parts[i] + r - 1 - i for i in range(r)]
-    beta_set = set(betas)
-    out = []
-    for i, b in enumerate(betas):
-        nb = b - t
-        if nb < 0 or nb in beta_set:
-            continue
-        height = 0
-        for j in range(i + 1, r):
-            if betas[j] > nb:
-                height += 1
-            else:
-                break
-        new_betas = sorted(betas[:i] + betas[i + 1:] + [nb], reverse=True)
-        rem = tuple(x - (r - 1 - k) for k, x in enumerate(new_betas))
-        out.append((i, height, tuple(p for p in rem if p > 0)))
-    return out
+    mask = 0
+    for i, p in enumerate(parts):
+        mask |= 1 << (p + r - 1 - i)
+    return mask >> ((mask ^ (mask + 1)).bit_length() - 1)
 
 
-def strips_of_length(lam: Partition, t: int) -> list[StripRemoval]:
-    """One StripRemoval per hook of length exactly t, topmost row first.
+def beta_strips(mask: int, t: int) -> list[tuple[int, int]]:
+    """Border strips of length t >= 1 of the partition with beta mask
+    ``mask``, as (odd height, remainder mask) pairs, bottom row first.
 
-    Empty iff the diagram has no hook of length t.  Each row holds at
-    most one hook of a given length, so row order is row-major order.
+    A strip starts at each set bit b >= t whose bit b - t is clear; the
+    remainder moves that bead to b - t, and the height parity is the
+    parity of the beads strictly between.  This is the hot path of every
+    character computation.
     """
-    if t < 1:
-        raise ValueError("strip length must be positive")
     out = []
-    for row, height, rem in raw_strips(lam.parts, t):
-        hook = Hook(row=row, col=lam.parts[row] - t + height, length=t, height=height)
-        out.append(StripRemoval(hook=hook, remainder=Partition(rem),
-                                sign=-1 if height % 2 else 1))
+    starts = (mask & ~(mask << t)) >> t << t
+    between = (1 << (t - 1)) - 1
+    while starts:
+        bit = starts & -starts
+        starts ^= bit
+        rem = mask ^ bit ^ (bit >> t)
+        out.append((((mask >> (bit.bit_length() - t)) & between).bit_count() & 1,
+                    rem >> ((rem ^ (rem + 1)).bit_length() - 1)))
     return out
 
 
@@ -212,8 +169,10 @@ def is_t_core(lam: Partition, t: int) -> bool:
     """True iff no hook length of lam is divisible by t.
 
     Divisible by, not merely equal to; the empty partition is a t-core
-    for every t.
+    for every t.  A hook of length kt implies one of length t, so this
+    is the absence of a strip of length t.
     """
     if t < 1:
         raise ValueError("t must be positive")
-    return all(h % t for h in hook_multiset(lam))
+    mask = beta_mask(lam.parts)
+    return not (mask & ~(mask << t)) >> t

@@ -5,9 +5,11 @@ The sampler draws the largest part k of a partition of n with its true
 probability (p_k(n) - p_{k-1}(n)) / p(n) straight from exact bounded
 count tables, then recurses on n - k with parts capped at k, so the
 distribution over partitions of n is uniform with no approximation.
-The density probe then draws independent uniform pairs (lambda, mu),
-which matches counting cells of the table: it deliberately does not
-weight mu by conjugacy-class size.
+One uniform integer below p_cap(m) per part is inverted by bisection
+in the row of p_k(m), which is cumulative in k.  The density probe then
+draws independent uniform pairs (lambda, mu) as bare part tuples, which
+matches counting cells of the table: it deliberately does not weight mu
+by conjugacy-class size.
 
 Randomness: every run is driven by one 64-bit seed.  Sample chunks of
 fixed size draw from independent substreams whose seeds are derived
@@ -20,12 +22,13 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .characters import BudgetExceeded, _chi
 from .counting import build_bounded_table
 from .errors import GuardError
-from .partitions import Partition
+from .partitions import Partition, beta_mask
 
 DENSITY_GUARD = 60
 RNG_ALGORITHM = "mt19937-sha256-streams-v1"
@@ -41,11 +44,26 @@ def _stream_rng(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:16], "big"))
 
 
+def _draw(n: int, rng: random.Random,
+          table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The parts of one uniform partition of n, largest first; ``table``
+    must cover n (see ``random_partition``)."""
+    parts = []
+    remaining, cap = n, n
+    while remaining:
+        row = table[remaining]
+        k = bisect_right(row, rng.randrange(row[cap]), 1, cap)
+        parts.append(k)
+        remaining -= k
+        cap = k
+    return tuple(parts)
+
+
 def random_partition(n: int, rng: random.Random,
                      table: tuple[tuple[int, ...], ...] | None = None) -> Partition:
     """Draw one partition of n, exactly uniformly.
 
-    ``table`` holds ``table[t][m] = p_t(m)`` for all t, m <= n, as
+    ``table`` holds ``table[m][t] = p_t(m)`` for all t, m <= n, as
     ``build_bounded_table(n, n)`` returns (built on the fly when
     omitted; pass one in when drawing repeatedly).
     """
@@ -55,21 +73,7 @@ def random_partition(n: int, rng: random.Random,
         table = build_bounded_table(n, n)
     if len(table) <= n or len(table[n]) <= n:
         raise GuardError(f"need a bounded count table covering n={n}")
-    parts = []
-    remaining, cap = n, n
-    while remaining:
-        r = rng.randrange(table[cap][remaining])
-        lo, hi = 1, cap  # p_k(remaining) is cumulative in k; invert it
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if table[mid][remaining] > r:
-                hi = mid
-            else:
-                lo = mid + 1
-        parts.append(lo)
-        remaining -= lo
-        cap = lo
-    return Partition(parts)
+    return Partition(_draw(n, rng, table))
 
 
 @dataclass(frozen=True)
@@ -149,10 +153,10 @@ def estimate_zero_density(n: int, samples: int, seed: int) -> DensityEstimate:
         count = min(_CHUNK, samples - index * _CHUNK)
         zeros = failures = 0
         for _ in range(count):
-            lam = random_partition(n, rng, table)
-            mu = random_partition(n, rng, table)
+            lam = _draw(n, rng, table)
+            mu = _draw(n, rng, table)
             try:
-                value = _chi(lam.parts, mu.parts, memo, True, [_STEP_BUDGET])
+                value = _chi(beta_mask(lam), mu, memo, True, [_STEP_BUDGET])
             except BudgetExceeded:
                 failures += 1
                 continue

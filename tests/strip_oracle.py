@@ -1,0 +1,66 @@
+"""Tuple-based border-strip oracles for the beta-mask paths.
+
+``raw_strips`` and ``chi_tuple`` are the border-strip enumeration and
+the (lambda, mu)-keyed Murnaghan-Nakayama recursion that the library
+used before it held partitions as beta masks; the tests compare the
+mask paths against them.
+"""
+
+from __future__ import annotations
+
+
+def raw_strips(parts: tuple[int, ...], t: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Border strips of length t as (row, height, remainder parts) triples.
+
+    Scans the strictly decreasing beta numbers b_i = parts[i] + rows-1-i:
+    a strip of length t exists at row i iff b_i - t is nonnegative and
+    not itself a beta number; its height is the number of beta numbers
+    the moved one passes.  Topmost row first.
+    """
+    r = len(parts)
+    betas = [parts[i] + r - 1 - i for i in range(r)]
+    beta_set = set(betas)
+    out = []
+    for i, b in enumerate(betas):
+        nb = b - t
+        if nb < 0 or nb in beta_set:
+            continue
+        height = 0
+        for j in range(i + 1, r):
+            if betas[j] > nb:
+                height += 1
+            else:
+                break
+        new_betas = sorted(betas[:i] + betas[i + 1:] + [nb], reverse=True)
+        rem = tuple(x - (r - 1 - k) for k, x in enumerate(new_betas))
+        out.append((i, height, tuple(p for p in rem if p > 0)))
+    return out
+
+
+def parts_of_mask(mask: int) -> tuple[int, ...]:
+    """Decode a beta mask: the j-th lowest set bit b is the part b - j."""
+    parts = []
+    j = 0
+    while mask:
+        low = mask & -mask
+        parts.append(low.bit_length() - 1 - j)
+        mask ^= low
+        j += 1
+    return tuple(p for p in reversed(parts) if p > 0)
+
+
+def chi_tuple(lam: tuple[int, ...], mu: tuple[int, ...], memo: dict) -> int:
+    """The character at (lam, mu), largest part of mu first, memoized on
+    the part tuples."""
+    if not mu:
+        return 1
+    key = (lam, mu)
+    val = memo.get(key)
+    if val is not None:
+        return val
+    total = 0
+    for _, height, rem in raw_strips(lam, mu[0]):
+        sub = chi_tuple(rem, mu[1:], memo)
+        total += -sub if height % 2 else sub
+    memo[key] = total
+    return total

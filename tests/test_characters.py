@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 
 import pytest
 
@@ -12,14 +13,17 @@ from charcensus.characters import (
     lower_bound_sum,
     zero_count,
 )
-from charcensus.counting import partition_count, tcore_count
+from charcensus.counting import build_bounded_table, partition_count, tcore_count
 from charcensus.errors import GuardError
 from charcensus.partitions import (
     Partition,
+    beta_mask,
     enumerate_partitions,
     hook_multiset,
     is_t_core,
 )
+from charcensus.sampling import _draw
+from strip_oracle import chi_tuple
 
 P = Partition
 
@@ -96,6 +100,20 @@ def _per_cell_rows(n, order):
 def test_table_matches_per_cell_oracle(order):
     for n in range(1, 17):
         assert character_table(n).rows == _per_cell_rows(n, order), n
+
+
+@pytest.mark.parametrize("n, pairs", [(40, 2000), (60, 300)])
+def test_chi_on_masks_matches_tuple_oracle(n, pairs):
+    # uniform pairs as the density estimator draws them, one shared memo
+    # per side: equal values and an equal number of memoized states
+    table = build_bounded_table(n, n)
+    rng = random.Random(n)
+    memo, oracle_memo = {}, {}
+    for _ in range(pairs):
+        lam, mu = _draw(n, rng, table), _draw(n, rng, table)
+        assert characters._chi(beta_mask(lam), mu, memo, True) \
+            == chi_tuple(lam, mu, oracle_memo), (lam, mu)
+    assert len(memo) == len(oracle_memo)
 
 
 def test_zero_census_small():

@@ -211,9 +211,10 @@ def test_bruteforce_guard():
 
 
 def test_count_table_lookup():
-    rows = build_bounded_table(10, 30)
-    assert len(rows) == 11 and all(len(row) == 31 for row in rows)
-    assert rows[0][0] == 1 and rows[0][17] == 0
+    # n-major: table[n][t] = p_t(n)
+    table = build_bounded_table(10, 30)
+    assert len(table) == 31 and all(len(row) == 11 for row in table)
+    assert table[0][0] == 1 and table[17][0] == 0
     for t in range(1, 11):
         for n in range(31):
-            assert rows[t][n] == bounded_partition_count(t, n), (t, n)
+            assert table[n][t] == bounded_partition_count(t, n), (t, n)

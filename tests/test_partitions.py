@@ -6,12 +6,14 @@ from hypothesis import given, strategies as st
 
 from charcensus.partitions import (
     Partition,
+    beta_mask,
+    beta_strips,
     enumerate_partitions,
     hook_multiset,
     is_t_core,
     parse_partition,
-    strips_of_length,
 )
+from strip_oracle import parts_of_mask, raw_strips
 
 
 @st.composite
@@ -78,22 +80,48 @@ def test_hook_multiset_empty_and_column():
     assert Counter(hook_multiset(Partition([1, 1, 1]))) == Counter([3, 2, 1])
 
 
+def test_beta_mask_canonical():
+    # rows of (4,2,1) set bits 4+2, 2+1 and 1+0; zero parts add trailing
+    # ones, which are shifted out
+    assert beta_mask((4, 2, 1)) == 0b1001010
+    assert beta_mask((4, 2, 1, 0, 0)) == 0b1001010
+    assert beta_mask(()) == beta_mask((0, 0)) == 0
+    for n in range(0, 13):
+        masks = set()
+        for lam in enumerate_partitions(n):
+            mask = beta_mask(lam.parts)
+            assert parts_of_mask(mask) == lam.parts
+            masks.add(mask)
+        assert len(masks) == len(list(enumerate_partitions(n)))
+
+
 def test_strips_421_length5_empty():
-    assert strips_of_length(Partition([4, 2, 1]), 5) == []
+    assert beta_strips(beta_mask((4, 2, 1)), 5) == []
+    assert raw_strips((4, 2, 1), 5) == []
 
 
 def test_strips_single_box():
-    (r,) = strips_of_length(Partition([1]), 1)
-    assert r.remainder == Partition([])
-    assert r.sign == 1
-    assert r.hook.height == 0
+    assert beta_strips(beta_mask((1,)), 1) == [(0, 0)]
+    assert raw_strips((1,), 1) == [(0, 0, ())]
 
 
 def test_strips_21_length3():
-    (r,) = strips_of_length(Partition([2, 1]), 3)
-    assert r.remainder == Partition([])
-    assert r.sign == -1
-    assert r.hook.height == 1
+    assert beta_strips(beta_mask((2, 1)), 3) == [(1, 0)]
+    assert raw_strips((2, 1), 3) == [(0, 1, ())]
+
+
+def test_beta_strips_match_raw_strips_oracle():
+    # every partition of m <= 18 and every 1 <= t <= m, as multisets of
+    # (sign, remainder) with the remainder decoded and re-encoded
+    for m in range(1, 19):
+        for lam in enumerate_partitions(m):
+            mask = beta_mask(lam.parts)
+            for t in range(1, m + 1):
+                got = beta_strips(mask, t)
+                assert all(beta_mask(parts_of_mask(rem)) == rem for _, rem in got)
+                assert Counter((-1 if odd else 1, parts_of_mask(rem)) for odd, rem in got) \
+                    == Counter((-1 if h % 2 else 1, rem)
+                               for _, h, rem in raw_strips(lam.parts, t)), (lam, t)
 
 
 def test_is_t_core_421():
@@ -106,11 +134,11 @@ def test_is_t_core_421():
 
 @given(partitions(), st.integers(min_value=1, max_value=12))
 def test_strip_removal_consistency(lam, t):
-    for r in strips_of_length(lam, t):
-        assert r.remainder.size == lam.size - t
-        assert r.sign == (-1) ** r.hook.height
-        assert r.hook.length == t
-        assert len(hook_multiset(r.remainder)) == lam.size - t
+    for odd, rem in beta_strips(beta_mask(lam.parts), t):
+        remainder = Partition(parts_of_mask(rem))
+        assert odd in (0, 1)
+        assert remainder.size == lam.size - t
+        assert len(hook_multiset(remainder)) == lam.size - t
 
 
 @given(partitions())
@@ -119,17 +147,19 @@ def test_hook_count_equals_size(lam):
 
 
 def test_hook_arm_leg_definition():
-    # length = arm + leg + 1 and height = leg, checked per box directly
+    # the oracle's strip at row i with height h is the rim of the hook at
+    # box (i, j), j = lam_i - t + h: length = arm + leg + 1 and height =
+    # leg, checked per box directly
     for n in range(0, 11):
         for lam in enumerate_partitions(n):
             conj = lam.conjugate().parts
             for t in range(1, n + 1):
-                for r in strips_of_length(lam, t):
-                    i, j = r.hook.row, r.hook.col
+                for i, height, _ in raw_strips(lam.parts, t):
+                    j = lam.parts[i] - t + height
                     arm = lam.parts[i] - j - 1
                     leg = conj[j] - i - 1 if j < len(conj) else 0
-                    assert r.hook.length == arm + leg + 1
-                    assert r.hook.height == leg
+                    assert t == arm + leg + 1
+                    assert height == leg
 
 
 def test_divisibility_consistency():
@@ -141,10 +171,18 @@ def test_divisibility_consistency():
                 core = is_t_core(lam, t)
                 assert core == (not any(h % t == 0 for h in hooks))
                 no_multiple_strip = all(
-                    strips_of_length(lam, k * t) == []
+                    beta_strips(beta_mask(lam.parts), k * t) == []
                     for k in range(1, n // t + 1)
                 )
                 assert core == no_multiple_strip
+
+
+def test_is_t_core_matches_hook_oracle():
+    for n in range(0, 21):
+        for lam in enumerate_partitions(n):
+            hooks = hook_multiset(lam)
+            for t in range(1, n + 2):
+                assert is_t_core(lam, t) == all(h % t for h in hooks), (lam, t)
 
 
 def test_conjugation_symmetry():

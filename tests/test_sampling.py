@@ -5,11 +5,16 @@ from collections import Counter
 import pytest
 
 from charcensus.characters import zero_count
-from charcensus.counting import build_bounded_table, partition_count
+from charcensus.counting import (
+    bounded_partition_count,
+    build_bounded_table,
+    partition_count,
+)
 from charcensus.errors import GuardError
 from charcensus.partitions import Partition, enumerate_partitions
 from charcensus.sampling import (
     RNG_ALGORITHM,
+    _draw,
     estimate_zero_density,
     random_partition,
     wilson_interval,
@@ -39,6 +44,37 @@ def test_sampler_rejects_short_table():
     for table in (build_bounded_table(20, 19), build_bounded_table(19, 20)):
         with pytest.raises(GuardError):
             random_partition(20, rng, table)
+
+
+def _draw_loop_oracle(n, rng, rows):
+    """The binary-search draw that ``_draw`` replaced, on t-major rows
+    ``rows[t][m] = p_t(m)``."""
+    parts = []
+    remaining, cap = n, n
+    while remaining:
+        r = rng.randrange(rows[cap][remaining])
+        lo, hi = 1, cap
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if rows[mid][remaining] > r:
+                hi = mid
+            else:
+                lo = mid + 1
+        parts.append(lo)
+        remaining -= lo
+        cap = lo
+    return tuple(parts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 40, 60])
+def test_draw_matches_binary_search_oracle(n):
+    table = build_bounded_table(n, n)
+    rows = [[int(m == 0) for m in range(n + 1)]]
+    rows += [[bounded_partition_count(t, m) for m in range(n + 1)] for t in range(1, n + 1)]
+    rng, oracle_rng = random.Random(n), random.Random(n)
+    for _ in range(10_000):
+        assert _draw(n, rng, table) == _draw_loop_oracle(n, oracle_rng, rows)
+    assert rng.getstate() == oracle_rng.getstate()
 
 
 def test_sampler_chi_square_uniformity():
