@@ -47,11 +47,13 @@ from .sampling import estimate_zero_density
 SCHEMA_VERSION = 1
 
 # Cost guards: a request above one of these is refused (exit 3) before any
-# work starts.  Measured on a 2-core Xeon: p(0..n) at n = 10^5 takes 2.5 s;
-# one p_t(n) with t < n takes t n additions, 5 * 10^7 of them 4.9 s
-# (n = 20000) to 7.1 s (n = 10^5); one c_t(n) takes (n/t)^2 eta-power
-# steps, 10^8 of them 2-3 s; the guaranteed-zero sum adds n * t_hi steps
-# of the p_t table, and a cost of 1.7 * 10^8 (n = 8000) took 4.9-7.1 s.
+# work starts.  Measured on a 2-core Xeon: one p(n) is a Rademacher sum,
+# about 10 ms at n = 10^5, but c_t(n) and the guaranteed-zero sum read the
+# whole table p(0..n), 2.5 s at n = 10^5; one p_t(n) with t < n takes t n
+# additions, 5 * 10^7 of them 4.9 s (n = 20000) to 7.1 s (n = 10^5); one
+# c_t(n) takes (n/t)^2 eta-power steps, 10^8 of them 2-3 s; the
+# guaranteed-zero sum adds n * t_hi steps of the p_t table, and a cost of
+# 1.7 * 10^8 (n = 8000) took 4.9-7.1 s.
 P_GUARD_N = 100_000
 PT_GUARD_STEPS = 5 * 10**7
 CORE_GUARD_STEPS = 10**8
@@ -77,21 +79,21 @@ def _guard(cost: int, limit: int, what: str) -> None:
         raise GuardError(f"{what} = {cost} exceeds the limit {limit}")
 
 
-def _guard_p(n: int) -> None:
-    _guard(n, P_GUARD_N, "n (exact p(0..n))")
+def _guard_p(n: int, what: str = "n (exact p(0..n))") -> None:
+    _guard(n, P_GUARD_N, what)
 
 
 # ---------------------------------------------------------------------------
 # command implementations: each returns the result payload dict
 
 def _cmd_count_p(args):
-    _guard_p(args.n)
+    _guard_p(args.n, "n (exact p(n))")
     return {"kind": "count", "family": "p", "n": args.n, "t": None,
             "value": str(partition_count(args.n))}
 
 
 def _cmd_count_pt(args):
-    _guard_p(args.n)
+    _guard_p(args.n, "n (exact p(n) or p_t(n))")
     if args.t < args.n:
         _guard(args.t * args.n, PT_GUARD_STEPS, "t n (steps of the p_t(n) recurrence)")
     return {"kind": "count", "family": "pt", "n": args.n, "t": args.t,

@@ -3,8 +3,10 @@ and t-cores.
 
 Three count families, all plain Python ints (never floats):
 
-* p(n)        -- partitions of n, via Euler's pentagonal recurrence
-                 p(m) = sum_k (-1)^(k+1) [p(m - k(3k-1)/2) + p(m - k(3k+1)/2)];
+* p(n)        -- partitions of n: the whole sequence p(0..n) from Euler's
+                 pentagonal recurrence
+                 p(m) = sum_k (-1)^(k+1) [p(m - k(3k-1)/2) + p(m - k(3k+1)/2)],
+                 and one large p(n) on its own from the Rademacher series;
 * p_t(n)      -- partitions of n into parts of size at most t, via the
                  classic part-by-part DP;
 * c_t(n)      -- t-core partitions of n, from the generating function
@@ -28,6 +30,47 @@ with an ``operator.itemgetter`` that is rebuilt only when a new
 pentagonal number comes into range (about 500 times up to n = 10^5).
 Each step is then two C-level sums, with no Python bytecode per term.
 
+``partition_count(n)`` reads p(n) from that table when the table
+already reaches n, and extends it when n is at most
+``_TABLE_CROSSOVER``.  Above that it sums the Hardy-Ramanujan-Rademacher
+series instead, with O(sqrt n) terms:
+
+    p(n) = 4/(24n-1) sum_{k>=1} S_k(n) U(mu/k),
+    mu = (pi/6) sqrt(24n-1),  U(x) = cosh x - sinh(x)/x,
+    S_k(n) = sum (-1)^l cos(pi (6l+1) / 6k)
+             over 0 <= l < 2k with (3l^2 + l)/2 = -n (mod k),
+
+where S_k = sqrt(3/k) A_k(n) is Selberg's O(k) form of the Kloosterman
+sum A_k.  The plan follows Johansson (2012):
+
+* tail bound  -- the number of terms N is the least for which Lehmer's
+                 bound on the remainder,
+                 44 pi^2 / (225 sqrt 3) N^(-1/2)
+                 + pi sqrt 2 / 75 (N/(n-1))^(1/2) sinh(pi sqrt(2n/3) / N),
+                 is below 0.24;
+* precision   -- |S_k| <= sqrt(3k), so term k is at most
+                 10^b_k = 4 sqrt(3k) e^(mu/k) / (24n-1).  A term with
+                 b_k < 10 is computed in doubles (error below 10^-4);
+                 a larger one in ``decimal`` at ceil(b_k) + 12 digits,
+                 each in its own local context, with pi from Machin's
+                 formula in integers and cos from its Taylor series;
+* rounding    -- tail (< 0.24) and term errors (< 0.01) keep the sum
+                 within 0.25 of p(n), so it is rounded to the nearest
+                 integer; a sum farther than 0.25 from every integer,
+                 which a correct computation cannot give, raises
+                 ``NumericError`` instead of returning a value;
+* crossover   -- one sum at n = 2000 costs about 0.4 ms, and p(0..2000)
+                 about 5 ms from an empty table, after which every
+                 smaller n is a list lookup.  Callers that ask for many
+                 small n (oracle tests, sweeps of the bound evaluators)
+                 pay for the table once; larger n go to the series.
+                 At n = 10^5 one sum takes about 10 ms against 2.5 s
+                 for the table, and at n = 10^6 about 80 ms.
+
+The series lives in ``rademacher``, which ``partition_count`` imports,
+with ``decimal``, on the first sum, so importing the package loads
+neither.  The last sums are kept in a small LRU cache.
+
 sigma comes from one sieve that grows on demand and is shared with the
 eta series of ``asymptotics``.  A brute-force t-core counter over full
 enumeration serves as the independent oracle for c_t at small n.
@@ -42,6 +85,8 @@ from .errors import GuardError
 from .partitions import enumerate_partitions, is_t_core
 
 BRUTEFORCE_GUARD = 40
+
+_TABLE_CROSSOVER = 2000  # largest n whose p(n) extends the table
 
 _p_cache: list[int] = [1]
 _sigma: list[int] = [0]  # _sigma[j] = sigma(j); _sigma[0] is a placeholder
@@ -91,9 +136,20 @@ def partition_count(n: int) -> int:
     """Exact p(n), the number of partitions of n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n < len(_p_cache):
+        return _p_cache[n]
+    if n <= _TABLE_CROSSOVER:
+        return _p_table(n)[n]
+    from .rademacher import p_exact  # on first use, so start-up never compiles it
+
+    return p_exact(n)
+
+
+def _p_table(n: int) -> list[int]:
+    """The shared table p(0..m), extended so that m >= n."""
     p = _p_cache
     if n < len(p):
-        return p[n]
+        return p
     pos, neg = [], []  # -g for each pentagonal g <= m, by recurrence sign
     pending = _pentagonal_pairs(n)
     g, sign = next(pending)
@@ -104,7 +160,7 @@ def partition_count(n: int) -> int:
                 g, sign = next(pending, (n + 1, 0))
             get_pos, get_neg = _gather(pos), _gather(neg)
         p.append(sum(get_pos(p)) - sum(get_neg(p)))
-    return p[n]
+    return p
 
 
 def bounded_partition_count(t: int, n: int) -> int:
@@ -151,9 +207,8 @@ def tcore_count(t: int, n: int) -> int:
         raise ValueError("t must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    partition_count(n)
     # p[n::-t] is p(n), p(n-t), ..., p(n mod t)
-    return sum(map(mul, _eta_power(t, n // t), _p_cache[n::-t]))
+    return sum(map(mul, _eta_power(t, n // t), _p_table(n)[n::-t]))
 
 
 def tcore_count_bruteforce(t: int, n: int) -> int:

@@ -30,6 +30,7 @@ from charcensus.characters import zero_count
 from charcensus.counting import bounded_partition_count, partition_count, tcore_count
 from charcensus.errors import GuardError, NumericError
 from charcensus.logreal import LogReal
+from test_counting import P_100000
 
 C = GROWTH_CONSTANT
 
@@ -471,3 +472,10 @@ def test_p_exact_limit_pinned():
     n = P_EXACT_LIMIT + 1
     assert full_table_bound(n).p_source == "rademacher"
     assert strip_zero_bound(n, 6).p_source == "rademacher"
+    # at the limit itself p(n) is the exact integer, pinned in test_counting
+    assert P_EXACT_LIMIT == 100_000
+    report = full_table_bound(P_EXACT_LIMIT)
+    assert report.p_source == "exact"
+    assert strip_zero_bound(P_EXACT_LIMIT, 6).p_source == "exact"
+    assert report.bound.log == \
+        math.log(2) + 2 * math.log(P_100000) - math.log(math.log(P_EXACT_LIMIT))

@@ -2,7 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -224,6 +228,7 @@ def _refusal(run, *argv):
 def test_count_p_cost_guard(run, no_work):
     message = _refusal(run, "count", "p", "--n", str(10**7))
     assert str(cli.P_GUARD_N) in message
+    assert "exact p(n)" in message  # one value, not the table p(0..n)
 
 
 def test_count_pt_cost_guard(run, no_work):
@@ -300,3 +305,16 @@ def test_unexpected_error_is_one_json_line(run, monkeypatch):
     error = json.loads(line)["error"]
     assert error["code"] == 1 and error["type"] == "internal"
     assert "RuntimeError: boom" in error["message"]
+
+
+def test_import_leaves_decimal_unloaded():
+    # the Rademacher sum and decimal load on the first large p(n), not at start-up
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, charcensus.cli; "
+         "print(sorted({'decimal', 'charcensus.rademacher'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,6 +1,11 @@
+import decimal
+import functools
+import math
+import random
+
 import pytest
 
-from charcensus import asymptotics, counting
+from charcensus import asymptotics, counting, rademacher
 from charcensus.characters import lower_bound_sum
 from charcensus.counting import (
     bounded_partition_count,
@@ -10,7 +15,7 @@ from charcensus.counting import (
     tcore_count,
     tcore_count_bruteforce,
 )
-from charcensus.errors import GuardError
+from charcensus.errors import GuardError, NumericError
 from charcensus.partitions import enumerate_partitions, is_t_core
 
 
@@ -31,8 +36,9 @@ def _pentagonal_pairs(limit):
         k += 1
 
 
+@functools.lru_cache(maxsize=None)
 def _partition_counts_oracle(n):
-    """p(0..n) by the per-term pentagonal loop."""
+    """p(0..n) by the per-term pentagonal loop (shared; do not modify)."""
     cache = [1]
     pents = list(_pentagonal_pairs(n))
     for m in range(1, n + 1):
@@ -74,6 +80,16 @@ def _core_series(t, limit):
     return out
 
 
+# p(10^5), computed once with the pentagonal recurrence
+P_100000 = int(
+    "2749351056977569651267751632098635268817342931598005475820312598430214"
+    "7328114964173055050741660736621590157844774296248940493063070200461792"
+    "7644930335101160793424571901557189435097253124661084520063695589344642"
+    "4871682878983218234500926285383140459702130713067451062441922731123899"
+    "9702284408609370935531629697851569569892196108480158600569421098519"
+)
+
+
 def test_partition_count_small():
     assert partition_count(0) == 1
     assert partition_count(4) == 5
@@ -92,7 +108,7 @@ def test_partition_count_pinned():
 def test_partition_count_matches_oracle_cold(monkeypatch):
     oracle = _partition_counts_oracle(5000)
     monkeypatch.setattr(counting, "_p_cache", [1])
-    assert partition_count(5000) == oracle[5000]
+    assert counting._p_table(5000)[5000] == oracle[5000]
     assert counting._p_cache == oracle
 
 
@@ -100,10 +116,70 @@ def test_partition_count_matches_oracle_warm(monkeypatch):
     oracle = _partition_counts_oracle(5000)
     monkeypatch.setattr(counting, "_p_cache", [1])
     for n in range(0, 40):  # one step at a time through the short gathers
-        assert partition_count(n) == oracle[n]
+        assert counting._p_table(n)[n] == oracle[n]
     for n in (41, 1234, 1235, 5000):  # jumps that bring many pentagonals in
-        assert partition_count(n) == oracle[n]
+        assert counting._p_table(n)[n] == oracle[n]
     assert counting._p_cache == oracle
+
+
+def test_partition_count_paths(monkeypatch):
+    oracle = _partition_counts_oracle(5000)
+    cross = counting._TABLE_CROSSOVER
+    monkeypatch.setattr(counting, "_p_cache", [1])
+    rademacher.p_exact.cache_clear()
+    # at the crossover the table grows; above it the series answers
+    assert partition_count(cross) == oracle[cross]
+    assert len(counting._p_cache) == cross + 1
+    assert partition_count(cross + 1) == oracle[cross + 1]
+    assert len(counting._p_cache) == cross + 1
+    # a value the table already holds never reaches the series
+    counting._p_table(5000)
+    monkeypatch.setattr(rademacher, "p_exact", None)
+    assert partition_count(4321) == oracle[4321]
+
+
+def test_rademacher_matches_recurrence_exhaustive():
+    oracle = _partition_counts_oracle(5000)
+    for n in range(2, 5001):
+        assert rademacher.p_exact(n) == oracle[n], n
+
+
+def test_rademacher_matches_recurrence_sampled(monkeypatch):
+    monkeypatch.setattr(counting, "_p_cache", [1])
+    table = counting._p_table(30_000)
+    rng = random.Random(20260)
+    for n in sorted(rng.sample(range(5001, 30_001), 60)) + [30_000]:
+        assert rademacher.p_exact(n) == table[n], n
+
+
+def test_rademacher_pinned_p_100000():
+    assert partition_count(100_000) == P_100000
+    rademacher.p_exact.cache_clear()
+    # the caller's decimal context does not reach the sum
+    with decimal.localcontext(decimal.Context(prec=5, rounding=decimal.ROUND_FLOOR)):
+        assert rademacher.p_exact(100_000) == P_100000
+        assert decimal.getcontext().prec == 5
+
+
+def test_rademacher_ramanujan_congruences():
+    # 24n = 1 (mod 385) makes p(n) divisible by 5, 7 and 11 at once
+    for n in (200_184, 500_099, 999_829):
+        assert n % 5 == 4 and n % 7 == 5 and n % 11 == 6
+        p = rademacher.p_exact(n)
+        assert p % 385 == 0, n
+        # and p(n) is the right size: the main term is within 1/sqrt(n)
+        main = asymptotics.rademacher_main_term(n).log
+        assert abs(math.log(p) - main) < 1 / math.sqrt(n), n
+
+
+def test_rademacher_rounding_margin_raises(monkeypatch):
+    # with one term the sum at n = 2001 lies 0.49 from every integer
+    rademacher.p_exact.cache_clear()
+    monkeypatch.setattr(counting, "_p_cache", [1])
+    monkeypatch.setattr(rademacher, "_tail_terms", lambda n: 1)
+    with pytest.raises(NumericError):
+        partition_count(2001)
+    rademacher.p_exact.cache_clear()
 
 
 def test_divisor_sums_sieve():
