@@ -3,8 +3,12 @@
 Single character values come from the classical border-strip
 (Murnaghan-Nakayama) recursion: pick a part t of the cycle type mu,
 strip every border strip of length t from lambda, and sum the signed
-sub-characters, memoized on (beta mask of lambda, mu).  The density
-sampler and the single-value CLI call use this path.
+sub-characters.  The memo is a trie over the suffixes of mu, read from
+the last part, whose node for each suffix holds the characters already
+known there, keyed by the beta mask of lambda: one walk per (lambda, mu)
+pair finds every suffix's node, and each step of the recursion is then
+one int-keyed lookup.  The density sampler and the single-value CLI call
+use this path.
 
 Full tables and censuses apply the same rule a whole column at a time.
 For each needed pair (m, t) the sparse signed strip-removal matrix
@@ -29,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .counting import tcore_count
+from .counting import _p_table, tcore_count
 from .errors import GuardError
 from .partitions import Partition, beta_mask, beta_strips, enumerate_partitions
 
@@ -40,27 +44,51 @@ class BudgetExceeded(Exception):
     """Internal signal: one character evaluation exceeded its step budget."""
 
 
+_EMPTY_SUFFIX = {0: 1}  # the node of mu = (): only the empty partition, chi 1
+
+
 def _chi(lam: int, mu: tuple[int, ...], memo: dict,
-         largest_first: bool, budget: list[int] | None = None) -> int:
-    if not mu:
-        return 1
-    key = (lam, mu)
-    val = memo.get(key)
+         budget: list[int] | None = None) -> int:
+    """The character at (beta mask ``lam``, parts ``mu``), stripping the
+    parts of mu in the order given.
+
+    ``memo`` is the root of a trie over the suffixes of mu, read from the
+    last part: key -t leads from the node of a suffix s to the node of
+    (t,) + s, and key ``mask`` >= 0 of a node holds the character of that
+    mask at that suffix.  One walk finds the node of every suffix of mu.
+    ``budget[0]`` is decremented once per memo miss; below zero the
+    evaluation raises ``BudgetExceeded``.
+    """
+    levels = [_EMPTY_SUFFIX]
+    node = memo
+    for t in reversed(mu):
+        child = node.get(-t)
+        if child is None:
+            child = node[-t] = {}
+        levels.append(child)
+        node = child
+    levels.reverse()  # levels[i] is the node of mu[i:]
+    return _strip(lam, mu, 0, levels, budget)
+
+
+def _strip(lam: int, mu: tuple[int, ...], i: int, levels: list[dict],
+           budget: list[int] | None) -> int:
+    """The character at (``lam``, mu[i:]), memoized in ``levels[i]``."""
+    table = levels[i]
+    val = table.get(lam)
     if val is not None:
         return val
     if budget is not None:
         budget[0] -= 1
         if budget[0] < 0:
             raise BudgetExceeded
-    if largest_first:
-        t, rest = mu[0], mu[1:]
-    else:
-        t, rest = mu[-1], mu[:-1]
+    t = mu[i]
+    i += 1
     total = 0
     for odd, rem in beta_strips(lam, t):
-        sub = _chi(rem, rest, memo, largest_first, budget)
+        sub = _strip(rem, mu, i, levels, budget)
         total += -sub if odd else sub
-    memo[key] = total
+    table[lam] = total
     return total
 
 
@@ -72,7 +100,8 @@ def character_value(lam: Partition, mu: Partition, *, memo: dict | None = None,
     Both partitions must have the same size.  ``order`` selects which
     part of mu is stripped first ("largest" or "smallest"); the result
     is independent of it, which the test suite exploits as an oracle.
-    An optional ``memo`` dict is shared across calls.
+    An optional ``memo`` dict is shared across calls, of either order
+    and any size.
     """
     if lam.size != mu.size:
         raise ValueError(f"size mismatch: |{lam}| = {lam.size}, |{mu}| = {mu.size}")
@@ -80,7 +109,8 @@ def character_value(lam: Partition, mu: Partition, *, memo: dict | None = None,
         raise ValueError(f"unknown order {order!r}")
     if memo is None:
         memo = {}
-    return _chi(beta_mask(lam.parts), mu.parts, memo, order == "largest")
+    parts = mu.parts if order == "largest" else mu.parts[::-1]
+    return _chi(beta_mask(lam.parts), parts, memo)
 
 
 @dataclass(frozen=True)
@@ -226,6 +256,7 @@ def lower_bound_partial(n: int, t_lo: int, t_hi: int) -> int:
     # dp[m] = p_t(m) for m <= n - t, built incrementally over t; step t
     # reads only dp[n - t].  For t > n/2 the step is empty: dp[n - t]
     # already holds p(n - t), which is p_t(n - t).
+    _p_table(n)  # every c_t(n) reads p(0..n) from it, none sums the series
     dp = [1] + [0] * n
     total = 0
     for t in range(1, t_hi + 1):

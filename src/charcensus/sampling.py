@@ -5,11 +5,12 @@ The sampler draws the largest part k of a partition of n with its true
 probability (p_k(n) - p_{k-1}(n)) / p(n) straight from exact bounded
 count tables, then recurses on n - k with parts capped at k, so the
 distribution over partitions of n is uniform with no approximation.
-One uniform integer below p_cap(m) per part is inverted by bisection
-in the row of p_k(m), which is cumulative in k.  The density probe then
-draws independent uniform pairs (lambda, mu) as bare part tuples, which
-matches counting cells of the table: it deliberately does not weight mu
-by conjugacy-class size.
+One uniform integer below p_cap(m) per part, drawn by the rejection
+loop on ``getrandbits`` that ``randrange`` runs, is inverted by
+bisection in the row of p_k(m), which is cumulative in k.  The density
+probe then draws independent uniform pairs (lambda, mu) as bare part
+tuples, which matches counting cells of the table: it deliberately does
+not weight mu by conjugacy-class size.
 
 Randomness: every run is driven by one 64-bit seed.  Sample chunks of
 fixed size draw from independent substreams whose seeds are derived
@@ -33,7 +34,8 @@ from .partitions import Partition, beta_mask
 DENSITY_GUARD = 60
 RNG_ALGORITHM = "mt19937-sha256-streams-v1"
 _CHUNK = 2048  # samples per substream; changing it changes every report
-# memo misses allowed per character evaluation; sized above the worst-case
+# memo misses allowed per character evaluation, one per new (lambda mask,
+# mu suffix) state stored in the memo trie; sized above the worst-case
 # cold-start state count at n = 60 (~2.5e6), so within the guard no sample
 # can fail.
 _STEP_BUDGET = 10_000_000
@@ -48,11 +50,18 @@ def _draw(n: int, rng: random.Random,
           table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """The parts of one uniform partition of n, largest first; ``table``
     must cover n (see ``random_partition``)."""
+    getrandbits = rng.getrandbits
     parts = []
     remaining, cap = n, n
     while remaining:
         row = table[remaining]
-        k = bisect_right(row, rng.randrange(row[cap]), 1, cap)
+        top = row[cap]
+        # rng.randrange(top) as CPython 3.10-3.13 draw it: the same stream
+        bits = top.bit_length()
+        r = getrandbits(bits)
+        while r >= top:
+            r = getrandbits(bits)
+        k = bisect_right(row, r, 1, cap)
         parts.append(k)
         remaining -= k
         cap = k
@@ -156,7 +165,7 @@ def estimate_zero_density(n: int, samples: int, seed: int) -> DensityEstimate:
             lam = _draw(n, rng, table)
             mu = _draw(n, rng, table)
             try:
-                value = _chi(beta_mask(lam), mu, memo, True, [_STEP_BUDGET])
+                value = _chi(beta_mask(lam), mu, memo, [_STEP_BUDGET])
             except BudgetExceeded:
                 failures += 1
                 continue

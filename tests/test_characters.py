@@ -102,6 +102,12 @@ def test_table_matches_per_cell_oracle(order):
         assert character_table(n).rows == _per_cell_rows(n, order), n
 
 
+def _memo_states(node):
+    """The (lambda mask, mu suffix) states held in a character memo trie:
+    keys >= 0 of a node are masks, key -t leads to a child node."""
+    return sum(_memo_states(v) if k < 0 else 1 for k, v in node.items())
+
+
 @pytest.mark.parametrize("n, pairs", [(40, 2000), (60, 300)])
 def test_chi_on_masks_matches_tuple_oracle(n, pairs):
     # uniform pairs as the density estimator draws them, one shared memo
@@ -111,9 +117,43 @@ def test_chi_on_masks_matches_tuple_oracle(n, pairs):
     memo, oracle_memo = {}, {}
     for _ in range(pairs):
         lam, mu = _draw(n, rng, table), _draw(n, rng, table)
-        assert characters._chi(beta_mask(lam), mu, memo, True) \
+        assert characters._chi(beta_mask(lam), mu, memo) \
             == chi_tuple(lam, mu, oracle_memo), (lam, mu)
-    assert len(memo) == len(oracle_memo)
+    assert _memo_states(memo) == len(oracle_memo)
+
+
+def test_shared_memo_across_orders_and_sizes():
+    # one memo serves both strip orders and every n: each value equals
+    # the one a fresh memo gives, and the tuple oracle's
+    rng = random.Random(7)
+    shared, oracle_memo = {}, {}
+    for _ in range(400):
+        n = rng.randint(1, 24)
+        table = build_bounded_table(n, n)
+        lam, mu = P(_draw(n, rng, table)), P(_draw(n, rng, table))
+        order = rng.choice(["largest", "smallest"])
+        value = character_value(lam, mu, memo=shared, order=order)
+        assert value == character_value(lam, mu, order=order), (lam, mu, order)
+        assert value == chi_tuple(lam.parts, mu.parts, oracle_memo), (lam, mu)
+    assert _memo_states(shared) > 0
+
+
+def test_budget_exceeded_then_full_budget_on_same_memo():
+    lam = P([9, 7, 5, 4, 3, 2, 1, 1, 1, 1])
+    mu = P([5, 4, 4, 3, 3, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1])
+    expected = chi_tuple(lam.parts, mu.parts, {})
+    memo = {}
+    budget = [3]
+    with pytest.raises(characters.BudgetExceeded):
+        characters._chi(beta_mask(lam.parts), mu.parts, memo, budget)
+    assert budget[0] < 0
+    # the abandoned evaluation stores at most the states it finished
+    states = _memo_states(memo)
+    assert states <= 3
+    budget = [10**7]
+    assert characters._chi(beta_mask(lam.parts), mu.parts, memo, budget) == expected
+    # one decrement per miss: the full run spends one per state it adds
+    assert 10**7 - budget[0] == _memo_states(memo) - states > 3
 
 
 def test_zero_census_small():
