@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .counting import _p_table, tcore_count
+from .counting import tcore_count
 from .errors import GuardError
 from .partitions import Partition, beta_mask, beta_strips, enumerate_partitions
 
@@ -256,7 +256,6 @@ def lower_bound_partial(n: int, t_lo: int, t_hi: int) -> int:
     # dp[m] = p_t(m) for m <= n - t, built incrementally over t; step t
     # reads only dp[n - t].  For t > n/2 the step is empty: dp[n - t]
     # already holds p(n - t), which is p_t(n - t).
-    _p_table(n)  # every c_t(n) reads p(0..n) from it, none sums the series
     dp = [1] + [0] * n
     total = 0
     for t in range(1, t_hi + 1):

@@ -48,14 +48,12 @@ SCHEMA_VERSION = 1
 
 # Cost guards: a request above one of these is refused (exit 3) before any
 # work starts.  Measured on a 2-core Xeon: one p(n) is a Rademacher sum,
-# about 5-10 ms at n = 10^5, but the guaranteed-zero sum reads the whole
-# table p(0..n), 2.5-3.2 s at n = 10^5, and so does c_t(n) unless it needs
-# at most n/200 values of p, each then one sum (`count core` at n = 10^5
-# takes 0.1 s for t = 50000 and 1.4 s for t = 300); one p_t(n) with t < n
-# takes t n additions, 5 * 10^7 of them 4.9 s (n = 20000) to 7.1 s
-# (n = 10^5); one c_t(n) takes (n/t)^2 eta-power steps, 10^8 of them
-# 2-3 s; the guaranteed-zero sum adds n * t_hi steps of the p_t table, and
-# a cost of 1.7 * 10^8 (n = 8000) took 4.9-7.1 s.
+# about 10 ms at n = 10^5, but c_t(n) and the guaranteed-zero sum read the
+# whole table p(0..n), 2.5 s at n = 10^5; one p_t(n) with t < n takes t n
+# additions, 5 * 10^7 of them 4.9 s (n = 20000) to 7.1 s (n = 10^5); one
+# c_t(n) takes (n/t)^2 eta-power steps, 10^8 of them 2-3 s; the
+# guaranteed-zero sum adds n * t_hi steps of the p_t table, and a cost of
+# 1.7 * 10^8 (n = 8000) took 4.9-7.1 s.
 P_GUARD_N = 100_000
 PT_GUARD_STEPS = 5 * 10**7
 CORE_GUARD_STEPS = 10**8

@@ -21,9 +21,7 @@ Three count families, all plain Python ints (never floats):
                      w a_t(w) = -t sum_{j=1..w} sigma(j) a_t(w - j),
 
                  with sigma the divisor sum, so one c_t(n) costs
-                 O((n/t)^2) multiplications once its n/t + 1 values
-                 of p are known: read from the table p(0..n), or, when
-                 they are few, each from ``partition_count``.
+                 O((n/t)^2) multiplications once p(0..n) is known.
 
 The pentagonal recurrence is run as a C-level gather: while the cache
 holds p(0..m-1), the term p(m - g) is p[-g], so the negative offsets of
@@ -89,12 +87,6 @@ from .partitions import enumerate_partitions, is_t_core
 BRUTEFORCE_GUARD = 40
 
 _TABLE_CROSSOVER = 2000  # largest n whose p(n) extends the table
-# Building p(0..n) costs about n/170 series sums of p(n): the table
-# against one sum took 6.6 ms vs 0.41 ms at n = 2001, 60 ms vs 1.2 ms at
-# 10^4 and 3.2 s vs 5.4 ms at 10^5.  So c_t(n) takes its n//t + 1 values
-# of p one by one from partition_count (the table where it already holds
-# them, the series otherwise) when there are at most n/_SERIES_SPAN.
-_SERIES_SPAN = 200
 
 _p_cache: list[int] = [1]
 _sigma: list[int] = [0]  # _sigma[j] = sigma(j); _sigma[0] is a placeholder
@@ -215,12 +207,8 @@ def tcore_count(t: int, n: int) -> int:
         raise ValueError("t must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    # p(n), p(n-t), ..., p(n mod t)
-    if (n // t + 1) * _SERIES_SPAN <= n:
-        values = map(partition_count, range(n, -1, -t))
-    else:
-        values = _p_table(n)[n::-t]
-    return sum(map(mul, _eta_power(t, n // t), values))
+    # p[n::-t] is p(n), p(n-t), ..., p(n mod t)
+    return sum(map(mul, _eta_power(t, n // t), _p_table(n)[n::-t]))
 
 
 def tcore_count_bruteforce(t: int, n: int) -> int:

@@ -1,13 +1,12 @@
 import decimal
 import functools
 import math
-import operator
 import random
 
 import pytest
 
 from charcensus import asymptotics, counting, rademacher
-from charcensus.characters import lower_bound_partial, lower_bound_sum
+from charcensus.characters import lower_bound_sum
 from charcensus.counting import (
     bounded_partition_count,
     build_bounded_table,
@@ -270,41 +269,6 @@ def test_tcore_matches_series_oracle_300():
 def test_tcore_table_matches_series_oracle():
     for t in range(1, 31):
         assert [tcore_count(t, m) for m in range(121)] == _core_series(t, 120), t
-
-
-def _tcore_from_table(t, n, p):
-    """c_t(n) = sum_w a_t(w) p(n - t w), with p(0..n) given."""
-    return sum(map(operator.mul, counting._eta_power(t, n // t), p[n::-t]))
-
-
-def test_tcore_series_path_matches_table_path(monkeypatch):
-    # above the crossover, with the table short of n, c_t(n) sums the
-    # series for few values of p and leaves the table as it is; equal to
-    # the table path for n in 2001..6000
-    oracle = _partition_counts_oracle(6000)
-    cross, span = counting._TABLE_CROSSOVER, counting._SERIES_SPAN
-    monkeypatch.setattr(counting, "_p_cache", oracle[:cross + 1])
-    rng = random.Random(2001)
-    for n in [2001, 6000] + rng.sample(range(2002, 6000), 60):
-        t_min = next(t for t in range(1, n + 1) if (n // t + 1) * span <= n)
-        for t in (t_min, rng.randint(t_min, n), n):
-            assert tcore_count(t, n) == _tcore_from_table(t, n, oracle), (n, t)
-        assert len(counting._p_cache) == cross + 1, n
-    # the next smaller t, with one value of p too many, builds the table
-    t = next(t for t in range(6000, 0, -1) if (6000 // t + 1) * span > 6000)
-    assert tcore_count(t, 6000) == _tcore_from_table(t, 6000, oracle)
-    assert counting._p_cache == oracle
-
-
-def test_lower_bound_partial_reads_the_table(monkeypatch):
-    # a large t_lo gives few values of p per c_t(n); the sum still builds
-    # p(0..n) once instead of summing the series for every t
-    monkeypatch.setattr(counting, "_p_cache", [1])
-    monkeypatch.setattr(rademacher, "p_exact", None)
-    oracle = _partition_counts_oracle(3000)
-    assert lower_bound_partial(3000, 2500, 3000) == sum(
-        _tcore_from_table(t, 3000, oracle) * oracle[3000 - t] for t in range(2500, 3001))
-    assert counting._p_cache == oracle
 
 
 def test_lower_bound_sum_pinned():
