@@ -1,62 +1,45 @@
 """Exact zero censuses for symmetric-group character tables, with the
-matching asymptotic bound evaluators and a Monte Carlo density probe."""
+matching asymptotic bound evaluators and a Monte Carlo density probe.
 
-from .partitions import (
-    Partition,
-    enumerate_partitions,
-    hook_multiset,
-    is_t_core,
-    parse_partition,
-)
-from .counting import (
-    bounded_partition_count,
-    partition_count,
-    tcore_count,
-    tcore_count_bruteforce,
-)
-from .characters import (
-    CharacterTable,
-    ZeroCensus,
-    character_table,
-    character_value,
-    class_size,
-    lower_bound_partial,
-    lower_bound_sum,
-    zero_count,
-)
-from .logreal import LogReal
-from .asymptotics import (
-    BoundReport,
-    EtaValue,
-    SaddleSolution,
-    Thresholds,
-    bounded_count_estimate,
-    core_count_bound,
-    eta,
-    eta_log_deriv,
-    full_table_bound,
-    rademacher_main_term,
-    solve_saddle,
-    split_thresholds,
-    strip_zero_bound,
-    tcore_count_estimate,
-)
-from .sampling import DensityEstimate, estimate_zero_density, random_partition
-from .errors import CharcensusError, GuardError, NumericError
+The public names load their submodule on first access (PEP 562), so
+``import charcensus`` compiles no layer that the caller does not use.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Partition", "enumerate_partitions", "hook_multiset", "is_t_core",
-    "parse_partition",
-    "bounded_partition_count", "partition_count",
-    "tcore_count", "tcore_count_bruteforce",
-    "CharacterTable", "ZeroCensus", "character_table", "character_value",
-    "class_size", "lower_bound_partial", "lower_bound_sum", "zero_count",
-    "LogReal", "BoundReport", "EtaValue", "SaddleSolution", "Thresholds",
-    "bounded_count_estimate", "core_count_bound", "eta", "eta_log_deriv",
-    "full_table_bound", "rademacher_main_term", "solve_saddle",
-    "split_thresholds", "strip_zero_bound", "tcore_count_estimate",
-    "DensityEstimate", "estimate_zero_density", "random_partition",
-    "CharcensusError", "GuardError", "NumericError",
-]
+# the public names of each submodule, in the order of ``__all__``
+_MODULES = {
+    "partitions": ("Partition", "enumerate_partitions", "hook_multiset",
+                   "is_t_core", "parse_partition"),
+    "counting": ("bounded_partition_count", "partition_count", "tcore_count",
+                 "tcore_count_bruteforce"),
+    "characters": ("CharacterTable", "ZeroCensus", "character_table",
+                   "character_value", "class_size", "lower_bound_partial",
+                   "lower_bound_sum", "zero_count"),
+    "logreal": ("LogReal",),
+    "asymptotics": ("BoundReport", "EtaValue", "SaddleSolution", "Thresholds",
+                    "bounded_count_estimate", "core_count_bound", "eta",
+                    "eta_log_deriv", "full_table_bound", "rademacher_main_term",
+                    "solve_saddle", "split_thresholds", "strip_zero_bound",
+                    "tcore_count_estimate"),
+    "sampling": ("DensityEstimate", "estimate_zero_density", "random_partition"),
+    "errors": ("CharcensusError", "GuardError", "NumericError"),
+}
+_EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

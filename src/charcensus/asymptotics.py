@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .counting import divisor_sums, partition_count
 from .errors import GuardError, NumericError
@@ -47,8 +47,7 @@ def _divisor_series(u: float, weight, tol: float) -> float:
     return acc
 
 
-@dataclass(frozen=True)
-class EtaValue:
+class EtaValue(NamedTuple):
     """log eta(iy) together with the evaluation regime and the tail
     witness v defined by the direct series: in the DIRECT regime
     log_eta = -pi*y/12 - v*exp(-2*pi*y); in the TRANSFORMED regime
@@ -151,8 +150,7 @@ def _mu1_prime(u: float, tol: float) -> float:
     return 2 * math.pi / (u * u) * s1w + 1.0 / (4 * math.pi)
 
 
-@dataclass(frozen=True)
-class SaddleSolution:
+class SaddleSolution(NamedTuple):
     """Solved saddle ordinate for the t-core count of n.
 
     The solution satisfies (mu1(i t y) - mu1(i y)) / y^2 = n + (t^2-1)/24
@@ -312,8 +310,7 @@ def bounded_count_estimate(n: int, t: int) -> LogReal:
 # ---------------------------------------------------------------------------
 # Regime thresholds and bound reports
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     """Range constants splitting the guaranteed-zero sum by largest part.
 
     b solves n^(1/(2b)) = (sqrt 6 / 2 pi) log n; t1 and t2 are
@@ -346,8 +343,7 @@ def split_thresholds(n: int) -> Thresholds:
     )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One evaluated bound, optionally paired with an exact comparison.
 
     ``ratio`` is exact / bound on the linear scale when a comparison is
@@ -364,7 +360,7 @@ class BoundReport:
     ratio: float | None = None
 
     def with_comparison(self, exact: LogReal) -> "BoundReport":
-        return replace(self, comparison=exact, ratio=exact.ratio_to(self.bound))
+        return self._replace(comparison=exact, ratio=exact.ratio_to(self.bound))
 
     def to_json_dict(self) -> dict:
         return {
@@ -401,15 +397,6 @@ def _core_damping_iii(n: int, t: int) -> float:
 
 def _core_damping_iv(n: int, t: int) -> float:
     return t * math.exp(-math.pi * t / math.sqrt(6 * n))
-
-
-def core_count_bound_gamma_form(n: int, t: int) -> LogReal:
-    """Pre-Stirling variant of the regime-i core-count form:
-    (2 pi)^((t-1)/2) / (t^(t/2) Gamma((t-1)/2)) * m^((t-3)/2)."""
-    m = n + (t * t - 1) / 24.0
-    return LogReal.from_log((t - 1) / 2 * math.log(2 * math.pi)
-                            - t / 2 * math.log(t) - math.lgamma((t - 1) / 2)
-                            + (t - 3) / 2 * math.log(m))
 
 
 P32_REGIMES = ("P32_I", "P32_II", "P32_III", "P32_IV")

@@ -30,8 +30,7 @@ zero sets disjoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .counting import tcore_count
 from .errors import GuardError
@@ -113,8 +112,7 @@ def character_value(lam: Partition, mu: Partition, *, memo: dict | None = None,
     return _chi(beta_mask(lam.parts), parts, memo)
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """Complete character table of S_n.
 
     Rows index lam and columns index mu, both in enumeration order
@@ -198,8 +196,7 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(n=n, partitions=parts, rows=rows)
 
 
-@dataclass(frozen=True)
-class ZeroCensus:
+class ZeroCensus(NamedTuple):
     """Zero counts of one character table.
 
     ``per_core_zeros[t]`` restricts to rows whose partition is a t-core,

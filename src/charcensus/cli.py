@@ -8,41 +8,20 @@ round-trip doubles).  Exit codes: 0 success, 1 numeric breakdown or an
 internal error, 2 usage error (bad input, or an --out file that cannot
 be written), 3 guard refusal; every error goes to stderr as one JSON
 object, never as a traceback.
+
+Each command imports only its own layer, inside its ``_cmd_*`` function:
+start-up loads argparse and this module, so ``count p`` loads only
+``counting`` and no ``bounds`` command loads ``characters`` or
+``sampling``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
-import secrets
 import sys
-import traceback
 
-from .asymptotics import (
-    P32_REGIMES,
-    core_count_bound,
-    full_table_bound,
-    solve_saddle,
-    strip_zero_bound,
-)
-from .logreal import LogReal
-from .characters import (
-    character_table,
-    character_value,
-    lower_bound_partial,
-    zero_count,
-)
-from .counting import (
-    bounded_partition_count,
-    partition_count,
-    tcore_count,
-    tcore_count_bruteforce,
-)
 from .errors import GuardError, NumericError
-from .partitions import parse_partition
-from .sampling import estimate_zero_density
 
 SCHEMA_VERSION = 1
 
@@ -87,12 +66,16 @@ def _guard_p(n: int, what: str = "n (exact p(0..n))") -> None:
 # command implementations: each returns the result payload dict
 
 def _cmd_count_p(args):
+    from .counting import partition_count
+
     _guard_p(args.n, "n (exact p(n))")
     return {"kind": "count", "family": "p", "n": args.n, "t": None,
             "value": str(partition_count(args.n))}
 
 
 def _cmd_count_pt(args):
+    from .counting import bounded_partition_count
+
     _guard_p(args.n, "n (exact p(n) or p_t(n))")
     if args.t < args.n:
         _guard(args.t * args.n, PT_GUARD_STEPS, "t n (steps of the p_t(n) recurrence)")
@@ -101,6 +84,8 @@ def _cmd_count_pt(args):
 
 
 def _cmd_count_core(args):
+    from .counting import tcore_count, tcore_count_bruteforce
+
     if args.brute:
         value = tcore_count_bruteforce(args.t, args.n)
     else:
@@ -114,6 +99,9 @@ def _cmd_count_core(args):
 
 
 def _cmd_char_eval(args):
+    from .characters import character_value
+    from .partitions import parse_partition
+
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
     return {"kind": "char_value", "lambda": str(lam), "mu": str(mu),
@@ -121,6 +109,8 @@ def _cmd_char_eval(args):
 
 
 def _cmd_char_table(args):
+    from .characters import character_table
+
     table = character_table(args.n)
     return {"kind": "char_table", "N": args.n, "dim": len(table.partitions),
             "partitions": [str(p) for p in table.partitions],
@@ -128,11 +118,15 @@ def _cmd_char_table(args):
 
 
 def _cmd_zeros_exact(args):
+    from .characters import zero_count
+
     census = zero_count(args.n)
     return {"kind": "census", **census.to_json_dict()}
 
 
 def _cmd_zeros_lower_bound(args):
+    from .characters import lower_bound_partial
+
     t_lo = 1 if args.t_lo is None else args.t_lo
     t_hi = args.n if args.t_hi is None else args.t_hi
     _guard_p(args.n)
@@ -146,21 +140,29 @@ def _cmd_zeros_lower_bound(args):
 
 
 def _cmd_bounds_t12(args):
+    from .asymptotics import full_table_bound
+
     report = full_table_bound(args.n)
     return {"kind": "bound", **report.to_json_dict()}
 
 
 def _cmd_bounds_t13(args):
+    from .asymptotics import strip_zero_bound
+
     report = strip_zero_bound(args.n, args.t, args.epsilon)
     return {"kind": "bound", **report.to_json_dict()}
 
 
 def _cmd_bounds_p32(args):
+    from .asymptotics import core_count_bound
+
     report = core_count_bound(args.n, args.t, args.epsilon, regime=args.regime)
     return {"kind": "bound", **report.to_json_dict()}
 
 
 def _cmd_bounds_saddle(args):
+    from .asymptotics import solve_saddle
+
     sol = solve_saddle(args.n, args.t, tol=args.tol)
     return {"kind": "saddle", "N": sol.n, "t": sol.t, "y": sol.y,
             "bracket_lo": sol.bracket_lo, "bracket_hi": sol.bracket_hi,
@@ -168,11 +170,28 @@ def _cmd_bounds_saddle(args):
 
 
 def _cmd_estimate_density(args):
+    from .sampling import estimate_zero_density
+
     est = estimate_zero_density(args.n, args.samples, args.seed)
     return {"kind": "density", **est.to_json_dict()}
 
 
 def _cmd_sweep(args):
+    from .asymptotics import full_table_bound
+    from .characters import _check_table_size, lower_bound_partial, zero_count
+    from .logreal import LogReal
+
+    # zero_count's own check, in order, on the end points of each range,
+    # which bound every n in it: a refusal comes before any range is
+    # expanded or any census starts
+    for span in args.n_list:
+        if span:
+            _check_table_size(span[0])
+            _check_table_size(span[-1])
+    n_list = []
+    for span in args.n_list:
+        n_list.extend(span)
+    args.n_list = n_list  # the config echoes every n
     rows = []
     for n in args.n_list:
         census = zero_count(n)
@@ -223,6 +242,9 @@ def _cell(value) -> str:
 
 
 def _result_to_csv(result: dict) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if result["kind"] == "char_table":
@@ -288,18 +310,30 @@ def _emit(args, command: str, result: dict) -> None:
 # ---------------------------------------------------------------------------
 # parser
 
-def _int_list(text: str) -> list[int]:
+def _n_ranges(text: str) -> list[range]:
+    """The comma list "3-14" or "4,6,8" as ranges, not yet expanded."""
     out = []
     for tok in text.split(","):
         tok = tok.strip()
         if "-" in tok[1:]:
             a, b = tok.split("-", 1)
-            out.extend(range(int(a), int(b) + 1))
+            out.append(range(int(a), int(b) + 1))
         else:
-            out.append(int(tok))
-    if not out:
+            n = int(tok)
+            out.append(range(n, n + 1))
+    if not any(out):
         raise ValueError("empty n-list")
     return out
+
+
+class _P32Regimes:
+    """The --regime choices, read from ``asymptotics`` only when argparse
+    checks a given value, so that building the parser loads no layer."""
+
+    def __iter__(self):
+        from .asymptotics import P32_REGIMES
+
+        return iter(P32_REGIMES)
 
 
 def _add_common(sp: argparse.ArgumentParser, default_format: str = "human") -> None:
@@ -381,8 +415,10 @@ def build_parser() -> _Parser:
     p32.add_argument("--n", type=int, required=True)
     p32.add_argument("--t", type=int, required=True)
     p32.add_argument("--epsilon", type=float, default=0.5)
-    p32.add_argument("--regime", choices=P32_REGIMES,
-                     default=None, help="force a regime instead of auto-selecting")
+    # a metavar keeps argparse from listing the choices while it builds
+    p32.add_argument("--regime", choices=_P32Regimes(), metavar="REGIME",
+                     default=None,
+                     help="force a regime (P32_I to P32_IV) instead of auto-selecting")
     p32.set_defaults(func=_cmd_bounds_p32, command="bounds.p32")
     sad = bounds.add_parser("saddle",
                             help="saddle ordinate for the core-count estimate")
@@ -406,7 +442,7 @@ def build_parser() -> _Parser:
     sw = top.add_parser("sweep",
                         help="census vs bound comparison table over many n")
     _add_common(sw, default_format="csv")
-    sw.add_argument("--n-list", type=_int_list, required=True,
+    sw.add_argument("--n-list", type=_n_ranges, required=True,
                     help='comma list with ranges, e.g. "3-14" or "4,6,8"')
     sw.set_defaults(func=_cmd_sweep, command="sweep")
 
@@ -420,6 +456,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code or 0
     if getattr(args, "seed", "absent") is None:
+        import secrets
+
         args.seed = secrets.randbits(63)
     try:
         _emit(args, args.command, args.func(args))
@@ -433,6 +471,8 @@ def main(argv=None) -> int:
         _write_error(2, "usage", exc)
         return 2
     except Exception as exc:  # any other fault: one JSON line, no traceback
+        import traceback
+
         where = traceback.extract_tb(exc.__traceback__)[-1]
         _write_error(1, "internal", f"{type(exc).__name__}: {exc} "
                                     f"(in {where.name}, {where.filename}:{where.lineno})")

@@ -10,15 +10,34 @@ logs; addition goes through a stable log-sum-exp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
 class LogReal:
-    """A nonnegative real stored as its natural log plus a zero flag."""
+    """A nonnegative real stored as its natural log plus a zero flag.
 
-    log_magnitude: float
-    is_zero: bool = False
+    Immutable and hashable, equal when both fields are.  A plain class,
+    not a tuple, so ``+``, ``*`` and ordering are its own arithmetic.
+    """
+
+    __slots__ = ("log_magnitude", "is_zero")
+
+    def __init__(self, log_magnitude: float, is_zero: bool = False):
+        object.__setattr__(self, "log_magnitude", log_magnitude)
+        object.__setattr__(self, "is_zero", is_zero)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LogReal is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, LogReal):
+            return NotImplemented
+        return (self.log_magnitude, self.is_zero) == (other.log_magnitude, other.is_zero)
+
+    def __hash__(self) -> int:
+        return hash((self.log_magnitude, self.is_zero))
+
+    def __repr__(self) -> str:
+        return f"LogReal(log_magnitude={self.log_magnitude!r}, is_zero={self.is_zero!r})"
 
     @classmethod
     def from_value(cls, x) -> "LogReal":

@@ -24,7 +24,7 @@ import hashlib
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .characters import BudgetExceeded, _chi
 from .counting import build_bounded_table
@@ -85,8 +85,7 @@ def random_partition(n: int, rng: random.Random,
     return Partition(_draw(n, rng, table))
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
+class DensityEstimate(NamedTuple):
     """Monte Carlo estimate of the zero density Z(n)/p(n)^2.
 
     ``failures`` counts evaluations abandoned by the per-sample step

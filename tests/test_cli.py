@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -11,7 +12,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from charcensus import cli
+import charcensus
+from charcensus import characters, cli, counting
+from charcensus.asymptotics import P32_REGIMES
 from charcensus.cli import main
 
 
@@ -206,14 +209,19 @@ def test_guard_exit_code(run):
 
 @pytest.fixture()
 def no_work(monkeypatch):
-    """Make every exact counter the guarded commands reach fail loudly, so
-    a refusal test also shows that no work started."""
+    """Make every exact counter and the census that the guarded commands
+    reach fail loudly, on the modules that define them (each command
+    imports them when it runs), so a refusal test also shows that no
+    work started."""
     def fail(*args, **kwargs):
         raise AssertionError("work started before the cost guard")
 
-    for name in ("partition_count", "bounded_partition_count", "tcore_count",
-                 "lower_bound_partial"):
-        monkeypatch.setattr(cli, name, fail)
+    for module, name in ((counting, "partition_count"),
+                         (counting, "bounded_partition_count"),
+                         (counting, "tcore_count"),
+                         (characters, "lower_bound_partial"),
+                         (characters, "zero_count")):
+        monkeypatch.setattr(module, name, fail)
 
 
 def _refusal(run, *argv):
@@ -256,6 +264,29 @@ def test_zeros_lower_bound_cost_guard(run, no_work):
     assert str(cli.LOWER_BOUND_GUARD_STEPS) in message
     _refusal(run, "zeros", "lower-bound", "--n", str(10**7), "--t-lo", "1",
              "--t-hi", "1")
+
+
+@pytest.mark.parametrize("n_list, got", [("1-2000000000", "2000000000"),
+                                          ("1-25", "25")])
+def test_sweep_refused_before_expanding(run, no_work, n_list, got):
+    # one JSON line before any range is expanded or any census starts
+    message = _refusal(run, "sweep", "--n-list", n_list)
+    assert f"n <= {characters.TABLE_GUARD}, got {got}" in message
+
+
+def test_p32_unknown_regime_is_usage_error(run):
+    code, out, err = run("bounds", "p32", "--n", "1000", "--t", "900",
+                         "--regime", "P32_V", "--format", "json")
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "usage"
+    # the message argparse gives for the same choices held as a tuple
+    reference = argparse.ArgumentParser(exit_on_error=False)
+    reference.add_argument("--regime", choices=P32_REGIMES)
+    with pytest.raises(argparse.ArgumentError) as exc:
+        reference.parse_args(["--regime", "P32_V"])
+    assert error["message"] == str(exc.value)
 
 
 def test_usage_exit_code(run):
@@ -307,14 +338,48 @@ def test_unexpected_error_is_one_json_line(run, monkeypatch):
     assert "RuntimeError: boom" in error["message"]
 
 
-def test_import_leaves_decimal_unloaded():
-    # the Rademacher sum and decimal load on the first large p(n), not at start-up
+def _loaded_by(code: str, watched: set) -> list:
+    """The modules of ``watched`` that running ``code`` in a fresh
+    interpreter loads, beyond those the interpreter starts with."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, charcensus.cli; "
-         "print(sorted({'decimal', 'charcensus.rademacher'} & set(sys.modules)))"],
+         f"import json, sys; before = set(sys.modules)\n{code}\n"
+         f"print(json.dumps(sorted(({watched!r} & set(sys.modules)) - before)))"],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return json.loads(out)
+
+
+LAYERS = {f"charcensus.{m}" for m in ("asymptotics", "characters", "sampling",
+                                      "counting", "partitions", "logreal",
+                                      "rademacher")}
+
+
+def test_import_loads_no_layer():
+    # start-up compiles only the CLI; the Rademacher sum and decimal load
+    # on the first large p(n), and no record type pulls in dataclasses
+    watched = LAYERS | {"decimal", "dataclasses", "inspect"}
+    assert _loaded_by("import charcensus.cli", watched) == []
+
+
+def test_count_p_loads_only_its_layer():
+    code = ("import contextlib, io, charcensus.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert charcensus.cli.main(['count', 'p', '--n', '5']) == 0")
+    assert _loaded_by(code, LAYERS) == ["charcensus.counting", "charcensus.partitions"]
+
+
+def test_public_names_resolve_to_their_submodule():
+    listed = dir(charcensus)
+    for name in charcensus.__all__:
+        obj = getattr(charcensus, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj
+        assert name in listed
+    namespace: dict = {}
+    exec("from charcensus import *", namespace)
+    assert all(namespace[name] is getattr(charcensus, name)
+               for name in charcensus.__all__)
+    with pytest.raises(AttributeError):
+        charcensus.no_such_name

@@ -73,3 +73,15 @@ def test_ratio_to():
     y = LogReal.from_log(3.0)
     assert x.ratio_to(y) == pytest.approx(math.exp(2.0))
     assert LogReal.zero().ratio_to(x) == 0.0
+
+
+def test_value_semantics():
+    # equal, hashable and immutable like a record, but no tuple arithmetic
+    x = LogReal.from_log(2.0)
+    assert x == LogReal(2.0) and hash(x) == hash(LogReal(2.0, False))
+    assert x != LogReal.from_log(3.0) and LogReal.zero() != LogReal(-math.inf)
+    assert repr(x) == "LogReal(log_magnitude=2.0, is_zero=False)"
+    with pytest.raises(AttributeError):
+        x.is_zero = True
+    with pytest.raises(TypeError):
+        3 * x
