@@ -4,11 +4,12 @@ partition asymptotics they lean on.
 
 Every magnitude is carried as a ``LogReal``; only saddle ordinates,
 residuals and regime thresholds live on the linear scale.  The eta
-function and its scaled log-derivatives are summed from the divisor
-series log eta(iy) = -pi*y/12 - sum_n sigma(n)/n * exp(-2*pi*n*y),
-with the modular transformation eta(iy) = y^(-1/2) * eta(i/y) applied
-first whenever the argument is below 1, so the series always converges
-geometrically with ratio at most exp(-2*pi).
+function and its scaled log-derivatives all read one kernel, ``_q_sums``,
+which sums the three divisor series in q = exp(-2*pi*u) behind
+log eta(iu) = -pi*u/12 - sum_n sigma(n)/n * q^n and its derivatives, to
+double precision.  The modular transformation eta(iy) = y^(-1/2) * eta(i/y)
+is applied first whenever the argument is below 1, so u >= 1 and the
+series always converges geometrically with ratio at most exp(-2*pi).
 """
 
 from __future__ import annotations
@@ -29,22 +30,31 @@ _SERIES_CAP = 64
 _SIGMA = divisor_sums(_SERIES_CAP)[: _SERIES_CAP + 1]  # sigma(n) = sum of divisors
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < 1e-6:
-        raise ValueError(f"tol must be in (0, 1e-6), got {tol}")
+def _q_sums(u: float) -> tuple[float, float, float]:
+    """The divisor series in q = exp(-2 pi u), for u >= 1, in one loop:
 
+        e  = sum_{n>=2} sigma(n)/n q^(n-1),
+        s0 = sum_n sigma(n) q^n,
+        s1 = sum_n n sigma(n) q^n.
 
-def _divisor_series(u: float, weight, tol: float) -> float:
-    """sum_n weight(n) * exp(-2*pi*n*u), truncated when a term drops
-    below tol times the running magnitude.  Requires u >= 1 so the
-    ratio between consecutive terms stays tiny."""
-    acc = 0.0
-    for n in range(1, _SERIES_CAP + 1):
-        term = weight(n) * math.exp(-2 * math.pi * n * u)
-        acc += term
-        if abs(term) <= tol * (abs(acc) + 1e-300):
+    The log-eta tail sum_n sigma(n)/n q^n is q (1 + e); e is kept apart
+    so that v - 1 = e survives rounding.  The powers of q come by
+    repeated multiplication, and the loop stops when a term no longer
+    changes any sum: consecutive terms shrink by about q <= exp(-2 pi)
+    ~ 1/535, so double precision takes a few terms.
+    """
+    q = math.exp(-2 * math.pi * u)
+    e, s0, s1 = 0.0, q, q  # the n = 1 terms; sigma(1) = 1
+    prev = q  # q^(n-1)
+    for n in range(2, _SERIES_CAP + 1):
+        qn = prev * q
+        term = _SIGMA[n] * qn
+        sums = (e + _SIGMA[n] / n * prev, s0 + term, s1 + n * term)
+        if sums == (e, s0, s1):
             break
-    return acc
+        e, s0, s1 = sums
+        prev = qn
+    return e, s0, s1
 
 
 class EtaValue(NamedTuple):
@@ -64,66 +74,41 @@ class EtaValue(NamedTuple):
     v_excess: float
 
 
-def _eta_direct(u: float, tol: float) -> tuple[float, float, float]:
-    # Returns (log_eta at iu via the direct series, v, v - 1) where the
-    # tail sum_n sigma(n)/n exp(-2 pi n u) is factored as v exp(-2 pi u),
-    # so v - 1 = sum_{n>=2} sigma(n)/n exp(-2 pi (n-1) u) survives rounding.
-    excess = 0.0
-    for n in range(2, _SERIES_CAP + 1):
-        term = _SIGMA[n] / n * math.exp(-2 * math.pi * (n - 1) * u)
-        excess += term
-        if term <= tol * (excess + 1e-300):
-            break
-    v = 1.0 + excess
-    tail = v * math.exp(-2 * math.pi * u)
-    return -math.pi * u / 12 - tail, v, excess
-
-
-def eta(y: float, tol: float = 1e-12) -> EtaValue:
-    """Evaluate log eta(iy) for y > 0.
+def eta(y: float) -> EtaValue:
+    """Evaluate log eta(iy) for y > 0, to double precision.
 
     Uses the direct divisor series for y >= 1 and the modular
     transformation for y < 1.
     """
     if y <= 0:
         raise ValueError("y must be positive")
-    _check_tol(tol)
+    u = y if y >= 1 else 1.0 / y
+    excess = _q_sums(u)[0]
+    v = 1.0 + excess
+    log_eta = -math.pi * u / 12 - v * math.exp(-2 * math.pi * u)
     if y >= 1:
-        log_eta, v, excess = _eta_direct(y, tol)
         return EtaValue(y=y, log_eta=log_eta, regime="DIRECT",
                         v_witness=v, v_excess=excess)
-    w = 1.0 / y
-    log_eta_w, v, excess = _eta_direct(w, tol)
-    return EtaValue(y=y, log_eta=-0.5 * math.log(y) + log_eta_w,
+    return EtaValue(y=y, log_eta=-0.5 * math.log(y) + log_eta,
                     regime="TRANSFORMED", v_witness=v, v_excess=excess)
 
 
-def _mu1_large(u: float, tol: float) -> float:
-    # u^2/24 - u^2 * sum sigma(n) exp(-2 pi n u), valid for u >= 1
-    s0 = _divisor_series(u, lambda n: float(_SIGMA[n]), tol)
-    return u * u / 24 - u * u * s0
+def _mu(y: float) -> tuple[float, float, float]:
+    """(mu1, mu2, d mu1 / dy) at iy from one kernel call: the series at
+    y for y >= 1, at 1/y through the modular transformation below 1."""
+    if y >= 1:
+        _, s0, s1 = _q_sums(y)
+        return (y * y / 24 - y * y * s0, 2 * math.pi * y ** 3 * s1,
+                y / 12 - 2 * y * s0 + 2 * math.pi * y * y * s1)
+    # transformed: mu1 = s0 - 1/24 + y/(4 pi),
+    # mu2 = 1/12 - y/(4 pi) + sum sigma(n) (2 pi n / y - 2) q^n, at u = 1/y
+    _, s0, s1 = _q_sums(1.0 / y)
+    return (s0 - 1.0 / 24 + y / (4 * math.pi),
+            1.0 / 12 - y / (4 * math.pi) + (2 * math.pi / y * s1 - 2 * s0),
+            2 * math.pi / (y * y) * s1 + 1.0 / (4 * math.pi))
 
 
-def _mu1_small(u: float, tol: float) -> float:
-    # transform of the above: sum sigma(n) exp(-2 pi n / u) - 1/24 + u/(4 pi)
-    w = _divisor_series(1.0 / u, lambda n: float(_SIGMA[n]), tol)
-    return w - 1.0 / 24 + u / (4 * math.pi)
-
-
-def _mu2_large(u: float, tol: float) -> float:
-    # 2 pi u^3 * sum n sigma(n) exp(-2 pi n u)
-    s1 = _divisor_series(u, lambda n: float(n * _SIGMA[n]), tol)
-    return 2 * math.pi * u ** 3 * s1
-
-
-def _mu2_small(u: float, tol: float) -> float:
-    # 1/12 - u/(4 pi) + sum sigma(n) (2 pi n / u - 2) exp(-2 pi n / u)
-    w = _divisor_series(1.0 / u,
-                        lambda n: _SIGMA[n] * (2 * math.pi * n / u - 2.0), tol)
-    return 1.0 / 12 - u / (4 * math.pi) + w
-
-
-def eta_log_deriv(y: float, k: int, tol: float = 1e-12) -> float:
+def eta_log_deriv(y: float, k: int) -> float:
     """The k-th scaled log-derivative of eta at iy, for k in {1, 2}:
     -(z^(k+1) / (2 pi i)) (d/dz)^k log eta(z) evaluated at z = iy.
 
@@ -134,20 +119,7 @@ def eta_log_deriv(y: float, k: int, tol: float = 1e-12) -> float:
         raise ValueError("y must be positive")
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    _check_tol(tol)
-    if k == 1:
-        return _mu1_large(y, tol) if y >= 1 else _mu1_small(y, tol)
-    return _mu2_large(y, tol) if y >= 1 else _mu2_small(y, tol)
-
-
-def _mu1_prime(u: float, tol: float) -> float:
-    # d/du of eta_log_deriv(u, 1), used by the Newton polish
-    if u >= 1:
-        s0 = _divisor_series(u, lambda n: float(_SIGMA[n]), tol)
-        s1 = _divisor_series(u, lambda n: float(n * _SIGMA[n]), tol)
-        return u / 12 - 2 * u * s0 + 2 * math.pi * u * u * s1
-    s1w = _divisor_series(1.0 / u, lambda n: float(n * _SIGMA[n]), tol)
-    return 2 * math.pi / (u * u) * s1w + 1.0 / (4 * math.pi)
+    return _mu(y)[k - 1]
 
 
 class SaddleSolution(NamedTuple):
@@ -192,17 +164,9 @@ def solve_saddle(n: int, t: int, tol: float = 1e-9) -> SaddleSolution:
     if not 0 < tol < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
     m = n + (t * t - 1) / 24.0
-    series_tol = 1e-15
 
     def f(y: float) -> float:
-        return (eta_log_deriv(t * y, 1, series_tol)
-                - eta_log_deriv(y, 1, series_tol)) / (y * y) - m
-
-    def f_prime(y: float) -> float:
-        d = (eta_log_deriv(t * y, 1, series_tol)
-             - eta_log_deriv(y, 1, series_tol))
-        dp = t * _mu1_prime(t * y, series_tol) - _mu1_prime(y, series_tol)
-        return dp / (y * y) - 2 * d / (y ** 3)
+        return (_mu(t * y)[0] - _mu(y)[0]) / (y * y) - m
 
     lo, hi = saddle_bracket(n, t)
     f_lo, f_hi = f(lo), f(hi)
@@ -224,8 +188,10 @@ def solve_saddle(n: int, t: int, tol: float = 1e-9) -> SaddleSolution:
             b = mid
     y = 0.5 * (a + b)
     for _ in range(3):
-        fy = f(y)
-        dfy = f_prime(y)
+        (mu1_ty, _, slope_ty), (mu1_y, _, slope_y) = _mu(t * y), _mu(y)
+        d = mu1_ty - mu1_y
+        fy = d / (y * y) - m
+        dfy = (t * slope_ty - slope_y) / (y * y) - 2 * d / (y ** 3)
         if dfy == 0:
             break
         step = y - fy / dfy

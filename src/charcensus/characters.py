@@ -37,6 +37,10 @@ from .errors import GuardError
 from .partitions import Partition, beta_mask, beta_strips, enumerate_partitions
 
 TABLE_GUARD = 20
+# largest n of one character value, for `char eval` and the density sampler:
+# the beta mask of lambda holds about n bits, and the memo grows with n
+# combinatorially
+VALUE_GUARD = 60
 
 
 class BudgetExceeded(Exception):
@@ -124,15 +128,6 @@ class CharacterTable(NamedTuple):
     partitions: tuple[Partition, ...]
     rows: tuple[tuple[int, ...], ...]
 
-    def write_csv(self, fh) -> None:
-        """CSV with a header row of mu strings and a leading lam column."""
-        import csv
-
-        writer = csv.writer(fh)
-        writer.writerow(["lambda"] + [str(p) for p in self.partitions])
-        for lam, row in zip(self.partitions, self.rows):
-            writer.writerow([str(lam)] + [str(v) for v in row])
-
 
 def _check_table_size(n: int) -> None:
     if n < 1:
@@ -140,6 +135,12 @@ def _check_table_size(n: int) -> None:
     if n > TABLE_GUARD:
         raise GuardError(f"full table limited to n <= {TABLE_GUARD}, got {n}; "
                          "use density sampling beyond this scale")
+
+
+def _check_value_size(n: int) -> None:
+    if n > VALUE_GUARD:
+        raise GuardError(f"single character values limited to n <= {VALUE_GUARD}, "
+                         f"got {n}")
 
 
 def _columns(parts: tuple[Partition, ...]) -> Iterator[list[int]]:

@@ -99,11 +99,13 @@ def _cmd_count_core(args):
 
 
 def _cmd_char_eval(args):
-    from .characters import character_value
+    from .characters import _check_value_size, character_value
     from .partitions import parse_partition
 
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
+    _check_value_size(lam.size)
+    _check_value_size(mu.size)
     return {"kind": "char_value", "lambda": str(lam), "mu": str(mu),
             "chi": str(character_value(lam, mu))}
 
@@ -179,7 +181,6 @@ def _cmd_estimate_density(args):
 def _cmd_sweep(args):
     from .asymptotics import full_table_bound
     from .characters import _check_table_size, lower_bound_partial, zero_count
-    from .logreal import LogReal
 
     # zero_count's own check, in order, on the end points of each range,
     # which bound every n in it: a refusal comes before any range is
@@ -199,10 +200,8 @@ def _cmd_sweep(args):
         z = census.total_zeros
         p_n = census.table_dim
         if n >= 2:  # the 2 p(n)^2 / log n bound is undefined at n = 1
-            report = full_table_bound(n)
-            log_t12, p_source = report.bound.log, report.p_source
-            ratio = None if z == 0 else \
-                report.with_comparison(LogReal.from_value(z)).ratio
+            report = full_table_bound(n, z or None)
+            log_t12, p_source, ratio = report.bound.log, report.p_source, report.ratio
         else:
             log_t12 = p_source = ratio = None
         rows.append({

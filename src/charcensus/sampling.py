@@ -26,12 +26,11 @@ import random
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .characters import BudgetExceeded, _chi
+from .characters import VALUE_GUARD, BudgetExceeded, _chi
 from .counting import build_bounded_table
 from .errors import GuardError
 from .partitions import Partition, beta_mask
 
-DENSITY_GUARD = 60
 RNG_ALGORITHM = "mt19937-sha256-streams-v1"
 _CHUNK = 2048  # samples per substream; changing it changes every report
 # memo misses allowed per character evaluation, one per new (lambda mask,
@@ -143,14 +142,14 @@ def estimate_zero_density(n: int, samples: int, seed: int) -> DensityEstimate:
 
     Reports the zero fraction with its 95% Wilson score interval, which
     stays honest when no zero (or no nonzero) is observed, and the
-    conjectured 2/log n alongside.  Guarded at ``DENSITY_GUARD`` (n <= 60):
+    conjectured 2/log n alongside.  Guarded at ``VALUE_GUARD`` (n <= 60):
     one character evaluation gets combinatorially expensive past desk
     scale.
     """
     if n < 2:
         raise GuardError("density estimation requires n >= 2")
-    if n > DENSITY_GUARD:
-        raise GuardError(f"density estimation limited to n <= {DENSITY_GUARD}, got {n}")
+    if n > VALUE_GUARD:
+        raise GuardError(f"density estimation limited to n <= {VALUE_GUARD}, got {n}")
     if samples < 1:
         raise ValueError("samples must be positive")
     table = build_bounded_table(n, n)

@@ -22,8 +22,8 @@ from charcensus.asymptotics import (
     _core_damping_iii,
     _core_log_i,
     _core_log_ii,
-    _eta_direct,
     _log_p,
+    _mu,
 )
 from charcensus.characters import zero_count
 from charcensus.counting import bounded_partition_count, partition_count, tcore_count
@@ -42,13 +42,52 @@ def test_eta_product_limit():
     assert abs(eta(10.0).log_eta + math.pi * 10 / 12) < 1e-12
 
 
+def _log_eta_product(y: float) -> float:
+    # log eta(iy) = -pi y / 12 + sum_n log(1 - exp(-2 pi n y)), the
+    # product formula, summed until a factor no longer changes the sum
+    total, n = -math.pi * y / 12, 1
+    while True:
+        term = math.log1p(-math.exp(-2 * math.pi * n * y))
+        if total + term == total:
+            return total
+        total += term
+        n += 1
+
+
 def test_eta_two_path_consistency():
-    # direct series vs modular transform across the seam, 100-point grid
-    for i in range(101):
-        y = 0.9 + 0.2 * i / 100
-        direct, _, _ = _eta_direct(y, 1e-15)
-        transformed = -0.5 * math.log(y) + _eta_direct(1.0 / y, 1e-15)[0]
-        assert abs(direct - transformed) < 1e-10
+    # both paths, the direct series from y = 1 up and the modular transform
+    # below it, against the product formula on a log grid over [1/4, 4]
+    # that holds y = 1 and its neighbours
+    grid = [0.25 * 16 ** (i / 200) for i in range(201)] + [1 - 1e-9, 1 + 1e-9]
+    for y in grid:
+        assert eta(y).log_eta == pytest.approx(_log_eta_product(y), rel=1e-14, abs=1e-15), y
+
+
+def test_mu1_is_scaled_log_derivative_of_eta():
+    # mu1(y) = -y^2 / (2 pi) * d/dy log eta(iy), the derivative taken by
+    # central differences of eta, on a log grid over [0.05, 20]
+    for i in range(81):
+        y = 0.05 * 400 ** (i / 80)
+        h = 1e-5 * y
+        slope = (eta(y + h).log_eta - eta(y - h).log_eta) / (2 * h)
+        assert eta_log_deriv(y, 1) == pytest.approx(-y * y / (2 * math.pi) * slope,
+                                                    rel=1e-8, abs=1e-10), y
+
+
+def test_mu_slope_matches_central_difference():
+    # the Newton slope d mu1 / dy against central differences of mu1, and
+    # mu2 against y d mu1 / dy - 2 mu1 (from mu2 = -y^3 / (2 pi) d^2/dy^2
+    # log eta), on both sides of y = 1; mu2 falls like exp(-2 pi y) while
+    # the difference cancels terms of size y^2, hence its absolute floor
+    for i in range(81):
+        y = 0.2 * 25 ** (i / 80)
+        h = 1e-5 * y
+        mu1, mu2, slope = _mu(y)
+        fd = (_mu(y + h)[0] - _mu(y - h)[0]) / (2 * h)
+        assert slope == pytest.approx(fd, rel=1e-8, abs=1e-10), y
+        assert mu2 == pytest.approx(y * fd - 2 * mu1, rel=1e-6, abs=1e-10), y
+    for y in (1 - 1e-9, 1 + 1e-9):
+        assert _mu(y) == pytest.approx(_mu(1.0), rel=1e-8)
 
 
 def test_eta_regime_tags():
@@ -72,7 +111,7 @@ def test_eta_rejects_bad_input():
     with pytest.raises(ValueError):
         eta(-1.0)
     with pytest.raises(ValueError):
-        eta(1.0, tol=1e-3)
+        eta(0.0)
 
 
 def test_mu1_large_y_limit():
@@ -199,7 +238,7 @@ def test_rademacher_at_100():
 
 def test_rademacher_n1_finite():
     val = rademacher_main_term(1)
-    assert math.isfinite(val.log) and val.value > 0
+    assert math.isfinite(val.log) and not val.is_zero
 
 
 def test_bounded_estimate_at_centered_t():

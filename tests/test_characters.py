@@ -266,20 +266,6 @@ def test_first_column_matches_hook_formula():
             assert row[-1] == dim
 
 
-def test_csv_export_shape():
-    import csv
-    import io
-
-    t = character_table(4)
-    buf = io.StringIO()
-    t.write_csv(buf)
-    rows = list(csv.reader(io.StringIO(buf.getvalue())))
-    assert rows[0] == ["lambda", "[4]", "[3,1]", "[2,2]", "[2,1,1]", "[1,1,1,1]"]
-    assert len(rows) == 6
-    assert rows[1][0] == "[4]"
-    assert all(int(v) is not None for row in rows[1:] for v in row[1:])
-
-
 def test_strip_bound_at_n12():
     z = zero_count(12)
     for t in range(1, 13):

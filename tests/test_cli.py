@@ -209,10 +209,10 @@ def test_guard_exit_code(run):
 
 @pytest.fixture()
 def no_work(monkeypatch):
-    """Make every exact counter and the census that the guarded commands
-    reach fail loudly, on the modules that define them (each command
-    imports them when it runs), so a refusal test also shows that no
-    work started."""
+    """Make every exact counter, the census and the single character value
+    that the guarded commands reach fail loudly, on the modules that
+    define them (each command imports them when it runs), so a refusal
+    test also shows that no work started."""
     def fail(*args, **kwargs):
         raise AssertionError("work started before the cost guard")
 
@@ -220,7 +220,8 @@ def no_work(monkeypatch):
                          (counting, "bounded_partition_count"),
                          (counting, "tcore_count"),
                          (characters, "lower_bound_partial"),
-                         (characters, "zero_count")):
+                         (characters, "zero_count"),
+                         (characters, "character_value")):
         monkeypatch.setattr(module, name, fail)
 
 
@@ -272,6 +273,23 @@ def test_sweep_refused_before_expanding(run, no_work, n_list, got):
     # one JSON line before any range is expanded or any census starts
     message = _refusal(run, "sweep", "--n-list", n_list)
     assert f"n <= {characters.TABLE_GUARD}, got {got}" in message
+
+
+@pytest.mark.parametrize("lam, mu, got", [
+    ("[61]", "[60,1]", 61),
+    ("[1000000]", "[1000000]", 10**6),
+    ("[2]", "[1000000]", 10**6),
+])
+def test_char_eval_size_guard(run, no_work, lam, mu, got):
+    # refused before any beta mask or memo is built, whichever side is large
+    message = _refusal(run, "char", "eval", "--lambda", lam, "--mu", mu)
+    assert f"n <= {characters.VALUE_GUARD}, got {got}" in message
+
+
+def test_char_eval_at_the_size_guard(run):
+    code, out, _ = run("char", "eval", "--lambda", f"[{characters.VALUE_GUARD}]",
+                       "--mu", f"[{characters.VALUE_GUARD}]", "--format", "json")
+    assert code == 0 and json.loads(out)["result"]["chi"] == "1"
 
 
 def test_p32_unknown_regime_is_usage_error(run):
