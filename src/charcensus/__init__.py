@@ -16,7 +16,7 @@ _MODULES = {
     "counting": ("bounded_partition_count", "partition_count", "tcore_count",
                  "tcore_count_bruteforce"),
     "characters": ("CharacterTable", "ZeroCensus", "character_table",
-                   "character_value", "class_size", "lower_bound_partial",
+                   "character_value", "lower_bound_partial",
                    "lower_bound_sum", "zero_count"),
     "logreal": ("LogReal",),
     "asymptotics": ("BoundReport", "EtaValue", "SaddleSolution", "Thresholds",

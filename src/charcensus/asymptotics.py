@@ -25,6 +25,10 @@ from .logreal import LogReal
 GROWTH_CONSTANT = 2 * math.pi / math.sqrt(6)  # C in p(N) ~ exp(C sqrt N) / (4 N sqrt 3)
 ETA_TAIL_CAP = 1.00873  # upper bound for the eta tail witness v, any y >= sqrt(3)/2
 P_EXACT_LIMIT = 100_000  # largest n for which bound evaluators use exact p(n)
+# largest n and t of the saddle solve and the bound evaluators: they carry
+# n, t^2 and powers of the saddle ordinate y ~ 1/sqrt(24 n) as doubles, and
+# near 10^150 t^2 overflows and y^3 underflows to 0
+ANALYTIC_GUARD = 10**100
 
 _SERIES_CAP = 64
 _SIGMA = divisor_sums(_SERIES_CAP)[: _SERIES_CAP + 1]  # sigma(n) = sum of divisors
@@ -93,9 +97,13 @@ def eta(y: float) -> EtaValue:
                     regime="TRANSFORMED", v_witness=v, v_excess=excess)
 
 
-def _mu(y: float) -> tuple[float, float, float]:
+def _mu(y: float, shift: bool = False) -> tuple[float, float, float]:
     """(mu1, mu2, d mu1 / dy) at iy from one kernel call: the series at
-    y for y >= 1, at 1/y through the modular transformation below 1."""
+    y for y >= 1, at 1/y through the modular transformation below 1.
+
+    With ``shift``, mu1 below 1 leaves out its constant term -1/24, so
+    that the difference of two such values, far smaller than 1/24 when
+    y is small, does not cancel away its bits."""
     if y >= 1:
         _, s0, s1 = _q_sums(y)
         return (y * y / 24 - y * y * s0, 2 * math.pi * y ** 3 * s1,
@@ -103,7 +111,7 @@ def _mu(y: float) -> tuple[float, float, float]:
     # transformed: mu1 = s0 - 1/24 + y/(4 pi),
     # mu2 = 1/12 - y/(4 pi) + sum sigma(n) (2 pi n / y - 2) q^n, at u = 1/y
     _, s0, s1 = _q_sums(1.0 / y)
-    return (s0 - 1.0 / 24 + y / (4 * math.pi),
+    return (s0 + y / (4 * math.pi) if shift else s0 - 1.0 / 24 + y / (4 * math.pi),
             1.0 / 12 - y / (4 * math.pi) + (2 * math.pi / y * s1 - 2 * s0),
             2 * math.pi / (y * y) * s1 + 1.0 / (4 * math.pi))
 
@@ -120,6 +128,14 @@ def eta_log_deriv(y: float, k: int) -> float:
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
     return _mu(y)[k - 1]
+
+
+def _check_analytic_size(n: int, t: int = 0) -> None:
+    if n > ANALYTIC_GUARD or t > ANALYTIC_GUARD:
+        name, value = ("n", n) if n > ANALYTIC_GUARD else ("t", t)
+        raise GuardError(f"analytic evaluators limited to {name} <= "
+                         f"10^{len(str(ANALYTIC_GUARD)) - 1}, "
+                         f"got {name} of {len(str(value))} digits")
 
 
 class SaddleSolution(NamedTuple):
@@ -154,8 +170,10 @@ def solve_saddle(n: int, t: int, tol: float = 1e-9) -> SaddleSolution:
 
     Bisection from the a-priori bracket down to relative width 1e-12,
     then three safeguarded Newton steps on the analytic derivative.
-    Raises NumericError when the bracket fails to straddle the root.
+    Raises NumericError when the bracket fails to straddle the root, and
+    GuardError for n or t above ``ANALYTIC_GUARD``.
     """
+    _check_analytic_size(n, t)
     if t < 6:
         raise GuardError(f"saddle solve requires t >= 6, got {t}")
     if n < 1:
@@ -165,8 +183,13 @@ def solve_saddle(n: int, t: int, tol: float = 1e-9) -> SaddleSolution:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
     m = n + (t * t - 1) / 24.0
 
+    # When t y < 1, mu1(i t y) and mu1(i y) both sit near -1/24, and
+    # their difference, about (t - 1) y / (4 pi), is formed with that
+    # constant left out of both (here and in the Newton steps).
     def f(y: float) -> float:
-        return (_mu(t * y)[0] - _mu(y)[0]) / (y * y) - m
+        ty = t * y
+        shift = ty < 1
+        return (_mu(ty, shift)[0] - _mu(y, shift)[0]) / (y * y) - m
 
     lo, hi = saddle_bracket(n, t)
     f_lo, f_hi = f(lo), f(hi)
@@ -188,7 +211,8 @@ def solve_saddle(n: int, t: int, tol: float = 1e-9) -> SaddleSolution:
             b = mid
     y = 0.5 * (a + b)
     for _ in range(3):
-        (mu1_ty, _, slope_ty), (mu1_y, _, slope_y) = _mu(t * y), _mu(y)
+        shift = t * y < 1
+        (mu1_ty, _, slope_ty), (mu1_y, _, slope_y) = _mu(t * y, shift), _mu(y, shift)
         d = mu1_ty - mu1_y
         fy = d / (y * y) - m
         dfy = (t * slope_ty - slope_y) / (y * y) - 2 * d / (y ** 3)
@@ -369,6 +393,7 @@ P32_REGIMES = ("P32_I", "P32_II", "P32_III", "P32_IV")
 
 
 def _check_bound_args(n: int, t: int, epsilon: float) -> None:
+    _check_analytic_size(n, t)
     if n < 100:
         raise GuardError(f"regime bounds require n >= 100, got {n}")
     if not 6 <= t <= n:
@@ -438,6 +463,7 @@ def full_table_bound(n: int, exact_zeros: int | None = None) -> BoundReport:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    _check_analytic_size(n)
     log_p, p_source = _log_p(n)
     log_bound = math.log(2) + 2 * log_p - math.log(math.log(n))
     report = BoundReport(n=n, t=None, regime="T12",

@@ -15,9 +15,14 @@ For each needed pair (m, t) the sparse signed strip-removal matrix
 S(m, t), from partitions of m to partitions of m - t, is built once from
 ``beta_strips``, with the partitions of each size indexed by their beta
 masks; then column(mu) = S(|mu|, mu[0]) . column(mu[1:]) with
-column(()) = [1].  Columns of sizes below n are memoized by suffix; the
-size-n columns are produced one at a time, so the census counts zeros
-per row without ever holding the table.
+column(()) = [1].  One depth-first walk of the suffix tree of mu
+computes each suffix once and holds only the columns on its current
+path.  Since chi at lambda' is sgn(mu) = (-1)^(n - len mu) times chi at
+lambda, the size-n columns cover only the rows lambda <= lambda': the
+census weights each such row by the size of its conjugate pair, and the
+table fills the other rows by sign.  The size-n columns are produced
+one at a time, so the census counts zeros per row without ever holding
+the table.
 
 The census side counts zeros in the full p(N) x p(N) table, both in
 total and restricted to t-core rows, and evaluates the guaranteed-zero
@@ -29,12 +34,13 @@ zero sets disjoint.
 
 from __future__ import annotations
 
-import math
+from operator import add, mul, not_
 from typing import Iterator, NamedTuple
 
 from .counting import tcore_count
 from .errors import GuardError
-from .partitions import Partition, beta_mask, beta_strips, enumerate_partitions
+from .partitions import (Partition, beta_mask, beta_strips, conjugate_mask,
+                         enumerate_partitions, part_tuples)
 
 TABLE_GUARD = 20
 # largest n of one character value, for `char eval` and the density sampler:
@@ -143,58 +149,85 @@ def _check_value_size(n: int) -> None:
                          f"got {n}")
 
 
-def _columns(parts: tuple[Partition, ...]) -> Iterator[list[int]]:
-    """Yield the character column of each mu in ``parts``, in order.
+def _columns(n: int, rows: list[int]) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Yield (mu, column) for every partition mu of n, once each, in
+    depth-first order over the suffixes of mu; entry k of a column is
+    the character of the partition with beta mask ``rows[k]`` at mu.
 
-    ``parts`` are all partitions of one n in enumeration order; entry i
-    of a column is the character of ``parts[i]``.  A strip matrix is
-    stored as flat (row, index, sign) entries: removing a border strip
-    of length t from row partition ``row`` of m leaves partition
-    ``index`` of m - t, with sign (-1)**height.  Row partitions are
-    held as beta masks, column partitions as part tuples.
+    The walk starts at the empty suffix, whose column is [1].  The
+    children of a suffix s of size m are (t,) + s for t >= s[0]; each
+    node first yields the size-n column of (n - m,) + s, then descends
+    into the children with m + 2t <= n, the ones that still have a
+    completion of size n.  Only the columns on the current path are
+    held.  The strip matrix S(m, t) is built on first use and kept as
+    parallel lists of rows and indices, even heights first: removing a
+    border strip of length t from row ``row`` of size m leaves the
+    partition ``index`` of m - t.  The matrices are the engine's largest
+    data, and parallel int lists take a third of the memory of
+    (row, index) tuples.  Rows below size n are all partitions of their
+    size in enumeration order.
     """
-    n = parts[0].size
-    parts_of = [[beta_mask(p.parts) for p in enumerate_partitions(m)] for m in range(n)]
-    parts_of.append([beta_mask(p.parts) for p in parts])
-    matrices: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    memo: dict[tuple[int, ...], list[int]] = {(): [1]}
+    masks = [[beta_mask(p) for p in part_tuples(m)] for m in range(n)]
+    masks.append(rows)
+    matrices: dict[tuple[int, int], tuple[list[int], ...]] = {}
 
-    def column(mu: tuple[int, ...], m: int) -> list[int]:
-        col = memo.get(mu)
-        if col is not None:
-            return col
-        t = mu[0]
-        prev = column(mu[1:], m - t)
+    def apply(m: int, t: int, prev: list[int]) -> list[int]:
         matrix = matrices.get((m, t))
         if matrix is None:
-            index = {lam: j for j, lam in enumerate(parts_of[m - t])}
-            matrix = matrices[m, t] = [
-                (i, index[rem], -1 if odd else 1)
-                for i, lam in enumerate(parts_of[m])
-                for odd, rem in beta_strips(lam, t)]
-        col = [0] * len(parts_of[m])
-        for i, j, sign in matrix:
-            col[i] += sign * prev[j]
-        if m < n:
-            memo[mu] = col
+            index = {lam: j for j, lam in enumerate(masks[m - t])}
+            matrix = matrices[m, t] = ([], [], [], [])
+            for i, lam in enumerate(masks[m]):
+                for odd, rem in beta_strips(lam, t):
+                    matrix[2 * odd].append(i)
+                    matrix[2 * odd + 1].append(index[rem])
+        col = [0] * len(masks[m])
+        for i, j in zip(matrix[0], matrix[1]):
+            col[i] += prev[j]
+        for i, j in zip(matrix[2], matrix[3]):
+            col[i] -= prev[j]
         return col
 
-    for mu in parts:
-        yield column(mu.parts, n)
+    def walk(mu: tuple[int, ...], m: int, col: list[int]):
+        yield (n - m,) + mu, apply(n, n - m, col)
+        for t in range(mu[0] if mu else 1, (n - m) // 2 + 1):
+            yield from walk((t,) + mu, m + t, apply(m + t, t, col))
+
+    return walk((), 0, [1])
+
+
+def _half_rows(masks: list[int]) -> tuple[list[int], list[int]]:
+    """The rows lambda <= lambda' of a table whose rows have the beta
+    masks ``masks`` (all partitions of n in enumeration order), and the
+    index of each row's conjugate.  Conjugation fixes the hook lengths,
+    and chi at lambda' is sgn(mu) times chi at lambda, so these rows
+    determine the table."""
+    index = {mask: i for i, mask in enumerate(masks)}
+    conj = [index[conjugate_mask(mask)] for mask in masks]
+    return [i for i, c in enumerate(conj) if i <= c], conj
 
 
 def character_table(n: int) -> CharacterTable:
     """Build the full p(n) x p(n) character table of S_n.
 
     Guarded at ``TABLE_GUARD`` (n <= 20): beyond that the exact table is
-    infeasible at desk scale and the sampling module applies.  Built a
-    column at a time by the strip-matrix engine; ``rows`` is the
-    transpose of the columns.
+    infeasible at desk scale and the sampling module applies.  The
+    column engine computes the rows lambda <= lambda'; each conjugate
+    row is sgn(mu) = (-1)^(n - len mu) times its partner.
     """
     _check_table_size(n)
     parts = tuple(enumerate_partitions(n))
-    rows = tuple(zip(*_columns(parts)))
-    return CharacterTable(n=n, partitions=parts, rows=rows)
+    masks = [beta_mask(p.parts) for p in parts]
+    half, conj = _half_rows(masks)
+    order = {p.parts: j for j, p in enumerate(parts)}
+    cols: list = [None] * len(parts)
+    for mu, col in _columns(n, [masks[i] for i in half]):
+        cols[order[mu]] = col
+    signs = [-1 if (n - len(p)) % 2 else 1 for p in parts]
+    rows: list = [None] * len(parts)
+    for i, row in zip(half, zip(*cols)):
+        rows[i] = row
+        rows[conj[i]] = tuple(map(mul, signs, row))
+    return CharacterTable(n=n, partitions=parts, rows=tuple(rows))
 
 
 class ZeroCensus(NamedTuple):
@@ -223,23 +256,29 @@ def zero_count(n: int) -> ZeroCensus:
     ``character_table``.
 
     The zeros are counted column by column as the engine produces them,
-    and the table is never held in memory.
+    and the table is never held in memory.  Only the rows
+    lambda <= lambda' are computed: a row and its conjugate have the
+    same zeros and the same hook lengths, so each such row counts twice,
+    or once when lambda is self-conjugate, in the total and in every
+    t-core count.
     """
     _check_table_size(n)
-    parts = tuple(enumerate_partitions(n))
-    row_zeros = [0] * len(parts)
-    for col in _columns(parts):
-        for i, v in enumerate(col):
-            if not v:
-                row_zeros[i] += 1
+    masks = [beta_mask(p) for p in part_tuples(n)]
+    half, conj = _half_rows(masks)
+    rows = [masks[i] for i in half]
+    row_zeros = [0] * len(half)
+    for _, col in _columns(n, rows):
+        row_zeros = list(map(add, row_zeros, map(not_, col)))
+    total = 0
     per_core = {t: 0 for t in range(1, n + 1)}
-    for lam, zeros in zip(parts, row_zeros):
+    for i, mask, zeros in zip(half, rows, row_zeros):
         if zeros:
-            mask = beta_mask(lam.parts)  # is_t_core's test, one mask for every t
-            for t in range(1, n + 1):
+            zeros *= 1 if conj[i] == i else 2
+            total += zeros
+            for t in range(1, n + 1):  # is_t_core's test
                 if not (mask & ~(mask << t)) >> t:
                     per_core[t] += zeros
-    return ZeroCensus(n=n, table_dim=len(parts), total_zeros=sum(row_zeros),
+    return ZeroCensus(n=n, table_dim=len(conj), total_zeros=total,
                       per_core_zeros=per_core)
 
 
@@ -270,21 +309,3 @@ def lower_bound_sum(n: int) -> int:
         raise ValueError("n must be positive")
     return lower_bound_partial(n, 1, n)
 
-
-def class_size(mu: Partition) -> int:
-    """Number of elements of S_n with cycle type mu, exactly."""
-    n = mu.size
-    centralizer = 1
-    mult = 1
-    prev = None
-    for part in mu.parts:
-        centralizer *= part
-        if part == prev:
-            mult += 1
-        else:
-            mult = 1
-        centralizer *= mult
-        prev = part
-    num = math.factorial(n)
-    assert num % centralizer == 0
-    return num // centralizer

@@ -93,14 +93,21 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     (4), (3,1), (2,2), (2,1,1), (1,1,1,1).  Fixed so that table row and
     column order is reproducible bit-for-bit.
     """
+    return map(Partition, part_tuples(n))
+
+
+def part_tuples(n: int) -> Iterator[tuple[int, ...]]:
+    """The parts of each partition of ``enumerate_partitions(n)``, in the
+    same order, as plain tuples: the table engine needs only their beta
+    masks, and skips building and checking a ``Partition`` for each."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
-        yield Partition(())
+        yield ()
         return
     parts = [n]
     while True:
-        yield Partition(tuple(parts))
+        yield tuple(parts)
         rem = 0
         while parts and parts[-1] == 1:
             parts.pop()
@@ -142,6 +149,19 @@ def beta_mask(parts: tuple[int, ...]) -> int:
     for i, p in enumerate(parts):
         mask |= 1 << (p + r - 1 - i)
     return mask >> ((mask ^ (mask + 1)).bit_length() - 1)
+
+
+def conjugate_mask(mask: int) -> int:
+    """The beta mask of the conjugate partition.
+
+    Read from the top, the bits of a canonical mask trace the boundary
+    of the diagram; transposing the diagram reverses that path and swaps
+    its two kinds of step, so the conjugate's mask is the bit reversal
+    of ``mask``, complemented.  The top bit of a canonical mask is set
+    and its lowest bit is clear, so the result is canonical too.
+    """
+    width = mask.bit_length()
+    return int(f"{mask:0{width}b}"[::-1], 2) ^ ((1 << width) - 1) if mask else 0
 
 
 def beta_strips(mask: int, t: int) -> list[tuple[int, int]]:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from charcensus.asymptotics import (
+    ANALYTIC_GUARD,
     GROWTH_CONSTANT,
     P_EXACT_LIMIT,
     bounded_count_estimate,
@@ -194,6 +195,37 @@ def test_saddle_guards():
         solve_saddle(100, 5)
     with pytest.raises(GuardError):
         solve_saddle(0, 8)
+    with pytest.raises(GuardError):
+        solve_saddle(ANALYTIC_GUARD + 1, 8)
+    with pytest.raises(GuardError):
+        solve_saddle(100, ANALYTIC_GUARD + 1)
+
+
+@pytest.mark.parametrize("t", [6, 10, 100, 10**4])
+def test_saddle_solves_where_mu1_cancels(t):
+    # for n >= 100 t^2, t y is below 0.01: both mu1 values sit near
+    # -1/24 and the root is (t - 1) / (4 pi m) up to exp(-2 pi / (t y));
+    # the solve must not lose it to the cancellation, up to n = 10^18
+    # and at the guard
+    for n in [10**e for e in range(6, 19) if 10**e >= 100 * t * t] + [ANALYTIC_GUARD]:
+        sol = solve_saddle(n, t)
+        m = n + (t * t - 1) / 24
+        assert sol.y == pytest.approx((t - 1) / (4 * math.pi * m), rel=1e-9), n
+        assert sol.ty_regime == "SMALL"
+
+
+def test_analytic_size_guard():
+    big = ANALYTIC_GUARD + 1
+    for call in (lambda: full_table_bound(big),
+                 lambda: core_count_bound(big, 10),
+                 lambda: strip_zero_bound(big, 10),
+                 lambda: tcore_count_estimate(big, 10)):
+        with pytest.raises(GuardError):
+            call()
+    # at the guard every evaluator still answers
+    assert full_table_bound(ANALYTIC_GUARD).p_source == "rademacher"
+    assert core_count_bound(ANALYTIC_GUARD, ANALYTIC_GUARD // 2).regime == "P32_IV"
+    assert strip_zero_bound(ANALYTIC_GUARD, 10).regime == "T13_I"
 
 
 def test_core_estimate_against_exact():

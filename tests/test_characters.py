@@ -8,7 +8,6 @@ from charcensus import characters
 from charcensus.characters import (
     character_table,
     character_value,
-    class_size,
     lower_bound_partial,
     lower_bound_sum,
     zero_count,
@@ -23,9 +22,29 @@ from charcensus.partitions import (
     is_t_core,
 )
 from charcensus.sampling import _draw
+import column_oracle
 from strip_oracle import chi_tuple
 
 P = Partition
+
+
+def class_size(mu):
+    """Number of elements of S_n with cycle type mu, exactly: n! over
+    the centralizer order prod_k k^(m_k) m_k!."""
+    centralizer = 1
+    mult = 1
+    prev = None
+    for part in mu.parts:
+        centralizer *= part
+        if part == prev:
+            mult += 1
+        else:
+            mult = 1
+        centralizer *= mult
+        prev = part
+    num = math.factorial(mu.size)
+    assert num % centralizer == 0
+    return num // centralizer
 
 
 def test_base_case():
@@ -175,6 +194,33 @@ def test_streaming_census_matches_table_census():
 
 def test_zero_census_n20_pinned():
     assert zero_count(20).total_zeros == 155176
+
+
+def test_census_and_table_match_memo_oracle():
+    # every row of the memoized engine against the conjugate-pair rows
+    for n in range(1, 21):
+        census = zero_count(n)
+        assert (census.total_zeros, census.per_core_zeros) == column_oracle.census(n), n
+        assert character_table(n).rows == column_oracle.table_rows(n), n
+
+
+def test_conjugate_rows_differ_by_sign():
+    # chi at lambda' is sgn(mu) chi at lambda, on the oracle's rows and
+    # on the table built from half of them
+    for n in range(1, 15):
+        table = character_table(n)
+        index = {lam: i for i, lam in enumerate(table.partitions)}
+        signs = [(-1) ** (n - len(mu)) for mu in table.partitions]
+        for rows in (column_oracle.table_rows(n), table.rows):
+            for lam, row in zip(table.partitions, rows):
+                assert rows[index[lam.conjugate()]] \
+                    == tuple(s * v for s, v in zip(signs, row)), (n, lam)
+
+
+def test_census_pinned_above_the_guard(monkeypatch):
+    monkeypatch.setattr(characters, "TABLE_GUARD", 24)
+    assert zero_count(22).total_zeros == 395473
+    assert zero_count(24).total_zeros == 970294
 
 
 def test_census_per_core_consistency():

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import charcensus
-from charcensus import characters, cli, counting
+from charcensus import asymptotics, characters, cli, counting
 from charcensus.asymptotics import P32_REGIMES
 from charcensus.cli import main
 
@@ -207,12 +207,18 @@ def test_guard_exit_code(run):
     assert json.loads(err)["error"]["type"] == "guard"
 
 
+def test_zeros_exact_refused_above_the_guard(run):
+    message = _refusal(run, "zeros", "exact", "--n", "21")
+    assert f"n <= {characters.TABLE_GUARD}, got 21" in message
+
+
 @pytest.fixture()
 def no_work(monkeypatch):
-    """Make every exact counter, the census and the single character value
-    that the guarded commands reach fail loudly, on the modules that
-    define them (each command imports them when it runs), so a refusal
-    test also shows that no work started."""
+    """Make every exact counter, the census, the single character value
+    and the two kernels of the analytic evaluators (log p(n) and the eta
+    series) that the guarded commands reach fail loudly, on the modules
+    that define them (each command imports them when it runs), so a
+    refusal test also shows that no work started."""
     def fail(*args, **kwargs):
         raise AssertionError("work started before the cost guard")
 
@@ -221,7 +227,9 @@ def no_work(monkeypatch):
                          (counting, "tcore_count"),
                          (characters, "lower_bound_partial"),
                          (characters, "zero_count"),
-                         (characters, "character_value")):
+                         (characters, "character_value"),
+                         (asymptotics, "_log_p"),
+                         (asymptotics, "_q_sums")):
         monkeypatch.setattr(module, name, fail)
 
 
@@ -284,6 +292,20 @@ def test_char_eval_size_guard(run, no_work, lam, mu, got):
     # refused before any beta mask or memo is built, whichever side is large
     message = _refusal(run, "char", "eval", "--lambda", lam, "--mu", mu)
     assert f"n <= {characters.VALUE_GUARD}, got {got}" in message
+
+
+@pytest.mark.parametrize("argv, name, digits", [
+    (["t12", "--n", str(10**400)], "n", 401),
+    (["t13", "--n", str(10**400), "--t", "10"], "n", 401),
+    (["p32", "--n", str(10**400), "--t", "10"], "n", 401),
+    (["saddle", "--n", str(10**400), "--t", "10"], "n", 401),
+    (["saddle", "--n", "100", "--t", str(10**300)], "t", 301),
+    (["p32", "--n", str(10**100 + 1), "--t", "10"], "n", 101),
+])
+def test_bounds_size_guard(run, no_work, argv, name, digits):
+    # sizes whose doubles overflow: one JSON line, not an internal error
+    message = _refusal(run, "bounds", *argv)
+    assert f"{name} <= 10^100, got {name} of {digits} digits" in message
 
 
 def test_char_eval_at_the_size_guard(run):

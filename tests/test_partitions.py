@@ -8,10 +8,12 @@ from charcensus.partitions import (
     Partition,
     beta_mask,
     beta_strips,
+    conjugate_mask,
     enumerate_partitions,
     hook_multiset,
     is_t_core,
     parse_partition,
+    part_tuples,
 )
 from strip_oracle import parts_of_mask, raw_strips
 
@@ -69,6 +71,25 @@ def test_enumerate_counts_match_recurrence():
 
     for n in range(0, 31):
         assert len(list(enumerate_partitions(n))) == partition_count(n)
+
+
+def test_part_tuples_match_enumeration():
+    for n in range(0, 21):
+        assert list(part_tuples(n)) == [p.parts for p in enumerate_partitions(n)]
+    with pytest.raises(ValueError):
+        list(part_tuples(-1))
+
+
+def test_conjugate_mask_matches_transpose():
+    # (4,2,1)' = (3,2,1,1): its mask 0b1010110 is 0b1001010 reversed and
+    # complemented
+    assert conjugate_mask(0b1001010) == beta_mask((3, 2, 1, 1)) == 0b1010110
+    assert conjugate_mask(0) == 0
+    for n in range(0, 21):
+        for lam in enumerate_partitions(n):
+            mask = beta_mask(lam.parts)
+            assert conjugate_mask(mask) == beta_mask(lam.conjugate().parts), lam
+            assert conjugate_mask(conjugate_mask(mask)) == mask
 
 
 def test_hook_multiset_421():
