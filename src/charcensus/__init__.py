@@ -11,20 +11,18 @@ __version__ = "0.1.0"
 
 # the public names of each submodule, in the order of ``__all__``
 _MODULES = {
-    "partitions": ("Partition", "enumerate_partitions", "hook_multiset",
-                   "is_t_core", "parse_partition"),
+    "partitions": ("Partition", "enumerate_partitions", "is_t_core",
+                   "parse_partition"),
     "counting": ("bounded_partition_count", "partition_count", "tcore_count",
                  "tcore_count_bruteforce"),
     "characters": ("CharacterTable", "ZeroCensus", "character_table",
                    "character_value", "lower_bound_partial",
                    "lower_bound_sum", "zero_count"),
     "logreal": ("LogReal",),
-    "asymptotics": ("BoundReport", "EtaValue", "SaddleSolution", "Thresholds",
-                    "bounded_count_estimate", "core_count_bound", "eta",
-                    "eta_log_deriv", "full_table_bound", "rademacher_main_term",
-                    "solve_saddle", "split_thresholds", "strip_zero_bound",
-                    "tcore_count_estimate"),
-    "sampling": ("DensityEstimate", "estimate_zero_density", "random_partition"),
+    "asymptotics": ("BoundReport", "SaddleSolution", "core_count_bound", "eta",
+                    "full_table_bound", "rademacher_main_term", "solve_saddle",
+                    "strip_zero_bound", "tcore_count_estimate"),
+    "sampling": ("DensityEstimate", "estimate_zero_density"),
     "errors": ("CharcensusError", "GuardError", "NumericError"),
 }
 _EXPORTS = {name: module for module, names in _MODULES.items() for name in names}

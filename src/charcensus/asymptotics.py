@@ -3,9 +3,9 @@ estimate, regime bounds for core counts and zero counts, and the
 partition asymptotics they lean on.
 
 Every magnitude is carried as a ``LogReal``; only saddle ordinates,
-residuals and regime thresholds live on the linear scale.  The eta
-function and its scaled log-derivatives all read one kernel, ``_q_sums``,
-which sums the three divisor series in q = exp(-2*pi*u) behind
+residuals and regime thresholds live on the linear scale.  log eta
+(``eta``) and its scaled log-derivatives (``_mu``) read one kernel,
+``_q_sums``, which sums the three divisor series in q = exp(-2*pi*u) behind
 log eta(iu) = -pi*u/12 - sum_n sigma(n)/n * q^n and its derivatives, to
 double precision.  The modular transformation eta(iy) = y^(-1/2) * eta(i/y)
 is applied first whenever the argument is below 1, so u >= 1 and the
@@ -15,7 +15,6 @@ series always converges geometrically with ratio at most exp(-2*pi).
 from __future__ import annotations
 
 import math
-import warnings
 from typing import NamedTuple
 
 from .counting import divisor_sums, partition_count
@@ -61,49 +60,35 @@ def _q_sums(u: float) -> tuple[float, float, float]:
     return e, s0, s1
 
 
-class EtaValue(NamedTuple):
-    """log eta(iy) together with the evaluation regime and the tail
-    witness v defined by the direct series: in the DIRECT regime
-    log_eta = -pi*y/12 - v*exp(-2*pi*y); in the TRANSFORMED regime
-    log_eta = -ln(y)/2 - pi/(12*y) - v*exp(-2*pi/y).
-
-    ``v_excess`` is v - 1 computed without cancellation; for large y the
-    rounded v_witness alone cannot resolve that v stays strictly above 1.
-    """
-
-    y: float
-    log_eta: float
-    regime: str
-    v_witness: float
-    v_excess: float
+def _log_eta(y: float, shift: bool = False) -> float:
+    """log eta(iy): the direct series for y >= 1, the modular
+    transformation below 1.  With ``shift``, below 1 it leaves out the
+    term -pi/(12 y), which cancels exactly from t log eta(ity) -
+    log eta(iy) and would otherwise swamp what is left of it."""
+    u = y if y >= 1 else 1.0 / y
+    tail = (1.0 + _q_sums(u)[0]) * math.exp(-2 * math.pi * u)
+    if y >= 1:
+        return -math.pi * u / 12 - tail
+    return -0.5 * math.log(y) + ((0.0 if shift else -math.pi * u / 12) - tail)
 
 
-def eta(y: float) -> EtaValue:
-    """Evaluate log eta(iy) for y > 0, to double precision.
-
-    Uses the direct divisor series for y >= 1 and the modular
-    transformation for y < 1.
-    """
+def eta(y: float) -> float:
+    """log eta(iy) for y > 0, to double precision."""
     if y <= 0:
         raise ValueError("y must be positive")
-    u = y if y >= 1 else 1.0 / y
-    excess = _q_sums(u)[0]
-    v = 1.0 + excess
-    log_eta = -math.pi * u / 12 - v * math.exp(-2 * math.pi * u)
-    if y >= 1:
-        return EtaValue(y=y, log_eta=log_eta, regime="DIRECT",
-                        v_witness=v, v_excess=excess)
-    return EtaValue(y=y, log_eta=-0.5 * math.log(y) + log_eta,
-                    regime="TRANSFORMED", v_witness=v, v_excess=excess)
+    return _log_eta(y)
 
 
 def _mu(y: float, shift: bool = False) -> tuple[float, float, float]:
     """(mu1, mu2, d mu1 / dy) at iy from one kernel call: the series at
     y for y >= 1, at 1/y through the modular transformation below 1.
+    Here mu_k is the k-th scaled log-derivative of eta,
+    -(z^(k+1) / (2 pi i)) (d/dz)^k log eta(z) at z = iy.
 
-    With ``shift``, mu1 below 1 leaves out its constant term -1/24, so
-    that the difference of two such values, far smaller than 1/24 when
-    y is small, does not cancel away its bits."""
+    With ``shift``, below 1 mu1 leaves out its constant term -1/24 and
+    mu2 its constant term 1/12, so that the difference of two such
+    values, far smaller than the constants when y is small, does not
+    cancel away its bits."""
     if y >= 1:
         _, s0, s1 = _q_sums(y)
         return (y * y / 24 - y * y * s0, 2 * math.pi * y ** 3 * s1,
@@ -111,23 +96,10 @@ def _mu(y: float, shift: bool = False) -> tuple[float, float, float]:
     # transformed: mu1 = s0 - 1/24 + y/(4 pi),
     # mu2 = 1/12 - y/(4 pi) + sum sigma(n) (2 pi n / y - 2) q^n, at u = 1/y
     _, s0, s1 = _q_sums(1.0 / y)
-    return (s0 + y / (4 * math.pi) if shift else s0 - 1.0 / 24 + y / (4 * math.pi),
-            1.0 / 12 - y / (4 * math.pi) + (2 * math.pi / y * s1 - 2 * s0),
+    c1, c2 = (0.0, 0.0) if shift else (1.0 / 24, 1.0 / 12)
+    return (s0 - c1 + y / (4 * math.pi),
+            c2 - y / (4 * math.pi) + (2 * math.pi / y * s1 - 2 * s0),
             2 * math.pi / (y * y) * s1 + 1.0 / (4 * math.pi))
-
-
-def eta_log_deriv(y: float, k: int) -> float:
-    """The k-th scaled log-derivative of eta at iy, for k in {1, 2}:
-    -(z^(k+1) / (2 pi i)) (d/dz)^k log eta(z) evaluated at z = iy.
-
-    k=1 grows like y^2/24 for large y and tends to -1/24 as y -> 0;
-    k=2 is positive, ~1/12 as y -> 0 and exponentially small for large y.
-    """
-    if y <= 0:
-        raise ValueError("y must be positive")
-    if k not in (1, 2):
-        raise ValueError("k must be 1 or 2")
-    return _mu(y)[k - 1]
 
 
 def _check_analytic_size(n: int, t: int = 0) -> None:
@@ -230,7 +202,7 @@ def solve_saddle(n: int, t: int, tol: float = 1e-9) -> SaddleSolution:
                           ty_regime="SMALL" if t * y < 1 else "LARGE")
 
 
-def tcore_count_estimate(n: int, t: int, tol: float = 1e-9) -> LogReal:
+def tcore_count_estimate(n: int, t: int) -> LogReal:
     """Saddle-point main term for the t-core count of n (log scale):
 
         y^(3/2) * exp(2 pi y (n + (t^2-1)/24)) * eta(i t y)^t
@@ -241,15 +213,18 @@ def tcore_count_estimate(n: int, t: int, tol: float = 1e-9) -> LogReal:
     """
     if not 6 <= t <= n:
         raise GuardError(f"t-core estimate requires 6 <= t <= n, got t={t}, n={n}")
-    sol = solve_saddle(n, t, tol)
-    y = sol.y
+    y = solve_saddle(n, t).y
     m = n + (t * t - 1) / 24.0
-    mu2_diff = eta_log_deriv(y, 2) - eta_log_deriv(t * y, 2)
+    # When t y < 1 the term -pi/(12 y) of t log eta(i t y) and of
+    # log eta(i y), and the term 1/12 of each mu2, cancel exactly; they
+    # are left out of both sides, as mu1's -1/24 is in the saddle solve.
+    shift = t * y < 1
+    mu2_diff = _mu(y, shift)[1] - _mu(t * y, shift)[1]
     if mu2_diff <= 0:
         raise NumericError(f"nonpositive curvature term {mu2_diff:.3e} at n={n}, t={t}")
     log_val = (1.5 * math.log(y) + 2 * math.pi * y * m
-               + t * eta(t * y).log_eta - 0.5 * math.log(mu2_diff)
-               - eta(y).log_eta)
+               + t * _log_eta(t * y, shift) - 0.5 * math.log(mu2_diff)
+               - _log_eta(y, shift))
     return LogReal.from_log(log_val)
 
 
@@ -272,66 +247,8 @@ def _log_p(n: int) -> tuple[float, str]:
     return rademacher_main_term(n).log, "rademacher"
 
 
-def bounded_count_estimate(n: int, t: int) -> LogReal:
-    """Estimate of p_t(n), partitions of n with parts at most t:
-
-        p(n) * exp(-(2/C) sqrt(n) exp(-C t / (2 sqrt n)))
-
-    Sharp near t ~ C^(-1) sqrt(n) log n; a warning is emitted when the
-    normalized offset x = t/sqrt(n) - log(n)/C leaves [-n^(1/4), n^(1/4)],
-    outside which the estimate degrades.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if t < 1:
-        raise ValueError("t must be positive")
-    sqrt_n = math.sqrt(n)
-    x = t / sqrt_n - math.log(n) / GROWTH_CONSTANT
-    if abs(x) > n ** 0.25:
-        warnings.warn(f"offset x = {x:.3g} outside the validity window "
-                      f"|x| <= n^(1/4) = {n ** 0.25:.3g}; estimate is unreliable",
-                      stacklevel=2)
-    log_p, _ = _log_p(n)
-    damping = (2 / GROWTH_CONSTANT) * sqrt_n \
-        * math.exp(-GROWTH_CONSTANT * t / (2 * sqrt_n))
-    return LogReal.from_log(log_p - damping)
-
-
 # ---------------------------------------------------------------------------
-# Regime thresholds and bound reports
-
-class Thresholds(NamedTuple):
-    """Range constants splitting the guaranteed-zero sum by largest part.
-
-    b solves n^(1/(2b)) = (sqrt 6 / 2 pi) log n; t1 and t2 are
-    (sqrt 6 / 2 pi) sqrt(n) log(n) scaled by (1 + 1/(2b)) and (1 + 1/b);
-    f ~ sqrt(24 n) / sqrt(6/pi - 1) separates the mid and top core-count
-    regimes; c is the exponential growth constant 2 pi / sqrt 6.
-    """
-
-    t1: float
-    t2: float
-    b: float
-    f: float
-    c: float
-
-
-def split_thresholds(n: int) -> Thresholds:
-    """Evaluate the regime thresholds at n (requires n >= 3)."""
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    log_n = math.log(n)
-    scaled_log = math.sqrt(6) / (2 * math.pi) * log_n
-    b = log_n / (2 * math.log(scaled_log))
-    base = scaled_log * math.sqrt(n)  # (sqrt6 / 2pi) sqrt(n) log(n)
-    return Thresholds(
-        t1=base * (1 + 1 / (2 * b)),
-        t2=base * (1 + 1 / b),
-        b=b,
-        f=math.sqrt(24 * n) / math.sqrt(6 / math.pi - 1),
-        c=GROWTH_CONSTANT,
-    )
-
+# Bound reports
 
 class BoundReport(NamedTuple):
     """One evaluated bound, optionally paired with an exact comparison.
@@ -404,13 +321,14 @@ def _check_bound_args(n: int, t: int, epsilon: float) -> None:
 
 def _regime(n: int, t: int, epsilon: float) -> str:
     """The range of t that both bound families split on: "I" up to
-    2 pi sqrt(2n) / sqrt((1 + epsilon) log n), "III" from f on, "II"
-    above 2 pi sqrt(2n) / sqrt(log n).  Raises GuardError in the gap
-    between the regime-i and regime-ii ranges."""
+    2 pi sqrt(2n) / sqrt((1 + epsilon) log n), "III" from
+    f = sqrt(24 n) / sqrt(6/pi - 1) on, "II" above 2 pi sqrt(2n) /
+    sqrt(log n).  Raises GuardError in the gap between the regime-i and
+    regime-ii ranges."""
     log_n = math.log(n)
     if t <= 2 * math.pi * math.sqrt(2 * n) / math.sqrt((1 + epsilon) * log_n):
         return "I"
-    if t >= split_thresholds(n).f:
+    if t >= math.sqrt(24 * n) / math.sqrt(6 / math.pi - 1):
         return "III"
     if t > 2 * math.pi * math.sqrt(2 * n) / math.sqrt(log_n):
         return "II"
@@ -478,7 +396,8 @@ def strip_zero_bound(n: int, t: int, epsilon: float = 0.5) -> BoundReport:
 
     Multiplies the regime-appropriate core-count form by p(n) (regimes
     T13_I, T13_II), or uses p(n)^2 damped by the top-regime exponential
-    plus the p(n-t)/p(n) decay (T13_III, for t >= f).
+    plus the p(n-t)/p(n) decay (T13_III, for t >= f, the regime-iii
+    threshold of ``_regime``).
     """
     _check_bound_args(n, t, epsilon)
     regime = "T13_" + _regime(n, t, epsilon)

@@ -101,25 +101,17 @@ def _strip(lam: int, mu: tuple[int, ...], i: int, levels: list[dict],
     return total
 
 
-def character_value(lam: Partition, mu: Partition, *, memo: dict | None = None,
-                    order: str = "largest") -> int:
+def character_value(lam: Partition, mu: Partition, *, memo: dict | None = None) -> int:
     """Exact character value of the irreducible indexed by lam at the
     conjugacy class of cycle type mu.
 
-    Both partitions must have the same size.  ``order`` selects which
-    part of mu is stripped first ("largest" or "smallest"); the result
-    is independent of it, which the test suite exploits as an oracle.
-    An optional ``memo`` dict is shared across calls, of either order
-    and any size.
+    Both partitions must have the same size.  The parts of mu are
+    stripped largest first.  An optional ``memo`` dict is shared across
+    calls of any size.
     """
     if lam.size != mu.size:
         raise ValueError(f"size mismatch: |{lam}| = {lam.size}, |{mu}| = {mu.size}")
-    if order not in ("largest", "smallest"):
-        raise ValueError(f"unknown order {order!r}")
-    if memo is None:
-        memo = {}
-    parts = mu.parts if order == "largest" else mu.parts[::-1]
-    return _chi(beta_mask(lam.parts), parts, memo)
+    return _chi(beta_mask(lam.parts), mu.parts, {} if memo is None else memo)
 
 
 class CharacterTable(NamedTuple):

@@ -7,8 +7,9 @@ i of an r-row diagram sets bit lam_i + r - 1 - i, the first-column hook
 length of that row.  Trailing ones stand for zero parts and are shifted
 out, so each partition has exactly one mask.  A border strip of length
 t is a set bit b whose bit b - t is clear; removing it moves the bead
-from b to b - t, and its height is the number of beads it passes.  Both
-the strip query and the t-core test are then a few shifts and masks.
+from b to b - t, and its height is the number of beads it passes.  The
+strip query, the t-core test and conjugation are then a few shifts and
+masks, so no path needs the diagram's hook lengths or its transpose.
 """
 
 from __future__ import annotations
@@ -59,16 +60,6 @@ class Partition:
 
     def __str__(self) -> str:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
-
-    def conjugate(self) -> "Partition":
-        """Transpose of the Young diagram."""
-        if not self.parts:
-            return Partition(())
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(cols)
 
 
 def parse_partition(text: str) -> Partition:
@@ -121,21 +112,6 @@ def part_tuples(n: int) -> Iterator[tuple[int, ...]]:
             parts.append(v)
             rem -= v
         parts.append(rem)
-
-
-def hook_multiset(lam: Partition) -> list[int]:
-    """All hook lengths of the diagram, one per box, row-major.
-
-    The returned list is a multiset; its length equals ``lam.size``.
-    """
-    if not lam.parts:
-        return []
-    conj = lam.conjugate().parts
-    out = []
-    for i, row_len in enumerate(lam.parts):
-        for j in range(row_len):
-            out.append(row_len - j + conj[j] - i - 1)
-    return out
 
 
 def beta_mask(parts: tuple[int, ...]) -> int:

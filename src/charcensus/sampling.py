@@ -1,10 +1,11 @@
-"""Exactly-uniform random partitions and Monte Carlo zero-density
-estimation for the character table.
+"""Monte Carlo zero-density estimation for the character table, over
+exactly-uniform random partitions.
 
-The sampler draws the largest part k of a partition of n with its true
-probability (p_k(n) - p_{k-1}(n)) / p(n) straight from exact bounded
-count tables, then recurses on n - k with parts capped at k, so the
-distribution over partitions of n is uniform with no approximation.
+The sampler, ``_draw``, draws the largest part k of a partition of n
+with its true probability (p_k(n) - p_{k-1}(n)) / p(n) straight from
+exact bounded count tables, then recurses on n - k with parts capped
+at k, so the distribution over partitions of n is uniform with no
+approximation.
 One uniform integer below p_cap(m) per part, drawn by the rejection
 loop on ``getrandbits`` that ``randrange`` runs, is inverted by
 bisection in the row of p_k(m), which is cumulative in k.  The density
@@ -26,10 +27,10 @@ import random
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .characters import VALUE_GUARD, BudgetExceeded, _chi
+from .characters import BudgetExceeded, _check_value_size, _chi
 from .counting import build_bounded_table
 from .errors import GuardError
-from .partitions import Partition, beta_mask
+from .partitions import beta_mask
 
 RNG_ALGORITHM = "mt19937-sha256-streams-v1"
 _CHUNK = 2048  # samples per substream; changing it changes every report
@@ -47,8 +48,11 @@ def _stream_rng(seed: int, index: int) -> random.Random:
 
 def _draw(n: int, rng: random.Random,
           table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """The parts of one uniform partition of n, largest first; ``table``
-    must cover n (see ``random_partition``)."""
+    """The parts of one uniform partition of n, largest first.
+
+    ``table`` holds ``table[m][t] = p_t(m)`` for all t, m <= n, as
+    ``build_bounded_table(n, n)`` returns; one table serves every draw.
+    """
     getrandbits = rng.getrandbits
     parts = []
     remaining, cap = n, n
@@ -65,23 +69,6 @@ def _draw(n: int, rng: random.Random,
         remaining -= k
         cap = k
     return tuple(parts)
-
-
-def random_partition(n: int, rng: random.Random,
-                     table: tuple[tuple[int, ...], ...] | None = None) -> Partition:
-    """Draw one partition of n, exactly uniformly.
-
-    ``table`` holds ``table[m][t] = p_t(m)`` for all t, m <= n, as
-    ``build_bounded_table(n, n)`` returns (built on the fly when
-    omitted; pass one in when drawing repeatedly).
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if table is None:
-        table = build_bounded_table(n, n)
-    if len(table) <= n or len(table[n]) <= n:
-        raise GuardError(f"need a bounded count table covering n={n}")
-    return Partition(_draw(n, rng, table))
 
 
 class DensityEstimate(NamedTuple):
@@ -142,14 +129,13 @@ def estimate_zero_density(n: int, samples: int, seed: int) -> DensityEstimate:
 
     Reports the zero fraction with its 95% Wilson score interval, which
     stays honest when no zero (or no nonzero) is observed, and the
-    conjectured 2/log n alongside.  Guarded at ``VALUE_GUARD`` (n <= 60):
-    one character evaluation gets combinatorially expensive past desk
-    scale.
+    conjectured 2/log n alongside.  Guarded by the single-value limit
+    ``characters.VALUE_GUARD`` (n <= 60): one character evaluation gets
+    combinatorially expensive past desk scale.
     """
     if n < 2:
         raise GuardError("density estimation requires n >= 2")
-    if n > VALUE_GUARD:
-        raise GuardError(f"density estimation limited to n <= {VALUE_GUARD}, got {n}")
+    _check_value_size(n)
     if samples < 1:
         raise ValueError("samples must be positive")
     table = build_bounded_table(n, n)

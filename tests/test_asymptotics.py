@@ -7,15 +7,12 @@ from charcensus.asymptotics import (
     ANALYTIC_GUARD,
     GROWTH_CONSTANT,
     P_EXACT_LIMIT,
-    bounded_count_estimate,
     core_count_bound,
     eta,
-    eta_log_deriv,
     full_table_bound,
     rademacher_main_term,
     saddle_bracket,
     solve_saddle,
-    split_thresholds,
     strip_zero_bound,
     tcore_count_estimate,
 )
@@ -25,9 +22,10 @@ from charcensus.asymptotics import (
     _core_log_ii,
     _log_p,
     _mu,
+    _q_sums,
 )
 from charcensus.characters import zero_count
-from charcensus.counting import bounded_partition_count, partition_count, tcore_count
+from charcensus.counting import partition_count, tcore_count
 from charcensus.errors import GuardError, NumericError
 from charcensus.logreal import LogReal
 from test_counting import P_100000
@@ -40,7 +38,7 @@ C = GROWTH_CONSTANT
 
 def test_eta_product_limit():
     # all product factors tend to 1, so log eta + pi y / 12 -> 0
-    assert abs(eta(10.0).log_eta + math.pi * 10 / 12) < 1e-12
+    assert abs(eta(10.0) + math.pi * 10 / 12) < 1e-12
 
 
 def _log_eta_product(y: float) -> float:
@@ -61,7 +59,7 @@ def test_eta_two_path_consistency():
     # that holds y = 1 and its neighbours
     grid = [0.25 * 16 ** (i / 200) for i in range(201)] + [1 - 1e-9, 1 + 1e-9]
     for y in grid:
-        assert eta(y).log_eta == pytest.approx(_log_eta_product(y), rel=1e-14, abs=1e-15), y
+        assert eta(y) == pytest.approx(_log_eta_product(y), rel=1e-14, abs=1e-15), y
 
 
 def test_mu1_is_scaled_log_derivative_of_eta():
@@ -70,9 +68,9 @@ def test_mu1_is_scaled_log_derivative_of_eta():
     for i in range(81):
         y = 0.05 * 400 ** (i / 80)
         h = 1e-5 * y
-        slope = (eta(y + h).log_eta - eta(y - h).log_eta) / (2 * h)
-        assert eta_log_deriv(y, 1) == pytest.approx(-y * y / (2 * math.pi) * slope,
-                                                    rel=1e-8, abs=1e-10), y
+        slope = (eta(y + h) - eta(y - h)) / (2 * h)
+        assert _mu(y)[0] == pytest.approx(-y * y / (2 * math.pi) * slope,
+                                          rel=1e-8, abs=1e-10), y
 
 
 def test_mu_slope_matches_central_difference():
@@ -91,21 +89,17 @@ def test_mu_slope_matches_central_difference():
         assert _mu(y) == pytest.approx(_mu(1.0), rel=1e-8)
 
 
-def test_eta_regime_tags():
-    assert eta(2.0).regime == "DIRECT"
-    assert eta(0.5).regime == "TRANSFORMED"
-    assert eta(1.0).regime == "DIRECT"
-
-
 def test_eta_tail_witness_in_bounds():
-    # 1 < v < 1.00873 for every y >= sqrt(3)/2, log-grid up to 20
+    # 1 < v < 1.00873 for every y >= sqrt(3)/2, log-grid up to 20, where
+    # the tail of log eta at u = max(y, 1/y) is v exp(-2 pi u) and the
+    # kernel returns v - 1 free of cancellation
     y = math.sqrt(3) / 2
     while y <= 20:
-        val = eta(y)
-        assert 0 < val.v_excess < 0.00873, y
-        assert val.v_witness < 1.00873
+        excess = _q_sums(max(y, 1 / y))[0]
+        assert 0 < excess < 0.00873, y
+        assert 1 + excess < 1.00873
         y *= 1.07
-    assert 0 < eta(math.sqrt(3) / 2).v_excess < 0.00873
+    assert 0 < _q_sums(2 / math.sqrt(3))[0] < 0.00873
 
 
 def test_eta_rejects_bad_input():
@@ -116,18 +110,13 @@ def test_eta_rejects_bad_input():
 
 
 def test_mu1_large_y_limit():
-    assert abs(eta_log_deriv(10.0, 1) - 100 / 24) < 1e-12
+    assert abs(_mu(10.0)[0] - 100 / 24) < 1e-12
 
 
 def test_mu_small_y_limits():
     # mu1 -> -1/24 and mu2 -> 1/12 as y -> 0
-    assert eta_log_deriv(0.001, 1) == pytest.approx(-1 / 24 + 0.001 / (4 * math.pi))
-    assert eta_log_deriv(0.001, 2) == pytest.approx(1 / 12 - 0.001 / (4 * math.pi))
-
-
-def test_mu_rejects_bad_k():
-    with pytest.raises(ValueError):
-        eta_log_deriv(1.0, 3)
+    assert _mu(0.001)[0] == pytest.approx(-1 / 24 + 0.001 / (4 * math.pi))
+    assert _mu(0.001)[1] == pytest.approx(1 / 12 - 0.001 / (4 * math.pi))
 
 
 def test_curvature_sandwich_small_ty():
@@ -138,7 +127,7 @@ def test_curvature_sandwich_small_ty():
         y = rng.uniform(0.005, 0.1)
         t = rng.randint(max(2, math.ceil(0.3 / y)), math.floor(0.999 / y))
         assert t * y < 1
-        inv = 1 / math.sqrt(eta_log_deriv(y, 2) - eta_log_deriv(t * y, 2))
+        inv = 1 / math.sqrt(_mu(y)[1] - _mu(t * y)[1])
         assert 2 * math.sqrt(math.pi) / math.sqrt(y * (t - 1)) < inv
         assert inv < 2 * math.sqrt(2 * math.pi) / math.sqrt(y * (t - 1))
 
@@ -150,7 +139,7 @@ def test_curvature_sandwich_large_ty():
         y = rng.uniform(0.005, 0.1)
         t = rng.randint(math.ceil(1 / y), math.ceil(5 / y))
         assert t * y >= 1
-        inv = 1 / math.sqrt(eta_log_deriv(y, 2) - eta_log_deriv(t * y, 2))
+        inv = 1 / math.sqrt(_mu(y)[1] - _mu(t * y)[1])
         assert math.sqrt(12) < inv < math.sqrt(16)
 
 
@@ -183,8 +172,12 @@ def test_saddle_ordinate_decreases_in_n():
 
 def test_saddle_leading_term_at_scale():
     # y ~ 1/sqrt(24 n) once t sits at the top-range threshold
+    # t1 = (sqrt 6 / 2 pi) sqrt(n) log(n) (1 + 1/(2b)), where b solves
+    # n^(1/(2b)) = (sqrt 6 / 2 pi) log n
     n = 10 ** 6
-    t = round(split_thresholds(n).t1)
+    scaled_log = math.sqrt(6) / (2 * math.pi) * math.log(n)
+    b = math.log(n) / (2 * math.log(scaled_log))
+    t = round(scaled_log * math.sqrt(n) * (1 + 1 / (2 * b)))
     sol = solve_saddle(n, t)
     assert abs(sol.y * math.sqrt(24 * n) - 1) < 0.01
     assert sol.ty_regime == "LARGE"
@@ -244,6 +237,16 @@ def test_core_estimate_error_shrinks_in_t():
     assert errors[0] > errors[1] > errors[2]
 
 
+@pytest.mark.parametrize("t", [6, 10, 100])
+def test_core_estimate_matches_regime_i_form_at_scale(t):
+    # once t y << 1 the eta tails vanish and the estimate is the closed
+    # P32_I form; t log eta(i t y) and log eta(i y) both hold -pi / (12 y),
+    # about -3.7 * 10^11 at n = 10^12, which must cancel exactly
+    for n in (10**8, 10**12, 10**20, 10**60, 10**100):
+        assert tcore_count_estimate(n, t).log == pytest.approx(_core_log_i(n, t),
+                                                               rel=1e-12), n
+
+
 def test_core_estimate_scope_guard():
     with pytest.raises(GuardError):
         tcore_count_estimate(100, 101)
@@ -271,63 +274,6 @@ def test_rademacher_at_100():
 def test_rademacher_n1_finite():
     val = rademacher_main_term(1)
     assert math.isfinite(val.log) and not val.is_zero
-
-
-def test_bounded_estimate_at_centered_t():
-    # at x = 0 the predicted ratio p_t/p is exactly exp(-2/C)
-    n = 2500
-    t = round(math.sqrt(n) * math.log(n) / C)
-    est = bounded_count_estimate(n, t)
-    predicted = est.log - math.log(partition_count(n))
-    x = t / math.sqrt(n) - math.log(n) / C
-    assert predicted == pytest.approx(-(2 / C) * math.exp(-C * x / 2), rel=1e-12)
-    exact_ratio = bounded_partition_count(t, n) / partition_count(n)
-    assert abs(exact_ratio / math.exp(-2 / C) - 1) < 0.15
-
-
-def test_bounded_estimate_saturates_for_large_t():
-    n = 400
-    with pytest.warns(UserWarning):
-        big = bounded_count_estimate(n, 10 * n)
-    assert big.log == pytest.approx(math.log(partition_count(n)), abs=1e-9)
-
-
-def test_bounded_estimate_warning_window():
-    import warnings
-
-    n = 2500
-    t = round(math.sqrt(n) * math.log(n) / C)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        bounded_count_estimate(n, t)  # x ~ 0, inside the window: no warning
-
-
-# ---------------------------------------------------------------------------
-# regime thresholds
-
-def test_threshold_identity():
-    for n in (3, 14, 100, 10 ** 6):
-        th = split_thresholds(n)
-        assert n ** (1 / (2 * th.b)) == pytest.approx(
-            math.sqrt(6) / (2 * math.pi) * math.log(n), abs=1e-12)
-        assert th.c == C
-
-
-def test_threshold_ordering():
-    # t1 < t2 requires b > 0, which holds once n >= 14
-    for n in (14, 100, 10 ** 4, 10 ** 6):
-        th = split_thresholds(n)
-        assert th.b > 0
-        assert th.t1 < th.t2
-
-
-def test_threshold_ratio_shrinks():
-    # t2/t1 = (1 + 1/b)/(1 + 1/(2b)) -> 1; it passes 1.1 only near n ~ 1e9
-    ratios = [split_thresholds(n).t2 / split_thresholds(n).t1
-              for n in (10 ** 6, 10 ** 9, 10 ** 12)]
-    assert ratios[0] == pytest.approx(1.10864, abs=1e-4)
-    assert ratios[0] > ratios[1] > ratios[2]
-    assert ratios[1] < 1.1
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +412,11 @@ def test_bound_report_json_shape():
 # ---------------------------------------------------------------------------
 # regime selection against the per-family range chains it replaced
 
+def _f(n):
+    # the regime-iii threshold of both bound families
+    return math.sqrt(24 * n) / math.sqrt(6 / math.pi - 1)
+
+
 def _core_regime_oracle(n, t, epsilon, f):
     log_n = math.log(n)
     part_i_hi = 2 * math.pi * math.sqrt(2 * n) / math.sqrt((1 + epsilon) * log_n)
@@ -486,7 +437,7 @@ def _strip_oracle(n, t, epsilon):
     log_n = math.log(n)
     part_i_hi = 2 * math.pi * math.sqrt(2 * n) / math.sqrt((1 + epsilon) * log_n)
     part_ii_lo = 2 * math.pi * math.sqrt(2 * n) / math.sqrt(log_n)
-    f = split_thresholds(n).f
+    f = _f(n)
     log_p, _ = _log_p(n)
     if t <= part_i_hi:
         return "T13_I", _core_log_i(n, t) + log_p
@@ -499,7 +450,7 @@ def _strip_oracle(n, t, epsilon):
 
 
 def _check_against_oracles(n, ts, epsilon):
-    f = split_thresholds(n).f
+    f = _f(n)
     for t in ts:
         expected = _core_regime_oracle(n, t, epsilon, f)
         if expected is None:
@@ -535,7 +486,7 @@ def test_regime_selection_matches_oracles_large_n(epsilon):
         log_n = math.log(n)
         limits = (2 * math.pi * math.sqrt(2 * n) / math.sqrt((1 + epsilon) * log_n),
                   2 * math.pi * math.sqrt(2 * n) / math.sqrt(log_n),
-                  split_thresholds(n).f,
+                  _f(n),
                   math.sqrt(6) / (2 * math.pi) * math.sqrt(n) * log_n)
         ts = {rng.randint(6, n) for _ in range(200)}
         ts |= {int(x) + d for x in limits for d in (-1, 0, 1, 2)}

@@ -411,7 +411,25 @@ def test_count_p_loads_only_its_layer():
     assert _loaded_by(code, LAYERS) == ["charcensus.counting", "charcensus.partitions"]
 
 
+PUBLIC_NAMES = {
+    "Partition", "enumerate_partitions", "is_t_core", "parse_partition",
+    "bounded_partition_count", "partition_count", "tcore_count",
+    "tcore_count_bruteforce",
+    "CharacterTable", "ZeroCensus", "character_table", "character_value",
+    "lower_bound_partial", "lower_bound_sum", "zero_count",
+    "LogReal",
+    "BoundReport", "SaddleSolution", "core_count_bound", "eta",
+    "full_table_bound", "rademacher_main_term", "solve_saddle",
+    "strip_zero_bound", "tcore_count_estimate",
+    "DensityEstimate", "estimate_zero_density",
+    "CharcensusError", "GuardError", "NumericError",
+}
+
+
 def test_public_names_resolve_to_their_submodule():
+    # the surface is pinned: a name joins or leaves it on purpose
+    assert len(charcensus.__all__) == len(PUBLIC_NAMES) == 30
+    assert set(charcensus.__all__) == PUBLIC_NAMES
     listed = dir(charcensus)
     for name in charcensus.__all__:
         obj = getattr(charcensus, name)

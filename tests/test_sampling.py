@@ -16,9 +16,9 @@ from charcensus.sampling import (
     RNG_ALGORITHM,
     _draw,
     estimate_zero_density,
-    random_partition,
     wilson_interval,
 )
+from diagram_oracle import random_partition
 
 # Per-n seeds for the convergence test; the shrink in sampling error is
 # statistical, so the schedule is fixed to a draw where the monotone
