@@ -2,10 +2,11 @@
 estimate, regime bounds for core counts and zero counts, and the
 partition asymptotics they lean on.
 
-Every magnitude is carried as a ``LogReal``; only saddle ordinates,
-residuals and regime thresholds live on the linear scale.  log eta
-(``eta``) and its scaled log-derivatives (``_mu``) read one kernel,
-``_q_sums``, which sums the three divisor series in q = exp(-2*pi*u) behind
+Estimates and bounds are returned as ``LogReal`` magnitudes, and ``eta``
+returns log eta(iy) as a plain float; only saddle ordinates, residuals
+and regime thresholds live on the linear scale.  log eta and its scaled
+log-derivatives (``_mu``) read one kernel, ``_q_sums``, which sums the
+three divisor series in q = exp(-2*pi*u) behind
 log eta(iu) = -pi*u/12 - sum_n sigma(n)/n * q^n and its derivatives, to
 double precision.  The modular transformation eta(iy) = y^(-1/2) * eta(i/y)
 is applied first whenever the argument is below 1, so u >= 1 and the

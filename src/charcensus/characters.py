@@ -43,21 +43,18 @@ from .partitions import (Partition, beta_mask, beta_strips, conjugate_mask,
                          enumerate_partitions, part_tuples)
 
 TABLE_GUARD = 20
-# largest n of one character value, for `char eval` and the density sampler:
-# the beta mask of lambda holds about n bits, and the memo grows with n
-# combinatorially
+# largest n of one character value, for `char eval` and the density sampler,
+# and the only bound on one evaluation's work: each (mask, suffix) state
+# misses the memo at most once, the states at mu[i:] are partitions of
+# |mu[i:]|, and these sizes are distinct, so misses per evaluation
+# <= sum_{m<=n} p(m) = 6,639,348 at 60.  Raising the guard re-checks this.
 VALUE_GUARD = 60
-
-
-class BudgetExceeded(Exception):
-    """Internal signal: one character evaluation exceeded its step budget."""
 
 
 _EMPTY_SUFFIX = {0: 1}  # the node of mu = (): only the empty partition, chi 1
 
 
-def _chi(lam: int, mu: tuple[int, ...], memo: dict,
-         budget: list[int] | None = None) -> int:
+def _chi(lam: int, mu: tuple[int, ...], memo: dict) -> int:
     """The character at (beta mask ``lam``, parts ``mu``), stripping the
     parts of mu in the order given.
 
@@ -65,8 +62,6 @@ def _chi(lam: int, mu: tuple[int, ...], memo: dict,
     last part: key -t leads from the node of a suffix s to the node of
     (t,) + s, and key ``mask`` >= 0 of a node holds the character of that
     mask at that suffix.  One walk finds the node of every suffix of mu.
-    ``budget[0]`` is decremented once per memo miss; below zero the
-    evaluation raises ``BudgetExceeded``.
     """
     levels = [_EMPTY_SUFFIX]
     node = memo
@@ -77,41 +72,35 @@ def _chi(lam: int, mu: tuple[int, ...], memo: dict,
         levels.append(child)
         node = child
     levels.reverse()  # levels[i] is the node of mu[i:]
-    return _strip(lam, mu, 0, levels, budget)
+    return _strip(lam, mu, 0, levels)
 
 
-def _strip(lam: int, mu: tuple[int, ...], i: int, levels: list[dict],
-           budget: list[int] | None) -> int:
+def _strip(lam: int, mu: tuple[int, ...], i: int, levels: list[dict]) -> int:
     """The character at (``lam``, mu[i:]), memoized in ``levels[i]``."""
     table = levels[i]
     val = table.get(lam)
     if val is not None:
         return val
-    if budget is not None:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise BudgetExceeded
     t = mu[i]
     i += 1
     total = 0
     for odd, rem in beta_strips(lam, t):
-        sub = _strip(rem, mu, i, levels, budget)
+        sub = _strip(rem, mu, i, levels)
         total += -sub if odd else sub
     table[lam] = total
     return total
 
 
-def character_value(lam: Partition, mu: Partition, *, memo: dict | None = None) -> int:
+def character_value(lam: Partition, mu: Partition) -> int:
     """Exact character value of the irreducible indexed by lam at the
     conjugacy class of cycle type mu.
 
     Both partitions must have the same size.  The parts of mu are
-    stripped largest first.  An optional ``memo`` dict is shared across
-    calls of any size.
+    stripped largest first.
     """
     if lam.size != mu.size:
         raise ValueError(f"size mismatch: |{lam}| = {lam.size}, |{mu}| = {mu.size}")
-    return _chi(beta_mask(lam.parts), mu.parts, {} if memo is None else memo)
+    return _chi(beta_mask(lam.parts), mu.parts, {})
 
 
 class CharacterTable(NamedTuple):

@@ -11,8 +11,8 @@ object, never as a traceback.
 
 Each command imports only its own layer, inside its ``_cmd_*`` function:
 start-up loads argparse and this module, so ``count p`` loads only
-``counting`` and no ``bounds`` command loads ``characters`` or
-``sampling``.
+``counting`` and the ``partitions`` it imports, and no ``bounds``
+command loads ``characters`` or ``sampling``.
 """
 
 from __future__ import annotations
@@ -409,15 +409,18 @@ def build_parser() -> _Parser:
     t13.add_argument("--t", type=int, required=True)
     t13.add_argument("--epsilon", type=float, default=0.5)
     t13.set_defaults(func=_cmd_bounds_t13, command="bounds.t13")
-    p32 = bounds.add_parser("p32", help="core-count bound in its four regimes")
+    # argparse lists the choices of an argument with a help text when it
+    # prints help, and of one without a metavar when it builds, so --regime
+    # has a metavar and is described on its parser
+    p32 = bounds.add_parser("p32", help="core-count bound in its four regimes",
+                            description="--regime forces a regime (P32_I to "
+                                        "P32_IV) instead of auto-selecting")
     _add_common(p32)
     p32.add_argument("--n", type=int, required=True)
     p32.add_argument("--t", type=int, required=True)
     p32.add_argument("--epsilon", type=float, default=0.5)
-    # a metavar keeps argparse from listing the choices while it builds
     p32.add_argument("--regime", choices=_P32Regimes(), metavar="REGIME",
-                     default=None,
-                     help="force a regime (P32_I to P32_IV) instead of auto-selecting")
+                     default=None)
     p32.set_defaults(func=_cmd_bounds_p32, command="bounds.p32")
     sad = bounds.add_parser("saddle",
                             help="saddle ordinate for the core-count estimate")

@@ -13,6 +13,9 @@ probe then draws independent uniform pairs (lambda, mu) as bare part
 tuples, which matches counting cells of the table: it deliberately does
 not weight mu by conjugacy-class size.
 
+Every pair is evaluated, since ``VALUE_GUARD`` bounds the work of one
+evaluation, so no pair is dropped and ``samples`` is the denominator.
+
 Randomness: every run is driven by one 64-bit seed.  Sample chunks of
 fixed size draw from independent substreams whose seeds are derived
 from (seed, chunk index) by SHA-256, so the estimate is bit-identical
@@ -27,18 +30,13 @@ import random
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .characters import BudgetExceeded, _check_value_size, _chi
+from .characters import _check_value_size, _chi
 from .counting import build_bounded_table
 from .errors import GuardError
 from .partitions import beta_mask
 
 RNG_ALGORITHM = "mt19937-sha256-streams-v1"
 _CHUNK = 2048  # samples per substream; changing it changes every report
-# memo misses allowed per character evaluation, one per new (lambda mask,
-# mu suffix) state stored in the memo trie; sized above the worst-case
-# cold-start state count at n = 60 (~2.5e6), so within the guard no sample
-# can fail.
-_STEP_BUDGET = 10_000_000
 
 
 def _stream_rng(seed: int, index: int) -> random.Random:
@@ -74,16 +72,14 @@ def _draw(n: int, rng: random.Random,
 class DensityEstimate(NamedTuple):
     """Monte Carlo estimate of the zero density Z(n)/p(n)^2.
 
-    ``failures`` counts evaluations abandoned by the per-sample step
-    budget; they are excluded from both numerator and denominator, never
-    silently counted as zeros.  ``conjecture_value`` is the conjectured
-    limit 2/log n.  Deterministic given (n, samples, seed).
+    Every sample is evaluated, so the JSON form's ``failures`` is always
+    0; output schema v1 requires the key.  ``conjecture_value`` is the
+    conjectured limit 2/log n.  Deterministic given (n, samples, seed).
     """
 
     n: int
     samples: int
     zeros_observed: int
-    failures: int
     point_estimate: float
     ci_low: float
     ci_high: float
@@ -96,7 +92,7 @@ class DensityEstimate(NamedTuple):
             "N": self.n,
             "samples": self.samples,
             "zeros_observed": self.zeros_observed,
-            "failures": self.failures,
+            "failures": 0,
             "point_estimate": self.point_estimate,
             "ci_low": self.ci_low,
             "ci_high": self.ci_high,
@@ -131,42 +127,29 @@ def estimate_zero_density(n: int, samples: int, seed: int) -> DensityEstimate:
     stays honest when no zero (or no nonzero) is observed, and the
     conjectured 2/log n alongside.  Guarded by the single-value limit
     ``characters.VALUE_GUARD`` (n <= 60): one character evaluation gets
-    combinatorially expensive past desk scale.
+    combinatorially expensive past desk scale.  0 <= seed < 2^64.
     """
     if n < 2:
         raise GuardError("density estimation requires n >= 2")
     _check_value_size(n)
     if samples < 1:
         raise ValueError("samples must be positive")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     table = build_bounded_table(n, n)
     memo: dict = {}
-
-    def run_chunk(index: int) -> tuple[int, int]:
-        rng = _stream_rng(seed, index)
-        count = min(_CHUNK, samples - index * _CHUNK)
-        zeros = failures = 0
-        for _ in range(count):
+    zeros = 0
+    for start in range(0, samples, _CHUNK):
+        rng = _stream_rng(seed, start // _CHUNK)
+        for _ in range(min(_CHUNK, samples - start)):
             lam = _draw(n, rng, table)
             mu = _draw(n, rng, table)
-            try:
-                value = _chi(beta_mask(lam), mu, memo, [_STEP_BUDGET])
-            except BudgetExceeded:
-                failures += 1
-                continue
-            if value == 0:
+            if _chi(beta_mask(lam), mu, memo) == 0:
                 zeros += 1
-        return zeros, failures
-
-    n_chunks = (samples + _CHUNK - 1) // _CHUNK
-    results = [run_chunk(i) for i in range(n_chunks)]
-    zeros = sum(z for z, _ in results)
-    failures = sum(f for _, f in results)
-    evaluated = samples - failures
-    point = zeros / evaluated if evaluated else 0.0
-    ci_low, ci_high = wilson_interval(zeros, evaluated)
+    ci_low, ci_high = wilson_interval(zeros, samples)
     return DensityEstimate(
-        n=n, samples=samples, zeros_observed=zeros, failures=failures,
-        point_estimate=point, ci_low=ci_low, ci_high=ci_high,
+        n=n, samples=samples, zeros_observed=zeros,
+        point_estimate=zeros / samples, ci_low=ci_low, ci_high=ci_high,
         conjecture_value=2 / math.log(n),
         seed=seed,
     )

@@ -110,9 +110,8 @@ def _value(lam, mu, memo, order):
     """The character at (lam, mu), stripping the parts of mu largest
     first, as ``character_value`` does, or smallest first; the value
     does not depend on the order."""
-    if order == "largest":
-        return character_value(lam, mu, memo=memo)
-    return characters._chi(beta_mask(lam.parts), mu.parts[::-1], memo)
+    parts = mu.parts if order == "largest" else mu.parts[::-1]
+    return characters._chi(beta_mask(lam.parts), parts, memo)
 
 
 def _per_cell_rows(n, order):
@@ -165,22 +164,22 @@ def test_shared_memo_across_orders_and_sizes():
     assert _memo_states(shared) > 0
 
 
-def test_budget_exceeded_then_full_budget_on_same_memo():
-    lam = P([9, 7, 5, 4, 3, 2, 1, 1, 1, 1])
-    mu = P([5, 4, 4, 3, 3, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1])
-    expected = chi_tuple(lam.parts, mu.parts, {})
-    memo = {}
-    budget = [3]
-    with pytest.raises(characters.BudgetExceeded):
-        characters._chi(beta_mask(lam.parts), mu.parts, memo, budget)
-    assert budget[0] < 0
-    # the abandoned evaluation stores at most the states it finished
-    states = _memo_states(memo)
-    assert states <= 3
-    budget = [10**7]
-    assert characters._chi(beta_mask(lam.parts), mu.parts, memo, budget) == expected
-    # one decrement per miss: the full run spends one per state it adds
-    assert 10**7 - budget[0] == _memo_states(memo) - states > 3
+def test_cold_evaluation_states_bounded_by_suffix_sizes():
+    # each (mask, suffix) state misses the memo at most once, and the
+    # states at mu[i:] are partitions of |mu[i:]|: a cold evaluation adds
+    # at most sum_i p(|mu[i:]|) states, and a repeat on its memo adds none
+    rng = random.Random(22)
+    for _ in range(300):
+        n = rng.randint(1, 22)
+        table = build_bounded_table(n, n)
+        lam, mu = _draw(n, rng, table), _draw(n, rng, table)
+        memo = {}
+        value = characters._chi(beta_mask(lam), mu, memo)
+        states = _memo_states(memo)
+        assert 0 < states <= sum(partition_count(sum(mu[i:]))
+                                 for i in range(len(mu))), (lam, mu)
+        assert characters._chi(beta_mask(lam), mu, memo) == value
+        assert _memo_states(memo) == states, (lam, mu)
 
 
 def test_zero_census_small():

@@ -161,6 +161,19 @@ def test_estimate_density_generates_seed(run):
     assert isinstance(doc["result"]["seed"], int)
 
 
+@pytest.mark.parametrize("seed, ok", [("-1", False), (str(2**64), False),
+                                      ("0", True), (str(2**64 - 1), True)])
+def test_estimate_density_seed_range(run, seed, ok):
+    code, out, err = run("estimate", "density", "--n", "12", "--samples", "10",
+                         "--seed", seed, "--format", "json")
+    if ok:
+        assert code == 0 and json.loads(out)["result"]["seed"] == int(seed)
+    else:
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "usage" and seed in error["message"]
+
+
 def test_sweep_csv_columns(run):
     code, out, _ = run("sweep", "--n-list", "3-6")
     assert code == 0
@@ -409,6 +422,27 @@ def test_count_p_loads_only_its_layer():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert charcensus.cli.main(['count', 'p', '--n', '5']) == 0")
     assert _loaded_by(code, LAYERS) == ["charcensus.counting", "charcensus.partitions"]
+
+
+def _command_paths(parser, prefix=()):
+    """Every command path of the parser: (), ("count",), ("count", "p"), ..."""
+    yield prefix
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _command_paths(sub, prefix + (name,))
+
+
+@pytest.mark.parametrize("path", list(_command_paths(cli.build_parser())),
+                         ids=lambda path: " ".join(path) or "top")
+def test_help_exits_0_and_loads_no_layer(path):
+    # the --regime choices of `bounds p32` stay unread, so its help does
+    # not load asymptotics
+    code = ("import contextlib, io, charcensus.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            f"    assert charcensus.cli.main({[*path, '--help']!r}) == 0\n"
+            "assert out.getvalue().startswith('usage: charcensus')")
+    assert _loaded_by(code, LAYERS) == []
 
 
 PUBLIC_NAMES = {
