@@ -18,9 +18,9 @@ _MODULES = {
     "characters": ("CharacterTable", "ZeroCensus", "character_table",
                    "character_value", "lower_bound_partial",
                    "lower_bound_sum", "zero_count"),
-    "logreal": ("LogReal",),
-    "asymptotics": ("BoundReport", "SaddleSolution", "core_count_bound", "eta",
-                    "full_table_bound", "rademacher_main_term", "solve_saddle",
+    "asymptotics": ("LogReal", "BoundReport", "SaddleSolution",
+                    "core_count_bound", "eta", "full_table_bound",
+                    "rademacher_main_term", "solve_saddle",
                     "strip_zero_bound", "tcore_count_estimate"),
     "sampling": ("DensityEstimate", "estimate_zero_density"),
     "errors": ("CharcensusError", "GuardError", "NumericError"),

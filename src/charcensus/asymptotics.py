@@ -2,15 +2,19 @@
 estimate, regime bounds for core counts and zero counts, and the
 partition asymptotics they lean on.
 
-Estimates and bounds are returned as ``LogReal`` magnitudes, and ``eta``
-returns log eta(iy) as a plain float; only saddle ordinates, residuals
-and regime thresholds live on the linear scale.  log eta and its scaled
-log-derivatives (``_mu``) read one kernel, ``_q_sums``, which sums the
-three divisor series in q = exp(-2*pi*u) behind
-log eta(iu) = -pi*u/12 - sum_n sigma(n)/n * q^n and its derivatives, to
-double precision.  The modular transformation eta(iy) = y^(-1/2) * eta(i/y)
-is applied first whenever the argument is below 1, so u >= 1 and the
-series always converges geometrically with ratio at most exp(-2*pi).
+Magnitudes such as p(N)^2 / log N overflow doubles long before the
+ranges of interest (exp((2 pi / sqrt 6) sqrt N) alone does near
+N ~ 3e5), so estimates and bounds are computed as natural logs and
+returned as ``LogReal`` records; callers combine them as floats on the
+log scale.  ``eta`` returns log eta(iy) as a plain float, and only
+saddle ordinates, residuals and regime thresholds live on the linear
+scale.  log eta and its scaled log-derivatives (``_mu``) read one
+kernel, ``_q_sums``, which sums the three divisor series in
+q = exp(-2*pi*u) behind log eta(iu) = -pi*u/12 - sum_n sigma(n)/n * q^n
+and its derivatives, to double precision.  The modular transformation
+eta(iy) = y^(-1/2) * eta(i/y) is applied first whenever the argument is
+below 1, so u >= 1 and the series always converges geometrically with
+ratio at most exp(-2*pi).
 """
 
 from __future__ import annotations
@@ -18,17 +22,24 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .counting import divisor_sums, partition_count
+from .counting import P_EXACT_LIMIT, divisor_sums, partition_count
 from .errors import GuardError, NumericError
-from .logreal import LogReal
 
 GROWTH_CONSTANT = 2 * math.pi / math.sqrt(6)  # C in p(N) ~ exp(C sqrt N) / (4 N sqrt 3)
 ETA_TAIL_CAP = 1.00873  # upper bound for the eta tail witness v, any y >= sqrt(3)/2
-P_EXACT_LIMIT = 100_000  # largest n for which bound evaluators use exact p(n)
 # largest n and t of the saddle solve and the bound evaluators: they carry
 # n, t^2 and powers of the saddle ordinate y ~ 1/sqrt(24 n) as doubles, and
 # near 10^150 t^2 overflows and y^3 underflows to 0
 ANALYTIC_GUARD = 10**100
+
+
+class LogReal(NamedTuple):
+    """A nonnegative real carried as its natural log: the bounds and
+    estimates overflow doubles (p(N) alone does near N = 8e4), their
+    logs do not."""
+
+    log: float  # -inf for zero
+
 
 _SERIES_CAP = 64
 _SIGMA = divisor_sums(_SERIES_CAP)[: _SERIES_CAP + 1]  # sigma(n) = sum of divisors
@@ -226,7 +237,7 @@ def tcore_count_estimate(n: int, t: int) -> LogReal:
     log_val = (1.5 * math.log(y) + 2 * math.pi * y * m
                + t * _log_eta(t * y, shift) - 0.5 * math.log(mu2_diff)
                - _log_eta(y, shift))
-    return LogReal.from_log(log_val)
+    return LogReal(log_val)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +249,7 @@ def rademacher_main_term(n: int) -> LogReal:
     Relative error decays like n^(-1/2)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return LogReal.from_log(GROWTH_CONSTANT * math.sqrt(n)
-                            - math.log(4 * math.sqrt(3) * n))
+    return LogReal(GROWTH_CONSTANT * math.sqrt(n) - math.log(4 * math.sqrt(3) * n))
 
 
 def _log_p(n: int) -> tuple[float, str]:
@@ -267,8 +277,16 @@ class BoundReport(NamedTuple):
     comparison: LogReal | None = None
     ratio: float | None = None
 
-    def with_comparison(self, exact: LogReal) -> "BoundReport":
-        return self._replace(comparison=exact, ratio=exact.ratio_to(self.bound))
+    def with_comparison(self, exact: int) -> "BoundReport":
+        """Attach the exact count ``exact`` >= 0 and exact / bound."""
+        if exact < 0:
+            raise ValueError(f"exact count must be nonnegative, got {exact}")
+        log_exact = math.log(exact) if exact else -math.inf
+        try:
+            ratio = math.exp(log_exact - self.bound.log)
+        except OverflowError:
+            ratio = math.inf
+        return self._replace(comparison=LogReal(log_exact), ratio=ratio)
 
     def to_json_dict(self) -> dict:
         return {
@@ -371,7 +389,7 @@ def core_count_bound(n: int, t: int, epsilon: float = 0.5,
         damping = _core_damping_iii(n, t) if regime == "P32_III" \
             else _core_damping_iv(n, t)
         log_bound = log_p - damping
-    return BoundReport(n=n, t=t, regime=regime, bound=LogReal.from_log(log_bound),
+    return BoundReport(n=n, t=t, regime=regime, bound=LogReal(log_bound),
                        p_source=p_source)
 
 
@@ -386,9 +404,9 @@ def full_table_bound(n: int, exact_zeros: int | None = None) -> BoundReport:
     log_p, p_source = _log_p(n)
     log_bound = math.log(2) + 2 * log_p - math.log(math.log(n))
     report = BoundReport(n=n, t=None, regime="T12",
-                         bound=LogReal.from_log(log_bound), p_source=p_source)
+                         bound=LogReal(log_bound), p_source=p_source)
     if exact_zeros is not None:
-        report = report.with_comparison(LogReal.from_value(exact_zeros))
+        report = report.with_comparison(exact_zeros)
     return report
 
 
@@ -410,5 +428,5 @@ def strip_zero_bound(n: int, t: int, epsilon: float = 0.5) -> BoundReport:
     else:
         decay = GROWTH_CONSTANT * t / (math.sqrt(n - t) + math.sqrt(n))
         log_bound = 2 * log_p - (_core_damping_iii(n, t) + decay)
-    return BoundReport(n=n, t=t, regime=regime, bound=LogReal.from_log(log_bound),
+    return BoundReport(n=n, t=t, regime=regime, bound=LogReal(log_bound),
                        p_source=p_source)

@@ -27,16 +27,18 @@ SCHEMA_VERSION = 1
 
 # Cost guards: a request above one of these is refused (exit 3) before any
 # work starts.  Measured on a 2-core Xeon: one p(n) is a Rademacher sum,
-# about 10 ms at n = 10^5, but c_t(n) and the guaranteed-zero sum read the
-# whole table p(0..n), 2.5 s at n = 10^5; one p_t(n) with t < n takes t n
-# additions, 5 * 10^7 of them 4.9 s (n = 20000) to 7.1 s (n = 10^5); one
-# c_t(n) takes (n/t)^2 eta-power steps, 10^8 of them 2-3 s; the
-# guaranteed-zero sum adds n * t_hi steps of the p_t table, and a cost of
-# 1.7 * 10^8 (n = 8000) took 4.9-7.1 s.
+# limited by ``counting.P_EXACT_LIMIT``, but c_t(n) and the guaranteed-zero
+# sum read the whole table p(0..n), 2.5 s at n = 10^5; one p_t(n) with
+# t < n takes t n additions, 5 * 10^7 of them 4.9 s (n = 20000) to 7.1 s
+# (n = 10^5); one c_t(n) takes (n/t)^2 eta-power steps, 10^8 of them
+# 2-3 s; the guaranteed-zero sum adds n * t_hi steps of the p_t table, and
+# a cost of 1.7 * 10^8 (n = 8000) took 4.9-7.1 s; one sweep row at n = 20
+# takes about 0.08 s.
 P_GUARD_N = 100_000
 PT_GUARD_STEPS = 5 * 10**7
 CORE_GUARD_STEPS = 10**8
 LOWER_BOUND_GUARD_STEPS = 2 * 10**8
+SWEEP_GUARD_ROWS = 100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,18 +68,20 @@ def _guard_p(n: int, what: str = "n (exact p(0..n))") -> None:
 # command implementations: each returns the result payload dict
 
 def _cmd_count_p(args):
-    from .counting import partition_count
+    from .counting import P_EXACT_LIMIT, partition_count
 
-    _guard_p(args.n, "n (exact p(n))")
+    _guard(args.n, P_EXACT_LIMIT, "n (exact p(n))")
     return {"kind": "count", "family": "p", "n": args.n, "t": None,
             "value": str(partition_count(args.n))}
 
 
 def _cmd_count_pt(args):
-    from .counting import bounded_partition_count
+    from .counting import P_EXACT_LIMIT, bounded_partition_count
 
-    _guard_p(args.n, "n (exact p(n) or p_t(n))")
-    if args.t < args.n:
+    if args.t >= args.n:  # the value is p(n)
+        _guard(args.n, P_EXACT_LIMIT, "n (exact p(n))")
+    else:
+        _guard_p(args.n, "n (exact p_t(n))")
         _guard(args.t * args.n, PT_GUARD_STEPS, "t n (steps of the p_t(n) recurrence)")
     return {"kind": "count", "family": "pt", "n": args.n, "t": args.t,
             "value": str(bounded_partition_count(args.t, args.n))}
@@ -183,12 +187,13 @@ def _cmd_sweep(args):
     from .characters import _check_table_size, lower_bound_partial, zero_count
 
     # zero_count's own check, in order, on the end points of each range,
-    # which bound every n in it: a refusal comes before any range is
-    # expanded or any census starts
+    # which bound every n in it, then the row count: a refusal comes
+    # before any range is expanded or any census starts
     for span in args.n_list:
         if span:
             _check_table_size(span[0])
             _check_table_size(span[-1])
+    _guard(sum(map(len, args.n_list)), SWEEP_GUARD_ROWS, "rows (census runs)")
     n_list = []
     for span in args.n_list:
         n_list.extend(span)

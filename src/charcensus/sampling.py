@@ -37,6 +37,12 @@ from .partitions import beta_mask
 
 RNG_ALGORITHM = "mt19937-sha256-streams-v1"
 _CHUNK = 2048  # samples per substream; changing it changes every report
+# limit on samples * (16 + 2^(n/5)): one sample takes about
+# 0.2 us * (16 + 2^(n/5)) on a 2-core Xeon (3.8 us at n = 2, 0.83 ms at
+# n = 60), and at large n the character memo grows in proportion, about
+# 22 KB per sample at n = 60; a run at the limit took 2.8-7.0 s and at
+# most 115 MB for every n in {2, 12, 20, 30, 40, 50, 60}
+DENSITY_GUARD = 2**24
 
 
 def _stream_rng(seed: int, index: int) -> random.Random:
@@ -127,13 +133,18 @@ def estimate_zero_density(n: int, samples: int, seed: int) -> DensityEstimate:
     stays honest when no zero (or no nonzero) is observed, and the
     conjectured 2/log n alongside.  Guarded by the single-value limit
     ``characters.VALUE_GUARD`` (n <= 60): one character evaluation gets
-    combinatorially expensive past desk scale.  0 <= seed < 2^64.
+    combinatorially expensive past desk scale, and by ``DENSITY_GUARD``,
+    since the memo grows with every sample.  0 <= seed < 2^64.
     """
     if n < 2:
         raise GuardError("density estimation requires n >= 2")
     _check_value_size(n)
     if samples < 1:
         raise ValueError("samples must be positive")
+    cost = samples * (16 + 2 ** (n / 5))
+    if cost > DENSITY_GUARD:
+        raise GuardError(f"samples * (16 + 2^(n/5)) = {cost:.4g} exceeds the "
+                         f"limit {DENSITY_GUARD} (2^24)")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     table = build_bounded_table(n, n)

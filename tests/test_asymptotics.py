@@ -7,6 +7,8 @@ from charcensus.asymptotics import (
     ANALYTIC_GUARD,
     GROWTH_CONSTANT,
     P_EXACT_LIMIT,
+    BoundReport,
+    LogReal,
     core_count_bound,
     eta,
     full_table_bound,
@@ -27,7 +29,6 @@ from charcensus.asymptotics import (
 from charcensus.characters import zero_count
 from charcensus.counting import partition_count, tcore_count
 from charcensus.errors import GuardError, NumericError
-from charcensus.logreal import LogReal
 from test_counting import P_100000
 
 C = GROWTH_CONSTANT
@@ -273,7 +274,7 @@ def test_rademacher_at_100():
 
 def test_rademacher_n1_finite():
     val = rademacher_main_term(1)
-    assert math.isfinite(val.log) and not val.is_zero
+    assert math.isfinite(val.log)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +315,8 @@ def test_core_bound_regime_iv():
     t0 = int(math.sqrt(6) / (2 * math.pi) * math.sqrt(n) * math.log(n)) + 1
     rep = core_count_bound(n, t0)
     assert rep.regime == "P32_IV"
-    assert rep.p_source == "rademacher"
-    log_p = rademacher_main_term(n).log
+    assert rep.p_source == "exact"
+    log_p = math.log(partition_count(n))
     assert rep.bound.log <= log_p
     # the damping factor tends to 1 as t -> n
     gap0 = log_p - rep.bound.log
@@ -405,8 +406,28 @@ def test_bound_report_json_shape():
     d = rep.to_json_dict()
     assert set(d) == {"N", "t", "regime", "log_bound", "log_exact", "ratio", "p_source"}
     assert d["log_exact"] is None and d["ratio"] is None
-    d2 = rep.with_comparison(LogReal.from_value(tcore_count(900, 1000))).to_json_dict()
+    d2 = rep.with_comparison(tcore_count(900, 1000)).to_json_dict()
     assert d2["ratio"] > 1
+
+
+def test_with_comparison_zero_huge_and_negative():
+    rep = BoundReport(n=100, t=None, regime="T12", bound=LogReal(5.0))
+    zero = rep.with_comparison(0)
+    assert zero.ratio == 0.0 and zero.comparison.log == -math.inf
+    assert zero.to_json_dict()["log_exact"] == -math.inf
+    assert rep.with_comparison(10**400).ratio == math.inf
+    assert rep.with_comparison(3).comparison == LogReal(math.log(3))
+    with pytest.raises(ValueError):
+        rep.with_comparison(-1)
+
+
+def test_log_real_is_a_plain_record():
+    x = LogReal(2.0)
+    assert x == LogReal(2.0) and hash(x) == hash(LogReal(2.0))
+    assert x != LogReal(3.0) and x.log == 2.0
+    assert repr(x) == "LogReal(log=2.0)"
+    with pytest.raises(AttributeError):
+        x.log = 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +521,14 @@ def test_p_exact_limit_pinned():
     n = P_EXACT_LIMIT + 1
     assert full_table_bound(n).p_source == "rademacher"
     assert strip_zero_bound(n, 6).p_source == "rademacher"
-    # at the limit itself p(n) is the exact integer, pinned in test_counting
-    assert P_EXACT_LIMIT == 100_000
+    assert P_EXACT_LIMIT == 10**6
     report = full_table_bound(P_EXACT_LIMIT)
     assert report.p_source == "exact"
     assert strip_zero_bound(P_EXACT_LIMIT, 6).p_source == "exact"
+    assert report.bound.log == math.log(2) + 2 * math.log(
+        partition_count(P_EXACT_LIMIT)) - math.log(math.log(P_EXACT_LIMIT))
+    # below the limit p(n) is the exact integer, pinned in test_counting
+    report = full_table_bound(100_000)
+    assert report.p_source == "exact"
     assert report.bound.log == \
-        math.log(2) + 2 * math.log(P_100000) - math.log(math.log(P_EXACT_LIMIT))
+        math.log(2) + 2 * math.log(P_100000) - math.log(math.log(100_000))

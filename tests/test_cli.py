@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -13,7 +14,7 @@ import jsonschema
 import pytest
 
 import charcensus
-from charcensus import asymptotics, characters, cli, counting
+from charcensus import asymptotics, characters, cli, counting, sampling
 from charcensus.asymptotics import P32_REGIMES
 from charcensus.cli import main
 
@@ -161,8 +162,10 @@ def test_estimate_density_generates_seed(run):
     assert isinstance(doc["result"]["seed"], int)
 
 
-@pytest.mark.parametrize("seed, ok", [("-1", False), (str(2**64), False),
-                                      ("0", True), (str(2**64 - 1), True)])
+SEED_RANGE = [("-1", False), (str(2**64), False), ("0", True), (str(2**64 - 1), True)]
+
+
+@pytest.mark.parametrize("seed, ok", SEED_RANGE)
 def test_estimate_density_seed_range(run, seed, ok):
     code, out, err = run("estimate", "density", "--n", "12", "--samples", "10",
                          "--seed", seed, "--format", "json")
@@ -172,6 +175,20 @@ def test_estimate_density_seed_range(run, seed, ok):
         assert code == 2 and out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "usage" and seed in error["message"]
+
+
+@pytest.mark.parametrize("seed, ok", SEED_RANGE)
+def test_schema_density_seed_range(run, schema, seed, ok):
+    # the schema admits exactly the seeds that estimate_zero_density takes
+    _, out, _ = run("estimate", "density", "--n", "5", "--samples", "10",
+                    "--seed", "0", "--format", "json")
+    doc = json.loads(out)
+    doc["result"]["seed"] = int(seed)
+    if ok:
+        jsonschema.validate(doc, schema)
+    else:
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema)
 
 
 def test_sweep_csv_columns(run):
@@ -230,8 +247,9 @@ def no_work(monkeypatch):
     """Make every exact counter, the census, the single character value
     and the two kernels of the analytic evaluators (log p(n) and the eta
     series) that the guarded commands reach fail loudly, on the modules
-    that define them (each command imports them when it runs), so a
-    refusal test also shows that no work started."""
+    that define them (each command imports them when it runs), and the
+    sampler's table and character value on ``sampling``, so a refusal
+    test also shows that no work started."""
     def fail(*args, **kwargs):
         raise AssertionError("work started before the cost guard")
 
@@ -242,7 +260,9 @@ def no_work(monkeypatch):
                          (characters, "zero_count"),
                          (characters, "character_value"),
                          (asymptotics, "_log_p"),
-                         (asymptotics, "_q_sums")):
+                         (asymptotics, "_q_sums"),
+                         (sampling, "build_bounded_table"),
+                         (sampling, "_chi")):
         monkeypatch.setattr(module, name, fail)
 
 
@@ -256,9 +276,21 @@ def _refusal(run, *argv):
 
 
 def test_count_p_cost_guard(run, no_work):
-    message = _refusal(run, "count", "p", "--n", str(10**7))
-    assert str(cli.P_GUARD_N) in message
+    message = _refusal(run, "count", "p", "--n", str(10**6 + 1))
+    assert str(counting.P_EXACT_LIMIT) in message
     assert "exact p(n)" in message  # one value, not the table p(0..n)
+    # with t >= n, p_t(n) is p(n) and has the same limit
+    message = _refusal(run, "count", "pt", "--t", str(10**7), "--n", str(10**6 + 1))
+    assert str(counting.P_EXACT_LIMIT) in message
+
+
+def test_count_p_at_the_exact_limit(run):
+    # one Rademacher sum, not the table p(0..n): p(10^6) = 1.47... * 10^1107
+    for argv in (("p",), ("pt", "--t", str(10**6))):
+        code, out, _ = run("count", *argv, "--n", str(10**6), "--format", "json")
+        assert code == 0
+        value = json.loads(out)["result"]["value"]
+        assert len(value) == 1108 and value.startswith("147168")
 
 
 def test_count_pt_cost_guard(run, no_work):
@@ -286,6 +318,28 @@ def test_zeros_lower_bound_cost_guard(run, no_work):
     assert str(cli.LOWER_BOUND_GUARD_STEPS) in message
     _refusal(run, "zeros", "lower-bound", "--n", str(10**7), "--t-lo", "1",
              "--t-hi", "1")
+
+
+def test_sweep_row_count_guard(run, no_work):
+    message = _refusal(run, "sweep", "--n-list", ",".join(["20"] * 3000))
+    assert f"rows (census runs) = 3000 exceeds the limit {cli.SWEEP_GUARD_ROWS}" in message
+    # a range counts as its length
+    message = _refusal(run, "sweep", "--n-list", ",".join(["1-20"] * 6))
+    assert "rows (census runs) = 120" in message
+    _refusal(run, "sweep", "--n-list", ",".join(["1"] * (cli.SWEEP_GUARD_ROWS + 1)))
+
+
+def test_sweep_at_the_row_limit(run):
+    code, out, _ = run("sweep", "--n-list", ",".join(["1"] * cli.SWEEP_GUARD_ROWS),
+                       "--format", "json")
+    assert code == 0 and len(json.loads(out)["result"]["rows"]) == cli.SWEEP_GUARD_ROWS
+
+
+@pytest.mark.parametrize("n, samples", [("12", "100000000000000"), ("60", "1000000")])
+def test_estimate_density_samples_guard(run, no_work, n, samples):
+    message = _refusal(run, "estimate", "density", "--n", n, "--samples", samples,
+                       "--seed", "1")
+    assert str(sampling.DENSITY_GUARD) in message
 
 
 @pytest.mark.parametrize("n_list, got", [("1-2000000000", "2000000000"),
@@ -406,7 +460,7 @@ def _loaded_by(code: str, watched: set) -> list:
 
 
 LAYERS = {f"charcensus.{m}" for m in ("asymptotics", "characters", "sampling",
-                                      "counting", "partitions", "logreal",
+                                      "counting", "partitions",
                                       "rademacher")}
 
 
@@ -475,3 +529,16 @@ def test_public_names_resolve_to_their_submodule():
                for name in charcensus.__all__)
     with pytest.raises(AttributeError):
         charcensus.no_such_name
+
+
+def test_readme_library_example_runs():
+    # the README's python block, run as written, so that a moved or
+    # renamed name shows up here
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = text.split("```python\n")[1:]
+    assert len(blocks) == 1
+    code = blocks[0].split("```")[0]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(code, "README.md", "exec"), {})
+    log_bound, ratio = map(float, out.getvalue().split())
+    assert 0 < ratio < 1 and math.isfinite(log_bound)

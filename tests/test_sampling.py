@@ -12,6 +12,7 @@ from charcensus.counting import (
 )
 from charcensus.errors import GuardError
 from charcensus.partitions import Partition, enumerate_partitions
+from charcensus import sampling
 from charcensus.sampling import (
     RNG_ALGORITHM,
     _draw,
@@ -168,6 +169,27 @@ def test_estimate_guards():
         estimate_zero_density(1, 10, seed=0)
     with pytest.raises(ValueError):
         estimate_zero_density(10, 0, seed=0)
+
+
+class _Started(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n, samples, ok", [
+    (12, 100000, True), (14, 100000, True),  # the tests
+    (40, 24000, True),  # the benchmark
+    (60, 2000, True), (60, 4080, True),  # the README; the limit at n = 60
+    (60, 4081, False), (60, 10**6, False), (12, 10**14, False),
+])
+def test_estimate_samples_guard(monkeypatch, n, samples, ok):
+    # the guard runs before the table is built: a size it admits reaches
+    # the table, one it refuses never does
+    def started(*args):
+        raise _Started
+
+    monkeypatch.setattr(sampling, "build_bounded_table", started)
+    with pytest.raises(_Started if ok else GuardError):
+        estimate_zero_density(n, samples, seed=0)
 
 
 def test_report_records_rng_algorithm():
