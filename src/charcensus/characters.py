@@ -6,9 +6,10 @@ strip every border strip of length t from lambda, and sum the signed
 sub-characters.  The memo is a trie over the suffixes of mu, read from
 the last part, whose node for each suffix holds the characters already
 known there, keyed by the beta mask of lambda: one walk per (lambda, mu)
-pair finds every suffix's node, and each step of the recursion is then
-one int-keyed lookup.  The density sampler and the single-value CLI call
-use this path.
+pair finds every suffix's node.  The recursion is entered only on a
+memo miss: it runs the strip loop inline, looks each remainder up in the
+next suffix's node and recurses only on the remainders missing there.
+The density sampler and the single-value CLI call use this path.
 
 Full tables and censuses apply the same rule a whole column at a time.
 For each needed pair (m, t) the sparse signed strip-removal matrix
@@ -72,22 +73,37 @@ def _chi(lam: int, mu: tuple[int, ...], memo: dict) -> int:
         levels.append(child)
         node = child
     levels.reverse()  # levels[i] is the node of mu[i:]
-    return _strip(lam, mu, 0, levels)
+    val = levels[0].get(lam)
+    return _strip(lam, mu, 0, levels) if val is None else val
 
 
 def _strip(lam: int, mu: tuple[int, ...], i: int, levels: list[dict]) -> int:
-    """The character at (``lam``, mu[i:]), memoized in ``levels[i]``."""
-    table = levels[i]
-    val = table.get(lam)
-    if val is not None:
-        return val
+    """The character at (``lam``, mu[i:]), entered only when ``levels[i]``
+    misses it; stores it there.
+
+    The strip loop is ``beta_strips`` inline: each remainder is looked up
+    in ``levels[i + 1]`` and recursed on only when missing, so every call
+    adds one memo state.
+    """
     t = mu[i]
-    i += 1
+    known = levels[i + 1]
+    starts = (lam & ~(lam << t)) >> t << t
+    between = (1 << (t - 1)) - 1
     total = 0
-    for odd, rem in beta_strips(lam, t):
-        sub = _strip(rem, mu, i, levels)
-        total += -sub if odd else sub
-    table[lam] = total
+    while starts:
+        bit = starts & -starts
+        starts ^= bit
+        rem = lam ^ bit ^ (bit >> t)
+        if rem & 1:  # the bead moved to bit 0: shift out the trailing ones
+            rem >>= (rem ^ (rem + 1)).bit_length() - 1
+        sub = known.get(rem)
+        if sub is None:
+            sub = _strip(rem, mu, i + 1, levels)
+        if ((lam >> (bit.bit_length() - t)) & between).bit_count() & 1:
+            total -= sub
+        else:
+            total += sub
+    levels[i][lam] = total
     return total
 
 

@@ -198,8 +198,8 @@ def _cmd_sweep(args):
     for span in args.n_list:
         n_list.extend(span)
     args.n_list = n_list  # the config echoes every n
-    rows = []
-    for n in args.n_list:
+    by_n = {}  # a repeated n reuses its row
+    for n in dict.fromkeys(n_list):
         census = zero_count(n)
         lb = lower_bound_partial(n, 1, n)
         z = census.total_zeros
@@ -209,7 +209,7 @@ def _cmd_sweep(args):
             log_t12, p_source, ratio = report.bound.log, report.p_source, report.ratio
         else:
             log_t12 = p_source = ratio = None
-        rows.append({
+        by_n[n] = {
             "N": n,
             "p_N": str(p_n),
             "Z": str(z),
@@ -218,8 +218,8 @@ def _cmd_sweep(args):
             "z_ratio_to_t12": ratio,
             "log_t12_bound": log_t12,
             "p_source": p_source,
-        })
-    return {"kind": "sweep", "rows": rows}
+        }
+    return {"kind": "sweep", "rows": [by_n[n] for n in n_list]}
 
 
 # ---------------------------------------------------------------------------

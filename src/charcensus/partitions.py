@@ -146,8 +146,9 @@ def beta_strips(mask: int, t: int) -> list[tuple[int, int]]:
 
     A strip starts at each set bit b >= t whose bit b - t is clear; the
     remainder moves that bead to b - t, and the height parity is the
-    parity of the beads strictly between.  This is the hot path of every
-    character computation.
+    parity of the beads strictly between.  The column engine builds its
+    strip matrices from this; ``characters._strip`` runs the same loop
+    inline.
     """
     out = []
     starts = (mask & ~(mask << t)) >> t << t
@@ -156,8 +157,10 @@ def beta_strips(mask: int, t: int) -> list[tuple[int, int]]:
         bit = starts & -starts
         starts ^= bit
         rem = mask ^ bit ^ (bit >> t)
+        if rem & 1:  # the bead moved to bit 0: shift out the trailing ones
+            rem >>= (rem ^ (rem + 1)).bit_length() - 1
         out.append((((mask >> (bit.bit_length() - t)) & between).bit_count() & 1,
-                    rem >> ((rem ^ (rem + 1)).bit_length() - 1)))
+                    rem))
     return out
 
 

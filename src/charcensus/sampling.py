@@ -37,10 +37,11 @@ from .partitions import beta_mask
 
 RNG_ALGORITHM = "mt19937-sha256-streams-v1"
 _CHUNK = 2048  # samples per substream; changing it changes every report
-# limit on samples * (16 + 2^(n/5)): one sample takes about
-# 0.2 us * (16 + 2^(n/5)) on a 2-core Xeon (3.8 us at n = 2, 0.83 ms at
+# limit on samples * (16 + 2^(n/5)): one sample takes 0.17-0.42 us *
+# (16 + 2^(n/5)) on a 2-core Xeon, the most at n = 12-20 and the least
+# at n = 50-60 (3.7 us at n = 2, 61 us at n = 40, 0.73-0.77 ms at
 # n = 60), and at large n the character memo grows in proportion, about
-# 22 KB per sample at n = 60; a run at the limit took 2.8-7.0 s and at
+# 22 KB per sample at n = 60; a run at the limit took 2.8-7.1 s and at
 # most 115 MB for every n in {2, 12, 20, 30, 40, 50, 60}
 DENSITY_GUARD = 2**24
 

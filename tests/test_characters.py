@@ -182,6 +182,38 @@ def test_cold_evaluation_states_bounded_by_suffix_sizes():
         assert _memo_states(memo) == states, (lam, mu)
 
 
+def test_one_strip_call_per_added_state(monkeypatch):
+    # _strip is entered only on a memo miss and stores one state per
+    # entry: a cold evaluation calls it once per state it adds, on a
+    # fresh memo or a shared one, and a warm repeat never calls it.  The
+    # recursion looks _strip up by name, so the wrapper sees every call.
+    calls = 0
+    strip = characters._strip
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return strip(*args)
+
+    monkeypatch.setattr(characters, "_strip", counted)
+    rng = random.Random(40)
+    shared = {}
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        table = build_bounded_table(n, n)
+        lam, mu = beta_mask(_draw(n, rng, table)), _draw(n, rng, table)
+        memo = {}
+        calls = 0
+        value = characters._chi(lam, mu, memo)
+        assert calls == _memo_states(memo) > 0, (lam, mu)
+        calls = 0
+        assert characters._chi(lam, mu, memo) == value
+        assert calls == 0, (lam, mu)
+        before = _memo_states(shared)
+        assert characters._chi(lam, mu, shared) == value
+        assert calls == _memo_states(shared) - before, (lam, mu)
+
+
 def test_zero_census_small():
     assert zero_count(1).total_zeros == 0
     assert zero_count(3).total_zeros == 1

@@ -335,6 +335,22 @@ def test_sweep_at_the_row_limit(run):
     assert code == 0 and len(json.loads(out)["result"]["rows"]) == cli.SWEEP_GUARD_ROWS
 
 
+def test_sweep_repeated_n_runs_one_census(run, monkeypatch):
+    _, out, _ = run("sweep", "--n-list", "12", "--format", "json")
+    (row,) = json.loads(out)["result"]["rows"]
+    calls = []
+    zero_count = characters.zero_count
+
+    def counted(n):
+        calls.append(n)
+        return zero_count(n)
+
+    monkeypatch.setattr(characters, "zero_count", counted)
+    code, out, _ = run("sweep", "--n-list", "12,12,12", "--format", "json")
+    assert code == 0 and calls == [12]
+    assert json.loads(out)["result"]["rows"] == [row] * 3
+
+
 @pytest.mark.parametrize("n, samples", [("12", "100000000000000"), ("60", "1000000")])
 def test_estimate_density_samples_guard(run, no_work, n, samples):
     message = _refusal(run, "estimate", "density", "--n", n, "--samples", samples,
