@@ -38,8 +38,8 @@ from __future__ import annotations
 from operator import add, mul, not_
 from typing import Iterator, NamedTuple
 
-from .counting import tcore_count
-from .errors import GuardError
+from .counting import P_GUARD_N, _tcore_series
+from .errors import GuardError, check_cost
 from .partitions import (Partition, beta_mask, beta_strips, conjugate_mask,
                          enumerate_partitions, part_tuples)
 
@@ -50,6 +50,9 @@ TABLE_GUARD = 20
 # |mu[i:]|, and these sizes are distinct, so misses per evaluation
 # <= sum_{m<=n} p(m) = 6,639,348 at 60.  Raising the guard re-checks this.
 VALUE_GUARD = 60
+# steps of the guaranteed-zero sum (``lower_bound_partial``): a cost of
+# 1.7 * 10^8 (n = 8000) took 4.9-7.1 s on a 2-core Xeon
+LOWER_BOUND_GUARD_STEPS = 2 * 10**8
 
 
 _EMPTY_SUFFIX = {0: 1}  # the node of mu = (): only the empty partition, chi 1
@@ -112,8 +115,11 @@ def character_value(lam: Partition, mu: Partition) -> int:
     conjugacy class of cycle type mu.
 
     Both partitions must have the same size.  The parts of mu are
-    stripped largest first.
+    stripped largest first.  Refuses either size above ``VALUE_GUARD``
+    (60) before comparing them.
     """
+    _check_value_size(lam.size)
+    _check_value_size(mu.size)
     if lam.size != mu.size:
         raise ValueError(f"size mismatch: |{lam}| = {lam.size}, |{mu}| = {mu.size}")
     return _chi(beta_mask(lam.parts), mu.parts, {})
@@ -283,10 +289,16 @@ def lower_bound_partial(n: int, t_lo: int, t_hi: int) -> int:
     """Exact partial sum over t in [t_lo, t_hi] of c_t(n) * p_t(n-t).
 
     Each term counts the guaranteed zeros contributed by pairs where mu
-    has largest part exactly t and lambda is a t-core.
+    has largest part exactly t and lambda is a t-core.  Refuses n above
+    ``counting.P_GUARD_N`` (10^5) or a cost above ``LOWER_BOUND_GUARD_STEPS``
+    (2 * 10^8): sum_t (n/t)^2 steps of the c_t series, n t_hi of the p_t table.
     """
     if not (1 <= t_lo <= t_hi <= n):
         raise ValueError(f"need 1 <= t_lo <= t_hi <= n, got ({t_lo}, {t_hi}, {n})")
+    check_cost(n, P_GUARD_N, "n (exact p(0..n))")
+    check_cost(sum((n // t) ** 2 for t in range(t_lo, t_hi + 1)) + n * t_hi,
+               LOWER_BOUND_GUARD_STEPS,
+               "sum_t (n/t)^2 + n t_hi (steps of the guaranteed-zero sum)")
     # dp[m] = p_t(m) for m <= n - t, built incrementally over t; step t
     # reads only dp[n - t].  For t > n/2 the step is empty: dp[n - t]
     # already holds p(n - t), which is p_t(n - t).
@@ -296,7 +308,7 @@ def lower_bound_partial(n: int, t_lo: int, t_hi: int) -> int:
         for m in range(t, n - t + 1):
             dp[m] += dp[m - t]
         if t >= t_lo:
-            total += tcore_count(t, n) * dp[n - t]
+            total += _tcore_series(t, n) * dp[n - t]
     return total
 
 

@@ -21,23 +21,11 @@ import argparse
 import json
 import sys
 
-from .errors import GuardError, NumericError
+from .errors import GuardError, NumericError, check_cost
 
 SCHEMA_VERSION = 1
 
-# Cost guards: a request above one of these is refused (exit 3) before any
-# work starts.  Measured on a 2-core Xeon: one p(n) is a Rademacher sum,
-# limited by ``counting.P_EXACT_LIMIT``, but c_t(n) and the guaranteed-zero
-# sum read the whole table p(0..n), 2.5 s at n = 10^5; one p_t(n) with
-# t < n takes t n additions, 5 * 10^7 of them 4.9 s (n = 20000) to 7.1 s
-# (n = 10^5); one c_t(n) takes (n/t)^2 eta-power steps, 10^8 of them
-# 2-3 s; the guaranteed-zero sum adds n * t_hi steps of the p_t table, and
-# a cost of 1.7 * 10^8 (n = 8000) took 4.9-7.1 s; one sweep row at n = 20
-# takes about 0.08 s.
-P_GUARD_N = 100_000
-PT_GUARD_STEPS = 5 * 10**7
-CORE_GUARD_STEPS = 10**8
-LOWER_BOUND_GUARD_STEPS = 2 * 10**8
+# the only cost guard not in the library: one sweep row at n = 20 takes 0.08 s
 SWEEP_GUARD_ROWS = 100
 
 
@@ -55,34 +43,19 @@ def _write_error(code: int, kind: str, message) -> None:
     sys.stderr.write("\n")
 
 
-def _guard(cost: int, limit: int, what: str) -> None:
-    if cost > limit:
-        raise GuardError(f"{what} = {cost} exceeds the limit {limit}")
-
-
-def _guard_p(n: int, what: str = "n (exact p(0..n))") -> None:
-    _guard(n, P_GUARD_N, what)
-
-
 # ---------------------------------------------------------------------------
 # command implementations: each returns the result payload dict
 
 def _cmd_count_p(args):
-    from .counting import P_EXACT_LIMIT, partition_count
+    from .counting import partition_count
 
-    _guard(args.n, P_EXACT_LIMIT, "n (exact p(n))")
     return {"kind": "count", "family": "p", "n": args.n, "t": None,
             "value": str(partition_count(args.n))}
 
 
 def _cmd_count_pt(args):
-    from .counting import P_EXACT_LIMIT, bounded_partition_count
+    from .counting import bounded_partition_count
 
-    if args.t >= args.n:  # the value is p(n)
-        _guard(args.n, P_EXACT_LIMIT, "n (exact p(n))")
-    else:
-        _guard_p(args.n, "n (exact p_t(n))")
-        _guard(args.t * args.n, PT_GUARD_STEPS, "t n (steps of the p_t(n) recurrence)")
     return {"kind": "count", "family": "pt", "n": args.n, "t": args.t,
             "value": str(bounded_partition_count(args.t, args.n))}
 
@@ -90,26 +63,17 @@ def _cmd_count_pt(args):
 def _cmd_count_core(args):
     from .counting import tcore_count, tcore_count_bruteforce
 
-    if args.brute:
-        value = tcore_count_bruteforce(args.t, args.n)
-    else:
-        _guard_p(args.n)
-        if args.t >= 1:
-            _guard((args.n // args.t) ** 2, CORE_GUARD_STEPS,
-                   "(n/t)^2 (eta-power steps of c_t(n))")
-        value = tcore_count(args.t, args.n)
+    count = tcore_count_bruteforce if args.brute else tcore_count
     return {"kind": "count", "family": "core", "n": args.n, "t": args.t,
-            "brute": bool(args.brute), "value": str(value)}
+            "brute": bool(args.brute), "value": str(count(args.t, args.n))}
 
 
 def _cmd_char_eval(args):
-    from .characters import _check_value_size, character_value
+    from .characters import character_value
     from .partitions import parse_partition
 
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
-    _check_value_size(lam.size)
-    _check_value_size(mu.size)
     return {"kind": "char_value", "lambda": str(lam), "mu": str(mu),
             "chi": str(character_value(lam, mu))}
 
@@ -135,14 +99,8 @@ def _cmd_zeros_lower_bound(args):
 
     t_lo = 1 if args.t_lo is None else args.t_lo
     t_hi = args.n if args.t_hi is None else args.t_hi
-    _guard_p(args.n)
-    if 1 <= t_lo <= t_hi <= args.n:
-        cost = sum((args.n // t) ** 2 for t in range(t_lo, t_hi + 1)) + args.n * t_hi
-        _guard(cost, LOWER_BOUND_GUARD_STEPS,
-               "sum_t (n/t)^2 + n t_hi (steps of the guaranteed-zero sum)")
-    value = lower_bound_partial(args.n, t_lo, t_hi)
     return {"kind": "lower_bound", "N": args.n, "t_lo": t_lo, "t_hi": t_hi,
-            "value": str(value)}
+            "value": str(lower_bound_partial(args.n, t_lo, t_hi))}
 
 
 def _cmd_bounds_t12(args):
@@ -193,7 +151,7 @@ def _cmd_sweep(args):
         if span:
             _check_table_size(span[0])
             _check_table_size(span[-1])
-    _guard(sum(map(len, args.n_list)), SWEEP_GUARD_ROWS, "rows (census runs)")
+    check_cost(sum(map(len, args.n_list)), SWEEP_GUARD_ROWS, "rows (census runs)")
     n_list = []
     for span in args.n_list:
         n_list.extend(span)

@@ -81,14 +81,20 @@ from __future__ import annotations
 from itertools import islice
 from operator import itemgetter, mul
 
-from .errors import GuardError
+from .errors import GuardError, check_cost
 from .partitions import enumerate_partitions, is_t_core
 
 BRUTEFORCE_GUARD = 40
-# largest n whose single exact p(n) the bound evaluators and `count p`
-# compute: one Rademacher sum takes about 8 ms at n = 10^5, 64 ms at 10^6
-# and 1.4 s at 10^7 on a 2-core Xeon
+# Cost guards, checked before any work starts; one p(n) and the table
+# p(0..n) are timed above.  P_EXACT_LIMIT also bounds the n + 1 big ints
+# of p_t(n), t < n, which takes t n additions: on a 2-core Xeon 5 * 10^7
+# of them took 4.9-7.1 s (n = 20000 to 10^5), p_2(10^6) 0.24 s and 51 MB,
+# p_50(10^6) 6.8 s and 118 MB.  One c_t(n) takes (n/t)^2 eta-power steps,
+# 10^8 of them 2-3 s.
 P_EXACT_LIMIT = 10**6
+P_GUARD_N = 100_000
+PT_GUARD_STEPS = 5 * 10**7
+CORE_GUARD_STEPS = 10**8
 
 _TABLE_CROSSOVER = 2000  # largest n whose p(n) extends the table
 
@@ -137,11 +143,12 @@ def _gather(offsets: list[int]):
 
 
 def partition_count(n: int) -> int:
-    """Exact p(n), the number of partitions of n."""
+    """Exact p(n), the number of partitions of n, for n <= ``P_EXACT_LIMIT``."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n < len(_p_cache):
         return _p_cache[n]
+    check_cost(n, P_EXACT_LIMIT, "n (exact p(n))")
     if n <= _TABLE_CROSSOVER:
         return _p_table(n)[n]
     from .rademacher import p_exact  # on first use, so start-up never compiles it
@@ -167,14 +174,22 @@ def _p_table(n: int) -> list[int]:
     return p
 
 
-def bounded_partition_count(t: int, n: int) -> int:
-    """Exact p_t(n): partitions of n with every part at most t."""
+def _check_args(t: int, n: int) -> None:
     if t < 1:
         raise ValueError("t must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
+
+
+def bounded_partition_count(t: int, n: int) -> int:
+    """Exact p_t(n): partitions of n with every part at most t.  With
+    t >= n this is p(n), guarded as ``partition_count``; otherwise refuses
+    n > ``P_EXACT_LIMIT`` (10^6) or t n > ``PT_GUARD_STEPS`` (5 * 10^7)."""
+    _check_args(t, n)
     if t >= n:
         return partition_count(n)
+    check_cost(n, P_EXACT_LIMIT, "n (exact p_t(n))")
+    check_cost(t * n, PT_GUARD_STEPS, "t n (steps of the p_t(n) recurrence)")
     dp = [1] + [0] * n
     for part in range(1, t + 1):
         for m in range(part, n + 1):
@@ -206,12 +221,20 @@ def _eta_power(t: int, limit: int) -> list[int]:
 
 
 def tcore_count(t: int, n: int) -> int:
-    """Exact c_t(n), the number of t-core partitions of n."""
-    if t < 1:
-        raise ValueError("t must be positive")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    # p[n::-t] is p(n), p(n-t), ..., p(n mod t)
+    """Exact c_t(n), the number of t-core partitions of n.  With t > n no
+    hook length reaches t, so this is p(n), guarded as ``partition_count``;
+    otherwise refuses n > ``P_GUARD_N`` (10^5, the table p(0..n)) or
+    (n/t)^2 > ``CORE_GUARD_STEPS`` (10^8 eta-power steps)."""
+    _check_args(t, n)
+    if t > n:
+        return partition_count(n)
+    check_cost(n, P_GUARD_N, "n (exact p(0..n))")
+    check_cost((n // t) ** 2, CORE_GUARD_STEPS, "(n/t)^2 (eta-power steps of c_t(n))")
+    return _tcore_series(t, n)
+
+
+def _tcore_series(t: int, n: int) -> int:
+    """c_t(n) from the series, unguarded; p[n::-t] is p(n), ..., p(n mod t)."""
     return sum(map(mul, _eta_power(t, n // t), _p_table(n)[n::-t]))
 
 
@@ -221,10 +244,7 @@ def tcore_count_bruteforce(t: int, n: int) -> int:
     Refuses n above ``BRUTEFORCE_GUARD``; this is an oracle, not a
     production path.
     """
-    if t < 1:
-        raise ValueError("t must be positive")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_args(t, n)
     if n > BRUTEFORCE_GUARD:
         raise GuardError(f"brute-force t-core count limited to n <= {BRUTEFORCE_GUARD}, "
                          f"got {n}")

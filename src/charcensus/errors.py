@@ -15,3 +15,9 @@ class GuardError(CharcensusError):
 
 class NumericError(CharcensusError):
     """A numeric routine broke down (bracket failure, sign loss; CLI exit 1)."""
+
+
+def check_cost(cost: int, limit: int, what: str) -> None:
+    """Refuse a request whose ``cost``, described by ``what``, exceeds ``limit``."""
+    if cost > limit:
+        raise GuardError(f"{what} = {cost} exceeds the limit {limit}")

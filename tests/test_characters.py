@@ -316,7 +316,7 @@ def test_lower_bound_partial_matches_full_loop_oracle(monkeypatch):
     # every 1 <= t_lo <= t_hi <= n <= 60; the oracle is additive in t,
     # so its one-term values give every range; c_t is memoized to keep
     # the 37k calls cheap (it is tested against its own oracles)
-    monkeypatch.setattr(characters, "tcore_count", functools.cache(tcore_count))
+    monkeypatch.setattr(characters, "_tcore_series", functools.cache(tcore_count))
     for n in range(1, 61):
         prefix = [0]
         for t in range(1, n + 1):

@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 
 import charcensus
-from charcensus import asymptotics, characters, cli, counting, sampling
+from charcensus import asymptotics, characters, cli, counting, rademacher, sampling
 from charcensus.asymptotics import P32_REGIMES
 from charcensus.cli import main
 
@@ -244,21 +244,21 @@ def test_zeros_exact_refused_above_the_guard(run):
 
 @pytest.fixture()
 def no_work(monkeypatch):
-    """Make every exact counter, the census, the single character value
-    and the two kernels of the analytic evaluators (log p(n) and the eta
-    series) that the guarded commands reach fail loudly, on the modules
-    that define them (each command imports them when it runs), and the
+    """Make the kernels behind the guarded entry points fail loudly: the
+    table p(0..n), the Rademacher sum, the eta power, the column engine
+    and the character recursion, on the modules that define them (the
+    entry points look them up there when they run), the two kernels of
+    the analytic evaluators (log p(n) and the eta series), and the
     sampler's table and character value on ``sampling``, so a refusal
     test also shows that no work started."""
     def fail(*args, **kwargs):
         raise AssertionError("work started before the cost guard")
 
-    for module, name in ((counting, "partition_count"),
-                         (counting, "bounded_partition_count"),
-                         (counting, "tcore_count"),
-                         (characters, "lower_bound_partial"),
-                         (characters, "zero_count"),
-                         (characters, "character_value"),
+    for module, name in ((counting, "_p_table"),
+                         (rademacher, "p_exact"),
+                         (counting, "_eta_power"),
+                         (characters, "_columns"),
+                         (characters, "_chi"),
                          (asymptotics, "_log_p"),
                          (asymptotics, "_q_sums"),
                          (sampling, "build_bounded_table"),
@@ -295,11 +295,23 @@ def test_count_p_at_the_exact_limit(run):
 
 def test_count_pt_cost_guard(run, no_work):
     message = _refusal(run, "count", "pt", "--t", "1000", "--n", "100000")
-    assert "100000000" in message and str(cli.PT_GUARD_STEPS) in message
+    assert "100000000" in message and str(counting.PT_GUARD_STEPS) in message
     _refusal(run, "count", "pt", "--t", str(10**7), "--n", str(10**7))
+    # t < n has the n limit of t >= n, so a p_t(n) with few steps but a
+    # long DP list is refused before the list is allocated
+    message = _refusal(run, "count", "pt", "--t", "2", "--n", str(10**6 + 1))
+    assert f"n (exact p_t(n)) = 1000001 exceeds the limit {counting.P_EXACT_LIMIT}" \
+        in message
 
 
-@pytest.mark.parametrize("t, n", [("5", "-3"), ("0", "10")])
+def test_count_pt_above_the_table_limit(run):
+    # p_2(n) = floor(n/2) + 1; n above the table limit P_GUARD_N
+    code, out, _ = run("count", "pt", "--t", "2", "--n", "200000", "--format", "json")
+    assert code == 0 and json.loads(out)["result"]["value"] == "100001"
+
+
+# an invalid t is a usage error at any n, before the cost guard
+@pytest.mark.parametrize("t, n", [("5", "-3"), ("0", "10"), ("0", str(10**8))])
 def test_count_pt_usage_error(run, t, n):
     code, out, err = run("count", "pt", "--t", t, "--n", n, "--format", "json")
     assert code == 2 and out == ""
@@ -309,13 +321,37 @@ def test_count_pt_usage_error(run, t, n):
 
 def test_count_core_cost_guard(run, no_work):
     message = _refusal(run, "count", "core", "--t", "2", "--n", "100000")
-    assert "2500000000" in message and str(cli.CORE_GUARD_STEPS) in message
+    assert "2500000000" in message and str(counting.CORE_GUARD_STEPS) in message
     _refusal(run, "count", "core", "--t", str(10**7), "--n", str(10**7))
+    # t > n is p(n), with its limit
+    message = _refusal(run, "count", "core", "--t", str(10**6 + 2), "--n", str(10**6 + 1))
+    assert f"n (exact p(n)) = 1000001 exceeds the limit {counting.P_EXACT_LIMIT}" \
+        in message
+
+
+def test_count_core_above_n_is_p(run):
+    # every hook length is below t, so every partition is a t-core
+    _, p_out, _ = run("count", "p", "--n", "200000", "--format", "json")
+    code, out, _ = run("count", "core", "--t", "200001", "--n", "200000",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["value"] == json.loads(p_out)["result"]["value"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "core", "--t", "0", "--n", "200000"),
+    ("zeros", "lower-bound", "--n", "200000", "--t-lo", "5", "--t-hi", "3"),
+])
+def test_invalid_argument_is_usage_error_at_any_size(run, no_work, argv):
+    # argument validation comes before the cost guard
+    code, out, err = run(*argv, "--format", "json")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "usage"
 
 
 def test_zeros_lower_bound_cost_guard(run, no_work):
     message = _refusal(run, "zeros", "lower-bound", "--n", "20000", "--t-lo", "200")
-    assert str(cli.LOWER_BOUND_GUARD_STEPS) in message
+    assert str(characters.LOWER_BOUND_GUARD_STEPS) in message
     _refusal(run, "zeros", "lower-bound", "--n", str(10**7), "--t-lo", "1",
              "--t-hi", "1")
 

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from charcensus import asymptotics, counting, rademacher
-from charcensus.characters import lower_bound_sum
+from charcensus import asymptotics, characters, counting, rademacher
+from charcensus.characters import character_value, lower_bound_partial, lower_bound_sum
 from charcensus.counting import (
     bounded_partition_count,
     build_bounded_table,
@@ -16,7 +16,7 @@ from charcensus.counting import (
     tcore_count_bruteforce,
 )
 from charcensus.errors import GuardError, NumericError
-from charcensus.partitions import enumerate_partitions, is_t_core
+from charcensus.partitions import Partition, enumerate_partitions, is_t_core
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +284,64 @@ def test_tcore_below_partition_count():
 def test_bruteforce_guard():
     with pytest.raises(GuardError):
         tcore_count_bruteforce(5, 41)
+
+
+@pytest.fixture()
+def kernels_fail(monkeypatch):
+    """The kernels behind the guarded counters and the character value
+    fail loudly, so a refusal also shows that no work started."""
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the cost guard")
+
+    for module, name in ((counting, "_p_table"), (rademacher, "p_exact"),
+                         (counting, "_eta_power"), (characters, "_columns"),
+                         (characters, "_chi")):
+        monkeypatch.setattr(module, name, fail)
+
+
+P_EXACT, P_TABLE = counting.P_EXACT_LIMIT, counting.P_GUARD_N
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (partition_count, (P_EXACT + 1,), f"n (exact p(n)) = {P_EXACT + 1}"),
+    # t >= n is p(n), with its limit; t < n has the same n limit
+    (bounded_partition_count, (10 * P_EXACT, P_EXACT + 1), "n (exact p(n))"),
+    (bounded_partition_count, (2, P_EXACT + 1), f"n (exact p_t(n)) = {P_EXACT + 1}"),
+    (bounded_partition_count, (1000, 10**5), f"limit {counting.PT_GUARD_STEPS}"),
+    (tcore_count, (P_EXACT + 2, P_EXACT + 1), "n (exact p(n))"),
+    (tcore_count, (P_TABLE + 1, P_TABLE + 1), f"n (exact p(0..n)) = {P_TABLE + 1}"),
+    (tcore_count, (2, 10**5), f"limit {counting.CORE_GUARD_STEPS}"),
+    (lower_bound_partial, (P_TABLE + 1, 1, 1), f"n (exact p(0..n)) = {P_TABLE + 1}"),
+    (lower_bound_partial, (20000, 200, 20000),
+     f"limit {characters.LOWER_BOUND_GUARD_STEPS}"),
+    (character_value, (Partition([61]), Partition([60, 1])),
+     f"n <= {characters.VALUE_GUARD}, got 61"),
+    # both sizes are checked before they are compared
+    (character_value, (Partition([2]), Partition([10**6])), "got 1000000"),
+])
+def test_library_guards_refuse_before_work(kernels_fail, call, args, message):
+    with pytest.raises(GuardError) as exc:
+        call(*args)
+    assert message in str(exc.value)
+
+
+def test_lower_bound_not_refused_by_the_core_limit(kernels_fail, monkeypatch):
+    # (12000/1)^2 eta-power steps exceed c_t's own limit, but the sum's
+    # cost 1.44 * 10^8 + 12000 is within its limit
+    with pytest.raises(GuardError):
+        tcore_count(1, 12000)
+    monkeypatch.setattr(characters, "_tcore_series", lambda t, n: 7)
+    assert lower_bound_partial(12000, 1, 1) == 7  # c_1 term times p_1(n - 1) = 1
+
+
+def test_tcore_above_n_builds_no_table(monkeypatch):
+    expected = partition_count(200000)
+
+    def fail(n):
+        raise AssertionError("built the table p(0..n)")
+
+    monkeypatch.setattr(counting, "_p_table", fail)
+    assert tcore_count(200001, 200000) == expected
 
 
 def test_count_table_lookup():
