@@ -11,19 +11,20 @@ memo miss: it runs the strip loop inline, looks each remainder up in the
 next suffix's node and recurses only on the remainders missing there.
 The density sampler and the single-value CLI call use this path.
 
-Full tables and censuses apply the same rule a whole column at a time.
-For each needed pair (m, t) the sparse signed strip-removal matrix
-S(m, t), from partitions of m to partitions of m - t, is built once from
-``beta_strips``, with the partitions of each size indexed by their beta
-masks; then column(mu) = S(|mu|, mu[0]) . column(mu[1:]) with
-column(()) = [1].  One depth-first walk of the suffix tree of mu
-computes each suffix once and holds only the columns on its current
-path.  Since chi at lambda' is sgn(mu) = (-1)^(n - len mu) times chi at
-lambda, the size-n columns cover only the rows lambda <= lambda': the
-census weights each such row by the size of its conjugate pair, and the
-table fills the other rows by sign.  The size-n columns are produced
-one at a time, so the census counts zeros per row without ever holding
-the table.
+Full tables and censuses apply the same rule to every column at once,
+in one breadth-first engine over the suffixes s of mu (``_packed_rows``).
+At each size k the characters of lambda |- k at every suffix of size k
+are packed into one int per lambda, one fixed-width lane per suffix, so
+removing the border strips of length t from lambda is a signed sum of
+whole packed rows of size k - t, one big-int add per strip, built from
+``beta_strips``.  Since chi at lambda' is sgn(mu) = (-1)^(n - len mu)
+times chi at lambda, the size-n rows are built only for lambda <=
+lambda': the census counts each row's zero lanes with a few big-int
+operations and weights the row by the size of its conjugate pair, and
+the table decodes the lanes and fills the other rows by sign.  The
+size-n rows are produced one at a time, so the census never holds the
+table; the rows below size n are all held, since the last size reads
+each of them.
 
 The census side counts zeros in the full p(N) x p(N) table, both in
 total and restricted to t-core rows, and evaluates the guaranteed-zero
@@ -35,7 +36,10 @@ zero sets disjoint.
 
 from __future__ import annotations
 
-from operator import add, mul, not_
+import sys
+from array import array
+from math import factorial, isqrt
+from operator import mul
 from typing import Iterator, NamedTuple
 
 from .counting import P_GUARD_N, _tcore_series
@@ -51,7 +55,8 @@ TABLE_GUARD = 20
 # <= sum_{m<=n} p(m) = 6,639,348 at 60.  Raising the guard re-checks this.
 VALUE_GUARD = 60
 # steps of the guaranteed-zero sum (``lower_bound_partial``): a cost of
-# 1.7 * 10^8 (n = 8000) took 4.9-7.1 s on a 2-core Xeon
+# 1.7 * 10^8 (n = 8000) took 1.6 s on a 2-core Xeon at the faster of its
+# two speeds, with c_1(n) read off
 LOWER_BOUND_GUARD_STEPS = 2 * 10**8
 
 
@@ -152,50 +157,78 @@ def _check_value_size(n: int) -> None:
                          f"got {n}")
 
 
-def _columns(n: int, rows: list[int]) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """Yield (mu, column) for every partition mu of n, once each, in
-    depth-first order over the suffixes of mu; entry k of a column is
-    the character of the partition with beta mask ``rows[k]`` at mu.
+def _ones(width: int, lanes: int) -> int:
+    """The int with a 1 in each of ``lanes`` digits of ``width`` bits."""
+    return ((1 << width * lanes) - 1) // ((1 << width) - 1)
 
-    The walk starts at the empty suffix, whose column is [1].  The
-    children of a suffix s of size m are (t,) + s for t >= s[0]; each
-    node first yields the size-n column of (n - m,) + s, then descends
-    into the children with m + 2t <= n, the ones that still have a
-    completion of size n.  Only the columns on the current path are
-    held.  The strip matrix S(m, t) is built on first use and kept as
-    parallel lists of rows and indices, even heights first: removing a
-    border strip of length t from row ``row`` of size m leaves the
-    partition ``index`` of m - t.  The matrices are the engine's largest
-    data, and parallel int lists take a third of the memory of
-    (row, index) tuples.  Rows below size n are all partitions of their
-    size in enumeration order.
+
+def _lane_width(n: int) -> int:
+    """Bits per lane of the packed rows at size n: a character of S_k,
+    k <= n, has |chi| <= f_lambda <= sqrt(k!) <= sqrt(n!) < 2^(width - 1).
+    It is 32 for every n <= 20, the width ``character_table`` decodes."""
+    return max(32, isqrt(factorial(n)).bit_length() + 1)
+
+
+def _packed_rows(n: int, top: list[int]) -> Iterator[int]:
+    """Yield the row of each beta mask in ``top`` (partitions of n), in
+    order: p(n) lanes of ``_lane_width(n)`` bits, lane j holding the
+    character at the j-th partition of n in reverse enumeration order,
+    in two's complement.
+
+    The lanes at size k < n are the suffixes s of a cycle type of n, the
+    partitions of k with s[0] <= n - k, ordered by first part ascending
+    and so lexicographically: the size-n lanes are the reverse of the
+    enumeration order.  The rows at size k < n are all partitions of k,
+    and each digit holds chi + 2^(width - 1), so no digit is negative.
+    Size m is built breadth first from the smaller ones: its lanes with
+    first part t, for t <= min(m, n - m) or any t at m = n, are (t,) + s
+    for the suffixes s of size m - t with s[0] <= t, a prefix of that
+    size's lanes.  So block t of row lambda is the sum of
+    +-(row(rem) & prefix) over the border strips of length t of lambda,
+    one big-int add per strip for every column at once, with the bias
+    corrected once per block.  Only the size-n rows in ``top`` are
+    built, one at a time.
     """
-    masks = [[beta_mask(p) for p in part_tuples(m)] for m in range(n)]
-    masks.append(rows)
-    matrices: dict[tuple[int, int], tuple[list[int], ...]] = {}
-
-    def apply(m: int, t: int, prev: list[int]) -> list[int]:
-        matrix = matrices.get((m, t))
-        if matrix is None:
-            index = {lam: j for j, lam in enumerate(masks[m - t])}
-            matrix = matrices[m, t] = ([], [], [], [])
-            for i, lam in enumerate(masks[m]):
+    width = _lane_width(n)
+    bias = 1 << (width - 1)
+    levels = [{0: 1 + bias}]  # the empty partition at the empty suffix
+    # counts[k][t]: the lanes of size k with first part <= t, t <= n - k
+    counts = [[1] * (n + 1)]
+    for m in range(1, n + 1):
+        blocks = []
+        count = [0]  # becomes counts[m]
+        for t in range(1, (n if m == n else min(m, n - m)) + 1):
+            size = counts[m - t][t]
+            # the prefix mask; -1 when it is every lane of size m - t
+            keep = (1 << width * size) - 1 if size < counts[m - t][-1] else -1
+            blocks.append((t, levels[m - t], keep, bias * _ones(width, size),
+                           width * count[-1]))
+            count.append(count[-1] + size)
+        lanes = count[-1]
+        base = bias * _ones(width, lanes)
+        masks = top if m == n else map(beta_mask, part_tuples(m))
+        level = {}
+        for lam in masks:
+            row = base
+            for t, prev, keep, block_bias, shift in blocks:
+                total = net = 0
                 for odd, rem in beta_strips(lam, t):
-                    matrix[2 * odd].append(i)
-                    matrix[2 * odd + 1].append(index[rem])
-        col = [0] * len(masks[m])
-        for i, j in zip(matrix[0], matrix[1]):
-            col[i] += prev[j]
-        for i, j in zip(matrix[2], matrix[3]):
-            col[i] -= prev[j]
-        return col
-
-    def walk(mu: tuple[int, ...], m: int, col: list[int]):
-        yield (n - m,) + mu, apply(n, n - m, col)
-        for t in range(mu[0] if mu else 1, (n - m) // 2 + 1):
-            yield from walk((t,) + mu, m + t, apply(m + t, t, col))
-
-    return walk((), 0, [1])
+                    if odd:
+                        total -= prev[rem] & keep
+                        net -= 1
+                    else:
+                        total += prev[rem] & keep
+                        net += 1
+                if net:
+                    total -= net * block_bias
+                if total:
+                    row += total << shift
+            if m == n:
+                yield row ^ base
+            else:
+                level[lam] = row
+        levels.append(level)
+        counts.append(count + [lanes] * (n - m + 1 - len(count)))
 
 
 def _half_rows(masks: list[int]) -> tuple[list[int], list[int]]:
@@ -214,21 +247,22 @@ def character_table(n: int) -> CharacterTable:
 
     Guarded at ``TABLE_GUARD`` (n <= 20): beyond that the exact table is
     infeasible at desk scale and the sampling module applies.  The
-    column engine computes the rows lambda <= lambda'; each conjugate
-    row is sgn(mu) = (-1)^(n - len mu) times its partner.
+    packed engine computes the rows lambda <= lambda', whose 32-bit lanes
+    are read in C; each conjugate row is sgn(mu) = (-1)^(n - len mu)
+    times its partner.
     """
     _check_table_size(n)
     parts = tuple(enumerate_partitions(n))
     masks = [beta_mask(p.parts) for p in parts]
     half, conj = _half_rows(masks)
-    order = {p.parts: j for j, p in enumerate(parts)}
-    cols: list = [None] * len(parts)
-    for mu, col in _columns(n, [masks[i] for i in half]):
-        cols[order[mu]] = col
     signs = [-1 if (n - len(p)) % 2 else 1 for p in parts]
     rows: list = [None] * len(parts)
-    for i, row in zip(half, zip(*cols)):
-        rows[i] = row
+    for i, packed in zip(half, _packed_rows(n, [masks[i] for i in half])):
+        row = array("i", packed.to_bytes(4 * len(parts), "little"))
+        if sys.byteorder == "big":
+            row.byteswap()
+        row.reverse()  # lanes run in reverse enumeration order
+        rows[i] = row = tuple(row)
         rows[conj[i]] = tuple(map(mul, signs, row))
     return CharacterTable(n=n, partitions=parts, rows=tuple(rows))
 
@@ -258,8 +292,9 @@ def zero_count(n: int) -> ZeroCensus:
     """Exact zero census of the S_n character table, guarded like
     ``character_table``.
 
-    The zeros are counted column by column as the engine produces them,
-    and the table is never held in memory.  Only the rows
+    The zeros are counted row by row as the packed engine produces
+    them, a few big-int operations per row, and the table is never held
+    in memory.  Only the rows
     lambda <= lambda' are computed: a row and its conjugate have the
     same zeros and the same hook lengths, so each such row counts twice,
     or once when lambda is self-conjugate, in the total and in every
@@ -269,12 +304,16 @@ def zero_count(n: int) -> ZeroCensus:
     masks = [beta_mask(p) for p in part_tuples(n)]
     half, conj = _half_rows(masks)
     rows = [masks[i] for i in half]
-    row_zeros = [0] * len(half)
-    for _, col in _columns(n, rows):
-        row_zeros = list(map(add, row_zeros, map(not_, col)))
+    width = _lane_width(n)
+    ones = _ones(width, len(masks))
+    high = ones << (width - 1)
+    low = high - ones
     total = 0
     per_core = {t: 0 for t in range(1, n + 1)}
-    for i, mask, zeros in zip(half, rows, row_zeros):
+    for i, mask, packed in zip(half, rows, _packed_rows(n, rows)):
+        # a lane is nonzero iff its top bit is set or its low bits plus
+        # 2^(width-1) - 1 carry into it; no sum leaves its lane
+        zeros = len(masks) - ((((packed & low) + low) | packed) & high).bit_count()
         if zeros:
             zeros *= 1 if conj[i] == i else 2
             total += zeros

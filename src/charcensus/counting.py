@@ -234,7 +234,10 @@ def tcore_count(t: int, n: int) -> int:
 
 
 def _tcore_series(t: int, n: int) -> int:
-    """c_t(n) from the series, unguarded; p[n::-t] is p(n), ..., p(n mod t)."""
+    """c_t(n) from the series, unguarded; p[n::-t] is p(n), ..., p(n mod t).
+    The only 1-core is the empty partition, so t = 1 needs no series."""
+    if t == 1:
+        return int(n == 0)
     return sum(map(mul, _eta_power(t, n // t), _p_table(n)[n::-t]))
 
 

@@ -146,9 +146,9 @@ def beta_strips(mask: int, t: int) -> list[tuple[int, int]]:
 
     A strip starts at each set bit b >= t whose bit b - t is clear; the
     remainder moves that bead to b - t, and the height parity is the
-    parity of the beads strictly between.  The column engine builds its
-    strip matrices from this; ``characters._strip`` runs the same loop
-    inline.
+    parity of the beads strictly between.  The packed table and census
+    engine (``characters._packed_rows``) strips its rows with this;
+    ``characters._strip`` runs the same loop inline.
     """
     out = []
     starts = (mask & ~(mask << t)) >> t << t

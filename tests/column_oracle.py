@@ -1,9 +1,10 @@
-"""The memoized column engine that the depth-first census replaced.
+"""The one table oracle: a memoized column engine.
 
 ``columns`` yields every column of the S_n character table in
-enumeration order, with all rows, and memoizes every column of size
-below n by its suffix of mu.  The tests compare the depth-first engine,
-its conjugate-pair rows and the census built on them against it.
+enumeration order, with all rows, one plain list of ints per column,
+and memoizes every column of size below n by its suffix of mu.  The
+tests compare the packed row engine of ``characters``, its
+conjugate-pair rows and the census built on them against it.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from charcensus.partitions import (
     beta_mask,
     enumerate_partitions,
     is_t_core,
+    part_tuples,
 )
 from charcensus.sampling import _draw
 import column_oracle
@@ -257,9 +258,33 @@ def test_conjugate_rows_differ_by_sign():
 
 
 def test_census_pinned_above_the_guard(monkeypatch):
-    monkeypatch.setattr(characters, "TABLE_GUARD", 24)
+    monkeypatch.setattr(characters, "TABLE_GUARD", 28)
     assert zero_count(22).total_zeros == 395473
     assert zero_count(24).total_zeros == 970294
+    assert zero_count(26).total_zeros == 2323476
+    assert zero_count(28).total_zeros == 5349414
+
+
+def test_lane_width_holds_every_character():
+    # |chi_lambda(mu)| <= f_lambda, so a lane of w bits in two's complement
+    # holds every character once 2^(w-1) > max f_lambda; the rule is
+    # w = max(32, floor(log2 sqrt(N!)) + 2), and 32 up to the table guard,
+    # the width character_table decodes
+    for n in range(1, 37):
+        width = characters._lane_width(n)
+        hooks = math.inf
+        for parts in part_tuples(n):
+            cols = [0] * parts[0]
+            for p in parts:
+                for j in range(p):
+                    cols[j] += 1
+            hooks = min(hooks, math.prod(p - j + cols[j] - i - 1
+                                         for i, p in enumerate(parts)
+                                         for j in range(p)))
+        assert math.factorial(n) // hooks < 1 << (width - 1), n
+        assert width >= max(32, (math.factorial(n).bit_length() - 1) // 2 + 2), n
+        if n <= characters.TABLE_GUARD:
+            assert width == 32, n
 
 
 def test_census_per_core_consistency():

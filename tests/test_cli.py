@@ -231,6 +231,18 @@ def test_out_file(run, tmp_path):
     assert doc["result"]["Z"] == "4"
 
 
+def test_benchmark_refusal_tracks_the_table_guard(monkeypatch):
+    # the benchmark's cli workload expects this command to exit 3, so a
+    # change that moves the guard must move the benchmark first
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from workloads import cli_commands
+
+    (argv, code), = [(argv, code) for cid, argv, code in cli_commands(42)
+                     if cid == "refused"]
+    assert argv[:2] == ["zeros", "exact"] and code == 3
+    assert argv[argv.index("--n") + 1] == str(characters.TABLE_GUARD + 1)
+
+
 def test_guard_exit_code(run):
     code, _, err = run("zeros", "exact", "--n", "50")
     assert code == 3
@@ -257,7 +269,7 @@ def no_work(monkeypatch):
     for module, name in ((counting, "_p_table"),
                          (rademacher, "p_exact"),
                          (counting, "_eta_power"),
-                         (characters, "_columns"),
+                         (characters, "_packed_rows"),
                          (characters, "_chi"),
                          (asymptotics, "_log_p"),
                          (asymptotics, "_q_sums"),

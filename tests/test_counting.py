@@ -254,6 +254,18 @@ def test_tcore_matches_bruteforce():
             assert tcore_count(t, n) == tcore_count_bruteforce(t, n)
 
 
+def test_one_cores_need_no_series(monkeypatch):
+    # the only 1-core is the empty partition: c_1(n) is read off, with no
+    # eta power, on the counter and on the guaranteed-zero sum's series
+    def fail(*args, **kwargs):
+        raise AssertionError("eta power computed for t = 1")
+
+    monkeypatch.setattr(counting, "_eta_power", fail)
+    for n in range(0, 31):
+        brute = tcore_count_bruteforce(1, n)
+        assert counting._tcore_series(1, n) == tcore_count(1, n) == brute, n
+
+
 def test_tcore_matches_series_oracle_small():
     for t in range(1, 61):
         series = _core_series(t, 60)
@@ -294,7 +306,7 @@ def kernels_fail(monkeypatch):
         raise AssertionError("work started before the cost guard")
 
     for module, name in ((counting, "_p_table"), (rademacher, "p_exact"),
-                         (counting, "_eta_power"), (characters, "_columns"),
+                         (counting, "_eta_power"), (characters, "_packed_rows"),
                          (characters, "_chi")):
         monkeypatch.setattr(module, name, fail)
 
