@@ -3,13 +3,18 @@
 Single character values come from the classical border-strip
 (Murnaghan-Nakayama) recursion: pick a part t of the cycle type mu,
 strip every border strip of length t from lambda, and sum the signed
-sub-characters.  The memo is a trie over the suffixes of mu, read from
-the last part, whose node for each suffix holds the characters already
-known there, keyed by the beta mask of lambda: one walk per (lambda, mu)
-pair finds every suffix's node.  The recursion is entered only on a
-memo miss: it runs the strip loop inline, looks each remainder up in the
-next suffix's node and recurses only on the remainders missing there.
-The density sampler and the single-value CLI call use this path.
+sub-characters.  The memo has one node per suffix of mu, read from the
+last part, holding the characters already known there, keyed by the
+beta mask of lambda.  One walk (``_values``) evaluates a whole multiset
+of pairs: it takes the mu in the order of their parts read from the
+last part, so the mu that end in one suffix come one after another, and
+it holds only the nodes of the current mu's suffixes, dropping each as
+soon as the walk leaves it.  Every state is still computed once.  The
+recursion is entered only on a memo miss: it runs the strip loop
+inline, looks each remainder up in the next suffix's node and recurses
+only on the remainders missing there.  The density sampler evaluates
+all its pairs in one walk, and the single-value CLI call is a walk over
+one pair.
 
 Full tables and censuses apply the same rule to every column at once,
 in one breadth-first engine over the suffixes s of mu (``_packed_rows``).
@@ -63,26 +68,35 @@ LOWER_BOUND_GUARD_STEPS = 2 * 10**8
 _EMPTY_SUFFIX = {0: 1}  # the node of mu = (): only the empty partition, chi 1
 
 
-def _chi(lam: int, mu: tuple[int, ...], memo: dict) -> int:
-    """The character at (beta mask ``lam``, parts ``mu``), stripping the
-    parts of mu in the order given.
+def _values(pairs: dict) -> Iterator[tuple[int, int]]:
+    """Yield (character, count) for each pair of ``pairs``, a mapping
+    {parts of mu: {beta mask of lambda: count}}; the parts of each mu are
+    stripped in the order given.
 
-    ``memo`` is the root of a trie over the suffixes of mu, read from the
-    last part: key -t leads from the node of a suffix s to the node of
-    (t,) + s, and key ``mask`` >= 0 of a node holds the character of that
-    mask at that suffix.  One walk finds the node of every suffix of mu.
+    The memo node of a suffix s holds the characters at s, keyed by beta
+    mask, and only the mu that end in s read it.  The mu are taken in
+    the order of their parts read from the last part, which makes those
+    mu consecutive, so only the nodes on the current mu's suffix path are
+    held: a node is dropped as soon as the next mu leaves its suffix, and
+    every state is still computed once.
     """
-    levels = [_EMPTY_SUFFIX]
-    node = memo
-    for t in reversed(mu):
-        child = node.get(-t)
-        if child is None:
-            child = node[-t] = {}
-        levels.append(child)
-        node = child
-    levels.reverse()  # levels[i] is the node of mu[i:]
-    val = levels[0].get(lam)
-    return _strip(lam, mu, 0, levels) if val is None else val
+    path = [_EMPTY_SUFFIX]  # path[d]: the node of the last d parts of mu
+    prev: tuple[int, ...] = ()
+    for mu in sorted(pairs, key=lambda mu: mu[::-1]):
+        rev = mu[::-1]
+        keep = 0
+        for a, b in zip(rev, prev):
+            if a != b:
+                break
+            keep += 1
+        del path[keep + 1:]
+        path.extend({} for _ in range(len(rev) - keep))
+        prev = rev
+        levels = path[::-1]  # levels[i] is the node of mu[i:]
+        # the node of mu itself is new here (any mu ending in mu sorts
+        # after it), so every pair misses; mu = () is the empty class
+        for lam, count in pairs[mu].items():
+            yield (_strip(lam, mu, 0, levels) if mu else 1), count
 
 
 def _strip(lam: int, mu: tuple[int, ...], i: int, levels: list[dict]) -> int:
@@ -127,7 +141,8 @@ def character_value(lam: Partition, mu: Partition) -> int:
     _check_value_size(mu.size)
     if lam.size != mu.size:
         raise ValueError(f"size mismatch: |{lam}| = {lam.size}, |{mu}| = {mu.size}")
-    return _chi(beta_mask(lam.parts), mu.parts, {})
+    ((value, _),) = _values({mu.parts: {beta_mask(lam.parts): 1}})
+    return value
 
 
 class CharacterTable(NamedTuple):

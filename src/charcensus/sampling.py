@@ -15,6 +15,10 @@ not weight mu by conjugacy-class size.
 
 Every pair is evaluated, since ``VALUE_GUARD`` bounds the work of one
 evaluation, so no pair is dropped and ``samples`` is the denominator.
+The pairs are drawn first and kept as a multiset, {mu: {beta mask of
+lambda: count}}; one ``characters._values`` walk then evaluates each
+distinct pair once, holding only the memo of the current mu's suffixes,
+and the zeros are counted with their multiplicities.
 
 Randomness: every run is driven by one 64-bit seed.  Sample chunks of
 fixed size draw from independent substreams whose seeds are derived
@@ -30,19 +34,22 @@ import random
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .characters import _check_value_size, _chi
+from .characters import _check_value_size, _values
 from .counting import build_bounded_table
 from .errors import GuardError
 from .partitions import beta_mask
 
 RNG_ALGORITHM = "mt19937-sha256-streams-v1"
 _CHUNK = 2048  # samples per substream; changing it changes every report
-# limit on samples * (16 + 2^(n/5)): one sample takes 0.17-0.42 us *
+# limit on samples * (16 + 2^(n/5)): one sample takes 0.14-0.34 us *
 # (16 + 2^(n/5)) on a 2-core Xeon, the most at n = 12-20 and the least
-# at n = 50-60 (3.7 us at n = 2, 61 us at n = 40, 0.73-0.77 ms at
-# n = 60), and at large n the character memo grows in proportion, about
-# 22 KB per sample at n = 60; a run at the limit took 2.8-7.1 s and at
-# most 115 MB for every n in {2, 12, 20, 30, 40, 50, 60}
+# at n = 50-60 (2.6-3.4 us at n = 2, 50 us at n = 40, 0.58-0.68 ms at
+# n = 60).  The memo holds one mu's suffixes at a time; what grows with
+# the samples is the multiset of drawn pairs, 20 MB at the limit at
+# n = 20.  At the limit, seed 42, a fresh process took (time, peak RSS):
+# n = 2: 2.5-3.3 s, 18 MB; 12: 5.2-5.7 s, 18 MB; 20: 5.2-5.7 s, 39 MB;
+# 30: 3.8-4.2 s, 36 MB; 40: 3.1 s, 40 MB; 50: 2.8-3.1 s, 35 MB;
+# 60: 2.4-2.8 s, 33 MB
 DENSITY_GUARD = 2**24
 
 
@@ -135,7 +142,8 @@ def estimate_zero_density(n: int, samples: int, seed: int) -> DensityEstimate:
     conjectured 2/log n alongside.  Guarded by the single-value limit
     ``characters.VALUE_GUARD`` (n <= 60): one character evaluation gets
     combinatorially expensive past desk scale, and by ``DENSITY_GUARD``,
-    since the memo grows with every sample.  0 <= seed < 2^64.
+    since the time and the multiset of drawn pairs grow with every
+    sample.  0 <= seed < 2^64.
     """
     if n < 2:
         raise GuardError("density estimation requires n >= 2")
@@ -149,15 +157,17 @@ def estimate_zero_density(n: int, samples: int, seed: int) -> DensityEstimate:
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     table = build_bounded_table(n, n)
-    memo: dict = {}
-    zeros = 0
+    pairs: dict = {}  # {mu: {beta mask of lambda: count}}
     for start in range(0, samples, _CHUNK):
         rng = _stream_rng(seed, start // _CHUNK)
         for _ in range(min(_CHUNK, samples - start)):
-            lam = _draw(n, rng, table)
+            lam = beta_mask(_draw(n, rng, table))
             mu = _draw(n, rng, table)
-            if _chi(beta_mask(lam), mu, memo) == 0:
-                zeros += 1
+            row = pairs.get(mu)
+            if row is None:
+                row = pairs[mu] = {}
+            row[lam] = row.get(lam, 0) + 1
+    zeros = sum(count for value, count in _values(pairs) if not value)
     ci_low, ci_high = wilson_interval(zeros, samples)
     return DensityEstimate(
         n=n, samples=samples, zeros_observed=zeros,

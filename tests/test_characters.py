@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import sys
 
 import pytest
 
@@ -107,20 +108,32 @@ def test_row_orthogonality():
                 assert s == (fact if i == j else 0)
 
 
-def _value(lam, mu, memo, order):
-    """The character at (lam, mu), stripping the parts of mu largest
-    first, as ``character_value`` does, or smallest first; the value
-    does not depend on the order."""
-    parts = mu.parts if order == "largest" else mu.parts[::-1]
-    return characters._chi(beta_mask(lam.parts), parts, memo)
+def _walk(cells):
+    """{(beta mask, mu parts): value} for the (beta mask, mu parts)
+    ``cells`` from one ``_values`` walk; the parts of mu are stripped in
+    the order given.  The walk passes each count through, so a cell's
+    index serves as its count."""
+    keys = list(dict.fromkeys(cells))
+    pairs = {}
+    for i, (lam, mu) in enumerate(keys):
+        pairs.setdefault(mu, {})[lam] = i
+    return {keys[i]: value for value, i in characters._values(pairs)}
+
+
+def _ordered(mu, order):
+    """The parts of mu largest first, as ``character_value`` strips them,
+    or smallest first; the value does not depend on the order."""
+    return mu.parts if order == "largest" else mu.parts[::-1]
 
 
 def _per_cell_rows(n, order):
     """The per-cell table build the column engine replaced: one
-    character value per cell with a shared memo."""
+    character value per cell, all from one walk."""
     parts = list(enumerate_partitions(n))
-    memo = {}
-    return tuple(tuple(_value(lam, mu, memo, order) for mu in parts) for lam in parts)
+    cells = [[(beta_mask(lam.parts), _ordered(mu, order)) for mu in parts]
+             for lam in parts]
+    values = _walk([cell for row in cells for cell in row])
+    return tuple(tuple(values[cell] for cell in row) for row in cells)
 
 
 @pytest.mark.parametrize("order", ["largest", "smallest"])
@@ -129,90 +142,135 @@ def test_table_matches_per_cell_oracle(order):
         assert character_table(n).rows == _per_cell_rows(n, order), n
 
 
-def _memo_states(node):
-    """The (lambda mask, mu suffix) states held in a character memo trie:
-    keys >= 0 of a node are masks, key -t leads to a child node."""
-    return sum(_memo_states(v) if k < 0 else 1 for k, v in node.items())
+@pytest.fixture()
+def strip_calls(monkeypatch):
+    """A list whose one item counts the ``_strip`` calls.  ``_strip`` is
+    entered only on a memo miss and stores one state per entry, and the
+    recursion looks it up by name, so the count is the number of states
+    computed."""
+    calls = [0]
+    strip = characters._strip
+
+    def counted(*args):
+        calls[0] += 1
+        return strip(*args)
+
+    monkeypatch.setattr(characters, "_strip", counted)
+    return calls
 
 
 @pytest.mark.parametrize("n, pairs", [(40, 2000), (60, 300)])
-def test_chi_on_masks_matches_tuple_oracle(n, pairs):
-    # uniform pairs as the density estimator draws them, one shared memo
-    # per side: equal values and an equal number of memoized states
+def test_chi_on_masks_matches_tuple_oracle(strip_calls, n, pairs):
+    # uniform pairs as the density estimator draws them, in one walk:
+    # equal values, and no state computed twice, so the walk computes
+    # as many states as the tuple oracle's shared memo holds
     table = build_bounded_table(n, n)
     rng = random.Random(n)
-    memo, oracle_memo = {}, {}
-    for _ in range(pairs):
-        lam, mu = _draw(n, rng, table), _draw(n, rng, table)
-        assert characters._chi(beta_mask(lam), mu, memo) \
-            == chi_tuple(lam, mu, oracle_memo), (lam, mu)
-    assert _memo_states(memo) == len(oracle_memo)
+    cells = [(_draw(n, rng, table), _draw(n, rng, table)) for _ in range(pairs)]
+    values = _walk([(beta_mask(lam), mu) for lam, mu in cells])
+    oracle_memo = {}
+    for lam, mu in cells:
+        assert values[beta_mask(lam), mu] == chi_tuple(lam, mu, oracle_memo), (lam, mu)
+    assert strip_calls[0] == len(oracle_memo)
 
 
 def test_shared_memo_across_orders_and_sizes():
-    # one memo serves both strip orders and every n: each value equals
-    # the one a fresh memo gives, and the tuple oracle's
+    # one walk serves both strip orders and every n: each value equals
+    # the one a walk over that pair alone gives, and the tuple oracle's
     rng = random.Random(7)
-    shared, oracle_memo = {}, {}
+    cells, oracle_memo = [], {}
     for _ in range(400):
         n = rng.randint(1, 24)
         table = build_bounded_table(n, n)
         lam, mu = P(_draw(n, rng, table)), P(_draw(n, rng, table))
-        order = rng.choice(["largest", "smallest"])
-        value = _value(lam, mu, shared, order)
-        assert value == _value(lam, mu, {}, order), (lam, mu, order)
-        assert value == chi_tuple(lam.parts, mu.parts, oracle_memo), (lam, mu)
-    assert _memo_states(shared) > 0
+        cells.append((lam, mu, rng.choice(["largest", "smallest"])))
+    values = _walk([(beta_mask(lam.parts), _ordered(mu, order))
+                    for lam, mu, order in cells])
+    assert len({mu.size for _, mu, _ in cells}) > 1
+    assert {order for *_, order in cells} == {"largest", "smallest"}
+    for lam, mu, order in cells:
+        cell = (beta_mask(lam.parts), _ordered(mu, order))
+        assert values[cell] == _walk([cell])[cell], (lam, mu, order)
+        assert values[cell] == chi_tuple(lam.parts, mu.parts, oracle_memo), (lam, mu)
 
 
-def test_cold_evaluation_states_bounded_by_suffix_sizes():
-    # each (mask, suffix) state misses the memo at most once, and the
-    # states at mu[i:] are partitions of |mu[i:]|: a cold evaluation adds
-    # at most sum_i p(|mu[i:]|) states, and a repeat on its memo adds none
+def test_cold_evaluation_states_bounded_by_suffix_sizes(strip_calls):
+    # each (mask, suffix) state is computed at most once, and the states
+    # at mu[i:] are partitions of |mu[i:]|: a cold evaluation computes at
+    # most sum_i p(|mu[i:]|) states, and a pair drawn again computes none
     rng = random.Random(22)
     for _ in range(300):
         n = rng.randint(1, 22)
         table = build_bounded_table(n, n)
-        lam, mu = _draw(n, rng, table), _draw(n, rng, table)
-        memo = {}
-        value = characters._chi(beta_mask(lam), mu, memo)
-        states = _memo_states(memo)
+        lam, mu = beta_mask(_draw(n, rng, table)), _draw(n, rng, table)
+        strip_calls[0] = 0
+        ((value, _),) = characters._values({mu: {lam: 1}})
+        states = strip_calls[0]
         assert 0 < states <= sum(partition_count(sum(mu[i:]))
                                  for i in range(len(mu))), (lam, mu)
-        assert characters._chi(beta_mask(lam), mu, memo) == value
-        assert _memo_states(memo) == states, (lam, mu)
+        strip_calls[0] = 0
+        assert list(characters._values({mu: {lam: 2}})) == [(value, 2)]
+        assert strip_calls[0] == states, (lam, mu)
 
 
-def test_one_strip_call_per_added_state(monkeypatch):
-    # _strip is entered only on a memo miss and stores one state per
-    # entry: a cold evaluation calls it once per state it adds, on a
-    # fresh memo or a shared one, and a warm repeat never calls it.  The
-    # recursion looks _strip up by name, so the wrapper sees every call.
-    calls = 0
-    strip = characters._strip
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return strip(*args)
-
-    monkeypatch.setattr(characters, "_strip", counted)
+def test_one_strip_call_per_added_state(strip_calls):
+    # a cold evaluation calls _strip once per state, as many as the tuple
+    # oracle memoizes; a walk that also asks for every one of those
+    # states, or for pairs computed before, makes no further call
     rng = random.Random(40)
-    shared = {}
+    cells, shared = [], {}
     for _ in range(200):
         n = rng.randint(1, 40)
         table = build_bounded_table(n, n)
-        lam, mu = beta_mask(_draw(n, rng, table)), _draw(n, rng, table)
-        memo = {}
-        calls = 0
-        value = characters._chi(lam, mu, memo)
-        assert calls == _memo_states(memo) > 0, (lam, mu)
-        calls = 0
-        assert characters._chi(lam, mu, memo) == value
-        assert calls == 0, (lam, mu)
-        before = _memo_states(shared)
-        assert characters._chi(lam, mu, shared) == value
-        assert calls == _memo_states(shared) - before, (lam, mu)
+        lam, mu = _draw(n, rng, table), _draw(n, rng, table)
+        oracle_memo = {}
+        value = chi_tuple(lam, mu, oracle_memo)
+        chi_tuple(lam, mu, shared)
+        cells.append((beta_mask(lam), mu))
+        strip_calls[0] = 0
+        assert _walk([cells[-1]]) == {cells[-1]: value}
+        assert strip_calls[0] == len(oracle_memo) > 0, (lam, mu)
+        states = [(beta_mask(sub), suffix) for sub, suffix in oracle_memo]
+        strip_calls[0] = 0
+        warm = _walk(states + [cells[-1]])
+        assert warm == {(beta_mask(sub), suffix): v
+                        for (sub, suffix), v in oracle_memo.items()}
+        assert strip_calls[0] == len(oracle_memo), (lam, mu)
+        strip_calls[0] = 0
+        _walk(cells)
+        assert strip_calls[0] == len(shared), (lam, mu)
+
+
+@pytest.mark.parametrize("n, pairs", [(40, 2000), (60, 300)])
+def test_live_memo_is_the_suffix_path(monkeypatch, n, pairs):
+    # the memo nodes a walk holds at the start of each pair are exactly
+    # the nodes of that mu's suffixes, ``levels``: a node the walk no
+    # longer references is one only this test holds.  So the live memo
+    # peaks well below the number of states the walk computes.
+    held = {0: {}}
+    alone = sys.getrefcount(held[0])  # references to a node held only here
+    live, calls, peak = {}, 0, 0
+    strip = characters._strip
+
+    def watched(lam, mu, i, levels):
+        nonlocal calls, peak
+        calls += 1
+        if i == 0:
+            for node in levels:
+                live.setdefault(id(node), node)
+            for key in list(live):
+                if sys.getrefcount(live[key]) <= alone:
+                    del live[key]
+            assert set(live) == set(map(id, levels)), mu
+            peak = max(peak, sum(map(len, levels)))
+        return strip(lam, mu, i, levels)
+
+    monkeypatch.setattr(characters, "_strip", watched)
+    table = build_bounded_table(n, n)
+    rng = random.Random(n)
+    _walk([(beta_mask(_draw(n, rng, table)), _draw(n, rng, table))
+           for _ in range(pairs)])
+    assert 0 < 4 * peak < calls, (peak, calls)
 
 
 def test_zero_census_small():
@@ -258,11 +316,12 @@ def test_conjugate_rows_differ_by_sign():
 
 
 def test_census_pinned_above_the_guard(monkeypatch):
-    monkeypatch.setattr(characters, "TABLE_GUARD", 28)
+    monkeypatch.setattr(characters, "TABLE_GUARD", 30)
     assert zero_count(22).total_zeros == 395473
     assert zero_count(24).total_zeros == 970294
     assert zero_count(26).total_zeros == 2323476
     assert zero_count(28).total_zeros == 5349414
+    assert zero_count(30).total_zeros == 11963861
 
 
 def test_lane_width_holds_every_character():

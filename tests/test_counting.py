@@ -307,7 +307,7 @@ def kernels_fail(monkeypatch):
 
     for module, name in ((counting, "_p_table"), (rademacher, "p_exact"),
                          (counting, "_eta_power"), (characters, "_packed_rows"),
-                         (characters, "_chi")):
+                         (characters, "_values")):
         monkeypatch.setattr(module, name, fail)
 
 

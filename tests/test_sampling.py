@@ -27,6 +27,32 @@ from diagram_oracle import random_partition
 CONSISTENCY_SEEDS = {2: 0, 3: 0, 4: 0, 5: 1, 6: 1, 7: 0, 8: 1, 9: 3,
                      10: 3, 11: 1, 12: 0, 13: 0, 14: 0}
 
+# Reports recorded from the estimator that evaluated each pair as it was
+# drawn, with one memo kept for the whole run; the order of evaluation
+# must not change a report.
+PINNED_REPORTS = {
+    (12, 100000, 42): {
+        "N": 12, "samples": 100000, "zeros_observed": 37848, "failures": 0,
+        "point_estimate": 0.37848, "ci_low": 0.37547861069216204,
+        "ci_high": 0.3814907255738159, "conjecture_value": 0.8048592087636893,
+        "seed": 42, "rng_algorithm": "mt19937-sha256-streams-v1"},
+    (2, 1000, 5): {
+        "N": 2, "samples": 1000, "zeros_observed": 0, "failures": 0,
+        "point_estimate": 0.0, "ci_low": 0.0, "ci_high": 0.0038268985863905225,
+        "conjecture_value": 2.8853900817779268,
+        "seed": 5, "rng_algorithm": "mt19937-sha256-streams-v1"},
+    (40, 24000, 42): {
+        "N": 40, "samples": 24000, "zeros_observed": 8683, "failures": 0,
+        "point_estimate": 0.3617916666666667, "ci_low": 0.3557348284802442,
+        "ci_high": 0.3678927428665023, "conjecture_value": 0.5421700613636335,
+        "seed": 42, "rng_algorithm": "mt19937-sha256-streams-v1"},
+    (60, 2000, 42): {
+        "N": 60, "samples": 2000, "zeros_observed": 625, "failures": 0,
+        "point_estimate": 0.3125, "ci_low": 0.29256143142780416,
+        "ci_high": 0.3331574876723881, "conjecture_value": 0.4884786733519446,
+        "seed": 42, "rng_algorithm": "mt19937-sha256-streams-v1"},
+}
+
 
 def test_n1_is_deterministic():
     assert random_partition(1, random.Random(0)) == Partition([1])
@@ -126,6 +152,7 @@ def test_estimate_matches_exact_density():
     assert est.ci_low <= est.point_estimate <= est.ci_high
     assert est.to_json_dict()["failures"] == 0
     assert est.conjecture_value == pytest.approx(2 / math.log(12))
+    assert est.to_json_dict() == PINNED_REPORTS[12, 100000, 42]
 
 
 def test_estimate_n2_density_zero():
@@ -134,6 +161,7 @@ def test_estimate_n2_density_zero():
     assert est.point_estimate == 0.0
     assert est.zeros_observed == 0
     assert est.ci_low == 0.0 and est.ci_high > 0.0
+    assert est.to_json_dict() == PINNED_REPORTS[2, 1000, 5]
 
 
 def test_wilson_interval_holds_the_estimate():
@@ -151,6 +179,17 @@ def test_estimate_rerun_identical_pinned():
     assert first.zeros_observed == 704
     assert first.point_estimate == 0.352
     assert estimate_zero_density(40, 2000, seed=11) == first
+
+
+@pytest.mark.parametrize("n, samples, zeros", [(40, 2000, 720), (60, 300, 92)])
+def test_estimate_zeros_pinned(n, samples, zeros):
+    assert estimate_zero_density(n, samples, seed=42).zeros_observed == zeros
+
+
+@pytest.mark.parametrize("n, samples, seed", [(40, 24000, 42), (60, 2000, 42)])
+def test_estimate_report_pinned(n, samples, seed):
+    assert estimate_zero_density(n, samples, seed).to_json_dict() \
+        == PINNED_REPORTS[n, samples, seed]
 
 
 def test_estimate_error_shrinks_with_samples():
