@@ -13,11 +13,11 @@ __version__ = "0.1.0"
 _MODULES = {
     "partitions": ("Partition", "enumerate_partitions", "is_t_core",
                    "parse_partition"),
-    "counting": ("bounded_partition_count", "partition_count", "tcore_count",
+    "counting": ("bounded_partition_count", "lower_bound_partial",
+                 "lower_bound_sum", "partition_count", "tcore_count",
                  "tcore_count_bruteforce"),
     "characters": ("CharacterTable", "ZeroCensus", "character_table",
-                   "character_value", "lower_bound_partial",
-                   "lower_bound_sum", "zero_count"),
+                   "character_value", "zero_count"),
     "asymptotics": ("LogReal", "BoundReport", "SaddleSolution",
                     "core_count_bound", "eta", "full_table_bound",
                     "rademacher_main_term", "solve_saddle",

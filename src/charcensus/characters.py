@@ -30,13 +30,6 @@ the table decodes the lanes and fills the other rows by sign.  The
 size-n rows are produced one at a time, so the census never holds the
 table; the rows below size n are all held, since the last size reads
 each of them.
-
-The census side counts zeros in the full p(N) x p(N) table, both in
-total and restricted to t-core rows, and evaluates the guaranteed-zero
-lower bound sum_t c_t(N) * p_t(N-t) that needs no character computation
-at all: whenever mu has a part of size t and lambda is a t-core, the
-character vanishes, and grouping mu by its largest part makes those
-zero sets disjoint.
 """
 
 from __future__ import annotations
@@ -47,8 +40,7 @@ from math import factorial, isqrt
 from operator import mul
 from typing import Iterator, NamedTuple
 
-from .counting import P_GUARD_N, _tcore_series
-from .errors import GuardError, check_cost
+from .errors import GuardError
 from .partitions import (Partition, beta_mask, beta_strips, conjugate_mask,
                          enumerate_partitions, part_tuples)
 
@@ -59,10 +51,6 @@ TABLE_GUARD = 20
 # |mu[i:]|, and these sizes are distinct, so misses per evaluation
 # <= sum_{m<=n} p(m) = 6,639,348 at 60.  Raising the guard re-checks this.
 VALUE_GUARD = 60
-# steps of the guaranteed-zero sum (``lower_bound_partial``): a cost of
-# 1.7 * 10^8 (n = 8000) took 1.6 s on a 2-core Xeon at the faster of its
-# two speeds, with c_1(n) read off
-LOWER_BOUND_GUARD_STEPS = 2 * 10**8
 
 
 _EMPTY_SUFFIX = {0: 1}  # the node of mu = (): only the empty partition, chi 1
@@ -337,38 +325,4 @@ def zero_count(n: int) -> ZeroCensus:
                     per_core[t] += zeros
     return ZeroCensus(n=n, table_dim=len(conj), total_zeros=total,
                       per_core_zeros=per_core)
-
-
-def lower_bound_partial(n: int, t_lo: int, t_hi: int) -> int:
-    """Exact partial sum over t in [t_lo, t_hi] of c_t(n) * p_t(n-t).
-
-    Each term counts the guaranteed zeros contributed by pairs where mu
-    has largest part exactly t and lambda is a t-core.  Refuses n above
-    ``counting.P_GUARD_N`` (10^5) or a cost above ``LOWER_BOUND_GUARD_STEPS``
-    (2 * 10^8): sum_t (n/t)^2 steps of the c_t series, n t_hi of the p_t table.
-    """
-    if not (1 <= t_lo <= t_hi <= n):
-        raise ValueError(f"need 1 <= t_lo <= t_hi <= n, got ({t_lo}, {t_hi}, {n})")
-    check_cost(n, P_GUARD_N, "n (exact p(0..n))")
-    check_cost(sum((n // t) ** 2 for t in range(t_lo, t_hi + 1)) + n * t_hi,
-               LOWER_BOUND_GUARD_STEPS,
-               "sum_t (n/t)^2 + n t_hi (steps of the guaranteed-zero sum)")
-    # dp[m] = p_t(m) for m <= n - t, built incrementally over t; step t
-    # reads only dp[n - t].  For t > n/2 the step is empty: dp[n - t]
-    # already holds p(n - t), which is p_t(n - t).
-    dp = [1] + [0] * n
-    total = 0
-    for t in range(1, t_hi + 1):
-        for m in range(t, n - t + 1):
-            dp[m] += dp[m - t]
-        if t >= t_lo:
-            total += _tcore_series(t, n) * dp[n - t]
-    return total
-
-
-def lower_bound_sum(n: int) -> int:
-    """Exact guaranteed-zero lower bound for Z(n); no characters needed."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return lower_bound_partial(n, 1, n)
 

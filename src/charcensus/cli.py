@@ -10,9 +10,9 @@ be written), 3 guard refusal; every error goes to stderr as one JSON
 object, never as a traceback.
 
 Each command imports only its own layer, inside its ``_cmd_*`` function:
-start-up loads argparse and this module, so ``count p`` loads only
-``counting`` and the ``partitions`` it imports, and no ``bounds``
-command loads ``characters`` or ``sampling``.
+start-up loads argparse and this module, so ``count p`` and ``zeros
+lower-bound`` load only ``counting`` and the ``partitions`` it imports,
+and no ``bounds`` command loads ``characters`` or ``sampling``.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def _cmd_zeros_exact(args):
 
 
 def _cmd_zeros_lower_bound(args):
-    from .characters import lower_bound_partial
+    from .counting import lower_bound_partial
 
     t_lo = 1 if args.t_lo is None else args.t_lo
     t_hi = args.n if args.t_hi is None else args.t_hi
@@ -142,7 +142,8 @@ def _cmd_estimate_density(args):
 
 def _cmd_sweep(args):
     from .asymptotics import full_table_bound
-    from .characters import _check_table_size, lower_bound_partial, zero_count
+    from .characters import _check_table_size, zero_count
+    from .counting import lower_bound_partial
 
     # zero_count's own check, in order, on the end points of each range,
     # which bound every n in it, then the row count: a refusal comes

@@ -17,10 +17,11 @@ from charcensus.asymptotics import (
     solve_saddle,
     tcore_count_estimate,
 )
-from charcensus.characters import character_table, lower_bound_sum, zero_count
+from charcensus.characters import character_table, zero_count
 from charcensus.cli import main as cli_main
 from charcensus.counting import (
     bounded_partition_count,
+    lower_bound_sum,
     partition_count,
     tcore_count,
     tcore_count_bruteforce,

@@ -1,4 +1,3 @@
-import functools
 import math
 import random
 import sys
@@ -6,13 +5,7 @@ import sys
 import pytest
 
 from charcensus import characters
-from charcensus.characters import (
-    character_table,
-    character_value,
-    lower_bound_partial,
-    lower_bound_sum,
-    zero_count,
-)
+from charcensus.characters import character_table, character_value, zero_count
 from charcensus.counting import build_bounded_table, partition_count, tcore_count
 from charcensus.errors import GuardError
 from charcensus.partitions import (
@@ -366,54 +359,6 @@ def test_census_json_shape():
     assert d["p_N"] == "7"
     assert set(d["Z_t"]) == {str(t) for t in range(1, 6)}
     assert all(isinstance(v, str) for v in d["Z_t"].values())
-
-
-def test_lower_bound_small_values():
-    assert lower_bound_sum(1) == 0
-    assert lower_bound_sum(3) == 1
-
-
-def test_lower_bound_additivity():
-    n = 12
-    assert lower_bound_partial(n, 1, n) == lower_bound_sum(n)
-    assert lower_bound_partial(n, 1, 5) + lower_bound_partial(n, 6, n) \
-        == lower_bound_sum(n)
-    with pytest.raises(ValueError):
-        lower_bound_partial(n, 5, 3)
-    with pytest.raises(ValueError):
-        lower_bound_partial(n, 0, 3)
-
-
-def _lower_bound_partial_oracle(n, t_lo, t_hi):
-    """The earlier loop: brings p_t(m) up to date for every m <= n."""
-    dp = [1] + [0] * n
-    total = 0
-    for t in range(1, t_hi + 1):
-        for m in range(t, n + 1):
-            dp[m] += dp[m - t]
-        if t >= t_lo:
-            total += tcore_count(t, n) * dp[n - t]
-    return total
-
-
-def test_lower_bound_partial_matches_full_loop_oracle(monkeypatch):
-    # every 1 <= t_lo <= t_hi <= n <= 60; the oracle is additive in t,
-    # so its one-term values give every range; c_t is memoized to keep
-    # the 37k calls cheap (it is tested against its own oracles)
-    monkeypatch.setattr(characters, "_tcore_series", functools.cache(tcore_count))
-    for n in range(1, 61):
-        prefix = [0]
-        for t in range(1, n + 1):
-            prefix.append(prefix[-1] + _lower_bound_partial_oracle(n, t, t))
-        for t_lo in range(1, n + 1):
-            for t_hi in range(t_lo, n + 1):
-                assert lower_bound_partial(n, t_lo, t_hi) \
-                    == prefix[t_hi] - prefix[t_lo - 1], (n, t_lo, t_hi)
-    assert lower_bound_sum(1000) == _lower_bound_partial_oracle(1000, 1, 1000)
-
-
-def test_lower_bound_below_exact_census():
-    assert lower_bound_sum(12) <= zero_count(12).total_zeros
 
 
 def test_class_sizes_sum_to_group_order():

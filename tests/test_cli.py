@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -363,7 +364,7 @@ def test_invalid_argument_is_usage_error_at_any_size(run, no_work, argv):
 
 def test_zeros_lower_bound_cost_guard(run, no_work):
     message = _refusal(run, "zeros", "lower-bound", "--n", "20000", "--t-lo", "200")
-    assert str(characters.LOWER_BOUND_GUARD_STEPS) in message
+    assert str(counting.LOWER_BOUND_GUARD_STEPS) in message
     _refusal(run, "zeros", "lower-bound", "--n", str(10**7), "--t-lo", "1",
              "--t-hi", "1")
 
@@ -535,13 +536,6 @@ def test_import_loads_no_layer():
     assert _loaded_by("import charcensus.cli", watched) == []
 
 
-def test_count_p_loads_only_its_layer():
-    code = ("import contextlib, io, charcensus.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert charcensus.cli.main(['count', 'p', '--n', '5']) == 0")
-    assert _loaded_by(code, LAYERS) == ["charcensus.counting", "charcensus.partitions"]
-
-
 def _command_paths(parser, prefix=()):
     """Every command path of the parser: (), ("count",), ("count", "p"), ..."""
     yield prefix
@@ -561,6 +555,53 @@ def test_help_exits_0_and_loads_no_layer(path):
             f"    assert charcensus.cli.main({[*path, '--help']!r}) == 0\n"
             "assert out.getvalue().startswith('usage: charcensus')")
     assert _loaded_by(code, LAYERS) == []
+
+
+# one run of each leaf command, and the layers it loads
+COMMAND_LAYERS = {
+    ("count", "p", "--n", "5"): ("counting", "partitions"),
+    ("count", "pt", "--t", "2", "--n", "5"): ("counting", "partitions"),
+    ("count", "core", "--t", "2", "--n", "5"): ("counting", "partitions"),
+    ("char", "eval", "--lambda", "[2,1]", "--mu", "[3]"): ("characters", "partitions"),
+    ("char", "table", "--n", "4"): ("characters", "partitions"),
+    ("zeros", "exact", "--n", "5"): ("characters", "partitions"),
+    ("zeros", "lower-bound", "--n", "12"): ("counting", "partitions"),
+    ("bounds", "p32", "--n", "100", "--t", "10"): ("asymptotics", "counting", "partitions"),
+    ("bounds", "saddle", "--n", "100", "--t", "10"): ("asymptotics", "counting", "partitions"),
+    ("bounds", "t12", "--n", "12"): ("asymptotics", "counting", "partitions"),
+    ("bounds", "t13", "--n", "100", "--t", "10"): ("asymptotics", "counting", "partitions"),
+    ("estimate", "density", "--n", "5", "--samples", "10", "--seed", "1"):
+        ("characters", "counting", "partitions", "sampling"),
+    ("sweep", "--n-list", "1-3"): ("asymptotics", "characters", "counting", "partitions"),
+}
+
+
+def _path_of(argv):
+    """The command path of an argv: its words before the first option."""
+    return tuple(itertools.takewhile(lambda word: not word.startswith("--"), argv))
+
+
+@pytest.mark.parametrize("argv, layers", [
+    *(pytest.param(argv, layers, id=" ".join(_path_of(argv)))
+      for argv, layers in COMMAND_LAYERS.items()),
+    # the character layer stands on partitions alone
+    pytest.param(None, ("characters", "partitions"), id="import characters"),
+])
+def test_count_p_loads_only_its_layer(argv, layers):
+    if argv is None:
+        code = "import charcensus.characters"
+    else:
+        code = ("import contextlib, io, charcensus.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert charcensus.cli.main({list(argv)!r}) == 0")
+    assert _loaded_by(code, LAYERS) == [f"charcensus.{m}" for m in layers]
+
+
+def test_every_leaf_command_has_a_layer_case():
+    paths = set(_command_paths(cli.build_parser()))
+    leaves = {path for path in paths
+              if not any(other[:len(path)] == path != other for other in paths)}
+    assert set(map(_path_of, COMMAND_LAYERS)) == leaves
 
 
 PUBLIC_NAMES = {

@@ -6,11 +6,13 @@ import random
 import pytest
 
 from charcensus import asymptotics, characters, counting, rademacher
-from charcensus.characters import character_value, lower_bound_partial, lower_bound_sum
+from charcensus.characters import character_value, zero_count
 from charcensus.counting import (
     bounded_partition_count,
     build_bounded_table,
     divisor_sums,
+    lower_bound_partial,
+    lower_bound_sum,
     partition_count,
     tcore_count,
     tcore_count_bruteforce,
@@ -287,6 +289,54 @@ def test_lower_bound_sum_pinned():
     assert lower_bound_sum(200) == 2658835718979398392032913
 
 
+def test_lower_bound_small_values():
+    assert lower_bound_sum(1) == 0
+    assert lower_bound_sum(3) == 1
+
+
+def test_lower_bound_additivity():
+    n = 12
+    assert lower_bound_partial(n, 1, n) == lower_bound_sum(n)
+    assert lower_bound_partial(n, 1, 5) + lower_bound_partial(n, 6, n) \
+        == lower_bound_sum(n)
+    with pytest.raises(ValueError):
+        lower_bound_partial(n, 5, 3)
+    with pytest.raises(ValueError):
+        lower_bound_partial(n, 0, 3)
+
+
+def _lower_bound_partial_oracle(n, t_lo, t_hi):
+    """The earlier loop: brings p_t(m) up to date for every m <= n."""
+    dp = [1] + [0] * n
+    total = 0
+    for t in range(1, t_hi + 1):
+        for m in range(t, n + 1):
+            dp[m] += dp[m - t]
+        if t >= t_lo:
+            total += tcore_count(t, n) * dp[n - t]
+    return total
+
+
+def test_lower_bound_partial_matches_full_loop_oracle(monkeypatch):
+    # every 1 <= t_lo <= t_hi <= n <= 60; the oracle is additive in t,
+    # so its one-term values give every range; the c_t series is memoized
+    # to keep the 37k calls cheap (it is tested against its own oracles)
+    monkeypatch.setattr(counting, "_tcore_series", functools.cache(counting._tcore_series))
+    for n in range(1, 61):
+        prefix = [0]
+        for t in range(1, n + 1):
+            prefix.append(prefix[-1] + _lower_bound_partial_oracle(n, t, t))
+        for t_lo in range(1, n + 1):
+            for t_hi in range(t_lo, n + 1):
+                assert lower_bound_partial(n, t_lo, t_hi) \
+                    == prefix[t_hi] - prefix[t_lo - 1], (n, t_lo, t_hi)
+    assert lower_bound_sum(1000) == _lower_bound_partial_oracle(1000, 1, 1000)
+
+
+def test_lower_bound_below_exact_census():
+    assert lower_bound_sum(12) <= zero_count(12).total_zeros
+
+
 def test_tcore_below_partition_count():
     for n in range(0, 41):
         for t in (1, 2, 3, 5, 7, n + 1):
@@ -325,7 +375,7 @@ P_EXACT, P_TABLE = counting.P_EXACT_LIMIT, counting.P_GUARD_N
     (tcore_count, (2, 10**5), f"limit {counting.CORE_GUARD_STEPS}"),
     (lower_bound_partial, (P_TABLE + 1, 1, 1), f"n (exact p(0..n)) = {P_TABLE + 1}"),
     (lower_bound_partial, (20000, 200, 20000),
-     f"limit {characters.LOWER_BOUND_GUARD_STEPS}"),
+     f"limit {counting.LOWER_BOUND_GUARD_STEPS}"),
     (character_value, (Partition([61]), Partition([60, 1])),
      f"n <= {characters.VALUE_GUARD}, got 61"),
     # both sizes are checked before they are compared
@@ -342,7 +392,7 @@ def test_lower_bound_not_refused_by_the_core_limit(kernels_fail, monkeypatch):
     # cost 1.44 * 10^8 + 12000 is within its limit
     with pytest.raises(GuardError):
         tcore_count(1, 12000)
-    monkeypatch.setattr(characters, "_tcore_series", lambda t, n: 7)
+    monkeypatch.setattr(counting, "_tcore_series", lambda t, n: 7)
     assert lower_bound_partial(12000, 1, 1) == 7  # c_1 term times p_1(n - 1) = 1
 
 
