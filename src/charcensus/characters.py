@@ -28,8 +28,13 @@ lambda': the census counts each row's zero lanes with a few big-int
 operations and weights the row by the size of its conjugate pair, and
 the table decodes the lanes and fills the other rows by sign.  The
 size-n rows are produced one at a time, so the census never holds the
-table; the rows below size n are all held, since the last size reads
-each of them.
+table.  The rows below size n are kept between calls, in one store at
+one lane width: a size's blocks do not depend on n, so a later call
+appends only the blocks and sizes it lacks, and a range of n builds
+each size once.  After a call at n the store holds every row of every
+size below the largest n called at that width (the 2,087 rows of sizes
+below 20, about 0.5 MB, after a census at 20); a call at another width
+replaces it.  It has no lock: the package never runs two calls at once.
 """
 
 from __future__ import annotations
@@ -172,6 +177,20 @@ def _lane_width(n: int) -> int:
     return max(32, isqrt(factorial(n)).bit_length() + 1)
 
 
+class _Store(NamedTuple):
+    """The packed levels kept between calls of ``_packed_rows``, all at
+    lane width ``width``: ``levels[k]`` is (rows, counts) at size k, rows
+    mapping the beta mask of each partition of k to its row and
+    counts[t] the number of its lanes with first part <= t, for the
+    blocks t built so far."""
+
+    width: int
+    levels: list
+
+
+_store = _Store(0, [])
+
+
 def _packed_rows(n: int, top: list[int]) -> Iterator[int]:
     """Yield the row of each beta mask in ``top`` (partitions of n), in
     order: p(n) lanes of ``_lane_width(n)`` bits, lane j holding the
@@ -191,28 +210,53 @@ def _packed_rows(n: int, top: list[int]) -> Iterator[int]:
     one big-int add per strip for every column at once, with the bias
     corrected once per block.  Only the size-n rows in ``top`` are
     built, one at a time.
+
+    Block t at size m does not depend on n, which only sets how many
+    blocks there are, so the rows for a smaller n are a low-bit prefix
+    of those for a larger one at the same width.  The sizes below n are
+    kept in the module's ``_store`` between calls, for the one width of
+    the last call (32 bits for every n <= 20): a call appends only the
+    blocks and sizes it lacks, ascending in m, and reads every prefix
+    through an explicit lane mask, since a kept row may hold more lanes
+    than this n reads.  A call at another width replaces the store, and
+    each size is replaced whole once built, so an interrupted call
+    leaves it consistent.  Nothing in the package runs concurrently, so
+    the store has no lock and is not for use from several threads at
+    once.
     """
+    global _store
     width = _lane_width(n)
     bias = 1 << (width - 1)
-    levels = [{0: 1 + bias}]  # the empty partition at the empty suffix
-    # counts[k][t]: the lanes of size k with first part <= t, t <= n - k
-    counts = [[1] * (n + 1)]
+    if _store.width != width:
+        # the empty partition at the empty suffix
+        _store = _Store(width, [({0: 1 + bias}, [1])])
+    levels = _store.levels
     for m in range(1, n + 1):
+        last = n if m == n else min(m, n - m)  # the last block t
+        rows, count = levels[m] if m < min(n, len(levels)) else ({}, [0])
+        if len(count) > last:
+            continue
+        start = count[-1]  # the lanes already built
+        count = count[:]
         blocks = []
-        count = [0]  # becomes counts[m]
-        for t in range(1, (n if m == n else min(m, n - m)) + 1):
-            size = counts[m - t][t]
-            # the prefix mask; -1 when it is every lane of size m - t
-            keep = (1 << width * size) - 1 if size < counts[m - t][-1] else -1
-            blocks.append((t, levels[m - t], keep, bias * _ones(width, size),
-                           width * count[-1]))
+        for t in range(len(count), last + 1):
+            prev, prev_count = levels[m - t]
+            # the lanes of size m - t with first part <= t, all of them
+            # once t >= m - t
+            size = prev_count[min(t, m - t)]
+            blocks.append((t, prev, (1 << width * size) - 1,
+                           bias * _ones(width, size), width * count[-1]))
             count.append(count[-1] + size)
-        lanes = count[-1]
-        base = bias * _ones(width, lanes)
-        masks = top if m == n else map(beta_mask, part_tuples(m))
+        added = bias * _ones(width, count[-1] - start) << width * start
+        if m == n:
+            masks = top
+        elif rows:
+            masks = rows
+        else:
+            masks = map(beta_mask, part_tuples(m))
         level = {}
         for lam in masks:
-            row = base
+            row = rows.get(lam, 0) + added
             for t, prev, keep, block_bias, shift in blocks:
                 total = net = 0
                 for odd, rem in beta_strips(lam, t):
@@ -227,11 +271,14 @@ def _packed_rows(n: int, top: list[int]) -> Iterator[int]:
                 if total:
                     row += total << shift
             if m == n:
-                yield row ^ base
+                yield row ^ added
             else:
                 level[lam] = row
-        levels.append(level)
-        counts.append(count + [lanes] * (n - m + 1 - len(count)))
+        if m < n:
+            if m < len(levels):
+                levels[m] = (level, count)
+            else:
+                levels.append((level, count))
 
 
 def _half_rows(masks: list[int]) -> tuple[list[int], list[int]]:

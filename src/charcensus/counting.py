@@ -234,11 +234,15 @@ def _eta_power(t: int, limit: int) -> list[int]:
 def tcore_count(t: int, n: int) -> int:
     """Exact c_t(n), the number of t-core partitions of n.  With t > n no
     hook length reaches t, so this is p(n), guarded as ``partition_count``;
-    otherwise refuses n > ``P_GUARD_N`` (10^5, the table p(0..n)) or
-    (n/t)^2 > ``CORE_GUARD_STEPS`` (10^8 eta-power steps)."""
+    with t = 1 it is [n = 0], since the only 1-core is the empty
+    partition, at any n; otherwise refuses n > ``P_GUARD_N`` (10^5, the
+    table p(0..n)) or (n/t)^2 > ``CORE_GUARD_STEPS`` (10^8 eta-power
+    steps)."""
     _check_args(t, n)
     if t > n:
         return partition_count(n)
+    if t == 1:
+        return int(n == 0)
     check_cost(n, P_GUARD_N, "n (exact p(0..n))")
     check_cost((n // t) ** 2, CORE_GUARD_STEPS, "(n/t)^2 (eta-power steps of c_t(n))")
     return _tcore_series(t, n)

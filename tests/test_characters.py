@@ -308,13 +308,72 @@ def test_conjugate_rows_differ_by_sign():
                     == tuple(s * v for s, v in zip(signs, row)), (n, lam)
 
 
+def _clear_store():
+    characters._store = characters._Store(0, [])
+
+
+def test_kept_levels_give_the_same_results_in_any_call_order():
+    # each call extends the levels the calls before it kept; every result
+    # equals the one built from an empty store
+    fns = (zero_count, character_table)
+    fresh = {}
+    for n in range(1, 21):
+        for fn in fns:
+            _clear_store()
+            fresh[fn, n] = fn(n)
+    ascending = list(range(1, 21))
+    shuffled = [7, 15, 2, 20, 11, 4, 18, 9, 1, 13, 16, 6, 19, 3, 12, 8, 17, 5, 14, 10]
+    for order in (ascending, ascending[::-1], shuffled):
+        for first in range(2):  # each function meets every n once per order
+            _clear_store()
+            for i, n in enumerate(order):
+                fn = fns[(i + first) % 2]
+                assert fn(n) == fresh[fn, n], (order, fn.__name__, n)
+
+
+def _check_regular_character():
+    """Check sum_lambda f_lambda chi_lambda(mu) = k! [mu = 1^k] at every
+    kept size k and every kept lane, as one big int per size, with no
+    second engine: f_lambda is lane 0, the class 1^k, the only suffix
+    with first part 1."""
+    width, levels = characters._store
+    bias = 1 << (width - 1)
+    for k, (rows, count) in enumerate(levels):
+        base = bias * characters._ones(width, count[-1])
+        total = sum(((row & ((1 << width) - 1)) - bias) * (row - base)
+                    for row in rows.values())
+        assert total == math.factorial(k), (width, k)
+
+
+def _check_kept_rows_below(n):
+    """The store holds the p(m) rows of every size m < n <= 20, at the
+    32-bit width, and no row wider than its lanes."""
+    width, levels = characters._store
+    assert width == 32 and len(levels) == n
+    for m, (rows, count) in enumerate(levels):
+        assert len(rows) == partition_count(m), m
+        assert all(row >> width * count[-1] == 0 for row in rows.values()), m
+
+
+def test_census_keeps_the_levels_below_n():
+    zero_count(20)
+    _check_kept_rows_below(20)
+    assert sum(len(rows) for rows, _ in characters._store.levels) == 2087
+    _check_regular_character()
+
+
 def test_census_pinned_above_the_guard(monkeypatch):
     monkeypatch.setattr(characters, "TABLE_GUARD", 30)
     assert zero_count(22).total_zeros == 395473
     assert zero_count(24).total_zeros == 970294
     assert zero_count(26).total_zeros == 2323476
     assert zero_count(28).total_zeros == 5349414
+    assert characters._store.width == 50
+    _check_regular_character()
     assert zero_count(30).total_zeros == 11963861
+    # a call at the 32-bit width replaces the wider levels
+    zero_count(20)
+    _check_kept_rows_below(20)
 
 
 def test_lane_width_holds_every_character():

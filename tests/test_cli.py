@@ -342,6 +342,12 @@ def test_count_core_cost_guard(run, no_work):
         in message
 
 
+def test_count_core_one_cores_are_read_off(run, no_work):
+    # the only 1-core is the empty partition, so no n is too large
+    code, out, _ = run("count", "core", "--t", "1", "--n", "20000", "--format", "json")
+    assert code == 0 and json.loads(out)["result"]["value"] == "0"
+
+
 def test_count_core_above_n_is_p(run):
     # every hook length is below t, so every partition is a t-core
     _, p_out, _ = run("count", "p", "--n", "200000", "--format", "json")

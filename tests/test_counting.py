@@ -388,12 +388,19 @@ def test_library_guards_refuse_before_work(kernels_fail, call, args, message):
 
 
 def test_lower_bound_not_refused_by_the_core_limit(kernels_fail, monkeypatch):
-    # (12000/1)^2 eta-power steps exceed c_t's own limit, but the sum's
-    # cost 1.44 * 10^8 + 12000 is within its limit
+    # (20002/2)^2 eta-power steps exceed c_t's own limit, but the sum's
+    # cost 1.0002 * 10^8 + 2 * 20002 is within its limit
     with pytest.raises(GuardError):
-        tcore_count(1, 12000)
+        tcore_count(2, 20002)
     monkeypatch.setattr(counting, "_tcore_series", lambda t, n: 7)
-    assert lower_bound_partial(12000, 1, 1) == 7  # c_1 term times p_1(n - 1) = 1
+    # the c_2 term times p_2(n - 2) = 10001
+    assert lower_bound_partial(20002, 2, 2) == 7 * 10001
+
+
+def test_one_cores_are_read_off_before_the_cost_guard(kernels_fail):
+    # c_1(n) = [n = 0] costs nothing, so no cost limit refuses it
+    assert tcore_count(1, 10**6) == 0
+    assert tcore_count(1, 0) == 1
 
 
 def test_tcore_above_n_builds_no_table(monkeypatch):
