@@ -15,6 +15,14 @@ and its derivatives, to double precision.  The modular transformation
 eta(iy) = y^(-1/2) * eta(i/y) is applied first whenever the argument is
 below 1, so u >= 1 and the series always converges geometrically with
 ratio at most exp(-2*pi).
+
+The transformation brings in the terms -pi/(12 y) of log eta(iy), -1/24
+of mu1 and 1/12 of mu2, which for small y are far larger than what the
+saddle point reads: every caller forms t log eta(ity) - log eta(iy) or
+a difference of mu_k at ty and y, from which these terms cancel exactly.
+So ``_log_eta`` and ``_mu`` leave them out on both sides of y = 1, and
+return log eta(iy) + pi/(12 y), mu1 + 1/24 and mu2 - 1/12; only ``eta``
+adds -pi/(12 y) back.
 """
 
 from __future__ import annotations
@@ -72,45 +80,38 @@ def _q_sums(u: float) -> tuple[float, float, float]:
     return e, s0, s1
 
 
-def _log_eta(y: float, shift: bool = False) -> float:
-    """log eta(iy): the direct series for y >= 1, the modular
-    transformation below 1.  With ``shift``, below 1 it leaves out the
-    term -pi/(12 y), which cancels exactly from t log eta(ity) -
-    log eta(iy) and would otherwise swamp what is left of it."""
+def _log_eta(y: float) -> float:
+    """log eta(iy) + pi/(12 y): the direct series for y >= 1, the
+    modular transformation below 1."""
     u = y if y >= 1 else 1.0 / y
     tail = (1.0 + _q_sums(u)[0]) * math.exp(-2 * math.pi * u)
     if y >= 1:
-        return -math.pi * u / 12 - tail
-    return -0.5 * math.log(y) + ((0.0 if shift else -math.pi * u / 12) - tail)
+        return -math.pi * u / 12 - tail + math.pi / (12 * u)
+    return -0.5 * math.log(y) - tail
 
 
 def eta(y: float) -> float:
     """log eta(iy) for y > 0, to double precision."""
     if y <= 0:
         raise ValueError("y must be positive")
-    return _log_eta(y)
+    return _log_eta(y) - math.pi / (12 * y)
 
 
-def _mu(y: float, shift: bool = False) -> tuple[float, float, float]:
-    """(mu1, mu2, d mu1 / dy) at iy from one kernel call: the series at
-    y for y >= 1, at 1/y through the modular transformation below 1.
-    Here mu_k is the k-th scaled log-derivative of eta,
-    -(z^(k+1) / (2 pi i)) (d/dz)^k log eta(z) at z = iy.
-
-    With ``shift``, below 1 mu1 leaves out its constant term -1/24 and
-    mu2 its constant term 1/12, so that the difference of two such
-    values, far smaller than the constants when y is small, does not
-    cancel away its bits."""
+def _mu(y: float) -> tuple[float, float, float]:
+    """(mu1 + 1/24, mu2 - 1/12, d mu1 / dy) at iy from one kernel call:
+    the series at y for y >= 1, at 1/y through the modular transformation
+    below 1.  Here mu_k is the k-th scaled log-derivative of eta,
+    -(z^(k+1) / (2 pi i)) (d/dz)^k log eta(z) at z = iy."""
     if y >= 1:
         _, s0, s1 = _q_sums(y)
-        return (y * y / 24 - y * y * s0, 2 * math.pi * y ** 3 * s1,
+        return (y * y / 24 - y * y * s0 + 1.0 / 24,
+                2 * math.pi * y ** 3 * s1 - 1.0 / 12,
                 y / 12 - 2 * y * s0 + 2 * math.pi * y * y * s1)
-    # transformed: mu1 = s0 - 1/24 + y/(4 pi),
-    # mu2 = 1/12 - y/(4 pi) + sum sigma(n) (2 pi n / y - 2) q^n, at u = 1/y
+    # transformed: mu1 + 1/24 = s0 + y/(4 pi),
+    # mu2 - 1/12 = -y/(4 pi) + sum sigma(n) (2 pi n / y - 2) q^n, at u = 1/y
     _, s0, s1 = _q_sums(1.0 / y)
-    c1, c2 = (0.0, 0.0) if shift else (1.0 / 24, 1.0 / 12)
-    return (s0 - c1 + y / (4 * math.pi),
-            c2 - y / (4 * math.pi) + (2 * math.pi / y * s1 - 2 * s0),
+    return (s0 + y / (4 * math.pi),
+            -y / (4 * math.pi) + (2 * math.pi / y * s1 - 2 * s0),
             2 * math.pi / (y * y) * s1 + 1.0 / (4 * math.pi))
 
 
@@ -167,13 +168,8 @@ def solve_saddle(n: int, t: int, tol: float = 1e-9) -> SaddleSolution:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
     m = n + (t * t - 1) / 24.0
 
-    # When t y < 1, mu1(i t y) and mu1(i y) both sit near -1/24, and
-    # their difference, about (t - 1) y / (4 pi), is formed with that
-    # constant left out of both (here and in the Newton steps).
     def f(y: float) -> float:
-        ty = t * y
-        shift = ty < 1
-        return (_mu(ty, shift)[0] - _mu(y, shift)[0]) / (y * y) - m
+        return (_mu(t * y)[0] - _mu(y)[0]) / (y * y) - m
 
     lo, hi = saddle_bracket(n, t)
     f_lo, f_hi = f(lo), f(hi)
@@ -195,8 +191,7 @@ def solve_saddle(n: int, t: int, tol: float = 1e-9) -> SaddleSolution:
             b = mid
     y = 0.5 * (a + b)
     for _ in range(3):
-        shift = t * y < 1
-        (mu1_ty, _, slope_ty), (mu1_y, _, slope_y) = _mu(t * y, shift), _mu(y, shift)
+        (mu1_ty, _, slope_ty), (mu1_y, _, slope_y) = _mu(t * y), _mu(y)
         d = mu1_ty - mu1_y
         fy = d / (y * y) - m
         dfy = (t * slope_ty - slope_y) / (y * y) - 2 * d / (y ** 3)
@@ -227,16 +222,12 @@ def tcore_count_estimate(n: int, t: int) -> LogReal:
         raise GuardError(f"t-core estimate requires 6 <= t <= n, got t={t}, n={n}")
     y = solve_saddle(n, t).y
     m = n + (t * t - 1) / 24.0
-    # When t y < 1 the term -pi/(12 y) of t log eta(i t y) and of
-    # log eta(i y), and the term 1/12 of each mu2, cancel exactly; they
-    # are left out of both sides, as mu1's -1/24 is in the saddle solve.
-    shift = t * y < 1
-    mu2_diff = _mu(y, shift)[1] - _mu(t * y, shift)[1]
+    mu2_diff = _mu(y)[1] - _mu(t * y)[1]
     if mu2_diff <= 0:
         raise NumericError(f"nonpositive curvature term {mu2_diff:.3e} at n={n}, t={t}")
     log_val = (1.5 * math.log(y) + 2 * math.pi * y * m
-               + t * _log_eta(t * y, shift) - 0.5 * math.log(mu2_diff)
-               - _log_eta(y, shift))
+               + t * _log_eta(t * y) - 0.5 * math.log(mu2_diff)
+               - _log_eta(y))
     return LogReal(log_val)
 
 

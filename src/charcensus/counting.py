@@ -102,9 +102,10 @@ P_EXACT_LIMIT = 10**6
 P_GUARD_N = 100_000
 PT_GUARD_STEPS = 5 * 10**7
 CORE_GUARD_STEPS = 10**8
-# steps of the guaranteed-zero sum (``lower_bound_partial``): a cost of
-# 1.7 * 10^8 (n = 8000) took 1.6 s on a 2-core Xeon at the faster of its
-# two speeds, with c_1(n) read off
+# steps of the guaranteed-zero sum (``lower_bound_partial``), which charge
+# nothing for c_1(n): the largest accepted lower_bound_sum, n = 11029
+# (cost 2.0 * 10^8), took 6.6-6.9 s on a 2-core Xeon at the slower of its
+# two speeds, where n = 8000 took 3.4-3.8 s (1.6 s at the faster speed)
 LOWER_BOUND_GUARD_STEPS = 2 * 10**8
 
 _TABLE_CROSSOVER = 2000  # largest n whose p(n) extends the table
@@ -241,10 +242,9 @@ def tcore_count(t: int, n: int) -> int:
     _check_args(t, n)
     if t > n:
         return partition_count(n)
-    if t == 1:
-        return int(n == 0)
-    check_cost(n, P_GUARD_N, "n (exact p(0..n))")
-    check_cost((n // t) ** 2, CORE_GUARD_STEPS, "(n/t)^2 (eta-power steps of c_t(n))")
+    if t > 1:
+        check_cost(n, P_GUARD_N, "n (exact p(0..n))")
+        check_cost((n // t) ** 2, CORE_GUARD_STEPS, "(n/t)^2 (eta-power steps of c_t(n))")
     return _tcore_series(t, n)
 
 
@@ -262,14 +262,15 @@ def lower_bound_partial(n: int, t_lo: int, t_hi: int) -> int:
     Each term counts the guaranteed zeros contributed by pairs where mu
     has largest part exactly t and lambda is a t-core.  Refuses n above
     ``P_GUARD_N`` (10^5) or a cost above ``LOWER_BOUND_GUARD_STEPS``
-    (2 * 10^8): sum_t (n/t)^2 steps of the c_t series, n t_hi of the p_t table.
+    (2 * 10^8): sum_t (n/t)^2 steps of the c_t series, t >= 2 (c_1 is
+    read off), n t_hi of the p_t table.
     """
     if not (1 <= t_lo <= t_hi <= n):
         raise ValueError(f"need 1 <= t_lo <= t_hi <= n, got ({t_lo}, {t_hi}, {n})")
     check_cost(n, P_GUARD_N, "n (exact p(0..n))")
-    check_cost(sum((n // t) ** 2 for t in range(t_lo, t_hi + 1)) + n * t_hi,
+    check_cost(sum((n // t) ** 2 for t in range(max(t_lo, 2), t_hi + 1)) + n * t_hi,
                LOWER_BOUND_GUARD_STEPS,
-               "sum_t (n/t)^2 + n t_hi (steps of the guaranteed-zero sum)")
+               "sum_{t>=2} (n/t)^2 + n t_hi (steps of the guaranteed-zero sum)")
     # dp[m] = p_t(m) for m <= n - t, built incrementally over t; step t
     # reads only dp[n - t].  For t > n/2 the step is empty: dp[n - t]
     # already holds p(n - t), which is p_t(n - t).

@@ -22,12 +22,13 @@ from charcensus.asymptotics import (
     _core_damping_iii,
     _core_log_i,
     _core_log_ii,
+    _log_eta,
     _log_p,
     _mu,
     _q_sums,
 )
 from charcensus.characters import zero_count
-from charcensus.counting import partition_count, tcore_count
+from charcensus.counting import divisor_sums, partition_count, tcore_count
 from charcensus.errors import GuardError, NumericError
 from test_counting import P_100000
 
@@ -63,6 +64,12 @@ def test_eta_two_path_consistency():
         assert eta(y) == pytest.approx(_log_eta_product(y), rel=1e-14, abs=1e-15), y
 
 
+def _mu_with_constants(y: float) -> tuple[float, float, float]:
+    # _mu leaves out mu1's term -1/24 and mu2's term 1/12
+    mu1, mu2, slope = _mu(y)
+    return mu1 - 1 / 24, mu2 + 1 / 12, slope
+
+
 def test_mu1_is_scaled_log_derivative_of_eta():
     # mu1(y) = -y^2 / (2 pi) * d/dy log eta(iy), the derivative taken by
     # central differences of eta, on a log grid over [0.05, 20]
@@ -70,8 +77,8 @@ def test_mu1_is_scaled_log_derivative_of_eta():
         y = 0.05 * 400 ** (i / 80)
         h = 1e-5 * y
         slope = (eta(y + h) - eta(y - h)) / (2 * h)
-        assert _mu(y)[0] == pytest.approx(-y * y / (2 * math.pi) * slope,
-                                          rel=1e-8, abs=1e-10), y
+        assert _mu_with_constants(y)[0] == pytest.approx(
+            -y * y / (2 * math.pi) * slope, rel=1e-8, abs=1e-10), y
 
 
 def test_mu_slope_matches_central_difference():
@@ -82,12 +89,12 @@ def test_mu_slope_matches_central_difference():
     for i in range(81):
         y = 0.2 * 25 ** (i / 80)
         h = 1e-5 * y
-        mu1, mu2, slope = _mu(y)
-        fd = (_mu(y + h)[0] - _mu(y - h)[0]) / (2 * h)
+        mu1, mu2, slope = _mu_with_constants(y)
+        fd = (_mu_with_constants(y + h)[0] - _mu_with_constants(y - h)[0]) / (2 * h)
         assert slope == pytest.approx(fd, rel=1e-8, abs=1e-10), y
         assert mu2 == pytest.approx(y * fd - 2 * mu1, rel=1e-6, abs=1e-10), y
     for y in (1 - 1e-9, 1 + 1e-9):
-        assert _mu(y) == pytest.approx(_mu(1.0), rel=1e-8)
+        assert _mu_with_constants(y) == pytest.approx(_mu_with_constants(1.0), rel=1e-8)
 
 
 def test_eta_tail_witness_in_bounds():
@@ -111,13 +118,41 @@ def test_eta_rejects_bad_input():
 
 
 def test_mu1_large_y_limit():
-    assert abs(_mu(10.0)[0] - 100 / 24) < 1e-12
+    assert abs(_mu_with_constants(10.0)[0] - 100 / 24) < 1e-12
 
 
 def test_mu_small_y_limits():
     # mu1 -> -1/24 and mu2 -> 1/12 as y -> 0
-    assert _mu(0.001)[0] == pytest.approx(-1 / 24 + 0.001 / (4 * math.pi))
-    assert _mu(0.001)[1] == pytest.approx(1 / 12 - 0.001 / (4 * math.pi))
+    mu1, mu2, _ = _mu_with_constants(0.001)
+    assert mu1 == pytest.approx(-1 / 24 + 0.001 / (4 * math.pi))
+    assert mu2 == pytest.approx(1 / 12 - 0.001 / (4 * math.pi))
+
+
+def _mu_q_series(y: float) -> tuple[float, float]:
+    # mu1 = y^2/24 - y^2 sum_n sigma(n) q^n and mu2 = 2 pi y^3 sum_n n
+    # sigma(n) q^n, q = exp(-2 pi y), with no modular transformation
+    # (400 terms: q^400 < 10^-100 for y >= 0.1)
+    sigma = divisor_sums(400)
+    q = math.exp(-2 * math.pi * y)
+    s0 = sum(sigma[n] * q ** n for n in range(1, 401))
+    s1 = sum(n * sigma[n] * q ** n for n in range(1, 401))
+    return y * y / 24 - y * y * s0, 2 * math.pi * y ** 3 * s1
+
+
+def test_left_out_constants_cancel_across_y_equal_1():
+    # with t y >= 1 > y the two arguments take different branches, which
+    # must leave out the same constants: the differences the saddle
+    # point reads then match the product formula and the q-series
+    rng = random.Random(20261019)
+    for _ in range(200):
+        y = rng.uniform(0.1, 0.99)
+        t = rng.randint(math.ceil(1 / y), math.ceil(5 / y))
+        assert t * y >= 1 > y
+        assert t * _log_eta(t * y) - _log_eta(y) == pytest.approx(
+            t * _log_eta_product(t * y) - _log_eta_product(y), rel=1e-12), (y, t)
+        for k in (0, 1):
+            assert _mu(t * y)[k] - _mu(y)[k] == pytest.approx(
+                _mu_q_series(t * y)[k] - _mu_q_series(y)[k], rel=1e-12), (y, t, k)
 
 
 def test_curvature_sandwich_small_ty():

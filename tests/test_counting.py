@@ -397,6 +397,14 @@ def test_lower_bound_not_refused_by_the_core_limit(kernels_fail, monkeypatch):
     assert lower_bound_partial(20002, 2, 2) == 7 * 10001
 
 
+def test_lower_bound_charges_nothing_for_one_cores(kernels_fail, monkeypatch):
+    # c_1(n) is read off, so the t = 1 term costs no (n/1)^2 steps: the
+    # cost is (20000/2)^2 + 2 * 20000, within the limit
+    monkeypatch.setattr(counting, "_tcore_series", lambda t, n: 7)
+    # 7 p_1(19999) + 7 p_2(19998) = 7 (1 + 10000)
+    assert lower_bound_partial(20000, 1, 2) == 7 * 10001
+
+
 def test_one_cores_are_read_off_before_the_cost_guard(kernels_fail):
     # c_1(n) = [n = 0] costs nothing, so no cost limit refuses it
     assert tcore_count(1, 10**6) == 0
