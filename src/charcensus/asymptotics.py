@@ -80,14 +80,18 @@ def _q_sums(u: float) -> tuple[float, float, float]:
     return e, s0, s1
 
 
+def _eta_tail(u: float) -> float:
+    """sum_n sigma(n)/n q^n at q = exp(-2 pi u), for u >= 1: log eta(iu)
+    is -pi u / 12 minus this."""
+    return (1.0 + _q_sums(u)[0]) * math.exp(-2 * math.pi * u)
+
+
 def _log_eta(y: float) -> float:
     """log eta(iy) + pi/(12 y): the direct series for y >= 1, the
     modular transformation below 1."""
-    u = y if y >= 1 else 1.0 / y
-    tail = (1.0 + _q_sums(u)[0]) * math.exp(-2 * math.pi * u)
     if y >= 1:
-        return -math.pi * u / 12 - tail + math.pi / (12 * u)
-    return -0.5 * math.log(y) - tail
+        return -math.pi * y / 12 - _eta_tail(y) + math.pi / (12 * y)
+    return -0.5 * math.log(y) - _eta_tail(1.0 / y)
 
 
 def eta(y: float) -> float:
@@ -225,8 +229,16 @@ def tcore_count_estimate(n: int, t: int) -> LogReal:
     mu2_diff = _mu(y)[1] - _mu(t * y)[1]
     if mu2_diff <= 0:
         raise NumericError(f"nonpositive curvature term {mu2_diff:.3e} at n={n}, t={t}")
-    log_val = (1.5 * math.log(y) + 2 * math.pi * y * m
-               + t * _log_eta(t * y) - 0.5 * math.log(mu2_diff)
+    if t * y >= 1:
+        # t _log_eta(t y) is -pi t^2 y / 12 - t tail(t y) + pi/(12 y), and
+        # 2 pi y m is 2 pi y (n - 1/24) + pi t^2 y / 12: the two
+        # pi t^2 y / 12, far larger than the result at large t y, cancel
+        # and are left out, so no bits are lost to the difference
+        growth = (2 * math.pi * y * (n - 1 / 24) - t * _eta_tail(t * y)
+                  + math.pi / (12 * y))
+    else:
+        growth = 2 * math.pi * y * m + t * _log_eta(t * y)
+    log_val = (1.5 * math.log(y) + growth - 0.5 * math.log(mu2_diff)
                - _log_eta(y))
     return LogReal(log_val)
 

@@ -6,15 +6,17 @@ strip every border strip of length t from lambda, and sum the signed
 sub-characters.  The memo has one node per suffix of mu, read from the
 last part, holding the characters already known there, keyed by the
 beta mask of lambda.  One walk (``_values``) evaluates a whole multiset
-of pairs: it takes the mu in the order of their parts read from the
-last part, so the mu that end in one suffix come one after another, and
-it holds only the nodes of the current mu's suffixes, dropping each as
-soon as the walk leaves it.  Every state is still computed once.  The
-recursion is entered only on a memo miss: it runs the strip loop
-inline, looks each remainder up in the next suffix's node and recurses
-only on the remainders missing there.  The density sampler evaluates
-all its pairs in one walk, and the single-value CLI call is a walk over
-one pair.
+of pairs, each pair one int key (``_pair_key``): the beta mask of
+lambda, with a code of mu above it whose int order is the order of mu's
+parts read from the last part.  So the walk takes the keys in int
+order, the mu that end in one suffix come one after another, and it
+holds only the nodes of the current mu's suffixes, dropping each as
+soon as the walk leaves it.
+Every state is still computed once.  The recursion is entered only on a
+memo miss: it runs the strip loop inline, looks each remainder up in the
+next suffix's node and recurses only on the remainders missing there.
+The density sampler evaluates all its pairs in one walk, and the
+single-value CLI call is a walk over one pair.
 
 Full tables and censuses apply the same rule to every column at once,
 in one breadth-first engine over the suffixes s of mu (``_packed_rows``).
@@ -61,35 +63,78 @@ VALUE_GUARD = 60
 _EMPTY_SUFFIX = {0: 1}  # the node of mu = (): only the empty partition, chi 1
 
 
-def _values(pairs: dict) -> Iterator[tuple[int, int]]:
-    """Yield (character, count) for each pair of ``pairs``, a mapping
-    {parts of mu: {beta mask of lambda: count}}; the parts of each mu are
-    stripped in the order given.
+def _mu_code(mu: tuple[int, ...], n: int) -> int:
+    """The code of the parts ``mu`` of a partition of at most n: one
+    digit of ``n.bit_length()`` bits per part, the last part most
+    significant, left-aligned to n digits.  The empty digits below are
+    zero, smaller than any part, so codes compare as the parts read from
+    the last part, ``mu[::-1]``, with a prefix first."""
+    width = n.bit_length()
+    code = 0
+    for part in reversed(mu):
+        code = code << width | part
+    return code << width * (n - len(mu))
+
+
+def _mu_parts(code: int, n: int) -> tuple[int, ...]:
+    """The parts that ``_mu_code(parts, n)`` encodes, in their order."""
+    if not code:
+        return ()
+    width = n.bit_length()
+    digit = (1 << width) - 1
+    code >>= ((code & -code).bit_length() - 1) // width * width
+    parts = []
+    while code:
+        parts.append(code & digit)
+        code >>= width
+    return tuple(parts)
+
+
+def _pair_key(lam: int, mu: tuple[int, ...], n: int) -> int:
+    """The key of the pair (beta mask ``lam``, parts ``mu``) of size at
+    most n, as ``_values`` reads it: ``lam`` in the low n + 1 bits, which
+    hold any beta mask of a partition of at most n, and ``_mu_code(mu, n)``
+    above them."""
+    return _mu_code(mu, n) << n + 1 | lam
+
+
+def _values(counts: dict[int, int], n: int) -> Iterator[tuple[int, int]]:
+    """Yield (character, count) for each pair of ``counts``, a mapping
+    {``_pair_key``: count} of pairs of size at most n; the parts of mu are
+    stripped in the order encoded.
 
     The memo node of a suffix s holds the characters at s, keyed by beta
-    mask, and only the mu that end in s read it.  The mu are taken in
-    the order of their parts read from the last part, which makes those
-    mu consecutive, so only the nodes on the current mu's suffix path are
+    mask, and only the mu that end in s read it.  The keys are taken in
+    int order, which is the order of the parts of mu read from the last
+    part, so the mu that end in s are consecutive and each distinct mu is
+    decoded once.  Only the nodes on the current mu's suffix path are
     held: a node is dropped as soon as the next mu leaves its suffix, and
     every state is still computed once.
     """
+    shift = n + 1  # _pair_key's mask width
     path = [_EMPTY_SUFFIX]  # path[d]: the node of the last d parts of mu
     prev: tuple[int, ...] = ()
-    for mu in sorted(pairs, key=lambda mu: mu[::-1]):
-        rev = mu[::-1]
-        keep = 0
-        for a, b in zip(rev, prev):
-            if a != b:
-                break
-            keep += 1
-        del path[keep + 1:]
-        path.extend({} for _ in range(len(rev) - keep))
-        prev = rev
-        levels = path[::-1]  # levels[i] is the node of mu[i:]
-        # the node of mu itself is new here (any mu ending in mu sorts
-        # after it), so every pair misses; mu = () is the empty class
-        for lam, count in pairs[mu].items():
-            yield (_strip(lam, mu, 0, levels) if mu else 1), count
+    last = -1
+    for key in sorted(counts):
+        code = key >> shift
+        if code != last:
+            last = code
+            mu = _mu_parts(code, n)
+            rev = mu[::-1]
+            keep = 0
+            for a, b in zip(rev, prev):
+                if a != b:
+                    break
+                keep += 1
+            del path[keep + 1:]
+            path.extend({} for _ in range(len(rev) - keep))
+            prev = rev
+            levels = path[::-1]  # levels[i] is the node of mu[i:]
+        # the node of mu itself is new at its first key (any mu ending in
+        # mu sorts after it) and its keys hold distinct lambda, so every
+        # pair misses; mu = () is the empty class
+        lam = key ^ code << shift
+        yield (_strip(lam, mu, 0, levels) if mu else 1), counts[key]
 
 
 def _strip(lam: int, mu: tuple[int, ...], i: int, levels: list[dict]) -> int:
@@ -134,7 +179,9 @@ def character_value(lam: Partition, mu: Partition) -> int:
     _check_value_size(mu.size)
     if lam.size != mu.size:
         raise ValueError(f"size mismatch: |{lam}| = {lam.size}, |{mu}| = {mu.size}")
-    ((value, _),) = _values({mu.parts: {beta_mask(lam.parts): 1}})
+    n = mu.size
+    key = _pair_key(beta_mask(lam.parts), mu.parts, n)
+    ((value, _),) = _values({key: 1}, n)
     return value
 
 

@@ -9,16 +9,18 @@ approximation.
 One uniform integer below p_cap(m) per part, drawn by the rejection
 loop on ``getrandbits`` that ``randrange`` runs, is inverted by
 bisection in the row of p_k(m), which is cumulative in k.  The density
-probe then draws independent uniform pairs (lambda, mu) as bare part
-tuples, which matches counting cells of the table: it deliberately does
-not weight mu by conjugacy-class size.
+probe then draws independent uniform pairs (lambda, mu), which matches
+counting cells of the table: it deliberately does not weight mu by
+conjugacy-class size.
 
 Every pair is evaluated, since ``VALUE_GUARD`` bounds the work of one
 evaluation, so no pair is dropped and ``samples`` is the denominator.
-The pairs are drawn first and kept as a multiset, {mu: {beta mask of
-lambda: count}}; one ``characters._values`` walk then evaluates each
-distinct pair once, holding only the memo of the current mu's suffixes,
-and the zeros are counted with their multiplicities.
+The pairs are drawn first and kept as a multiset, one flat {key: count}
+dict: ``_draw_key`` turns each drawn pair into one int, the beta mask of
+lambda with a code of mu above it (``characters._pair_key``), so no part
+tuple is kept.  One ``characters._values`` walk then evaluates each
+distinct pair once, in key order, holding only the memo of the current
+mu's suffixes, and the zeros are counted with their multiplicities.
 
 Randomness: every run is driven by one 64-bit seed.  Sample chunks of
 fixed size draw from independent substreams whose seeds are derived
@@ -34,22 +36,24 @@ import random
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .characters import _check_value_size, _values
+from .characters import _check_value_size, _pair_key, _values
 from .counting import build_bounded_table
 from .errors import GuardError
 from .partitions import beta_mask
 
 RNG_ALGORITHM = "mt19937-sha256-streams-v1"
 _CHUNK = 2048  # samples per substream; changing it changes every report
-# limit on samples * (16 + 2^(n/5)): one sample takes 0.14-0.34 us *
+# limit on samples * (16 + 2^(n/5)): one sample takes 0.09-0.29 us *
 # (16 + 2^(n/5)) on a 2-core Xeon, the most at n = 12-20 and the least
-# at n = 50-60 (2.6-3.4 us at n = 2, 50 us at n = 40, 0.58-0.68 ms at
+# at n = 50-60 (1.9-2.8 us at n = 2, 30-31 us at n = 40, 0.37-0.39 ms at
 # n = 60).  The memo holds one mu's suffixes at a time; what grows with
-# the samples is the multiset of drawn pairs, 20 MB at the limit at
-# n = 20.  At the limit, seed 42, a fresh process took (time, peak RSS):
-# n = 2: 2.5-3.3 s, 18 MB; 12: 5.2-5.7 s, 18 MB; 20: 5.2-5.7 s, 39 MB;
-# 30: 3.8-4.2 s, 36 MB; 40: 3.1 s, 40 MB; 50: 2.8-3.1 s, 35 MB;
-# 60: 2.4-2.8 s, 33 MB
+# the samples is the multiset of drawn pairs, one dict entry and one
+# int key per distinct pair, 22 MB at the limit at n = 20 and 21 MB at
+# n = 30 (289,198 and 209,026 distinct pairs).  At the limit, seed 42,
+# a fresh process took (time, peak RSS, 18.6 MB of it from the imports):
+# n = 2: 1.9-2.7 s, 19 MB; 12: 3.5-4.8 s, 19 MB; 20: 3.8-4.1 s, 45 MB;
+# 30: 2.6-3.0 s, 42 MB; 40: 1.9 s, 30 MB; 50: 1.6-1.7 s, 29 MB;
+# 60: 1.5-1.6 s, 31 MB
 DENSITY_GUARD = 2**24
 
 
@@ -81,6 +85,14 @@ def _draw(n: int, rng: random.Random,
         remaining -= k
         cap = k
     return tuple(parts)
+
+
+def _draw_key(n: int, rng: random.Random,
+              table: tuple[tuple[int, ...], ...]) -> int:
+    """The ``characters._pair_key`` of one uniform pair (lambda, mu) of
+    partitions of n, drawn as two ``_draw`` calls, lambda first."""
+    lam = beta_mask(_draw(n, rng, table))
+    return _pair_key(lam, _draw(n, rng, table), n)
 
 
 class DensityEstimate(NamedTuple):
@@ -157,17 +169,13 @@ def estimate_zero_density(n: int, samples: int, seed: int) -> DensityEstimate:
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     table = build_bounded_table(n, n)
-    pairs: dict = {}  # {mu: {beta mask of lambda: count}}
+    counts: dict[int, int] = {}  # {pair key: count}
     for start in range(0, samples, _CHUNK):
         rng = _stream_rng(seed, start // _CHUNK)
         for _ in range(min(_CHUNK, samples - start)):
-            lam = beta_mask(_draw(n, rng, table))
-            mu = _draw(n, rng, table)
-            row = pairs.get(mu)
-            if row is None:
-                row = pairs[mu] = {}
-            row[lam] = row.get(lam, 0) + 1
-    zeros = sum(count for value, count in _values(pairs) if not value)
+            key = _draw_key(n, rng, table)
+            counts[key] = counts.get(key, 0) + 1
+    zeros = sum(count for value, count in _values(counts, n) if not value)
     ci_low, ci_high = wilson_interval(zeros, samples)
     return DensityEstimate(
         n=n, samples=samples, zeros_observed=zeros,

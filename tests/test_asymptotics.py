@@ -283,6 +283,47 @@ def test_core_estimate_matches_regime_i_form_at_scale(t):
                                                                rel=1e-12), n
 
 
+def _log_eta_reference(mp, y):
+    """log eta(iy) to the working precision of ``mp``: the product
+    formula at y >= 1, the modular transformation below."""
+    if y < 1:
+        return -mp.log(y) / 2 + _log_eta_reference(mp, 1 / y)
+    q = mp.exp(-2 * mp.pi * y)
+    total, qn = -mp.pi * y / 12, q
+    while qn > mp.mpf(10) ** -60:
+        total += mp.log(1 - qn)
+        qn *= q
+    return total
+
+
+@pytest.mark.parametrize("n", [10**6, 10**8, 10**10])
+def test_core_estimate_at_large_ty_against_50_digits(n):
+    # at t = n, t y is 200-20000: 2 pi y m and t log eta(i t y) each hold
+    # pi t^2 y / 12 (10^7 to 10^14) with opposite signs, around a result
+    # of 2.5 * 10^3 to 2.6 * 10^5; the estimate must not lose those bits.
+    # The reference is the same formula at the solver's y in 50 digits,
+    # mu2 = -y^3 (d/dy)^2 log eta(iy) / (2 pi).
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    t = n
+    y = mp.mpf(solve_saddle(n, t).y)
+
+    def log_eta(x):
+        return _log_eta_reference(mp, x)
+
+    def mu2(x):
+        return -x ** 3 * mp.diff(log_eta, x, 2) / (2 * mp.pi)
+
+    reference = (1.5 * mp.log(y) + 2 * mp.pi * y * (n + mp.mpf(t * t - 1) / 24)
+                 + t * log_eta(t * y) - mp.log(mu2(y) - mu2(t * y)) / 2
+                 - log_eta(y))
+    assert t * y > 100
+    estimate = tcore_count_estimate(n, t).log
+    assert abs(estimate - reference) <= 1e-12 * abs(reference)
+
+
 def test_core_estimate_scope_guard():
     with pytest.raises(GuardError):
         tcore_count_estimate(100, 101)

@@ -15,7 +15,7 @@ from charcensus.partitions import (
     is_t_core,
     part_tuples,
 )
-from charcensus.sampling import _draw
+from charcensus.sampling import _draw, estimate_zero_density
 import column_oracle
 from diagram_oracle import conjugate, hook_multiset
 from strip_oracle import chi_tuple
@@ -107,10 +107,10 @@ def _walk(cells):
     the order given.  The walk passes each count through, so a cell's
     index serves as its count."""
     keys = list(dict.fromkeys(cells))
-    pairs = {}
-    for i, (lam, mu) in enumerate(keys):
-        pairs.setdefault(mu, {})[lam] = i
-    return {keys[i]: value for value, i in characters._values(pairs)}
+    n = max(sum(mu) for _, mu in keys)
+    counts = {characters._pair_key(lam, mu, n): i
+              for i, (lam, mu) in enumerate(keys)}
+    return {keys[i]: value for value, i in characters._values(counts, n)}
 
 
 def _ordered(mu, order):
@@ -196,13 +196,14 @@ def test_cold_evaluation_states_bounded_by_suffix_sizes(strip_calls):
         n = rng.randint(1, 22)
         table = build_bounded_table(n, n)
         lam, mu = beta_mask(_draw(n, rng, table)), _draw(n, rng, table)
+        key = characters._pair_key(lam, mu, n)
         strip_calls[0] = 0
-        ((value, _),) = characters._values({mu: {lam: 1}})
+        ((value, _),) = characters._values({key: 1}, n)
         states = strip_calls[0]
         assert 0 < states <= sum(partition_count(sum(mu[i:]))
                                  for i in range(len(mu))), (lam, mu)
         strip_calls[0] = 0
-        assert list(characters._values({mu: {lam: 2}})) == [(value, 2)]
+        assert list(characters._values({key: 2}, n)) == [(value, 2)]
         assert strip_calls[0] == states, (lam, mu)
 
 
@@ -232,6 +233,13 @@ def test_one_strip_call_per_added_state(strip_calls):
         strip_calls[0] = 0
         _walk(cells)
         assert strip_calls[0] == len(shared), (lam, mu)
+
+
+def test_density_walk_strip_calls_pinned(strip_calls):
+    # the states the suffix-ordered walk computes, each once: a walk
+    # that lost its suffix grouping would compute some of them again
+    assert estimate_zero_density(40, 2000, seed=11).zeros_observed == 704
+    assert strip_calls[0] == 74437
 
 
 @pytest.mark.parametrize("n, pairs", [(40, 2000), (60, 300)])

@@ -4,18 +4,20 @@ from collections import Counter
 
 import pytest
 
-from charcensus.characters import zero_count
+from charcensus.characters import _mu_code, _mu_parts, _pair_key, zero_count
 from charcensus.counting import (
     bounded_partition_count,
     build_bounded_table,
     partition_count,
 )
 from charcensus.errors import GuardError
-from charcensus.partitions import Partition, enumerate_partitions
+from charcensus.partitions import (Partition, beta_mask, enumerate_partitions,
+                                   part_tuples)
 from charcensus import sampling
 from charcensus.sampling import (
     RNG_ALGORITHM,
     _draw,
+    _draw_key,
     estimate_zero_density,
     wilson_interval,
 )
@@ -102,6 +104,32 @@ def test_draw_matches_binary_search_oracle(n):
     for _ in range(10_000):
         assert _draw(n, rng, table) == _draw_loop_oracle(n, oracle_rng, rows)
     assert rng.getstate() == oracle_rng.getstate()
+    # the pair draw: lambda's mask and mu's parts, from the same stream
+    rng, oracle_rng = random.Random(-n), random.Random(-n)
+    for _ in range(5_000):
+        key = _draw_key(n, rng, table)
+        lam = _draw_loop_oracle(n, oracle_rng, rows)
+        mu = _draw_loop_oracle(n, oracle_rng, rows)
+        assert key == _pair_key(beta_mask(lam), mu, n), (lam, mu)
+    assert rng.getstate() == oracle_rng.getstate()
+
+
+def test_mu_code_decodes_and_sorts_by_reversed_parts():
+    # the walk's order, by int, is the order of the parts read from the
+    # last part, and each code decodes to its parts
+    for n in range(1, 21):
+        mus = list(part_tuples(n))
+        codes = [_mu_code(mu, n) for mu in mus]
+        assert [_mu_parts(code, n) for code in codes] == mus, n
+        assert [_mu_parts(code, n) for code in sorted(codes)] \
+            == sorted(mus, key=lambda mu: mu[::-1]), n
+    table = build_bounded_table(60, 60)
+    rng = random.Random(60)
+    mus = [_draw(60, rng, table) for _ in range(2000)]
+    codes = [_mu_code(mu, 60) for mu in mus]
+    assert [_mu_parts(code, 60) for code in codes] == mus
+    assert [_mu_parts(code, 60) for code in sorted(codes)] \
+        == sorted(mus, key=lambda mu: mu[::-1])
 
 
 def test_sampler_chi_square_uniformity():
