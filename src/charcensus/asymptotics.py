@@ -20,9 +20,12 @@ The transformation brings in the terms -pi/(12 y) of log eta(iy), -1/24
 of mu1 and 1/12 of mu2, which for small y are far larger than what the
 saddle point reads: every caller forms t log eta(ity) - log eta(iy) or
 a difference of mu_k at ty and y, from which these terms cancel exactly.
-So ``_log_eta`` and ``_mu`` leave them out on both sides of y = 1, and
-return log eta(iy) + pi/(12 y), mu1 + 1/24 and mu2 - 1/12; only ``eta``
-adds -pi/(12 y) back.
+So ``_mu`` returns mu1 + 1/24 and mu2 - 1/12, and ``_log_eta`` returns
+g(y) = log eta(iy) + pi/(12 y) + pi y/12, which also leaves out the
+-pi y/12 that the direct series carries at large y.  The transformation
+leaves g symmetric, g(1/y) = g(y) + log(y)/2, so one body serves both
+sides of y = 1 and neither holds a term linear in y or 1/y; only
+``eta`` adds -pi/(12 y) - pi y/12 back.
 """
 
 from __future__ import annotations
@@ -80,25 +83,21 @@ def _q_sums(u: float) -> tuple[float, float, float]:
     return e, s0, s1
 
 
-def _eta_tail(u: float) -> float:
-    """sum_n sigma(n)/n q^n at q = exp(-2 pi u), for u >= 1: log eta(iu)
-    is -pi u / 12 minus this."""
-    return (1.0 + _q_sums(u)[0]) * math.exp(-2 * math.pi * u)
-
-
 def _log_eta(y: float) -> float:
-    """log eta(iy) + pi/(12 y): the direct series for y >= 1, the
-    modular transformation below 1."""
-    if y >= 1:
-        return -math.pi * y / 12 - _eta_tail(y) + math.pi / (12 * y)
-    return -0.5 * math.log(y) - _eta_tail(1.0 / y)
+    """g(y) = log eta(iy) + pi/(12 y) + pi y/12, from the series at
+    u = max(y, 1/y): g(u) = pi/(12 u) - sum_n sigma(n)/n q^n, and
+    g(y) = g(1/y) - log(y)/2 below 1."""
+    u = max(y, 1.0 / y)
+    g = math.pi / (12 * u) - (1.0 + _q_sums(u)[0]) * math.exp(-2 * math.pi * u)
+    return g if y >= 1 else g - 0.5 * math.log(y)
 
 
 def eta(y: float) -> float:
-    """log eta(iy) for y > 0, to double precision."""
+    """log eta(iy) for y > 0, to double precision: ``_log_eta`` less the
+    pi/(12 y) + pi y/12 that it leaves out."""
     if y <= 0:
         raise ValueError("y must be positive")
-    return _log_eta(y) - math.pi / (12 * y)
+    return _log_eta(y) - math.pi / (12 * y) - math.pi * y / 12
 
 
 def _mu(y: float) -> tuple[float, float, float]:
@@ -220,26 +219,20 @@ def tcore_count_estimate(n: int, t: int) -> LogReal:
           / (sqrt(mu2(i y) - mu2(i t y)) * eta(i y))
 
     with y the solved saddle ordinate.  Valid for 6 <= t <= n; the
-    relative error decays like 1 / min(t, sqrt n).
+    relative error decays like 1 / min(t, sqrt n).  In g = ``_log_eta``
+    the log is 1.5 log y + 2 pi y n + t g(t y) - g(y) - log(mu2 diff)/2:
+    2 pi y (t^2-1)/24 cancels the pi t^2 y/12 and pi y/12 that g leaves
+    out, and -pi/(12 y) cancels between the two eta terms, so no large
+    terms cancel on either side of t y = 1.
     """
     if not 6 <= t <= n:
         raise GuardError(f"t-core estimate requires 6 <= t <= n, got t={t}, n={n}")
     y = solve_saddle(n, t).y
-    m = n + (t * t - 1) / 24.0
     mu2_diff = _mu(y)[1] - _mu(t * y)[1]
     if mu2_diff <= 0:
         raise NumericError(f"nonpositive curvature term {mu2_diff:.3e} at n={n}, t={t}")
-    if t * y >= 1:
-        # t _log_eta(t y) is -pi t^2 y / 12 - t tail(t y) + pi/(12 y), and
-        # 2 pi y m is 2 pi y (n - 1/24) + pi t^2 y / 12: the two
-        # pi t^2 y / 12, far larger than the result at large t y, cancel
-        # and are left out, so no bits are lost to the difference
-        growth = (2 * math.pi * y * (n - 1 / 24) - t * _eta_tail(t * y)
-                  + math.pi / (12 * y))
-    else:
-        growth = 2 * math.pi * y * m + t * _log_eta(t * y)
-    log_val = (1.5 * math.log(y) + growth - 0.5 * math.log(mu2_diff)
-               - _log_eta(y))
+    log_val = (1.5 * math.log(y) + 2 * math.pi * y * n + t * _log_eta(t * y)
+               - _log_eta(y) - 0.5 * math.log(mu2_diff))
     return LogReal(log_val)
 
 

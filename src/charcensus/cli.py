@@ -6,8 +6,8 @@ follows the versioned schema shipped in ``schemas/``; CSV encodes the
 same values (big integers as decimal strings, reals as shortest
 round-trip doubles).  Exit codes: 0 success, 1 numeric breakdown or an
 internal error, 2 usage error (bad input, or an --out file that cannot
-be written), 3 guard refusal; every error goes to stderr as one JSON
-object, never as a traceback.
+be written), 3 guard refusal, 130 interrupted (Ctrl-C or SIGINT); every
+error goes to stderr as one JSON object, never as a traceback.
 
 Each command imports only its own layer, inside its ``_cmd_*`` function:
 start-up loads argparse and this module, so ``count p`` and ``zeros
@@ -437,6 +437,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _write_error(2, "usage", exc)
         return 2
+    except KeyboardInterrupt:  # Ctrl-C or SIGINT; 130 = 128 + SIGINT, as in a shell
+        _write_error(130, "interrupted", "interrupted before the command finished")
+        return 130
     except Exception as exc:  # any other fault: one JSON line, no traceback
         import traceback
 

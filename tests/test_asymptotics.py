@@ -55,6 +55,19 @@ def _log_eta_product(y: float) -> float:
         n += 1
 
 
+def _log_eta_reference(mp, y):
+    """log eta(iy) to the working precision of ``mp``: the product
+    formula at y >= 1, the modular transformation below."""
+    if y < 1:
+        return -mp.log(y) / 2 + _log_eta_reference(mp, 1 / y)
+    q = mp.exp(-2 * mp.pi * y)
+    total, qn = -mp.pi * y / 12, q
+    while qn > mp.mpf(10) ** -60:
+        total += mp.log(1 - qn)
+        qn *= q
+    return total
+
+
 def test_eta_two_path_consistency():
     # both paths, the direct series from y = 1 up and the modular transform
     # below it, against the product formula on a log grid over [1/4, 4]
@@ -140,19 +153,40 @@ def _mu_q_series(y: float) -> tuple[float, float]:
 
 
 def test_left_out_constants_cancel_across_y_equal_1():
-    # with t y >= 1 > y the two arguments take different branches, which
-    # must leave out the same constants: the differences the saddle
-    # point reads then match the product formula and the q-series
+    # with t y >= 1 > y the kernel reads the series at t y for one
+    # argument and at 1/y for the other, and both must leave out the same
+    # constants: t g(t y) - g(y) = t log eta(i t y) - log eta(i y)
+    # + pi (t^2 - 1) y / 12, against a 30-digit reference, and the mu
+    # differences the saddle point reads match the q-series
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 30
     rng = random.Random(20261019)
     for _ in range(200):
         y = rng.uniform(0.1, 0.99)
         t = rng.randint(math.ceil(1 / y), math.ceil(5 / y))
         assert t * y >= 1 > y
+        # pi (t x - y) / 12 is pi (t^2 - 1) y / 12 at the rounded x = t y
+        # that the kernel reads
+        x = mp.mpf(t * y)
+        expected = (t * _log_eta_reference(mp, x)
+                    - _log_eta_reference(mp, mp.mpf(y))
+                    + mp.pi * (t * x - y) / 12)
         assert t * _log_eta(t * y) - _log_eta(y) == pytest.approx(
-            t * _log_eta_product(t * y) - _log_eta_product(y), rel=1e-12), (y, t)
+            float(expected), rel=1e-12), (y, t)
         for k in (0, 1):
             assert _mu(t * y)[k] - _mu(y)[k] == pytest.approx(
                 _mu_q_series(t * y)[k] - _mu_q_series(y)[k], rel=1e-12), (y, t, k)
+
+
+def test_log_eta_reflection_identity():
+    # g(1/u) = g(u) + log(u)/2, the modular transformation with the
+    # left-out terms pi/(12 u) + pi u/12 symmetric in u and 1/u
+    rng = random.Random(20261020)
+    for _ in range(2000):
+        u = 50 ** rng.random()
+        assert abs(_log_eta(1 / u) - (_log_eta(u) + 0.5 * math.log(u))) <= 1e-15, u
 
 
 def test_curvature_sandwich_small_ty():
@@ -283,31 +317,13 @@ def test_core_estimate_matches_regime_i_form_at_scale(t):
                                                                rel=1e-12), n
 
 
-def _log_eta_reference(mp, y):
-    """log eta(iy) to the working precision of ``mp``: the product
-    formula at y >= 1, the modular transformation below."""
-    if y < 1:
-        return -mp.log(y) / 2 + _log_eta_reference(mp, 1 / y)
-    q = mp.exp(-2 * mp.pi * y)
-    total, qn = -mp.pi * y / 12, q
-    while qn > mp.mpf(10) ** -60:
-        total += mp.log(1 - qn)
-        qn *= q
-    return total
-
-
-@pytest.mark.parametrize("n", [10**6, 10**8, 10**10])
-def test_core_estimate_at_large_ty_against_50_digits(n):
-    # at t = n, t y is 200-20000: 2 pi y m and t log eta(i t y) each hold
-    # pi t^2 y / 12 (10^7 to 10^14) with opposite signs, around a result
-    # of 2.5 * 10^3 to 2.6 * 10^5; the estimate must not lose those bits.
-    # The reference is the same formula at the solver's y in 50 digits,
-    # mu2 = -y^3 (d/dy)^2 log eta(iy) / (2 pi).
+def _estimate_50_digits(n, t):
+    """The estimate's formula at the solver's y in 50 digits, with mu2 =
+    -y^3 (d/dy)^2 log eta(iy) / (2 pi); returns (reference, t y)."""
     import mpmath
 
     mp = mpmath.mp.clone()
     mp.dps = 50
-    t = n
     y = mp.mpf(solve_saddle(n, t).y)
 
     def log_eta(x):
@@ -319,7 +335,27 @@ def test_core_estimate_at_large_ty_against_50_digits(n):
     reference = (1.5 * mp.log(y) + 2 * mp.pi * y * (n + mp.mpf(t * t - 1) / 24)
                  + t * log_eta(t * y) - mp.log(mu2(y) - mu2(t * y)) / 2
                  - log_eta(y))
-    assert t * y > 100
+    return reference, float(t * y)
+
+
+@pytest.mark.parametrize("n", [10**6, 10**8, 10**10])
+def test_core_estimate_at_large_ty_against_50_digits(n):
+    # at t = n, t y is 200-20000: 2 pi y m and t log eta(i t y) each hold
+    # pi t^2 y / 12 (10^7 to 10^14) with opposite signs, around a result
+    # of 2.5 * 10^3 to 2.6 * 10^5; the estimate must not lose those bits
+    reference, ty = _estimate_50_digits(n, n)
+    assert ty > 100
+    estimate = tcore_count_estimate(n, n).log
+    assert abs(estimate - reference) <= 1e-12 * abs(reference)
+
+
+@pytest.mark.parametrize("n, t, ty", [
+    (1000, 6, 0.0024), (1000, 150, 0.93), (10**6, 5000, 0.997),
+    (10**6, 8000, 1.63), (10**8, 5 * 10**4, 0.997)])
+def test_core_estimate_across_ty_equal_1_against_50_digits(n, t, ty):
+    # one formula on both sides of t y = 1, near it and far below it
+    reference, solved_ty = _estimate_50_digits(n, t)
+    assert solved_ty == pytest.approx(ty, rel=0.01)
     estimate = tcore_count_estimate(n, t).log
     assert abs(estimate - reference) <= 1e-12 * abs(reference)
 

@@ -516,6 +516,19 @@ def test_unexpected_error_is_one_json_line(run, monkeypatch):
     assert "RuntimeError: boom" in error["message"]
 
 
+def test_interrupt_is_one_json_line(run, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_count_p", interrupted)
+    code, out, err = run("count", "p", "--n", "10", "--format", "json")
+    assert code == 130 and out == ""
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["code"] == 130 and error["type"] == "interrupted"
+
+
 def _loaded_by(code: str, watched: set) -> list:
     """The modules of ``watched`` that running ``code`` in a fresh
     interpreter loads, beyond those the interpreter starts with."""
