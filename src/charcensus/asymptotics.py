@@ -118,6 +118,14 @@ def _mu(y: float) -> tuple[float, float, float]:
             2 * math.pi / (y * y) * s1 + 1.0 / (4 * math.pi))
 
 
+def _check_args(n: int, t: int) -> None:
+    # before every guard, so an invalid n or t is a usage error at any size
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if t < 1:
+        raise ValueError(f"t must be positive, got {t}")
+
+
 def _check_analytic_size(n: int, t: int = 0) -> None:
     if n > ANALYTIC_GUARD or t > ANALYTIC_GUARD:
         name, value = ("n", n) if n > ANALYTIC_GUARD else ("t", t)
@@ -158,17 +166,19 @@ def solve_saddle(n: int, t: int, tol: float = 1e-9) -> SaddleSolution:
 
     Bisection from the a-priori bracket down to relative width 1e-12,
     then three safeguarded Newton steps on the analytic derivative.
-    Raises NumericError when the bracket fails to straddle the root, and
-    GuardError for n or t above ``ANALYTIC_GUARD``.
+    Raises NumericError when the bracket fails to straddle the root,
+    ValueError for n < 0, t < 1 or tol outside (0, 1), and GuardError
+    for n or t above ``ANALYTIC_GUARD``, t < 6 or n = 0.
     """
+    _check_args(n, t)
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
     _check_analytic_size(n, t)
     if t < 6:
         raise GuardError(f"saddle solve requires t >= 6, got {t}")
     if n < 1:
         raise GuardError("saddle solve requires n >= 1 (the a-priori upper "
                          "bracket is not real at n = 0)")
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must be in (0, 1), got {tol}")
     m = n + (t * t - 1) / 24.0
 
     def f(y: float) -> float:
@@ -225,6 +235,7 @@ def tcore_count_estimate(n: int, t: int) -> LogReal:
     out, and -pi/(12 y) cancels between the two eta terms, so no large
     terms cancel on either side of t y = 1.
     """
+    _check_args(n, t)
     if not 6 <= t <= n:
         raise GuardError(f"t-core estimate requires 6 <= t <= n, got t={t}, n={n}")
     y = solve_saddle(n, t).y
@@ -325,13 +336,14 @@ P32_REGIMES = ("P32_I", "P32_II", "P32_III", "P32_IV")
 
 
 def _check_bound_args(n: int, t: int, epsilon: float) -> None:
+    _check_args(n, t)
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     _check_analytic_size(n, t)
     if n < 100:
         raise GuardError(f"regime bounds require n >= 100, got {n}")
     if not 6 <= t <= n:
         raise GuardError(f"regime bounds require 6 <= t <= n, got t={t}")
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
 
 
 def _regime(n: int, t: int, epsilon: float) -> str:

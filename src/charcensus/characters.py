@@ -31,12 +31,13 @@ operations and weights the row by the size of its conjugate pair, and
 the table decodes the lanes and fills the other rows by sign.  The
 size-n rows are produced one at a time, so the census never holds the
 table.  The rows below size n are kept between calls, in one store at
-one lane width: a size's blocks do not depend on n, so a later call
-appends only the blocks and sizes it lacks, and a range of n builds
-each size once.  After a call at n the store holds every row of every
-size below the largest n called at that width (the 2,087 rows of sizes
-below 20, about 0.5 MB, after a census at 20); a call at another width
-replaces it.  It has no lock: the package never runs two calls at once.
+one lane width: a size's blocks do not depend on n, so each size is
+built once, with every block that the largest n of its width reads,
+and never changed, and a later call builds only the sizes it lacks.
+After a call at n the store holds every row of every size below the
+largest n called at that width (the 2,087 rows of sizes below 20, about
+0.5 MB, after a census at 20); a call at another width replaces it.  It
+has no lock: the package never runs two calls at once.
 """
 
 from __future__ import annotations
@@ -228,8 +229,8 @@ class _Store(NamedTuple):
     """The packed levels kept between calls of ``_packed_rows``, all at
     lane width ``width``: ``levels[k]`` is (rows, counts) at size k, rows
     mapping the beta mask of each partition of k to its row and
-    counts[t] the number of its lanes with first part <= t, for the
-    blocks t built so far."""
+    counts[t] the number of its lanes with first part <= t, for every
+    block t that a call at this width reads.  A kept level is final."""
 
     width: int
     levels: list
@@ -244,32 +245,32 @@ def _packed_rows(n: int, top: list[int]) -> Iterator[int]:
     character at the j-th partition of n in reverse enumeration order,
     in two's complement.
 
-    The lanes at size k < n are the suffixes s of a cycle type of n, the
-    partitions of k with s[0] <= n - k, ordered by first part ascending
-    and so lexicographically: the size-n lanes are the reverse of the
-    enumeration order.  The rows at size k < n are all partitions of k,
-    and each digit holds chi + 2^(width - 1), so no digit is negative.
-    Size m is built breadth first from the smaller ones: its lanes with
-    first part t, for t <= min(m, n - m) or any t at m = n, are (t,) + s
-    for the suffixes s of size m - t with s[0] <= t, a prefix of that
-    size's lanes.  So block t of row lambda is the sum of
+    Let ``last`` be the largest n of this lane width: 20 at 32 bits,
+    and n itself above 20, where every n has its own width.  The lanes
+    at size k < n are the suffixes s of size k of a cycle type of
+    ``last``, the partitions of k with s[0] <= last - k, ordered by
+    first part ascending and so lexicographically: the size-n lanes are
+    the reverse of the enumeration order.  The rows at size k < n are
+    all partitions of k, and each digit holds chi + 2^(width - 1), so
+    no digit is negative.  Size m is built breadth first from the
+    smaller ones: its lanes with first part t, for t <= min(m, last - m)
+    or any t at m = n, are (t,) + s for the suffixes s of size m - t
+    with s[0] <= t, a prefix of that size's lanes read through an
+    explicit lane mask.  So block t of row lambda is the sum of
     +-(row(rem) & prefix) over the border strips of length t of lambda,
     one big-int add per strip for every column at once, with the bias
     corrected once per block.  Only the size-n rows in ``top`` are
     built, one at a time.
 
-    Block t at size m does not depend on n, which only sets how many
-    blocks there are, so the rows for a smaller n are a low-bit prefix
-    of those for a larger one at the same width.  The sizes below n are
-    kept in the module's ``_store`` between calls, for the one width of
-    the last call (32 bits for every n <= 20): a call appends only the
-    blocks and sizes it lacks, ascending in m, and reads every prefix
-    through an explicit lane mask, since a kept row may hold more lanes
-    than this n reads.  A call at another width replaces the store, and
-    each size is replaced whole once built, so an interrupted call
-    leaves it consistent.  Nothing in the package runs concurrently, so
-    the store has no lock and is not for use from several threads at
-    once.
+    A call at n reads the blocks t <= n - m of size m, which do not
+    depend on n, so the sizes below n are kept in the module's
+    ``_store`` between calls, for the one width of the last call.  Each
+    size is built once, with every block any n of its width reads, and
+    never changed: a call builds only the sizes it lacks, ascending,
+    and appends each once it is complete, so an interrupted call leaves
+    the store consistent.  A call at another width replaces the store.
+    Nothing in the package runs concurrently, so the store has no lock
+    and is not for use from several threads at once.
     """
     global _store
     width = _lane_width(n)
@@ -278,15 +279,13 @@ def _packed_rows(n: int, top: list[int]) -> Iterator[int]:
         # the empty partition at the empty suffix
         _store = _Store(width, [({0: 1 + bias}, [1])])
     levels = _store.levels
-    for m in range(1, n + 1):
-        last = n if m == n else min(m, n - m)  # the last block t
-        rows, count = levels[m] if m < min(n, len(levels)) else ({}, [0])
-        if len(count) > last:
-            continue
-        start = count[-1]  # the lanes already built
-        count = count[:]
+    last = n
+    while _lane_width(last + 1) == width:
+        last += 1
+    for m in (*range(len(levels), n), n):
+        count = [0]
         blocks = []
-        for t in range(len(count), last + 1):
+        for t in range(1, (n if m == n else min(m, last - m)) + 1):
             prev, prev_count = levels[m - t]
             # the lanes of size m - t with first part <= t, all of them
             # once t >= m - t
@@ -294,16 +293,10 @@ def _packed_rows(n: int, top: list[int]) -> Iterator[int]:
             blocks.append((t, prev, (1 << width * size) - 1,
                            bias * _ones(width, size), width * count[-1]))
             count.append(count[-1] + size)
-        added = bias * _ones(width, count[-1] - start) << width * start
-        if m == n:
-            masks = top
-        elif rows:
-            masks = rows
-        else:
-            masks = map(beta_mask, part_tuples(m))
+        added = bias * _ones(width, count[-1])
         level = {}
-        for lam in masks:
-            row = rows.get(lam, 0) + added
+        for lam in top if m == n else map(beta_mask, part_tuples(m)):
+            row = added
             for t, prev, keep, block_bias, shift in blocks:
                 total = net = 0
                 for odd, rem in beta_strips(lam, t):
@@ -322,10 +315,7 @@ def _packed_rows(n: int, top: list[int]) -> Iterator[int]:
             else:
                 level[lam] = row
         if m < n:
-            if m < len(levels):
-                levels[m] = (level, count)
-            else:
-                levels.append((level, count))
+            levels.append((level, count))
 
 
 def _half_rows(masks: list[int]) -> tuple[list[int], list[int]]:

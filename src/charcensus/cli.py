@@ -275,18 +275,20 @@ def _emit(args, command: str, result: dict) -> None:
 # parser
 
 def _n_ranges(text: str) -> list[range]:
-    """The comma list "3-14" or "4,6,8" as ranges, not yet expanded."""
+    """The comma list "3-14" or "4,6,8" as ranges, not yet expanded; a
+    range that holds no n, such as "5-3", is a usage error."""
     out = []
     for tok in text.split(","):
         tok = tok.strip()
         if "-" in tok[1:]:
             a, b = tok.split("-", 1)
-            out.append(range(int(a), int(b) + 1))
+            span = range(int(a), int(b) + 1)
+            if not span:
+                raise argparse.ArgumentTypeError(f"empty range {tok!r}")
         else:
             n = int(tok)
-            out.append(range(n, n + 1))
-    if not any(out):
-        raise ValueError("empty n-list")
+            span = range(n, n + 1)
+        out.append(span)
     return out
 
 

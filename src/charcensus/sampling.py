@@ -157,17 +157,20 @@ def estimate_zero_density(n: int, samples: int, seed: int) -> DensityEstimate:
     since the time and the multiset of drawn pairs grow with every
     sample.  0 <= seed < 2^64.
     """
+    # the arguments first, so an invalid one is a usage error at any size
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if n < 2:
         raise GuardError("density estimation requires n >= 2")
     _check_value_size(n)
-    if samples < 1:
-        raise ValueError("samples must be positive")
     cost = samples * (16 + 2 ** (n / 5))
     if cost > DENSITY_GUARD:
         raise GuardError(f"samples * (16 + 2^(n/5)) = {cost:.4g} exceeds the "
                          f"limit {DENSITY_GUARD} (2^24)")
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     table = build_bounded_table(n, n)
     counts: dict[int, int] = {}  # {pair key: count}
     for start in range(0, samples, _CHUNK):

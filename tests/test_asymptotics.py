@@ -365,6 +365,11 @@ def test_core_estimate_scope_guard():
         tcore_count_estimate(100, 101)
     with pytest.raises(GuardError):
         tcore_count_estimate(100, 5)
+    # an invalid n or t is a usage error, before the scope guard
+    with pytest.raises(ValueError):
+        tcore_count_estimate(-5, 6)
+    with pytest.raises(ValueError):
+        tcore_count_estimate(100, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -321,8 +321,9 @@ def _clear_store():
 
 
 def test_kept_levels_give_the_same_results_in_any_call_order():
-    # each call extends the levels the calls before it kept; every result
-    # equals the one built from an empty store
+    # each call builds only the sizes the calls before it left unbuilt,
+    # and reads every kept size as it was built; every result equals the
+    # one built from an empty store
     fns = (zero_count, character_table)
     fresh = {}
     for n in range(1, 21):
@@ -368,6 +369,39 @@ def test_census_keeps_the_levels_below_n():
     _check_kept_rows_below(20)
     assert sum(len(rows) for rows, _ in characters._store.levels) == 2087
     _check_regular_character()
+
+
+def test_kept_levels_are_final():
+    # each size is built once, with the blocks of the largest n of its
+    # width: a call at a larger n appends sizes and rewrites no kept one
+    _clear_store()
+    zero_count(14)
+    _check_kept_rows_below(14)
+    _check_regular_character()
+    levels = characters._store.levels
+    kept = [(level, dict(level[0]), list(level[1])) for level in levels]
+    zero_count(20)
+    assert characters._store.levels is levels and len(levels) == 20
+    for m, (level, rows, count) in enumerate(kept):
+        assert levels[m] is level and level == (rows, count), m
+    _check_kept_rows_below(20)
+
+
+def test_census_range_strip_enumerations_pinned(monkeypatch):
+    # zero_count for N = 14..20 in one process, as the README states
+    calls = 0
+    strips = characters.beta_strips
+
+    def counted(lam, t):
+        nonlocal calls
+        calls += 1
+        return strips(lam, t)
+
+    monkeypatch.setattr(characters, "beta_strips", counted)
+    _clear_store()
+    for n in range(14, 21):
+        zero_count(n)
+    assert calls == 29031
 
 
 def test_census_pinned_above_the_guard(monkeypatch):

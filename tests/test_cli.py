@@ -368,6 +368,38 @@ def test_invalid_argument_is_usage_error_at_any_size(run, no_work, argv):
     assert json.loads(err)["error"]["type"] == "usage"
 
 
+@pytest.mark.parametrize("argv", [
+    ("estimate", "density", "--n", "-5", "--samples", "10", "--seed", "1"),
+    ("bounds", "saddle", "--n", "-3", "--t", "6"),
+    ("bounds", "saddle", "--n", "100", "--t", "0"),
+    ("bounds", "t13", "--n", "-5", "--t", "6"),
+    ("bounds", "t13", "--n", "1000", "--t", "0"),
+    ("bounds", "p32", "--n", "-5", "--t", "6"),
+    ("bounds", "p32", "--n", "1000", "--t", "-2"),
+    # the other arguments too, at an n or t the domain guards refuse
+    ("estimate", "density", "--n", "1", "--samples", "0", "--seed", "1"),
+    ("bounds", "saddle", "--n", "100", "--t", "3", "--tol", "2"),
+    ("bounds", "p32", "--n", "50", "--t", "6", "--epsilon", "2"),
+])
+def test_invalid_argument_before_the_domain_guards(run, no_work, argv):
+    # checked before the domain guards, which refuse n = 0 or 1, or t < 6
+    code, out, err = run(*argv, "--format", "json")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage" and "must be" in error["message"]
+
+
+@pytest.mark.parametrize("n_list, token", [("5-3,7", "5-3"), ("5-3", "5-3"),
+                                           ("3-5,9-8", "9-8")])
+def test_sweep_empty_range_is_usage_error(run, no_work, n_list, token):
+    # a reversed range holds no n: it is named, not dropped
+    code, out, err = run("sweep", "--n-list", n_list, "--format", "json")
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "usage" and f"empty range '{token}'" in error["message"]
+
+
 def test_zeros_lower_bound_cost_guard(run, no_work):
     message = _refusal(run, "zeros", "lower-bound", "--n", "20000", "--t-lo", "200")
     assert str(counting.LOWER_BOUND_GUARD_STEPS) in message
