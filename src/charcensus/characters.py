@@ -23,20 +23,23 @@ in one breadth-first engine over the suffixes s of mu (``_packed_rows``).
 At each size k the characters of lambda |- k at every suffix of size k
 are packed into one int per lambda, one fixed-width lane per suffix, so
 removing the border strips of length t from lambda is a signed sum of
-whole packed rows of size k - t, one big-int add per strip, built from
-``beta_strips``.  Since chi at lambda' is sgn(mu) = (-1)^(n - len mu)
-times chi at lambda, the size-n rows are built only for lambda <=
-lambda': the census counts each row's zero lanes with a few big-int
-operations and weights the row by the size of its conjugate pair, and
-the table decodes the lanes and fills the other rows by sign.  The
-size-n rows are produced one at a time, so the census never holds the
-table.  The rows below size n are kept between calls, in one store at
-one lane width: a size's blocks do not depend on n, so each size is
-built once, with every block that the largest n of its width reads,
-and never changed, and a later call builds only the sizes it lacks.
-After a call at n the store holds every row of every size below the
-largest n called at that width (the 2,087 rows of sizes below 20, about
-0.5 MB, after a census at 20); a call at another width replaces it.  It
+whole packed rows of size k - t, one big-int add per strip, with the
+strip loop of ``_strip`` inline.  The lanes of a row whose suffix has
+first part t form its block t, which reads only size k - t.  Since chi
+at lambda' is sgn(mu) = (-1)^(n - len mu) times chi at lambda, the
+size-n rows are built only for lambda <= lambda', and each comes out as
+its n blocks, never joined into one int of p(n) lanes: the census counts
+each block's zero lanes with a few big-int operations and weights the
+row by the size of its conjugate pair, and the table joins the blocks'
+bytes, decodes the lanes and fills the other rows by sign.  The size-n
+rows are produced one at a time, so the census never holds the table.
+The rows below size n are kept between calls, in one store at one lane
+width: a size's blocks do not depend on n, so each size is built once,
+with every block that the largest n of its width reads, and never
+changed, and a later call builds only the sizes it lacks.  After a call
+at n the store holds every row of every size below the largest n called
+at that width (the 2,087 rows of sizes below 20, about 0.5 MB, after a
+census at 20); a call at another width replaces it.  It
 has no lock: the package never runs two calls at once.
 """
 
@@ -49,8 +52,8 @@ from operator import mul
 from typing import Iterator, NamedTuple
 
 from .errors import GuardError
-from .partitions import (Partition, beta_mask, beta_strips, conjugate_mask,
-                         enumerate_partitions, part_tuples)
+from .partitions import (Partition, beta_mask, conjugate_mask, enumerate_partitions,
+                         part_tuples)
 
 TABLE_GUARD = 20
 # largest n of one character value, for `char eval` and the density sampler,
@@ -142,9 +145,9 @@ def _strip(lam: int, mu: tuple[int, ...], i: int, levels: list[dict]) -> int:
     """The character at (``lam``, mu[i:]), entered only when ``levels[i]``
     misses it; stores it there.
 
-    The strip loop is ``beta_strips`` inline: each remainder is looked up
-    in ``levels[i + 1]`` and recursed on only when missing, so every call
-    adds one memo state.
+    The border strips of length t are enumerated inline: each remainder
+    is looked up in ``levels[i + 1]`` and recursed on only when missing,
+    so every call adds one memo state.
     """
     t = mu[i]
     known = levels[i + 1]
@@ -239,28 +242,32 @@ class _Store(NamedTuple):
 _store = _Store(0, [])
 
 
-def _packed_rows(n: int, top: list[int]) -> Iterator[int]:
+def _packed_rows(n: int, top: list[int]) -> Iterator[list[int]]:
     """Yield the row of each beta mask in ``top`` (partitions of n), in
-    order: p(n) lanes of ``_lane_width(n)`` bits, lane j holding the
-    character at the j-th partition of n in reverse enumeration order,
-    in two's complement.
+    order, as the list of its n blocks: block t, at index t - 1, holds
+    in lanes of ``_lane_width(n)`` bits, in two's complement, the
+    characters at the partitions of n with first part t, in reverse
+    enumeration order.  So the blocks' lanes, block 1's lowest first,
+    run over all p(n) partitions of n in reverse enumeration order; a
+    block is 0 when lambda has no border strip of its length.
 
     Let ``last`` be the largest n of this lane width: 20 at 32 bits,
     and n itself above 20, where every n has its own width.  The lanes
     at size k < n are the suffixes s of size k of a cycle type of
     ``last``, the partitions of k with s[0] <= last - k, ordered by
-    first part ascending and so lexicographically: the size-n lanes are
-    the reverse of the enumeration order.  The rows at size k < n are
-    all partitions of k, and each digit holds chi + 2^(width - 1), so
-    no digit is negative.  Size m is built breadth first from the
-    smaller ones: its lanes with first part t, for t <= min(m, last - m)
-    or any t at m = n, are (t,) + s for the suffixes s of size m - t
-    with s[0] <= t, a prefix of that size's lanes read through an
-    explicit lane mask.  So block t of row lambda is the sum of
-    +-(row(rem) & prefix) over the border strips of length t of lambda,
-    one big-int add per strip for every column at once, with the bias
-    corrected once per block.  Only the size-n rows in ``top`` are
-    built, one at a time.
+    first part ascending and so lexicographically.  The rows at size
+    k < n are all partitions of k, one int each, and each digit holds
+    chi + 2^(width - 1), so no digit is negative.  Size m is built
+    breadth first from the smaller ones: its lanes with first part t,
+    for t <= min(m, last - m) or any t at m = n, are (t,) + s for the
+    suffixes s of size m - t with s[0] <= t, a prefix of that size's
+    lanes read through an explicit lane mask.  So block t of row
+    lambda, biased, is the sum of +-(row(rem) & prefix) over the border
+    strips of length t of lambda, one big-int add per strip for every
+    column at once, less (a - s - 1) biases per lane for a strips added
+    and s subtracted.  A kept row ORs its biased blocks into place; a
+    size-n block drops its bias by one XOR and is never joined to the
+    others.  Only the size-n rows in ``top`` are built, one at a time.
 
     A call at n reads the blocks t <= n - m of size m, which do not
     depend on n, so the sizes below n are kept in the module's
@@ -283,39 +290,64 @@ def _packed_rows(n: int, top: list[int]) -> Iterator[int]:
     while _lane_width(last + 1) == width:
         last += 1
     for m in (*range(len(levels), n), n):
+        is_top = m == n
         count = [0]
         blocks = []
-        for t in range(1, (n if m == n else min(m, last - m)) + 1):
+        for t in range(1, (n if is_top else min(m, last - m)) + 1):
             prev, prev_count = levels[m - t]
             # the lanes of size m - t with first part <= t, all of them
             # once t >= m - t
             size = prev_count[min(t, m - t)]
-            blocks.append((t, prev, (1 << width * size) - 1,
+            blocks.append((t, (1 << (t - 1)) - 1, prev, (1 << width * size) - 1,
                            bias * _ones(width, size), width * count[-1]))
             count.append(count[-1] + size)
-        added = bias * _ones(width, count[-1])
         level = {}
-        for lam in top if m == n else map(beta_mask, part_tuples(m)):
-            row = added
-            for t, prev, keep, block_bias, shift in blocks:
-                total = net = 0
-                for odd, rem in beta_strips(lam, t):
-                    if odd:
+        for lam in top if is_top else map(beta_mask, part_tuples(m)):
+            row = 0  # a kept row: its biased blocks ORed into place
+            out = []  # a size-n row: its blocks in two's complement
+            for t, between, prev, keep, high, shift in blocks:
+                # the border strips of length t, as in _strip; net counts
+                # the strips added less those subtracted, from -1, so the
+                # biased block is total less net biases per lane
+                starts = (lam & ~(lam << t)) >> t << t
+                if is_top and not starts:
+                    out.append(0)
+                    continue
+                total = 0
+                net = -1
+                while starts:
+                    bit = starts & -starts
+                    starts ^= bit
+                    rem = lam ^ bit ^ (bit >> t)
+                    if rem & 1:  # the bead moved to bit 0
+                        rem >>= (rem ^ (rem + 1)).bit_length() - 1
+                    if ((lam >> (bit.bit_length() - t)) & between).bit_count() & 1:
                         total -= prev[rem] & keep
                         net -= 1
                     else:
                         total += prev[rem] & keep
                         net += 1
                 if net:
-                    total -= net * block_bias
-                if total:
-                    row += total << shift
-            if m == n:
-                yield row ^ added
+                    total -= net * high
+                if is_top:
+                    out.append(total ^ high)
+                else:
+                    row |= total << shift
+            if is_top:
+                yield out
             else:
                 level[lam] = row
-        if m < n:
+        if not is_top:
             levels.append((level, count))
+
+
+def _block_sizes(n: int, parts) -> list[int]:
+    """The number of lanes of each block t = 1..n of a size-n row of
+    ``_packed_rows``: the partitions of n in ``parts`` with first part t."""
+    sizes = [0] * n
+    for p in parts:
+        sizes[p[0] - 1] += 1
+    return sizes
 
 
 def _half_rows(masks: list[int]) -> tuple[list[int], list[int]]:
@@ -334,9 +366,9 @@ def character_table(n: int) -> CharacterTable:
 
     Guarded at ``TABLE_GUARD`` (n <= 20): beyond that the exact table is
     infeasible at desk scale and the sampling module applies.  The
-    packed engine computes the rows lambda <= lambda', whose 32-bit lanes
-    are read in C; each conjugate row is sgn(mu) = (-1)^(n - len mu)
-    times its partner.
+    packed engine computes the rows lambda <= lambda' block by block; the
+    bytes of a row's blocks are joined and its 32-bit lanes read in C.
+    Each conjugate row is sgn(mu) = (-1)^(n - len mu) times its partner.
     """
     _check_table_size(n)
     parts = tuple(enumerate_partitions(n))
@@ -344,8 +376,10 @@ def character_table(n: int) -> CharacterTable:
     half, conj = _half_rows(masks)
     signs = [-1 if (n - len(p)) % 2 else 1 for p in parts]
     rows: list = [None] * len(parts)
-    for i, packed in zip(half, _packed_rows(n, [masks[i] for i in half])):
-        row = array("i", packed.to_bytes(4 * len(parts), "little"))
+    sizes = _block_sizes(n, parts)
+    for i, blocks in zip(half, _packed_rows(n, [masks[i] for i in half])):
+        row = array("i", b"".join(block.to_bytes(4 * size, "little")
+                                  for block, size in zip(blocks, sizes)))
         if sys.byteorder == "big":
             row.byteswap()
         row.reverse()  # lanes run in reverse enumeration order
@@ -380,27 +414,33 @@ def zero_count(n: int) -> ZeroCensus:
     ``character_table``.
 
     The zeros are counted row by row as the packed engine produces
-    them, a few big-int operations per row, and the table is never held
-    in memory.  Only the rows
-    lambda <= lambda' are computed: a row and its conjugate have the
-    same zeros and the same hook lengths, so each such row counts twice,
-    or once when lambda is self-conjugate, in the total and in every
-    t-core count.
+    them, a few big-int operations per block on the block's own lanes,
+    with none for a block that is 0, and the table is never held in
+    memory.  Only the rows lambda <= lambda' are computed: a row and its
+    conjugate have the same zeros and the same hook lengths, so each
+    such row counts twice, or once when lambda is self-conjugate, in the
+    total and in every t-core count.
     """
     _check_table_size(n)
-    masks = [beta_mask(p) for p in part_tuples(n)]
+    parts = list(part_tuples(n))
+    masks = [beta_mask(p) for p in parts]
     half, conj = _half_rows(masks)
     rows = [masks[i] for i in half]
     width = _lane_width(n)
-    ones = _ones(width, len(masks))
-    high = ones << (width - 1)
-    low = high - ones
+    lane_masks = []
+    for size in _block_sizes(n, parts):
+        ones = _ones(width, size)
+        high = ones << (width - 1)
+        lane_masks.append((high - ones, high))
     total = 0
     per_core = {t: 0 for t in range(1, n + 1)}
-    for i, mask, packed in zip(half, rows, _packed_rows(n, rows)):
+    for i, mask, blocks in zip(half, rows, _packed_rows(n, rows)):
         # a lane is nonzero iff its top bit is set or its low bits plus
         # 2^(width-1) - 1 carry into it; no sum leaves its lane
-        zeros = len(masks) - ((((packed & low) + low) | packed) & high).bit_count()
+        zeros = len(masks)
+        for block, (low, high) in zip(blocks, lane_masks):
+            if block:
+                zeros -= ((((block & low) + low) | block) & high).bit_count()
         if zeros:
             zeros *= 1 if conj[i] == i else 2
             total += zeros

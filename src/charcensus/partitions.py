@@ -140,30 +140,6 @@ def conjugate_mask(mask: int) -> int:
     return int(f"{mask:0{width}b}"[::-1], 2) ^ ((1 << width) - 1) if mask else 0
 
 
-def beta_strips(mask: int, t: int) -> list[tuple[int, int]]:
-    """Border strips of length t >= 1 of the partition with beta mask
-    ``mask``, as (odd height, remainder mask) pairs, bottom row first.
-
-    A strip starts at each set bit b >= t whose bit b - t is clear; the
-    remainder moves that bead to b - t, and the height parity is the
-    parity of the beads strictly between.  The packed table and census
-    engine (``characters._packed_rows``) strips its rows with this;
-    ``characters._strip`` runs the same loop inline.
-    """
-    out = []
-    starts = (mask & ~(mask << t)) >> t << t
-    between = (1 << (t - 1)) - 1
-    while starts:
-        bit = starts & -starts
-        starts ^= bit
-        rem = mask ^ bit ^ (bit >> t)
-        if rem & 1:  # the bead moved to bit 0: shift out the trailing ones
-            rem >>= (rem ^ (rem + 1)).bit_length() - 1
-        out.append((((mask >> (bit.bit_length() - t)) & between).bit_count() & 1,
-                    rem))
-    return out
-
-
 def is_t_core(lam: Partition, t: int) -> bool:
     """True iff no hook length of lam is divisible by t.
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from charcensus.partitions import Partition, beta_mask, beta_strips, enumerate_partitions
+from charcensus.partitions import Partition, beta_mask, enumerate_partitions
+from strip_oracle import beta_strips
 
 
 def columns(parts: tuple[Partition, ...]) -> Iterator[list[int]]:

@@ -1,9 +1,10 @@
-"""Tuple-based border-strip oracles for the beta-mask paths.
+"""Border-strip oracles for the beta-mask paths.
 
 ``raw_strips`` and ``chi_tuple`` are the border-strip enumeration and
 the (lambda, mu)-keyed Murnaghan-Nakayama recursion that the library
 used before it held partitions as beta masks; the tests compare the
-mask paths against them.
+mask paths against them.  ``beta_strips`` is the strip loop that the
+library runs inline, as a list, for the column oracle and the tests.
 """
 
 from __future__ import annotations
@@ -64,3 +65,27 @@ def chi_tuple(lam: tuple[int, ...], mu: tuple[int, ...], memo: dict) -> int:
         total += -sub if height % 2 else sub
     memo[key] = total
     return total
+
+
+def beta_strips(mask: int, t: int) -> list[tuple[int, int]]:
+    """Border strips of length t >= 1 of the partition with beta mask
+    ``mask``, as (odd height, remainder mask) pairs, bottom row first.
+
+    A strip starts at each set bit b >= t whose bit b - t is clear; the
+    remainder moves that bead to b - t, and the height parity is the
+    parity of the beads strictly between.  ``characters._strip`` and the
+    packed engine ``characters._packed_rows`` run the same loop inline;
+    ``column_oracle`` and the partition tests call this one.
+    """
+    out = []
+    starts = (mask & ~(mask << t)) >> t << t
+    between = (1 << (t - 1)) - 1
+    while starts:
+        bit = starts & -starts
+        starts ^= bit
+        rem = mask ^ bit ^ (bit >> t)
+        if rem & 1:  # the bead moved to bit 0: shift out the trailing ones
+            rem >>= (rem ^ (rem + 1)).bit_length() - 1
+        out.append((((mask >> (bit.bit_length() - t)) & between).bit_count() & 1,
+                    rem))
+    return out

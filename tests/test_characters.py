@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -387,27 +388,44 @@ def test_kept_levels_are_final():
     _check_kept_rows_below(20)
 
 
-def test_census_range_strip_enumerations_pinned(monkeypatch):
-    # zero_count for N = 14..20 in one process, as the README states
-    calls = 0
-    strips = characters.beta_strips
+def test_census_range_builds_each_level_once(monkeypatch):
+    # zero_count for N = 14..20 in one process, as the README states: the
+    # engine enumerates each size below 20 once, each census its own size
+    # once more, and every kept size m holds the blocks t <= min(m, 20 - m)
+    # that the calls up to 20 read
+    calls = Counter()
+    tuples = characters.part_tuples
 
-    def counted(lam, t):
-        nonlocal calls
-        calls += 1
-        return strips(lam, t)
+    def counted(m):
+        calls[m] += 1
+        return tuples(m)
 
-    monkeypatch.setattr(characters, "beta_strips", counted)
+    monkeypatch.setattr(characters, "part_tuples", counted)
     _clear_store()
     for n in range(14, 21):
         zero_count(n)
-    assert calls == 29031
+    assert calls == {m: 2 if 14 <= m <= 19 else 1 for m in range(1, 21)}
+    assert [len(count) - 1 for _, count in characters._store.levels] \
+        == [min(m, 20 - m) for m in range(20)]
 
 
 def test_census_pinned_above_the_guard(monkeypatch):
     monkeypatch.setattr(characters, "TABLE_GUARD", 30)
-    assert zero_count(22).total_zeros == 395473
-    assert zero_count(24).total_zeros == 970294
+    # lanes of 36 and 41 bits: the per-block zero test above 32 bits
+    census = zero_count(22)
+    assert census.total_zeros == 395473
+    assert census.per_core_zeros == {
+        1: 0, 2: 0, 3: 1570, 4: 3546, 5: 12682, 6: 26092, 7: 38830, 8: 71880,
+        9: 101221, 10: 137215, 11: 166151, 12: 220745, 13: 242256, 14: 285105,
+        15: 310451, 16: 337729, 17: 352250, 18: 368345, 19: 377150, 20: 385185,
+        21: 390172, 22: 391635}
+    census = zero_count(24)
+    assert census.total_zeros == 970294
+    assert census.per_core_zeros == {
+        1: 0, 2: 0, 3: 2564, 4: 6088, 5: 22837, 6: 35516, 7: 77542, 8: 133973,
+        9: 197548, 10: 285251, 11: 350055, 12: 473045, 13: 528252, 14: 634042,
+        15: 704783, 16: 780196, 17: 822513, 18: 870332, 19: 898860, 20: 924576,
+        21: 940265, 22: 953278, 23: 961668, 24: 964002}
     assert zero_count(26).total_zeros == 2323476
     assert zero_count(28).total_zeros == 5349414
     assert characters._store.width == 50

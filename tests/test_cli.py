@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -100,6 +101,60 @@ def test_char_table_json_matches_csv(run):
     rows = list(csv.reader(io.StringIO(out_csv)))
     assert rows[0][1:] == doc["partitions"]
     assert [r[1:] for r in rows[1:]] == doc["rows"]
+
+
+# sha256 of the stdout of `char table` and `zeros exact`, pinned so that
+# the table engine keeps every formatted byte, not only the values
+OUTPUT_DIGESTS = {
+    ("char", 1, "csv"):
+        "7f03e20ebfc21fc445734b60cb427b095bfec39ff2b4abae6387852e54b84ced",
+    ("char", 1, "json"):
+        "5b12835034241fa11aef10d919833c67cbcc438565bcd02a2e5009920379f84e",
+    ("char", 5, "csv"):
+        "a3b1e5296a3c600b1e03062803d4318bbfef6c9b2329ae29d7ed00ace79e8af4",
+    ("char", 5, "json"):
+        "c9bdc4dcbd6f937a9c0416bfd4931169b11aa01601d9ae38b3e6b604f38bbb04",
+    ("char", 12, "csv"):
+        "b283ee3b21a997180d46c2401c0db9e3eed592f8d430b368b1ba82b93d250b72",
+    ("char", 12, "json"):
+        "179f42846210f932c81a80bbb3dafcbfcf171e5e6df1a804ad0631ca2d5f419b",
+    ("char", 15, "csv"):
+        "faf8afabababff33f01ab9cf8653561d1a1006361d94338aea8e46ee886cab1d",
+    ("char", 15, "json"):
+        "13bc1208c8979e05b94b891f9dddf191895c7f5d6e692df0eda89076df66cf75",
+    ("char", 20, "csv"):
+        "66a3a6e7347f9f128182066cf51c2b60c595ae9a5be1f2fdfa30738cb53979cc",
+    ("char", 20, "json"):
+        "0777096b047d39ff2b209060cc74fbb736401ebf3a399fbf6e867d589a31036e",
+    ("zeros", 1, "csv"):
+        "8e959b7f90c884f8f61c80e0369a9e0c7f50eaac588ef61aa5b0fd4e85c13dcb",
+    ("zeros", 1, "json"):
+        "aac33e4839a560fbc6c8f0092a7722f2a2a8cf771544cc640fbe6bb3e2ae7e8e",
+    ("zeros", 5, "csv"):
+        "90a48e9fd81db9802fb9527ef1bea01e31e7407b2ade6fca0ad9c30c37f89324",
+    ("zeros", 5, "json"):
+        "04802a66a89e73a1afea360f10d284a4194bb44b82850b06a2baa5c3415d051a",
+    ("zeros", 12, "csv"):
+        "1484e288a267831449ad42c5515b30af1ea60c55573ef30105ec51de1315461b",
+    ("zeros", 12, "json"):
+        "ffd5b090046bc2fa7de813027364c545a9ca0ee0b7f5cb56103bec7b6ee92b30",
+    ("zeros", 15, "csv"):
+        "672250e620e1fc019fc53d26226c3f36d22620511453e1e10b72fb86af04c458",
+    ("zeros", 15, "json"):
+        "08b1ebe431eb5f85b130eaace5b7bd007bde59c03507c6a449045f478d4402d7",
+    ("zeros", 20, "csv"):
+        "d4ea8d5f29e9e0d84fd525d3d5e4278667704325a77a33fad7a2fe28371bf6cd",
+    ("zeros", 20, "json"):
+        "0e172c802d8779958339ae18e128b82631a1f45ca2866a4332628102cbc96139",
+}
+
+
+@pytest.mark.parametrize("command, n, fmt", sorted(OUTPUT_DIGESTS))
+def test_table_and_census_output_bytes_pinned(run, command, n, fmt):
+    sub = "table" if command == "char" else "exact"
+    code, out, _ = run(command, sub, "--n", str(n), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS[command, n, fmt]
 
 
 def test_lower_bound_full_and_partial(run):

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from charcensus.partitions import (
     Partition,
     beta_mask,
-    beta_strips,
     conjugate_mask,
     enumerate_partitions,
     is_t_core,
@@ -15,7 +14,7 @@ from charcensus.partitions import (
     part_tuples,
 )
 from diagram_oracle import conjugate, hook_multiset
-from strip_oracle import parts_of_mask, raw_strips
+from strip_oracle import beta_strips, parts_of_mask, raw_strips
 
 
 @st.composite
