@@ -33,14 +33,14 @@ each block's zero lanes with a few big-int operations and weights the
 row by the size of its conjugate pair, and the table joins the blocks'
 bytes, decodes the lanes and fills the other rows by sign.  The size-n
 rows are produced one at a time, so the census never holds the table.
-The rows below size n are kept between calls, in one store at one lane
-width: a size's blocks do not depend on n, so each size is built once,
-with every block that the largest n of its width reads, and never
-changed, and a later call builds only the sizes it lacks.  After a call
-at n the store holds every row of every size below the largest n called
-at that width (the 2,087 rows of sizes below 20, about 0.5 MB, after a
-census at 20); a call at another width replaces it.  It
-has no lock: the package never runs two calls at once.
+For n <= 20, where every lane is 32 bits wide, the rows below size n
+are kept between calls, in one store: a size's blocks do not depend on
+n, so each size is built once, with every block that n = 20 reads, and
+never changed, and a later call builds only the sizes it lacks (the
+2,087 rows of sizes below 20, about 0.5 MB, after a census at 20).
+Above 20 every n has its own lane width, so a call there builds its own
+levels and drops them on return.  The store has no lock: the package
+never runs two calls at once.
 """
 
 from __future__ import annotations
@@ -228,18 +228,12 @@ def _lane_width(n: int) -> int:
     return max(32, isqrt(factorial(n)).bit_length() + 1)
 
 
-class _Store(NamedTuple):
-    """The packed levels kept between calls of ``_packed_rows``, all at
-    lane width ``width``: ``levels[k]`` is (rows, counts) at size k, rows
-    mapping the beta mask of each partition of k to its row and
-    counts[t] the number of its lanes with first part <= t, for every
-    block t that a call at this width reads.  A kept level is final."""
-
-    width: int
-    levels: list
-
-
-_store = _Store(0, [])
+# the largest n of 32-bit lanes: _packed_rows keeps the levels below it
+_KEPT_N = 20
+# the kept levels, (rows, counts) at each size k: rows maps the beta mask of
+# each partition of k to its row, counts[t] counts its lanes with first
+# part <= t; size 0 holds the empty partition at the empty suffix
+_levels: list = [({0: 1 + (1 << 31)}, [1])]
 
 
 def _packed_rows(n: int, top: list[int]) -> Iterator[list[int]]:
@@ -270,25 +264,19 @@ def _packed_rows(n: int, top: list[int]) -> Iterator[list[int]]:
     others.  Only the size-n rows in ``top`` are built, one at a time.
 
     A call at n reads the blocks t <= n - m of size m, which do not
-    depend on n, so the sizes below n are kept in the module's
-    ``_store`` between calls, for the one width of the last call.  Each
-    size is built once, with every block any n of its width reads, and
-    never changed: a call builds only the sizes it lacks, ascending,
-    and appends each once it is complete, so an interrupted call leaves
-    the store consistent.  A call at another width replaces the store.
-    Nothing in the package runs concurrently, so the store has no lock
-    and is not for use from several threads at once.
+    depend on n, so for n <= 20 the sizes below n are kept in the
+    module's ``_levels`` between calls.  Each size is built once, with
+    every block n = 20 reads, and never changed: a call builds only the
+    sizes it lacks, ascending, and appends each once it is complete, so
+    an interrupted call leaves the store consistent.  A call above 20
+    builds its own levels and drops them on return.  Nothing in the
+    package runs concurrently, so the store has no lock and is not for
+    use from several threads at once.
     """
-    global _store
     width = _lane_width(n)
     bias = 1 << (width - 1)
-    if _store.width != width:
-        # the empty partition at the empty suffix
-        _store = _Store(width, [({0: 1 + bias}, [1])])
-    levels = _store.levels
-    last = n
-    while _lane_width(last + 1) == width:
-        last += 1
+    levels = _levels if n <= _KEPT_N else [({0: 1 + bias}, [1])]
+    last = max(n, _KEPT_N)
     for m in (*range(len(levels), n), n):
         is_top = m == n
         count = [0]

@@ -276,18 +276,22 @@ def _emit(args, command: str, result: dict) -> None:
 
 def _n_ranges(text: str) -> list[range]:
     """The comma list "3-14" or "4,6,8" as ranges, not yet expanded; a
-    range that holds no n, such as "5-3", is a usage error."""
+    token that is not an n or a range, or a range that holds no n, such
+    as "5-3", is a usage error that names it."""
     out = []
     for tok in text.split(","):
         tok = tok.strip()
-        if "-" in tok[1:]:
-            a, b = tok.split("-", 1)
-            span = range(int(a), int(b) + 1)
-            if not span:
-                raise argparse.ArgumentTypeError(f"empty range {tok!r}")
-        else:
-            n = int(tok)
-            span = range(n, n + 1)
+        try:
+            if "-" in tok[1:]:
+                a, b = tok.split("-", 1)
+                span = range(int(a), int(b) + 1)
+            else:
+                n = int(tok)
+                span = range(n, n + 1)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an n or a range: {tok!r}") from None
+        if not span:
+            raise argparse.ArgumentTypeError(f"empty range {tok!r}")
         out.append(span)
     return out
 

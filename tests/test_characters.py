@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import sys
 from collections import Counter
@@ -12,11 +13,13 @@ from charcensus.errors import GuardError
 from charcensus.partitions import (
     Partition,
     beta_mask,
+    conjugate_mask,
     enumerate_partitions,
     is_t_core,
     part_tuples,
 )
 from charcensus.sampling import _draw, estimate_zero_density
+import column_certificates
 import column_oracle
 from diagram_oracle import conjugate, hook_multiset
 from strip_oracle import chi_tuple
@@ -318,7 +321,7 @@ def test_conjugate_rows_differ_by_sign():
 
 
 def _clear_store():
-    characters._store = characters._Store(0, [])
+    del characters._levels[1:]
 
 
 def test_kept_levels_give_the_same_results_in_any_call_order():
@@ -346,43 +349,43 @@ def _check_regular_character():
     kept size k and every kept lane, as one big int per size, with no
     second engine: f_lambda is lane 0, the class 1^k, the only suffix
     with first part 1."""
-    width, levels = characters._store
+    width = 32
     bias = 1 << (width - 1)
-    for k, (rows, count) in enumerate(levels):
+    for k, (rows, count) in enumerate(characters._levels):
         base = bias * characters._ones(width, count[-1])
         total = sum(((row & ((1 << width) - 1)) - bias) * (row - base)
                     for row in rows.values())
-        assert total == math.factorial(k), (width, k)
+        assert total == math.factorial(k), k
 
 
 def _check_kept_rows_below(n):
     """The store holds the p(m) rows of every size m < n <= 20, at the
     32-bit width, and no row wider than its lanes."""
-    width, levels = characters._store
-    assert width == 32 and len(levels) == n
+    levels = characters._levels
+    assert len(levels) == n
     for m, (rows, count) in enumerate(levels):
         assert len(rows) == partition_count(m), m
-        assert all(row >> width * count[-1] == 0 for row in rows.values()), m
+        assert all(row >> 32 * count[-1] == 0 for row in rows.values()), m
 
 
 def test_census_keeps_the_levels_below_n():
     zero_count(20)
     _check_kept_rows_below(20)
-    assert sum(len(rows) for rows, _ in characters._store.levels) == 2087
+    assert sum(len(rows) for rows, _ in characters._levels) == 2087
     _check_regular_character()
 
 
 def test_kept_levels_are_final():
-    # each size is built once, with the blocks of the largest n of its
-    # width: a call at a larger n appends sizes and rewrites no kept one
+    # each size is built once, with the blocks of n = 20: a call at a
+    # larger n appends sizes and rewrites no kept one
     _clear_store()
     zero_count(14)
     _check_kept_rows_below(14)
     _check_regular_character()
-    levels = characters._store.levels
+    levels = characters._levels
     kept = [(level, dict(level[0]), list(level[1])) for level in levels]
     zero_count(20)
-    assert characters._store.levels is levels and len(levels) == 20
+    assert characters._levels is levels and len(levels) == 20
     for m, (level, rows, count) in enumerate(kept):
         assert levels[m] is level and level == (rows, count), m
     _check_kept_rows_below(20)
@@ -405,11 +408,14 @@ def test_census_range_builds_each_level_once(monkeypatch):
     for n in range(14, 21):
         zero_count(n)
     assert calls == {m: 2 if 14 <= m <= 19 else 1 for m in range(1, 21)}
-    assert [len(count) - 1 for _, count in characters._store.levels] \
+    assert [len(count) - 1 for _, count in characters._levels] \
         == [min(m, 20 - m) for m in range(20)]
 
 
 def test_census_pinned_above_the_guard(monkeypatch):
+    zero_count(20)
+    levels = characters._levels
+    kept = list(levels)
     monkeypatch.setattr(characters, "TABLE_GUARD", 30)
     # lanes of 36 and 41 bits: the per-block zero test above 32 bits
     census = zero_count(22)
@@ -428,12 +434,23 @@ def test_census_pinned_above_the_guard(monkeypatch):
         21: 940265, 22: 953278, 23: 961668, 24: 964002}
     assert zero_count(26).total_zeros == 2323476
     assert zero_count(28).total_zeros == 5349414
-    assert characters._store.width == 50
-    _check_regular_character()
     assert zero_count(30).total_zeros == 11963861
-    # a call at the 32-bit width replaces the wider levels
-    zero_count(20)
+    # a call above 20 keeps none of its wider levels: the module holds
+    # the same 32-bit levels as before, and a census at 20 enumerates no
+    # size below 20 again
+    assert characters._levels is levels
+    assert len(levels) == len(kept) and all(map(operator.is_, levels, kept))
     _check_kept_rows_below(20)
+    calls = Counter()
+    tuples = characters.part_tuples
+
+    def counted(m):
+        calls[m] += 1
+        return tuples(m)
+
+    monkeypatch.setattr(characters, "part_tuples", counted)
+    assert zero_count(20).total_zeros == 155176
+    assert calls == {20: 1}
 
 
 def test_lane_width_holds_every_character():
@@ -456,6 +473,52 @@ def test_lane_width_holds_every_character():
         assert width >= max(32, (math.factorial(n).bit_length() - 1) // 2 + 2), n
         if n <= characters.TABLE_GUARD:
             assert width == 32, n
+    # the levels kept between calls are those of the 32-bit widths
+    last = characters._KEPT_N
+    assert characters._lane_width(last) == 32 < characters._lane_width(last + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 27))
+def test_column_certificates_hold(n):
+    # every lane of every top block, above the table guard too, where no
+    # oracle reaches; the decoded squares are kept to n <= 24 for time
+    assert column_certificates.certify(n, squares=n <= 24) == set()
+
+
+def _mutated(rows, row, t, change):
+    """``rows`` with block t of the given row replaced by
+    ``change(block)``."""
+    rows = list(rows)
+    blocks = rows[row]
+    rows[row] = blocks[:t - 1] + [change(blocks[t - 1])] + blocks[t:]
+    return rows
+
+
+def _plus_one(n, t, parity):
+    """A change that adds 1 to the first lane of block t whose class mu
+    has sgn(mu) = (-1)^parity, in the block's two's complement."""
+    width = characters._lane_width(n)
+    mus = [mu for mu in reversed(list(part_tuples(n))) if mu[0] == t]
+    lane = next(i for i, mu in enumerate(mus) if (n - len(mu)) % 2 == parity)
+    high = characters._ones(width, len(mus)) << (width - 1)
+    return lambda block: ((block ^ high) + (1 << width * lane)) ^ high
+
+
+def test_column_certificates_catch_mutations():
+    # at n = 24, above the guard, where no oracle reaches
+    n = 24
+    masks = column_certificates.top_masks(n)
+    row = 100  # a conjugate pair, with a nonzero block 5
+    assert masks[row] != conjugate_mask(masks[row])
+    rows = list(characters._packed_rows(n, masks))
+    assert rows[row][4] != 0
+    failures = column_certificates.failures
+    assert failures(n, _mutated(rows, row, 5, lambda block: 0))
+    assert failures(n, _mutated(rows, row, 5, _plus_one(n, 5, 0)))
+    # an odd lane of a pair row cancels against the conjugate row in the
+    # linear sums; only the squares see it
+    assert failures(n, _mutated(rows, row, 5, _plus_one(n, 5, 1)),
+                    squares=True) == {"orthogonality"}
 
 
 def test_census_per_core_consistency():

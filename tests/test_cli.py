@@ -455,6 +455,18 @@ def test_sweep_empty_range_is_usage_error(run, no_work, n_list, token):
     assert error["type"] == "usage" and f"empty range '{token}'" in error["message"]
 
 
+@pytest.mark.parametrize("n_list, token", [("2,,3", ""), ("3-x", "3-x"),
+                                           ("4,a", "a")])
+def test_sweep_bad_token_is_usage_error(run, no_work, n_list, token):
+    # the message names the token, not the parser's private type function
+    code, out, err = run("sweep", "--n-list", n_list, "--format", "json")
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "usage" and f"not an n or a range: {token!r}" in error["message"]
+    assert "_n_ranges" not in error["message"]
+
+
 def test_zeros_lower_bound_cost_guard(run, no_work):
     message = _refusal(run, "zeros", "lower-bound", "--n", "20000", "--t-lo", "200")
     assert str(counting.LOWER_BOUND_GUARD_STEPS) in message
