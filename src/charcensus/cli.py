@@ -12,7 +12,10 @@ error goes to stderr as one JSON object, never as a traceback.
 Each command imports only its own layer, inside its ``_cmd_*`` function:
 start-up loads argparse and this module, so ``count p`` and ``zeros
 lower-bound`` load only ``counting`` and the ``partitions`` it imports,
-and no ``bounds`` command loads ``characters`` or ``sampling``.
+and no ``bounds`` command loads ``characters`` or ``sampling``.  The
+parsers are built per run from one table, ``_COMMANDS``: an argv that
+starts with a command's words builds only the parsers on its way down,
+and anything else (--help, a group, an unknown word) the whole tree.
 """
 
 from __future__ import annotations
@@ -306,124 +309,129 @@ class _P32Regimes:
         return iter(P32_REGIMES)
 
 
-def _add_common(sp: argparse.ArgumentParser, default_format: str = "human") -> None:
-    # fresh actions per subparser: a shared parent would alias the
-    # defaults across commands
-    sp.add_argument("--format", choices=("json", "csv", "human"),
-                    default=default_format,
-                    help=f"output format (default {default_format})")
-    sp.add_argument("--out", default=None, help="write output to a file")
+def _command(help_text: str, *options, default_format: str = "human",
+             **keywords) -> tuple:
+    """A command of the tree: its parser takes --format and --out, then
+    ``options``, each a (flag, ``add_argument`` keywords) pair;
+    ``keywords`` go to its parser.  Its handler is the ``_cmd_*``
+    function named after it, read when the parser is built."""
+    return help_text, options, default_format, keywords
 
 
-def build_parser() -> _Parser:
+_N = ("--n", {"type": int, "required": True})
+_T = ("--t", {"type": int, "required": True})
+_EPSILON = ("--epsilon", {"type": float, "default": 0.5})
+
+# the command tree, in help order; a group is (help, {name: entry})
+_COMMANDS = {
+    "count": ("exact count families", {
+        "p": _command("partition count p(n)", _N),
+        "pt": _command("bounded partition count p_t(n)", _T, _N),
+        "core": _command("t-core count c_t(n)", _T, _N,
+                         ("--brute", {"action": "store_true",
+                                      "help": "use the enumeration oracle "
+                                              "instead of the series"})),
+    }),
+    "char": ("character values and tables", {
+        "eval": _command("one character value",
+                         ("--lambda", {"dest": "lam", "required": True,
+                                       "help": 'row partition, e.g. "[4,2,1]"'}),
+                         ("--mu", {"required": True,
+                                   "help": 'cycle type, e.g. "[5,2]"'})),
+        "table": _command("full table of S_n", _N, default_format="csv"),
+    }),
+    "zeros": ("exact zero censuses", {
+        "exact": _command("full zero census", _N),
+        "lower-bound": _command("guaranteed-zero sum, optionally over a t range", _N,
+                                ("--t-lo", {"type": int, "default": None}),
+                                ("--t-hi", {"type": int, "default": None})),
+    }),
+    "bounds": ("asymptotic bound evaluators", {
+        "t12": _command("full-table zero bound 2 p(n)^2 / log n", _N),
+        "t13": _command("t-core strip zero bound", _N, _T, _EPSILON),
+        # argparse lists the choices of an argument with a help text when
+        # it prints help, and of one without a metavar when it builds, so
+        # --regime has a metavar and is described on its parser
+        "p32": _command("core-count bound in its four regimes", _N, _T, _EPSILON,
+                        ("--regime", {"choices": _P32Regimes(), "metavar": "REGIME",
+                                      "default": None}),
+                        description="--regime forces a regime (P32_I to "
+                                    "P32_IV) instead of auto-selecting"),
+        "saddle": _command("saddle ordinate for the core-count estimate", _N, _T,
+                           ("--tol", {"type": float, "default": 1e-9,
+                                      "help": "relative residual tolerance"})),
+    }),
+    "estimate": ("Monte Carlo probes", {
+        "density": _command("zero density over uniform pairs", _N,
+                            ("--samples", {"type": int, "required": True}),
+                            ("--seed", {"type": int, "default": None,
+                                        "help": "64-bit seed; generated and "
+                                                "reported when absent"})),
+    }),
+    "sweep": _command("census vs bound comparison table over many n",
+                      ("--n-list", {"type": _n_ranges, "required": True,
+                                    "help": 'comma list with ranges, e.g. '
+                                            '"3-14" or "4,6,8"'}),
+                      default_format="csv"),
+}
+
+
+def _command_path(argv) -> tuple[str, ...]:
+    """The leading words of ``argv`` when they name one command, such as
+    ("count", "p"); () when they name none or only a group."""
+    commands = _COMMANDS
+    for depth, word in enumerate(argv):
+        entry = commands.get(word)
+        if entry is None:
+            return ()
+        if not isinstance(entry[1], dict):
+            return tuple(argv[:depth + 1])
+        commands = entry[1]
+    return ()
+
+
+def _add_commands(parser, commands: dict, path: tuple[str, ...], dest: str,
+                  prefix: str = "") -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, entry in commands.items():
+        if path and name != path[0]:
+            continue
+        if isinstance(entry[1], dict):  # a group
+            _add_commands(sub.add_parser(name, help=entry[0]), entry[1], path[1:],
+                          "sub", f"{prefix}{name}.")
+            continue
+        help_text, options, default_format, keywords = entry
+        sp = sub.add_parser(name, help=help_text, **keywords)
+        # fresh actions per command: a shared parent would alias the
+        # defaults across commands
+        sp.add_argument("--format", choices=("json", "csv", "human"),
+                        default=default_format,
+                        help=f"output format (default {default_format})")
+        sp.add_argument("--out", default=None, help="write output to a file")
+        for flag, spec in options:
+            sp.add_argument(flag, **spec)
+        command = prefix + name
+        handler = globals()["_cmd_" + command.replace(".", "_").replace("-", "_")]
+        sp.set_defaults(func=handler, command=command)
+
+
+def build_parser(path: tuple[str, ...] = ()) -> _Parser:
+    """The parser of every command, or with ``path``, the words that name
+    one command, only the parsers on its way down (top, group, command),
+    which parse that command's argv and print its help alike."""
     parser = _Parser(prog="charcensus",
                      description="Exact character-table zero censuses and "
                                  "their asymptotic bounds.")
-    top = parser.add_subparsers(dest="command_name", required=True)
-
-    count = top.add_parser("count", help="exact count families").add_subparsers(
-        dest="sub", required=True)
-    p = count.add_parser("p", help="partition count p(n)")
-    _add_common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_count_p, command="count.p")
-    pt = count.add_parser("pt", help="bounded partition count p_t(n)")
-    _add_common(pt)
-    pt.add_argument("--t", type=int, required=True)
-    pt.add_argument("--n", type=int, required=True)
-    pt.set_defaults(func=_cmd_count_pt, command="count.pt")
-    core = count.add_parser("core", help="t-core count c_t(n)")
-    _add_common(core)
-    core.add_argument("--t", type=int, required=True)
-    core.add_argument("--n", type=int, required=True)
-    core.add_argument("--brute", action="store_true",
-                      help="use the enumeration oracle instead of the series")
-    core.set_defaults(func=_cmd_count_core, command="count.core")
-
-    char = top.add_parser("char", help="character values and tables").add_subparsers(
-        dest="sub", required=True)
-    ev = char.add_parser("eval", help="one character value")
-    _add_common(ev)
-    ev.add_argument("--lambda", dest="lam", required=True,
-                    help='row partition, e.g. "[4,2,1]"')
-    ev.add_argument("--mu", dest="mu", required=True,
-                    help='cycle type, e.g. "[5,2]"')
-    ev.set_defaults(func=_cmd_char_eval, command="char.eval")
-    tab = char.add_parser("table", help="full table of S_n")
-    _add_common(tab, default_format="csv")
-    tab.add_argument("--n", type=int, required=True)
-    tab.set_defaults(func=_cmd_char_table, command="char.table")
-
-    zeros = top.add_parser("zeros", help="exact zero censuses").add_subparsers(
-        dest="sub", required=True)
-    ze = zeros.add_parser("exact", help="full zero census")
-    _add_common(ze)
-    ze.add_argument("--n", type=int, required=True)
-    ze.set_defaults(func=_cmd_zeros_exact, command="zeros.exact")
-    zl = zeros.add_parser("lower-bound",
-                          help="guaranteed-zero sum, optionally over a t range")
-    _add_common(zl)
-    zl.add_argument("--n", type=int, required=True)
-    zl.add_argument("--t-lo", type=int, default=None)
-    zl.add_argument("--t-hi", type=int, default=None)
-    zl.set_defaults(func=_cmd_zeros_lower_bound, command="zeros.lower-bound")
-
-    bounds = top.add_parser("bounds", help="asymptotic bound evaluators"
-                            ).add_subparsers(dest="sub", required=True)
-    t12 = bounds.add_parser("t12", help="full-table zero bound 2 p(n)^2 / log n")
-    _add_common(t12)
-    t12.add_argument("--n", type=int, required=True)
-    t12.set_defaults(func=_cmd_bounds_t12, command="bounds.t12")
-    t13 = bounds.add_parser("t13", help="t-core strip zero bound")
-    _add_common(t13)
-    t13.add_argument("--n", type=int, required=True)
-    t13.add_argument("--t", type=int, required=True)
-    t13.add_argument("--epsilon", type=float, default=0.5)
-    t13.set_defaults(func=_cmd_bounds_t13, command="bounds.t13")
-    # argparse lists the choices of an argument with a help text when it
-    # prints help, and of one without a metavar when it builds, so --regime
-    # has a metavar and is described on its parser
-    p32 = bounds.add_parser("p32", help="core-count bound in its four regimes",
-                            description="--regime forces a regime (P32_I to "
-                                        "P32_IV) instead of auto-selecting")
-    _add_common(p32)
-    p32.add_argument("--n", type=int, required=True)
-    p32.add_argument("--t", type=int, required=True)
-    p32.add_argument("--epsilon", type=float, default=0.5)
-    p32.add_argument("--regime", choices=_P32Regimes(), metavar="REGIME",
-                     default=None)
-    p32.set_defaults(func=_cmd_bounds_p32, command="bounds.p32")
-    sad = bounds.add_parser("saddle",
-                            help="saddle ordinate for the core-count estimate")
-    _add_common(sad)
-    sad.add_argument("--n", type=int, required=True)
-    sad.add_argument("--t", type=int, required=True)
-    sad.add_argument("--tol", type=float, default=1e-9,
-                     help="relative residual tolerance")
-    sad.set_defaults(func=_cmd_bounds_saddle, command="bounds.saddle")
-
-    est = top.add_parser("estimate", help="Monte Carlo probes").add_subparsers(
-        dest="sub", required=True)
-    den = est.add_parser("density", help="zero density over uniform pairs")
-    _add_common(den)
-    den.add_argument("--n", type=int, required=True)
-    den.add_argument("--samples", type=int, required=True)
-    den.add_argument("--seed", type=int, default=None,
-                     help="64-bit seed; generated and reported when absent")
-    den.set_defaults(func=_cmd_estimate_density, command="estimate.density")
-
-    sw = top.add_parser("sweep",
-                        help="census vs bound comparison table over many n")
-    _add_common(sw, default_format="csv")
-    sw.add_argument("--n-list", type=_n_ranges, required=True,
-                    help='comma list with ranges, e.g. "3-14" or "4,6,8"')
-    sw.set_defaults(func=_cmd_sweep, command="sweep")
-
+    _add_commands(parser, _COMMANDS, path, "command_name")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a named command builds only its own parsers; --help, a group or an
+    # unknown word gets the full tree, which prints and errs as before
+    parser = build_parser(_command_path(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,26 +1,29 @@
 """Monte Carlo zero-density estimation for the character table, over
 exactly-uniform random partitions.
 
-The sampler, ``_draw``, draws the largest part k of a partition of n
-with its true probability (p_k(n) - p_{k-1}(n)) / p(n) straight from
+The sampler, ``_draw_key``, draws the largest part k of a partition of
+n with its true probability (p_k(n) - p_{k-1}(n)) / p(n) straight from
 exact bounded count tables, then recurses on n - k with parts capped
 at k, so the distribution over partitions of n is uniform with no
 approximation.
 One uniform integer below p_cap(m) per part, drawn by the rejection
 loop on ``getrandbits`` that ``randrange`` runs, is inverted by
-bisection in the row of p_k(m), which is cumulative in k.  The density
-probe then draws independent uniform pairs (lambda, mu), which matches
-counting cells of the table: it deliberately does not weight mu by
-conjugacy-class size.
+bisection in the row of p_k(m), which is cumulative in k; a table of
+draw states, built once per run (``_states``), holds the row, p_cap(m)
+and its bit length for every (m, cap).  The density probe draws
+independent uniform pairs (lambda, mu), which matches counting cells
+of the table: it deliberately does not weight mu by conjugacy-class
+size.
 
 Every pair is evaluated, since ``VALUE_GUARD`` bounds the work of one
 evaluation, so no pair is dropped and ``samples`` is the denominator.
 The pairs are drawn first and kept as a multiset, one flat {key: count}
-dict: ``_draw_key`` turns each drawn pair into one int, the beta mask of
-lambda with a code of mu above it (``characters._pair_key``), so no part
-tuple is kept.  One ``characters._values`` walk then evaluates each
-distinct pair once, in key order, holding only the memo of the current
-mu's suffixes, and the zeros are counted with their multiplicities.
+dict: ``_draw_key`` builds each pair's int key as the parts come, the
+beta mask of lambda with a code of mu above it (``characters._pair_key``),
+so no part tuple is made.  One ``characters._values`` walk then
+evaluates each distinct pair once, in key order, holding only the memo
+of the current mu's suffixes, and the zeros are counted with their
+multiplicities.
 
 Randomness: every run is driven by one 64-bit seed.  Sample chunks of
 fixed size draw from independent substreams whose seeds are derived
@@ -36,24 +39,23 @@ import random
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .characters import _check_value_size, _pair_key, _values
+from .characters import _check_value_size, _values
 from .counting import build_bounded_table
 from .errors import GuardError
-from .partitions import beta_mask
 
 RNG_ALGORITHM = "mt19937-sha256-streams-v1"
 _CHUNK = 2048  # samples per substream; changing it changes every report
-# limit on samples * (16 + 2^(n/5)): one sample takes 0.09-0.29 us *
-# (16 + 2^(n/5)) on a 2-core Xeon, the most at n = 12-20 and the least
-# at n = 50-60 (1.9-2.8 us at n = 2, 30-31 us at n = 40, 0.37-0.39 ms at
-# n = 60).  The memo holds one mu's suffixes at a time; what grows with
-# the samples is the multiset of drawn pairs, one dict entry and one
-# int key per distinct pair, 22 MB at the limit at n = 20 and 21 MB at
-# n = 30 (289,198 and 209,026 distinct pairs).  At the limit, seed 42,
-# a fresh process took (time, peak RSS, 18.6 MB of it from the imports):
-# n = 2: 1.9-2.7 s, 19 MB; 12: 3.5-4.8 s, 19 MB; 20: 3.8-4.1 s, 45 MB;
-# 30: 2.6-3.0 s, 42 MB; 40: 1.9 s, 30 MB; 50: 1.6-1.7 s, 29 MB;
-# 60: 1.5-1.6 s, 31 MB
+# limit on samples * (16 + 2^(n/5)): one sample takes 0.11-0.24 us *
+# (16 + 2^(n/5)) on a 2-core Xeon, the most at n = 20-30 and the least
+# at n = 2 and n = 60 (1.9-2.2 us at n = 2, 42 us at n = 40, 0.47-0.61
+# ms at n = 60).  The memo holds one mu's suffixes at a time; what grows
+# with the samples is the multiset of drawn pairs, one dict entry and
+# one int key per distinct pair, 22 MB at the limit at n = 20 and 21 MB
+# at n = 30 (289,198 and 209,026 distinct pairs).  At the limit, seed
+# 42, a fresh process took (time, peak RSS, 18 MB of it from the
+# imports): n = 2: 1.8-2.1 s, 18 MB; 12: 2.8-3.1 s, 18 MB; 20: 3.8-4.0
+# s, 44 MB; 30: 3.6-3.7 s, 41 MB; 40: 2.6 s, 29 MB; 50: 2.5-2.7 s,
+# 28 MB; 60: 1.9-2.5 s, 31 MB
 DENSITY_GUARD = 2**24
 
 
@@ -62,37 +64,68 @@ def _stream_rng(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:16], "big"))
 
 
-def _draw(n: int, rng: random.Random,
-          table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """The parts of one uniform partition of n, largest first.
+def _states(n: int) -> tuple[tuple[tuple[tuple[int, ...], int, int], ...], ...]:
+    """``states[m][k] = (row, top, top.bit_length())`` for every m, k <= n,
+    where ``row = table[m]`` of ``build_bounded_table(n, n)`` and
+    ``top = row[k] = p_k(m)``: the draw state with m left and parts <= k."""
+    return tuple(tuple((row, top, top.bit_length()) for top in row)
+                 for row in build_bounded_table(n, n))
 
-    ``table`` holds ``table[m][t] = p_t(m)`` for all t, m <= n, as
-    ``build_bounded_table(n, n)`` returns; one table serves every draw.
+
+def _draw_key(n: int, rng: random.Random, states, width: int) -> int:
+    """The ``characters._pair_key`` of one uniform pair (lambda, mu) of
+    partitions of n, lambda drawn first; ``states`` is ``_states(n)`` and
+    ``width`` is ``n.bit_length()``, the digit width of mu's code.
+
+    Each part k of a partition is drawn with its true probability: one
+    uniform integer r below top = p_cap(remaining), by the rejection loop
+    on ``getrandbits`` that ``randrange`` runs (the same stream as
+    CPython 3.10-3.13), then k is the least with p_k(remaining) > r; the
+    next part is capped at k.  Once top is 1 every part left is 1, and
+    each still reads its one-bit rejection loop.  Lambda's beta mask
+    gains one bit per part, shifted up by the gap prev - k + 1 to the
+    next part; mu's parts are ORed in as digits, the first lowest, and
+    the code is aligned as ``_mu_code`` aligns it at the end.
     """
     getrandbits = rng.getrandbits
-    parts = []
-    remaining, cap = n, n
+    mask = 0
+    remaining = cap = n
     while remaining:
-        row = table[remaining]
-        top = row[cap]
-        # rng.randrange(top) as CPython 3.10-3.13 draw it: the same stream
-        bits = top.bit_length()
+        row, top, bits = states[remaining][cap]
+        if top == 1:  # remaining ones, each a one-bit loop
+            for _ in range(remaining):
+                while getrandbits(1):
+                    pass
+            break
         r = getrandbits(bits)
         while r >= top:
             r = getrandbits(bits)
         k = bisect_right(row, r, 1, cap)
-        parts.append(k)
+        mask = mask << cap - k + 1 | 1
         remaining -= k
         cap = k
-    return tuple(parts)
-
-
-def _draw_key(n: int, rng: random.Random,
-              table: tuple[tuple[int, ...], ...]) -> int:
-    """The ``characters._pair_key`` of one uniform pair (lambda, mu) of
-    partitions of n, drawn as two ``_draw`` calls, lambda first."""
-    lam = beta_mask(_draw(n, rng, table))
-    return _pair_key(lam, _draw(n, rng, table), n)
+    # the ones left, then the last part's height above bit 0
+    lam = (mask << cap + remaining - 1 | (1 << remaining) - 1) << 1
+    code = shift = 0
+    remaining = cap = n
+    while remaining:
+        row, top, bits = states[remaining][cap]
+        if top == 1:
+            for _ in range(remaining):
+                while getrandbits(1):
+                    pass
+                code |= 1 << shift
+                shift += width
+            break
+        r = getrandbits(bits)
+        while r >= top:
+            r = getrandbits(bits)
+        k = bisect_right(row, r, 1, cap)
+        code |= k << shift
+        shift += width
+        remaining -= k
+        cap = k
+    return code << width * n - shift + n + 1 | lam
 
 
 class DensityEstimate(NamedTuple):
@@ -171,12 +204,13 @@ def estimate_zero_density(n: int, samples: int, seed: int) -> DensityEstimate:
     if cost > DENSITY_GUARD:
         raise GuardError(f"samples * (16 + 2^(n/5)) = {cost:.4g} exceeds the "
                          f"limit {DENSITY_GUARD} (2^24)")
-    table = build_bounded_table(n, n)
+    states = _states(n)
+    width = n.bit_length()
     counts: dict[int, int] = {}  # {pair key: count}
     for start in range(0, samples, _CHUNK):
         rng = _stream_rng(seed, start // _CHUNK)
         for _ in range(min(_CHUNK, samples - start)):
-            key = _draw_key(n, rng, table)
+            key = _draw_key(n, rng, states, width)
             counts[key] = counts.get(key, 0) + 1
     zeros = sum(count for value, count in _values(counts, n) if not value)
     ci_low, ci_high = wilson_interval(zeros, samples)

@@ -1,10 +1,10 @@
 """Young-diagram helpers that the mask-based paths replaced.
 
 ``conjugate`` transposes a diagram box by box, ``hook_multiset`` lists
-its hook lengths, and ``random_partition`` wraps the estimator's draw
-as a ``Partition``.  The tests check ``is_t_core``, ``conjugate_mask``,
-the hook-length dimensions of the table and the sampler's uniformity
-against them.
+its hook lengths, and ``random_partition`` wraps the oracle draw
+``draw_oracle.draw`` as a ``Partition``.  The tests check ``is_t_core``,
+``conjugate_mask``, the hook-length dimensions of the table and the
+sampler's uniformity against them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import random
 from charcensus.counting import build_bounded_table
 from charcensus.errors import GuardError
 from charcensus.partitions import Partition
-from charcensus.sampling import _draw
+from draw_oracle import draw
 
 
 def conjugate(lam: Partition) -> Partition:
@@ -57,4 +57,4 @@ def random_partition(n: int, rng: random.Random,
         table = build_bounded_table(n, n)
     if len(table) <= n or len(table[n]) <= n:
         raise GuardError(f"need a bounded count table covering n={n}")
-    return Partition(_draw(n, rng, table))
+    return Partition(draw(n, rng, table))

@@ -18,10 +18,11 @@ from charcensus.partitions import (
     is_t_core,
     part_tuples,
 )
-from charcensus.sampling import _draw, estimate_zero_density
+from charcensus.sampling import estimate_zero_density
 import column_certificates
 import column_oracle
 from diagram_oracle import conjugate, hook_multiset
+from draw_oracle import draw
 from strip_oracle import chi_tuple
 
 P = Partition
@@ -163,7 +164,7 @@ def test_chi_on_masks_matches_tuple_oracle(strip_calls, n, pairs):
     # as many states as the tuple oracle's shared memo holds
     table = build_bounded_table(n, n)
     rng = random.Random(n)
-    cells = [(_draw(n, rng, table), _draw(n, rng, table)) for _ in range(pairs)]
+    cells = [(draw(n, rng, table), draw(n, rng, table)) for _ in range(pairs)]
     values = _walk([(beta_mask(lam), mu) for lam, mu in cells])
     oracle_memo = {}
     for lam, mu in cells:
@@ -179,7 +180,7 @@ def test_shared_memo_across_orders_and_sizes():
     for _ in range(400):
         n = rng.randint(1, 24)
         table = build_bounded_table(n, n)
-        lam, mu = P(_draw(n, rng, table)), P(_draw(n, rng, table))
+        lam, mu = P(draw(n, rng, table)), P(draw(n, rng, table))
         cells.append((lam, mu, rng.choice(["largest", "smallest"])))
     values = _walk([(beta_mask(lam.parts), _ordered(mu, order))
                     for lam, mu, order in cells])
@@ -199,7 +200,7 @@ def test_cold_evaluation_states_bounded_by_suffix_sizes(strip_calls):
     for _ in range(300):
         n = rng.randint(1, 22)
         table = build_bounded_table(n, n)
-        lam, mu = beta_mask(_draw(n, rng, table)), _draw(n, rng, table)
+        lam, mu = beta_mask(draw(n, rng, table)), draw(n, rng, table)
         key = characters._pair_key(lam, mu, n)
         strip_calls[0] = 0
         ((value, _),) = characters._values({key: 1}, n)
@@ -220,7 +221,7 @@ def test_one_strip_call_per_added_state(strip_calls):
     for _ in range(200):
         n = rng.randint(1, 40)
         table = build_bounded_table(n, n)
-        lam, mu = _draw(n, rng, table), _draw(n, rng, table)
+        lam, mu = draw(n, rng, table), draw(n, rng, table)
         oracle_memo = {}
         value = chi_tuple(lam, mu, oracle_memo)
         chi_tuple(lam, mu, shared)
@@ -273,7 +274,7 @@ def test_live_memo_is_the_suffix_path(monkeypatch, n, pairs):
     monkeypatch.setattr(characters, "_strip", watched)
     table = build_bounded_table(n, n)
     rng = random.Random(n)
-    _walk([(beta_mask(_draw(n, rng, table)), _draw(n, rng, table))
+    _walk([(beta_mask(draw(n, rng, table)), draw(n, rng, table))
            for _ in range(pairs)])
     assert 0 < 4 * peak < calls, (peak, calls)
 

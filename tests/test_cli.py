@@ -675,6 +675,32 @@ def test_help_exits_0_and_loads_no_layer(path):
     assert _loaded_by(code, LAYERS) == []
 
 
+def _parsed(parser, argv, capsys):
+    """(exit code, stdout, stderr) of ``parser.parse_args(argv)``, which
+    exits on --help and on a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+def _leaves():
+    paths = set(_command_paths(cli.build_parser()))
+    return sorted(path for path in paths
+                  if not any(other[:len(path)] == path != other for other in paths))
+
+
+@pytest.mark.parametrize("path", _leaves(), ids=" ".join)
+def test_one_command_parser_prints_the_full_parsers_help(path, capsys):
+    # main builds only the parsers on a named command's way down; its
+    # help is byte for byte the full tree's
+    assert cli._command_path([*path, "--help"]) == path
+    full = _parsed(cli.build_parser(), [*path, "--help"], capsys)
+    assert full[0] == 0 and full[1].startswith(f"usage: charcensus {' '.join(path)} ")
+    assert _parsed(cli.build_parser(path), [*path, "--help"], capsys) == full
+    assert main([*path, "--help"]) == 0
+    assert capsys.readouterr() == full[1:]
+
+
 # one run of each leaf command, and the layers it loads
 COMMAND_LAYERS = {
     ("count", "p", "--n", "5"): ("counting", "partitions"),
@@ -716,10 +742,48 @@ def test_count_p_loads_only_its_layer(argv, layers):
 
 
 def test_every_leaf_command_has_a_layer_case():
-    paths = set(_command_paths(cli.build_parser()))
-    leaves = {path for path in paths
-              if not any(other[:len(path)] == path != other for other in paths)}
-    assert set(map(_path_of, COMMAND_LAYERS)) == leaves
+    assert set(map(_path_of, COMMAND_LAYERS)) == set(_leaves())
+
+
+def test_main_builds_only_a_named_commands_parsers(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def recorded(path=()):
+        built.append(path)
+        return build(path)
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    assert main(["sweep", "--n-list", "3"]) == 0
+    assert main(["count", "p", "--n", "5"]) == 0
+    for argv in (["--help"], ["count", "--help"], ["count", "q"], []):
+        main(argv)
+    assert built == [("sweep",), ("count", "p"), (), (), (), ()]
+
+
+def _usage_errors():
+    """Three usage errors of each command: a required option left out, an
+    int that is not one and an unknown option."""
+    for argv in COMMAND_LAYERS:
+        path = _path_of(argv)
+        yield pytest.param(list(path), id=f"{' '.join(path)} missing")
+        if "--n" in argv:
+            bad = list(argv)
+            bad[bad.index("--n") + 1] = "x"
+            yield pytest.param(bad, id=f"{' '.join(path)} bad int")
+        yield pytest.param([*argv, "--bogus"], id=f"{' '.join(path)} unknown")
+
+
+@pytest.mark.parametrize("argv", _usage_errors())
+def test_one_command_parser_gives_the_full_parsers_usage_errors(argv, capsys):
+    full = _parsed(cli.build_parser(), argv, capsys)
+    assert full[0] == 2 and full[1] == ""
+    assert json.loads(full[2])["error"]["type"] == "usage"
+    path = cli._command_path(argv)
+    assert path == _path_of(argv)
+    assert _parsed(cli.build_parser(path), argv, capsys) == full
+    assert main(argv) == 2
+    assert capsys.readouterr() == full[1:]
 
 
 PUBLIC_NAMES = {

@@ -16,12 +16,13 @@ from charcensus.partitions import (Partition, beta_mask, enumerate_partitions,
 from charcensus import sampling
 from charcensus.sampling import (
     RNG_ALGORITHM,
-    _draw,
     _draw_key,
+    _states,
     estimate_zero_density,
     wilson_interval,
 )
 from diagram_oracle import random_partition
+from draw_oracle import draw
 
 # Per-n seeds for the convergence test; the shrink in sampling error is
 # statistical, so the schedule is fixed to a draw where the monotone
@@ -76,7 +77,7 @@ def test_sampler_rejects_short_table():
 
 
 def _draw_loop_oracle(n, rng, rows):
-    """The binary-search draw that ``_draw`` replaced, on t-major rows
+    """The binary-search draw that ``draw`` replaced, on t-major rows
     ``rows[t][m] = p_t(m)``."""
     parts = []
     remaining, cap = n, n
@@ -102,15 +103,43 @@ def test_draw_matches_binary_search_oracle(n):
     rows += [[bounded_partition_count(t, m) for m in range(n + 1)] for t in range(1, n + 1)]
     rng, oracle_rng = random.Random(n), random.Random(n)
     for _ in range(10_000):
-        assert _draw(n, rng, table) == _draw_loop_oracle(n, oracle_rng, rows)
+        assert draw(n, rng, table) == _draw_loop_oracle(n, oracle_rng, rows)
     assert rng.getstate() == oracle_rng.getstate()
-    # the pair draw: lambda's mask and mu's parts, from the same stream
-    rng, oracle_rng = random.Random(-n), random.Random(-n)
-    for _ in range(5_000):
-        key = _draw_key(n, rng, table)
-        lam = _draw_loop_oracle(n, oracle_rng, rows)
-        mu = _draw_loop_oracle(n, oracle_rng, rows)
-        assert key == _pair_key(beta_mask(lam), mu, n), (lam, mu)
+
+
+def test_draw_key_is_the_key_of_two_draws():
+    # the state-table pair draw against two oracle draws, lambda first:
+    # the same key, and the stream left at the same next word
+    for n in range(1, 61):
+        table, states = build_bounded_table(n, n), _states(n)
+        for seed in (n, 1000 + n, 2000 + n):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            for _ in range(300):
+                key = _draw_key(n, rng, states, n.bit_length())
+                lam, mu = draw(n, oracle_rng, table), draw(n, oracle_rng, table)
+                assert key == _pair_key(beta_mask(lam), mu, n), (lam, mu)
+            assert rng.getrandbits(64) == oracle_rng.getrandbits(64), (n, seed)
+
+
+@pytest.mark.parametrize("lam, mu", [
+    ((1,), (1,)),  # n = 1: the first state is already all ones
+    ((3, 1), (2, 1, 1)),  # one left under a larger cap; a tail of ones
+    ((2, 2), (4,)),  # no ones
+    ((1, 1, 1, 1), (3, 1)),  # all ones after the first part
+])
+def test_draw_key_forced_tails(lam, mu):
+    # streams that force each way a draw ends: every part left is 1 once
+    # top = p_cap(remaining) is 1, at the start (n = 1), at one left with
+    # cap > 1, or after a cap of 1
+    n = sum(lam)
+    table, states = build_bounded_table(n, n), _states(n)
+    for seed in range(2000):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        if (draw(n, oracle_rng, table), draw(n, oracle_rng, table)) == (lam, mu):
+            break
+    else:
+        pytest.fail(f"no seed below 2000 draws {lam}, {mu}")
+    assert _draw_key(n, rng, states, n.bit_length()) == _pair_key(beta_mask(lam), mu, n)
     assert rng.getstate() == oracle_rng.getstate()
 
 
@@ -125,7 +154,7 @@ def test_mu_code_decodes_and_sorts_by_reversed_parts():
             == sorted(mus, key=lambda mu: mu[::-1]), n
     table = build_bounded_table(60, 60)
     rng = random.Random(60)
-    mus = [_draw(60, rng, table) for _ in range(2000)]
+    mus = [draw(60, rng, table) for _ in range(2000)]
     codes = [_mu_code(mu, 60) for mu in mus]
     assert [_mu_parts(code, 60) for code in codes] == mus
     assert [_mu_parts(code, 60) for code in sorted(codes)] \
