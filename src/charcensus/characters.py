@@ -25,22 +25,29 @@ are packed into one int per lambda, one fixed-width lane per suffix, so
 removing the border strips of length t from lambda is a signed sum of
 whole packed rows of size k - t, one big-int add per strip, with the
 strip loop of ``_strip`` inline.  The lanes of a row whose suffix has
-first part t form its block t, which reads only size k - t.  Since chi
-at lambda' is sgn(mu) = (-1)^(n - len mu) times chi at lambda, the
-size-n rows are built only for lambda <= lambda', and each comes out as
-its n blocks, never joined into one int of p(n) lanes: the census counts
-each block's zero lanes with a few big-int operations and weights the
-row by the size of its conjugate pair, and the table joins the blocks'
-bytes, decodes the lanes and fills the other rows by sign.  The size-n
-rows are produced one at a time, so the census never holds the table.
-For n <= 20, where every lane is 32 bits wide, the rows below size n
-are kept between calls, in one store: a size's blocks do not depend on
-n, so each size is built once, with every block that n = 20 reads, and
-never changed, and a later call builds only the sizes it lacks (the
-2,087 rows of sizes below 20, about 0.5 MB, after a census at 20).
-Above 20 every n has its own lane width, so a call there builds its own
-levels and drops them on return.  The store has no lock: the package
-never runs two calls at once.
+first part t form its block t, which reads only size k - t.  The
+partitions of each size are enumerated from the smaller sizes the engine
+holds (``_masks``): those with first part t are (t,) + s for the last
+rows s of size k - t, s's beta mask with one more bead.  Since chi at
+lambda' is sgn(mu) = (-1)^(n - len mu) times chi at lambda, the size-n
+rows are built only for the masks with mask <= conjugate_mask(mask),
+one of each conjugate pair, and each comes out as its n blocks, never
+joined into one int of p(n) lanes: the census counts each block's zero
+lanes with a few big-int operations and weights the row by the size of
+its conjugate pair, and the table joins the blocks' bytes, decodes the
+lanes and fills the other rows by sign.  The size-n rows are produced
+one at a time, so the census never holds the table.
+For n <= 20, where every lane is 32 bits wide, the rows of the sizes
+up to n are kept between calls, in one store: a size's blocks do not
+depend on n, so each size is built once, with every block that n = 20
+reads, and never changed, and a later call builds only the sizes it
+lacks (the 2,087 rows of sizes below 20, about 0.5 MB, after a census
+at 19 or 20).  A call below 20 builds size n too, which the next
+larger call reads anyway, and copies the size-n blocks t <= 20 - n out
+of those rows instead of stripping them again.  Above 20 every n has
+its own lane width, so a call there builds its own levels and drops
+them on return.  The store has no lock: the package never runs two
+calls at once.
 """
 
 from __future__ import annotations
@@ -52,8 +59,7 @@ from operator import mul
 from typing import Iterator, NamedTuple
 
 from .errors import GuardError
-from .partitions import (Partition, beta_mask, conjugate_mask, enumerate_partitions,
-                         part_tuples)
+from .partitions import Partition, beta_mask, conjugate_mask, enumerate_partitions
 
 TABLE_GUARD = 20
 # largest n of one character value, for `char eval` and the density sampler,
@@ -228,48 +234,127 @@ def _lane_width(n: int) -> int:
     return max(32, isqrt(factorial(n)).bit_length() + 1)
 
 
-# the largest n of 32-bit lanes: _packed_rows keeps the levels below it
+# the largest n of 32-bit lanes: _packed_rows keeps the levels up to it
 _KEPT_N = 20
 # the kept levels, (rows, counts) at each size k: rows maps the beta mask of
-# each partition of k to its row, counts[t] counts its lanes with first
-# part <= t; size 0 holds the empty partition at the empty suffix
+# each partition of k, in enumeration order, to its row; counts[t] counts its
+# lanes with first part <= t; size 0 holds the empty partition at the empty
+# suffix
 _levels: list = [({0: 1 + (1 << 31)}, [1])]
 
 
-def _packed_rows(n: int, top: list[int]) -> Iterator[list[int]]:
-    """Yield the row of each beta mask in ``top`` (partitions of n), in
-    order, as the list of its n blocks: block t, at index t - 1, holds
-    in lanes of ``_lane_width(n)`` bits, in two's complement, the
+def _masks(levels: list, m: int) -> list[int]:
+    """The beta masks of the partitions of m, in enumeration order, read
+    from the levels below m.  The partitions with first part t are
+    (t,) + s for the partitions s of m - t with s[0] <= t, which are the
+    last ``counts[min(t, m - t)]`` rows of level m - t, and the mask of
+    (t,) + s is the mask of s with one more bead, at t + len(s).  Taking
+    t from m down to 1 gives ``part_tuples(m)``'s order."""
+    masks = []
+    for t in range(m, 0, -1):
+        rows, count = levels[m - t]
+        masks += [s | 1 << (t + s.bit_count())
+                  for s in list(rows)[len(rows) - count[min(t, m - t)]:]]
+    return masks
+
+
+def _block_specs(levels: list, m: int, blocks: int, width: int) -> tuple[list, list[int]]:
+    """The strip specs of blocks 1..``blocks`` of a row of size m, and the
+    running lane counts: block t has a lane for each partition of m - t
+    with first part <= t, as many as level m - t counts, and starts
+    ``width * count[t - 1]`` bits up in a kept row."""
+    bias = 1 << (width - 1)
+    specs = []
+    count = [0]
+    for t in range(1, blocks + 1):
+        prev, prev_count = levels[m - t]
+        # the lanes of size m - t with first part <= t, all of them once
+        # t >= m - t
+        size = prev_count[min(t, m - t)]
+        specs.append((t, (1 << (t - 1)) - 1, prev, (1 << width * size) - 1,
+                      bias * _ones(width, size), width * count[-1]))
+        count.append(count[-1] + size)
+    return specs, count
+
+
+def _stripped(lams: list[int], blocks: list, top: bool) -> Iterator:
+    """For each beta mask in ``lams``, the blocks ``blocks`` of its row,
+    from the strips of each block's length t: a kept row, its biased
+    blocks ORed into place, or with ``top`` the list of the blocks in
+    two's complement, 0 for a block with no strip of its length."""
+    for lam in lams:
+        row = 0
+        out = []
+        for t, between, prev, keep, high, shift in blocks:
+            # the border strips of length t, as in _strip; net counts the
+            # strips added less those subtracted, from -1, so the biased
+            # block is total less net biases per lane
+            starts = (lam & ~(lam << t)) >> t << t
+            if top and not starts:
+                out.append(0)
+                continue
+            total = 0
+            net = -1
+            while starts:
+                bit = starts & -starts
+                starts ^= bit
+                rem = lam ^ bit ^ (bit >> t)
+                if rem & 1:  # the bead moved to bit 0
+                    rem >>= (rem ^ (rem + 1)).bit_length() - 1
+                if ((lam >> (bit.bit_length() - t)) & between).bit_count() & 1:
+                    total -= prev[rem] & keep
+                    net -= 1
+                else:
+                    total += prev[rem] & keep
+                    net += 1
+            if net:
+                total -= net * high
+            if top:
+                out.append(total ^ high)
+            else:
+                row |= total << shift
+        yield out if top else row
+
+
+def _packed_rows(n: int) -> tuple[list[int], list[int], Iterator[tuple[int, int, list[int]]]]:
+    """The beta masks of the partitions of n in enumeration order, the
+    number of lanes of each block t = 1..n (at index t - 1), and an
+    iterator over the rows with mask <= conjugate_mask(mask), in that
+    order, as (mask, conjugate mask, blocks).  Block t, at index t - 1,
+    holds in lanes of ``_lane_width(n)`` bits, in two's complement, the
     characters at the partitions of n with first part t, in reverse
-    enumeration order.  So the blocks' lanes, block 1's lowest first,
-    run over all p(n) partitions of n in reverse enumeration order; a
-    block is 0 when lambda has no border strip of its length.
+    enumeration order, so the blocks' lanes, block 1's lowest first, run
+    over all p(n) classes; a block is 0 when lambda has no border strip
+    of its length.  Conjugation fixes the hook lengths, and chi at
+    lambda' is sgn(mu) times chi at lambda, so these rows determine the
+    table.  They are built one at a time as the iterator is read.
 
     Let ``last`` be the largest n of this lane width: 20 at 32 bits,
     and n itself above 20, where every n has its own width.  The lanes
     at size k < n are the suffixes s of size k of a cycle type of
     ``last``, the partitions of k with s[0] <= last - k, ordered by
     first part ascending and so lexicographically.  The rows at size
-    k < n are all partitions of k, one int each, and each digit holds
-    chi + 2^(width - 1), so no digit is negative.  Size m is built
-    breadth first from the smaller ones: its lanes with first part t,
-    for t <= min(m, last - m) or any t at m = n, are (t,) + s for the
-    suffixes s of size m - t with s[0] <= t, a prefix of that size's
-    lanes read through an explicit lane mask.  So block t of row
-    lambda, biased, is the sum of +-(row(rem) & prefix) over the border
-    strips of length t of lambda, one big-int add per strip for every
-    column at once, less (a - s - 1) biases per lane for a strips added
-    and s subtracted.  A kept row ORs its biased blocks into place; a
-    size-n block drops its bias by one XOR and is never joined to the
-    others.  Only the size-n rows in ``top`` are built, one at a time.
+    k < n are all partitions of k (``_masks``), one int each, each digit
+    holding chi + 2^(width - 1), so no digit is negative.  Size m is
+    built breadth first from the smaller ones: its lanes with first part
+    t, for t <= min(m, last - m) or any t at the top, are (t,) + s for
+    the suffixes s of size m - t with s[0] <= t, a prefix of that size's
+    lanes read through an explicit lane mask.  So block t of row lambda,
+    biased, is the sum of +-(row(rem) & prefix) over the border strips
+    of length t of lambda, one big-int add per strip for every column at
+    once, less (a - s - 1) biases per lane for a strips added and s
+    subtracted.  A kept row ORs its biased blocks into place; a size-n
+    block drops its bias by one XOR and is never joined to the others.
 
     A call at n reads the blocks t <= n - m of size m, which do not
-    depend on n, so for n <= 20 the sizes below n are kept in the
-    module's ``_levels`` between calls.  Each size is built once, with
-    every block n = 20 reads, and never changed: a call builds only the
-    sizes it lacks, ascending, and appends each once it is complete, so
-    an interrupted call leaves the store consistent.  A call above 20
-    builds its own levels and drops them on return.  Nothing in the
+    depend on n, so for n <= 20 the sizes are kept in the module's
+    ``_levels`` between calls.  Each size is built once, with every
+    block n = 20 reads, and never changed: a call builds only the sizes
+    it lacks, ascending, and appends each once it is complete, so an
+    interrupted call leaves the store consistent.  Below 20 that
+    includes size n itself, which the next larger call reads, and the
+    top copies its blocks t <= 20 - n out of those rows.  A call above
+    20 builds its own levels and drops them on return.  Nothing in the
     package runs concurrently, so the store has no lock and is not for
     use from several threads at once.
     """
@@ -277,76 +362,31 @@ def _packed_rows(n: int, top: list[int]) -> Iterator[list[int]]:
     bias = 1 << (width - 1)
     levels = _levels if n <= _KEPT_N else [({0: 1 + bias}, [1])]
     last = max(n, _KEPT_N)
-    for m in (*range(len(levels), n), n):
-        is_top = m == n
-        count = [0]
-        blocks = []
-        for t in range(1, (n if is_top else min(m, last - m)) + 1):
-            prev, prev_count = levels[m - t]
-            # the lanes of size m - t with first part <= t, all of them
-            # once t >= m - t
-            size = prev_count[min(t, m - t)]
-            blocks.append((t, (1 << (t - 1)) - 1, prev, (1 << width * size) - 1,
-                           bias * _ones(width, size), width * count[-1]))
-            count.append(count[-1] + size)
-        level = {}
-        for lam in top if is_top else map(beta_mask, part_tuples(m)):
-            row = 0  # a kept row: its biased blocks ORed into place
-            out = []  # a size-n row: its blocks in two's complement
-            for t, between, prev, keep, high, shift in blocks:
-                # the border strips of length t, as in _strip; net counts
-                # the strips added less those subtracted, from -1, so the
-                # biased block is total less net biases per lane
-                starts = (lam & ~(lam << t)) >> t << t
-                if is_top and not starts:
-                    out.append(0)
-                    continue
-                total = 0
-                net = -1
-                while starts:
-                    bit = starts & -starts
-                    starts ^= bit
-                    rem = lam ^ bit ^ (bit >> t)
-                    if rem & 1:  # the bead moved to bit 0
-                        rem >>= (rem ^ (rem + 1)).bit_length() - 1
-                    if ((lam >> (bit.bit_length() - t)) & between).bit_count() & 1:
-                        total -= prev[rem] & keep
-                        net -= 1
-                    else:
-                        total += prev[rem] & keep
-                        net += 1
-                if net:
-                    total -= net * high
-                if is_top:
-                    out.append(total ^ high)
-                else:
-                    row |= total << shift
-            if is_top:
-                yield out
-            else:
-                level[lam] = row
-        if not is_top:
-            levels.append((level, count))
+    for m in range(len(levels), n + (n < last)):  # below last, size n too
+        blocks, count = _block_specs(levels, m, min(m, last - m), width)
+        masks = _masks(levels, m)
+        levels.append((dict(zip(masks, _stripped(masks, blocks, False))), count))
+    blocks, count = _block_specs(levels, n, n, width)
+    sizes = [b - a for a, b in zip(count, count[1:])]
+    if n < len(levels):  # size n is kept: its blocks are the top's first
+        kept, kept_count = levels[n]
+        masks = list(kept)
+        copied = len(kept_count) - 1
+    else:
+        kept, masks, copied = {}, _masks(levels, n), 0
+    top = [(lam, conj) for lam, conj in zip(masks, map(conjugate_mask, masks))
+           if lam <= conj]
+    copies = [(shift, keep, high) for *_, keep, high, shift in blocks[:copied]]
 
+    def rows() -> Iterator[tuple[int, int, list[int]]]:
+        stripped = _stripped([lam for lam, _ in top], blocks[copied:], True)
+        for (lam, conj), out in zip(top, stripped):
+            if copies:
+                row = kept[lam]
+                out[:0] = [row >> shift & keep ^ high for shift, keep, high in copies]
+            yield lam, conj, out
 
-def _block_sizes(n: int, parts) -> list[int]:
-    """The number of lanes of each block t = 1..n of a size-n row of
-    ``_packed_rows``: the partitions of n in ``parts`` with first part t."""
-    sizes = [0] * n
-    for p in parts:
-        sizes[p[0] - 1] += 1
-    return sizes
-
-
-def _half_rows(masks: list[int]) -> tuple[list[int], list[int]]:
-    """The rows lambda <= lambda' of a table whose rows have the beta
-    masks ``masks`` (all partitions of n in enumeration order), and the
-    index of each row's conjugate.  Conjugation fixes the hook lengths,
-    and chi at lambda' is sgn(mu) times chi at lambda, so these rows
-    determine the table."""
-    index = {mask: i for i, mask in enumerate(masks)}
-    conj = [index[conjugate_mask(mask)] for mask in masks]
-    return [i for i, c in enumerate(conj) if i <= c], conj
+    return masks, sizes, rows()
 
 
 def character_table(n: int) -> CharacterTable:
@@ -360,19 +400,18 @@ def character_table(n: int) -> CharacterTable:
     """
     _check_table_size(n)
     parts = tuple(enumerate_partitions(n))
-    masks = [beta_mask(p.parts) for p in parts]
-    half, conj = _half_rows(masks)
+    masks, sizes, top = _packed_rows(n)
+    index = {mask: i for i, mask in enumerate(masks)}
     signs = [-1 if (n - len(p)) % 2 else 1 for p in parts]
     rows: list = [None] * len(parts)
-    sizes = _block_sizes(n, parts)
-    for i, blocks in zip(half, _packed_rows(n, [masks[i] for i in half])):
+    for mask, conj, blocks in top:
         row = array("i", b"".join(block.to_bytes(4 * size, "little")
                                   for block, size in zip(blocks, sizes)))
         if sys.byteorder == "big":
             row.byteswap()
         row.reverse()  # lanes run in reverse enumeration order
-        rows[i] = row = tuple(row)
-        rows[conj[i]] = tuple(map(mul, signs, row))
+        rows[index[mask]] = row = tuple(row)
+        rows[index[conj]] = tuple(map(mul, signs, row))
     return CharacterTable(n=n, partitions=parts, rows=tuple(rows))
 
 
@@ -407,22 +446,22 @@ def zero_count(n: int) -> ZeroCensus:
     memory.  Only the rows lambda <= lambda' are computed: a row and its
     conjugate have the same zeros and the same hook lengths, so each
     such row counts twice, or once when lambda is self-conjugate, in the
-    total and in every t-core count.
+    total and in every t-core count.  A row is tested as a t-core only
+    below its largest hook; it is one for every larger t, which a
+    running sum over the largest hooks adds.
     """
     _check_table_size(n)
-    parts = list(part_tuples(n))
-    masks = [beta_mask(p) for p in parts]
-    half, conj = _half_rows(masks)
-    rows = [masks[i] for i in half]
+    masks, sizes, top = _packed_rows(n)
     width = _lane_width(n)
     lane_masks = []
-    for size in _block_sizes(n, parts):
+    for size in sizes:
         ones = _ones(width, size)
         high = ones << (width - 1)
         lane_masks.append((high - ones, high))
     total = 0
-    per_core = {t: 0 for t in range(1, n + 1)}
-    for i, mask, blocks in zip(half, rows, _packed_rows(n, rows)):
+    per_core = [0] * (n + 1)  # [t]: zeros of the t-core rows with a hook above t
+    beyond = [0] * (n + 1)  # [h]: zeros of the rows whose largest hook is h
+    for mask, conj, blocks in top:
         # a lane is nonzero iff its top bit is set or its low bits plus
         # 2^(width-1) - 1 carry into it; no sum leaves its lane
         zeros = len(masks)
@@ -430,11 +469,20 @@ def zero_count(n: int) -> ZeroCensus:
             if block:
                 zeros -= ((((block & low) + low) | block) & high).bit_count()
         if zeros:
-            zeros *= 1 if conj[i] == i else 2
+            if mask != conj:
+                zeros *= 2
             total += zeros
-            for t in range(1, n + 1):  # is_t_core's test
+            # the largest hook is the top bead's position h: the row is a
+            # t-core for every t > h, and never at t = h (bit 0 is clear)
+            hook = mask.bit_length() - 1
+            beyond[hook] += zeros
+            for t in range(1, hook):  # is_t_core's test
                 if not (mask & ~(mask << t)) >> t:
                     per_core[t] += zeros
-    return ZeroCensus(n=n, table_dim=len(conj), total_zeros=total,
-                      per_core_zeros=per_core)
-
+    cores = {}
+    running = 0
+    for t in range(1, n + 1):
+        running += beyond[t - 1]
+        cores[t] = per_core[t] + running
+    return ZeroCensus(n=n, table_dim=len(masks), total_zeros=total,
+                      per_core_zeros=cores)

@@ -89,8 +89,8 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
 def part_tuples(n: int) -> Iterator[tuple[int, ...]]:
     """The parts of each partition of ``enumerate_partitions(n)``, in the
-    same order, as plain tuples: the table engine needs only their beta
-    masks, and skips building and checking a ``Partition`` for each."""
+    same order, as plain tuples, without building and checking a
+    ``Partition`` for each."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
@@ -127,6 +127,10 @@ def beta_mask(parts: tuple[int, ...]) -> int:
     return mask >> ((mask ^ (mask + 1)).bit_length() - 1)
 
 
+# byte b -> b with its 8 bits in reverse order
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def conjugate_mask(mask: int) -> int:
     """The beta mask of the conjugate partition.
 
@@ -137,7 +141,12 @@ def conjugate_mask(mask: int) -> int:
     and its lowest bit is clear, so the result is canonical too.
     """
     width = mask.bit_length()
-    return int(f"{mask:0{width}b}"[::-1], 2) ^ ((1 << width) - 1) if mask else 0
+    size = (width + 7) // 8
+    # reversing the bits of each little-endian byte and reading the bytes
+    # big-endian reverses all 8 * size bits
+    reversed_bits = int.from_bytes(mask.to_bytes(size, "little").translate(_BIT_REVERSED),
+                                   "big")
+    return reversed_bits >> (8 * size - width) ^ ((1 << width) - 1)
 
 
 def is_t_core(lam: Partition, t: int) -> bool:

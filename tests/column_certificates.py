@@ -11,13 +11,13 @@ the columns of the S_n character table, summed over every lambda:
 - column orthogonality: sum chi_lambda(mu)^2 = z_mu, the order of the
   centralizer.
 
-The engine yields only the rows lambda <= lambda'; the row of lambda'
-is the row of lambda times sgn(mu) = (-1)^(n - len mu), so a
-conjugate pair adds twice the lanes of even mu and nothing at odd mu to
-both linear sums.  Each linear identity is one big-int comparison per
-block, lanes as base-2^width digits.  Neither sees an error in an odd
-lane of a pair row, since lambda and lambda' cancel there; the
-orthogonality sums decode the lanes and do.
+The engine yields only the rows lambda <= lambda', each with the mask
+of lambda'; the row of lambda' is the row of lambda times sgn(mu) =
+(-1)^(n - len mu), so a conjugate pair adds twice the lanes of even mu
+and nothing at odd mu to both linear sums.  Each linear identity is
+one big-int comparison per block, lanes as base-2^width digits.
+Neither sees an error in an odd lane of a pair row, since lambda and
+lambda' cancel there; the orthogonality sums decode the lanes and do.
 """
 
 from __future__ import annotations
@@ -57,17 +57,18 @@ def centralizer(mu: tuple[int, ...]) -> int:
 
 def top_masks(n: int) -> list[int]:
     """The beta masks of the partitions lambda <= lambda' of n, in
-    enumeration order: the rows ``zero_count`` asks the engine for."""
+    enumeration order, from ``part_tuples``: the rows the engine should
+    yield."""
     masks = [beta_mask(p) for p in part_tuples(n)]
-    half, _ = characters._half_rows(masks)
-    return [masks[i] for i in half]
+    return [mask for mask in masks if mask <= conjugate_mask(mask)]
 
 
-def failures(n: int, rows: Iterable[list[int]], squares: bool = False) -> set[str]:
-    """The names of the identities that fail on ``rows``, the blocks of
-    the rows ``top_masks(n)`` in order, as ``_packed_rows(n,
-    top_masks(n))`` yields them: "regular", "frobenius-schur" and, with
-    ``squares``, "orthogonality"."""
+def failures(n: int, rows: Iterable[tuple[int, int, list[int]]],
+             squares: bool = False) -> set[str]:
+    """The names of the identities that fail on ``rows``, the (mask,
+    conjugate mask, blocks) of the rows lambda <= lambda' of n, as
+    ``_packed_rows(n)`` yields them: "regular", "frobenius-schur" and,
+    with ``squares``, "orthogonality"."""
     width = characters._lane_width(n)
     bias = 1 << (width - 1)
     digit = (1 << width) - 1
@@ -83,9 +84,8 @@ def failures(n: int, rows: Iterable[list[int]], squares: bool = False) -> set[st
     regular = [0] * n
     roots = [0] * n
     squared = [[0] * len(mus) for mus in lanes]
-    masks = top_masks(n)
-    for mask, blocks in zip(masks, rows, strict=True):
-        pair = mask != conjugate_mask(mask)
+    for mask, conj, blocks in rows:
+        pair = mask != conj
         f = blocks[0] - ((blocks[0] & bias) << 1)
         for t, (block, (high, odd_lanes, odd_bias)) in enumerate(zip(blocks, shapes)):
             biased = block ^ high
@@ -112,5 +112,5 @@ def failures(n: int, rows: Iterable[list[int]], squares: bool = False) -> set[st
 
 def certify(n: int, squares: bool = False) -> set[str]:
     """``failures`` on the engine's own top rows at n."""
-    masks = top_masks(n)
-    return failures(n, characters._packed_rows(n, masks), squares)
+    _, _, rows = characters._packed_rows(n)
+    return failures(n, rows, squares)

@@ -74,7 +74,7 @@ def beta_strips(mask: int, t: int) -> list[tuple[int, int]]:
     A strip starts at each set bit b >= t whose bit b - t is clear; the
     remainder moves that bead to b - t, and the height parity is the
     parity of the beads strictly between.  ``characters._strip`` and the
-    packed engine ``characters._packed_rows`` run the same loop inline;
+    packed engine's ``characters._stripped`` run the same loop inline;
     ``column_oracle`` and the partition tests call this one.
     """
     out = []

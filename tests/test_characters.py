@@ -13,7 +13,6 @@ from charcensus.errors import GuardError
 from charcensus.partitions import (
     Partition,
     beta_mask,
-    conjugate_mask,
     enumerate_partitions,
     is_t_core,
     part_tuples,
@@ -23,7 +22,7 @@ import column_certificates
 import column_oracle
 from diagram_oracle import conjugate, hook_multiset
 from draw_oracle import draw
-from strip_oracle import chi_tuple
+from strip_oracle import beta_strips, chi_tuple, parts_of_mask
 
 P = Partition
 
@@ -377,11 +376,12 @@ def test_census_keeps_the_levels_below_n():
 
 
 def test_kept_levels_are_final():
-    # each size is built once, with the blocks of n = 20: a call at a
-    # larger n appends sizes and rewrites no kept one
+    # each size is built once, with the blocks of n = 20: a census at
+    # n < 20 leaves sizes 0..n, and a call at a larger n appends sizes
+    # and rewrites no kept one
     _clear_store()
     zero_count(14)
-    _check_kept_rows_below(14)
+    _check_kept_rows_below(15)
     _check_regular_character()
     levels = characters._levels
     kept = [(level, dict(level[0]), list(level[1])) for level in levels]
@@ -392,28 +392,36 @@ def test_kept_levels_are_final():
     _check_kept_rows_below(20)
 
 
-def test_census_range_builds_each_level_once(monkeypatch):
-    # zero_count for N = 14..20 in one process, as the README states: the
-    # engine enumerates each size below 20 once, each census its own size
-    # once more, and every kept size m holds the blocks t <= min(m, 20 - m)
-    # that the calls up to 20 read
+@pytest.fixture()
+def enumerations(monkeypatch):
+    """A Counter of the sizes the engine enumerates: each size it builds,
+    kept or local, and a top whose size is not kept."""
     calls = Counter()
-    tuples = characters.part_tuples
+    masks = characters._masks
 
-    def counted(m):
+    def counted(levels, m):
         calls[m] += 1
-        return tuples(m)
+        return masks(levels, m)
 
-    monkeypatch.setattr(characters, "part_tuples", counted)
+    monkeypatch.setattr(characters, "_masks", counted)
+    return calls
+
+
+def test_census_range_builds_each_level_once(enumerations):
+    # zero_count for N = 14..20 in one process, as the README states:
+    # each census below 20 builds its own size too, so the engine
+    # enumerates each size once, and every kept size m holds the blocks
+    # t <= min(m, 20 - m) that the calls up to 20 read
     _clear_store()
     for n in range(14, 21):
         zero_count(n)
-    assert calls == {m: 2 if 14 <= m <= 19 else 1 for m in range(1, 21)}
+        assert len(characters._levels) == min(n + 1, 20), n
+    assert enumerations == {m: 1 for m in range(1, 21)}
     assert [len(count) - 1 for _, count in characters._levels] \
         == [min(m, 20 - m) for m in range(20)]
 
 
-def test_census_pinned_above_the_guard(monkeypatch):
+def test_census_pinned_above_the_guard(monkeypatch, enumerations):
     zero_count(20)
     levels = characters._levels
     kept = list(levels)
@@ -437,21 +445,104 @@ def test_census_pinned_above_the_guard(monkeypatch):
     assert zero_count(28).total_zeros == 5349414
     assert zero_count(30).total_zeros == 11963861
     # a call above 20 keeps none of its wider levels: the module holds
-    # the same 32-bit levels as before, and a census at 20 enumerates no
-    # size below 20 again
+    # the same 32-bit levels as before, and a census at 20 builds no size
+    # below 20 again
     assert characters._levels is levels
     assert len(levels) == len(kept) and all(map(operator.is_, levels, kept))
     _check_kept_rows_below(20)
-    calls = Counter()
-    tuples = characters.part_tuples
-
-    def counted(m):
-        calls[m] += 1
-        return tuples(m)
-
-    monkeypatch.setattr(characters, "part_tuples", counted)
+    enumerations.clear()
     assert zero_count(20).total_zeros == 155176
-    assert calls == {20: 1}
+    assert enumerations == {20: 1}
+
+
+def test_engine_enumerates_partitions_in_order():
+    # the masks each size's rows are built for, read from the smaller
+    # levels, are part_tuples' masks in order: on the kept levels and on
+    # the local levels of every n above 20
+    zero_count(20)
+    for m, (rows, _) in enumerate(characters._levels):
+        assert list(rows) == [beta_mask(p) for p in part_tuples(m)], m
+    for n in range(1, 27):
+        masks, sizes, _ = characters._packed_rows(n)
+        assert masks == [beta_mask(p) for p in part_tuples(n)], n
+        assert sizes == [sum(1 for p in part_tuples(n) if p[0] == t)
+                         for t in range(1, n + 1)], n
+
+
+def test_engine_top_rows_are_the_half_below_their_conjugates():
+    # the rows lambda <= lambda', in enumeration order, each with the
+    # mask of the transposed diagram
+    for n in (*range(1, 21), 22):
+        _, _, rows = characters._packed_rows(n)
+        got = [(mask, conj) for mask, conj, _ in rows]
+        assert [mask for mask, _ in got] == column_certificates.top_masks(n), n
+        for mask, conj in got:
+            assert conj == beta_mask(conjugate(P(parts_of_mask(mask))).parts), (n, mask)
+
+
+class _CountedReads(dict):
+    """A level's rows that count their reads: each border strip the
+    engine runs reads the row of its remainder once, and a top row with
+    copied blocks reads its kept row once."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def _strips(masks, t):
+    """The border strips of length t of the partitions ``masks``."""
+    return sum(len(beta_strips(mask, t)) for mask in masks)
+
+
+@pytest.mark.parametrize("fresh", [False, True])
+def test_top_below_20_copies_the_kept_blocks(fresh):
+    # at n < 20 the top runs no strip of length t <= 20 - n: it copies
+    # those blocks out of size n's kept rows.  Each strip reads the row
+    # of its remainder at size n - t once, so the reads there count the
+    # strips the call ran: those of size n's own rows for its kept
+    # blocks t <= min(n, 20 - n), when the call builds size n, and those
+    # of the top rows for t > 20 - n.
+    for n in range(1, 20):
+        _clear_store()
+        if n > 1 or not fresh:
+            zero_count(n - 1 if fresh else n)
+        levels = characters._levels
+        levels[:] = [(_CountedReads(rows), count) for rows, count in levels]
+        zero_count(n)
+        assert len(levels) == n + 1
+        masks = [beta_mask(p) for p in part_tuples(n)]
+        top = column_certificates.top_masks(n)
+        for t in range(1, n + 1):
+            built = _strips(masks, t) if fresh and t <= 20 - n else 0
+            stripped = _strips(top, t) if t > 20 - n else 0
+            assert levels[n - t][0].reads == built + stripped, (n, t)
+        if not fresh:  # one read of each top row's kept row
+            assert levels[n][0].reads == len(top), n
+    _clear_store()
+
+
+def test_engine_rows_need_no_part_tuples(monkeypatch):
+    # no census or table path enumerates partitions or builds a beta
+    # mask for the engine's rows: the table reads part_tuples only
+    # through enumerate_partitions, for the partitions it returns
+    def fail(*args):
+        raise AssertionError("beta_mask called")
+
+    monkeypatch.setattr(characters, "TABLE_GUARD", 22)
+    expected = {}
+    for n in (12, 20, 22):
+        _clear_store()
+        expected[n] = zero_count(n), n <= 20 and character_table(n)
+    assert not hasattr(characters, "part_tuples")
+    monkeypatch.setattr(characters, "beta_mask", fail)
+    for n in (12, 20, 22):
+        _clear_store()
+        assert (zero_count(n), n <= 20 and character_table(n)) == expected[n], n
 
 
 def test_lane_width_holds_every_character():
@@ -490,8 +581,8 @@ def _mutated(rows, row, t, change):
     """``rows`` with block t of the given row replaced by
     ``change(block)``."""
     rows = list(rows)
-    blocks = rows[row]
-    rows[row] = blocks[:t - 1] + [change(blocks[t - 1])] + blocks[t:]
+    mask, conj, blocks = rows[row]
+    rows[row] = mask, conj, blocks[:t - 1] + [change(blocks[t - 1])] + blocks[t:]
     return rows
 
 
@@ -507,19 +598,48 @@ def _plus_one(n, t, parity):
 
 def test_column_certificates_catch_mutations():
     # at n = 24, above the guard, where no oracle reaches
-    n = 24
-    masks = column_certificates.top_masks(n)
-    row = 100  # a conjugate pair, with a nonzero block 5
-    assert masks[row] != conjugate_mask(masks[row])
-    rows = list(characters._packed_rows(n, masks))
-    assert rows[row][4] != 0
     failures = column_certificates.failures
+    n = 24
+    rows = list(characters._packed_rows(n)[2])
+    row = 100  # a conjugate pair, with a nonzero block 5
+    mask, conj, blocks = rows[row]
+    assert mask != conj and blocks[4] != 0
     assert failures(n, _mutated(rows, row, 5, lambda block: 0))
     assert failures(n, _mutated(rows, row, 5, _plus_one(n, 5, 0)))
     # an odd lane of a pair row cancels against the conjugate row in the
     # linear sums; only the squares see it
     assert failures(n, _mutated(rows, row, 5, _plus_one(n, 5, 1)),
                     squares=True) == {"orthogonality"}
+
+
+def _block_zeros(n):
+    """The zeros of each block t = 1..n of the whole S_n table, at index
+    t - 1, counted lane by lane in the engine's top rows; a conjugate
+    pair's rows have the same zeros."""
+    width = characters._lane_width(n)
+    digit = (1 << width) - 1
+    _, sizes, rows = characters._packed_rows(n)
+    zeros = [0] * n
+    for mask, conj, blocks in rows:
+        for t, (block, size) in enumerate(zip(blocks, sizes)):
+            zeros[t] += sum(1 for i in range(size)
+                            if not block >> width * i & digit) << (mask != conj)
+    return zeros
+
+
+@pytest.mark.parametrize("n", range(1, 27))
+def test_large_part_blocks_in_closed_form(n):
+    # for t > n/2 a partition of n has at most one t-hook: the t-cores
+    # give c_t(n) p(n - t) zeros in block t, and the t partitions that
+    # remove to each kappa |- n - t have kappa's zeros there, so
+    # Z^(t)(n) = c_t(n) p(n - t) + t Z(n - t), with Z(0) = 0; above the
+    # table guard this checks single lanes where no oracle reaches
+    zeros = _block_zeros(n)
+    if n <= 20:
+        assert sum(zeros) == zero_count(n).total_zeros
+    for t in range(n // 2 + 1, n + 1):
+        below = zero_count(n - t).total_zeros if t < n else 0
+        assert zeros[t - 1] == tcore_count(t, n) * partition_count(n - t) + t * below, t
 
 
 def test_census_per_core_consistency():

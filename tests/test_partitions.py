@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -13,7 +14,9 @@ from charcensus.partitions import (
     parse_partition,
     part_tuples,
 )
+from charcensus.counting import build_bounded_table
 from diagram_oracle import conjugate, hook_multiset
+from draw_oracle import draw
 from strip_oracle import beta_strips, parts_of_mask, raw_strips
 
 
@@ -84,11 +87,22 @@ def test_conjugate_mask_matches_transpose():
     # complemented
     assert conjugate_mask(0b1001010) == beta_mask((3, 2, 1, 1)) == 0b1010110
     assert conjugate_mask(0) == 0
-    for n in range(0, 21):
-        for lam in enumerate_partitions(n):
-            mask = beta_mask(lam.parts)
-            assert conjugate_mask(mask) == beta_mask(conjugate(lam).parts), lam
-            assert conjugate_mask(conjugate_mask(mask)) == mask
+    lams = [lam for n in range(0, 21) for lam in enumerate_partitions(n)]
+    # up to n = 40 and masks of several bytes, wider than 64 bits
+    rng = random.Random(40)
+    for n in range(21, 41):
+        table = build_bounded_table(n, n)
+        lams += [Partition(draw(n, rng, table)) for _ in range(50)]
+        lams += [Partition((n,)), Partition((1,) * n)]
+    lams += [Partition(parts) for parts in [(70,), (1,) * 70, (65, 1), (33, 32, 1, 1),
+                                            tuple(range(14, 0, -1)), (8,) * 8 + (1,) * 56]]
+    widths = set()
+    for lam in lams:
+        mask = beta_mask(lam.parts)
+        widths.add(mask.bit_length())
+        assert conjugate_mask(mask) == beta_mask(conjugate(lam).parts), lam
+        assert conjugate_mask(conjugate_mask(mask)) == mask
+    assert widths >= set(range(2, 42)) and max(widths) > 64
 
 
 def test_hook_multiset_421():
