@@ -29,12 +29,35 @@ Randomness: every run is driven by one 64-bit seed.  Sample chunks of
 fixed size draw from independent substreams whose seeds are derived
 from (seed, chunk index) by SHA-256, so the estimate is bit-identical
 for a given (n, samples, seed).
+
+The chunks are split over k = min(chunks, usable CPUs) processes:
+chunk c goes to process c mod k, process 0 being the caller and the
+others ``os.fork`` children.  Each process draws its own chunks into its
+own multiset, walks it and counts its zeros; a child sends its count to
+the caller as one decimal int through a pipe, and the caller adds them.
+The zero count is a sum over pairs, so the report does not depend on k.
+The split is by chunk, not by a range of mu: random draws balance the
+shares by construction and only one int crosses each pipe, where a mu
+range would need the whole multiset merged first and would be
+unbalanced (at n = 40 the top 1% of pairs hold 27% of the walk's
+states, and mu order puts the heavy classes with many ones first).  The
+shares recompute some suffix states in common: at (40, 24000, 42) the
+two halves compute 288,215 and 281,324 states against 466,615 for one
+walk.  k is 1, and the same loop runs in the caller with nothing forked,
+when there is one chunk, when ``os`` has no ``fork``, when one CPU is
+usable, or when another thread is alive, since a forked copy of a
+multithreaded process can deadlock.  The guards and the draw table are
+built before any fork, so every refusal comes from the caller, and each
+child shares the table with it; a spawned worker would pay the
+interpreter's start-up, the imports and the table again, and only one
+int would come back.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import random
 from bisect import bisect_right
 from typing import NamedTuple
@@ -46,16 +69,18 @@ from .errors import GuardError
 RNG_ALGORITHM = "mt19937-sha256-streams-v1"
 _CHUNK = 2048  # samples per substream; changing it changes every report
 # limit on samples * (16 + 2^(n/5)): one sample takes 0.11-0.24 us *
-# (16 + 2^(n/5)) on a 2-core Xeon, the most at n = 20-30 and the least
-# at n = 2 and n = 60 (1.9-2.2 us at n = 2, 42 us at n = 40, 0.47-0.61
-# ms at n = 60).  The memo holds one mu's suffixes at a time; what grows
-# with the samples is the multiset of drawn pairs, one dict entry and
-# one int key per distinct pair, 22 MB at the limit at n = 20 and 21 MB
-# at n = 30 (289,198 and 209,026 distinct pairs).  At the limit, seed
-# 42, a fresh process took (time, peak RSS, 18 MB of it from the
-# imports): n = 2: 1.8-2.1 s, 18 MB; 12: 2.8-3.1 s, 18 MB; 20: 3.8-4.0
-# s, 44 MB; 30: 3.6-3.7 s, 41 MB; 40: 2.6 s, 29 MB; 50: 2.5-2.7 s,
-# 28 MB; 60: 1.9-2.5 s, 31 MB
+# (16 + 2^(n/5)) of one process on a 2-core Xeon, the most at n = 20-30
+# and the least at n = 2 and n = 60 (1.9-2.2 us at n = 2, 42 us at n =
+# 40, 0.47-0.61 ms at n = 60).  The memo holds one mu's suffixes at a
+# time; what grows with the samples is each process's multiset of drawn
+# pairs, one dict entry and one int key per distinct pair.  At the
+# limit, seed 42, a fresh process on both cores took (time, the caller's
+# peak RSS, 18 MB of it from the imports, and the child's, counting the
+# pages it shares with the caller): n = 2: 0.6-1.2 s, 18 MB, 12 MB;
+# 12: 1.4-2.0 s, 18 MB, 13 MB; 20: 1.9-2.2 s, 41 MB, 35 MB; 30: 1.7-2.0
+# s, 30 MB, 24 MB; 40: 1.5-1.6 s, 25 MB, 19 MB; 50: 1.1-1.5 s, 25 MB,
+# 18 MB; 60: 1.1-1.4 s, 31 MB, 18 MB (one process: 1.1-3.5 s, at most
+# 45 MB)
 DENSITY_GUARD = 2**24
 
 
@@ -126,6 +151,106 @@ def _draw_key(n: int, rng: random.Random, states, width: int) -> int:
         remaining -= k
         cap = k
     return code << width * n - shift + n + 1 | lam
+
+
+def _chunk_zeros(n: int, samples: int, seed: int, chunks: range, states) -> int:
+    """The zeros among the pairs of sample chunks ``chunks``: each chunk's
+    pairs are drawn from its own substream into one {pair key: count}
+    dict, which one ``characters._values`` walk then evaluates."""
+    width = n.bit_length()
+    counts: dict[int, int] = {}
+    for index in chunks:
+        rng = _stream_rng(seed, index)
+        for _ in range(min(_CHUNK, samples - index * _CHUNK)):
+            key = _draw_key(n, rng, states, width)
+            counts[key] = counts.get(key, 0) + 1
+    return sum(count for value, count in _values(counts, n) if not value)
+
+
+def _workers() -> int:
+    """The processes an estimate may use: one per usable CPU, or 1 where
+    ``os.fork`` is missing or another thread is alive, since a forked copy
+    of a multithreaded process can deadlock on a lock another thread held."""
+    import threading
+
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _drain(fd: int) -> bytes:
+    """Everything read from ``fd`` up to end of file."""
+    parts = []
+    while part := os.read(fd, 4096):
+        parts.append(part)
+    return b"".join(parts)
+
+
+def _fork_sum(k: int, work) -> int:
+    """``sum(work(j) for j in range(k))``: ``work(0)`` runs in the caller,
+    each other j in a forked child that sends its int back through a pipe
+    as decimal digits.  With k = 1 nothing is forked.
+
+    A child leaves only through ``os._exit``, also on an exception or a
+    SIGINT, so it never flushes the stdio buffers it inherited and never
+    returns into the caller's code; SIGINT is blocked across each fork, so
+    one cannot strike between the fork and the bookkeeping of either
+    side.  On any exception the caller kills its children; on every path
+    it reads each pipe to end of file and reaps each child before it
+    returns or raises.  A child that fails makes the caller raise
+    ``RuntimeError``.
+    """
+    if k == 1:
+        return work(0)
+    import signal
+
+    children: dict[int, int] = {}  # pid: the read end of its pipe
+    replies: list[bytes] = []
+    statuses: list[int] = []
+    try:
+        for j in range(1, k):
+            read, write = os.pipe()
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                        os.close(read)
+                        # fewer than PIPE_BUF bytes: one write, all or nothing
+                        os.write(write, str(work(j)).encode())
+                        code = 0
+                    finally:
+                        os._exit(code)
+                children[pid] = read
+            except OSError:  # no fork
+                os.close(read)
+                raise
+            finally:
+                os.close(write)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        total = work(0)
+        for read in children.values():
+            replies.append(_drain(read))
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read in children.items():
+            _drain(read)
+            os.close(read)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for pid, status, reply in zip(children, statuses, replies):
+        if status or not reply:
+            raise RuntimeError(f"density worker {pid} failed "
+                               f"(exit code {os.waitstatus_to_exitcode(status)})")
+        total += int(reply)
+    return total
 
 
 class DensityEstimate(NamedTuple):
@@ -205,14 +330,9 @@ def estimate_zero_density(n: int, samples: int, seed: int) -> DensityEstimate:
         raise GuardError(f"samples * (16 + 2^(n/5)) = {cost:.4g} exceeds the "
                          f"limit {DENSITY_GUARD} (2^24)")
     states = _states(n)
-    width = n.bit_length()
-    counts: dict[int, int] = {}  # {pair key: count}
-    for start in range(0, samples, _CHUNK):
-        rng = _stream_rng(seed, start // _CHUNK)
-        for _ in range(min(_CHUNK, samples - start)):
-            key = _draw_key(n, rng, states, width)
-            counts[key] = counts.get(key, 0) + 1
-    zeros = sum(count for value, count in _values(counts, n) if not value)
+    chunks = -(-samples // _CHUNK)
+    k = min(chunks, _workers())
+    zeros = _fork_sum(k, lambda j: _chunk_zeros(n, samples, seed, range(j, chunks, k), states))
     ci_low, ci_high = wilson_interval(zeros, samples)
     return DensityEstimate(
         n=n, samples=samples, zeros_observed=zeros,

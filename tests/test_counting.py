@@ -421,6 +421,48 @@ def test_tcore_above_n_builds_no_table(monkeypatch):
     assert tcore_count(200001, 200000) == expected
 
 
+
+@pytest.mark.parametrize("t, n", [(1000, 2001), (223, 2001), (2500, 5000), (5000, 5000),
+                                  (201, 20000), (4999, 20000), (20000, 20000)])
+def test_tcore_single_values_match_the_table(monkeypatch, t, n):
+    # above the crossover, with n//t + 1 <= n / _VALUES_PER_TABLE values
+    # of p to read, c_t(n) takes each on its own and leaves the table
+    # short; the table series gives the same count
+    assert (n // t + 1) * counting._VALUES_PER_TABLE <= n
+    monkeypatch.setattr(counting, "_p_cache", [1])
+    value = tcore_count(t, n)
+    assert len(counting._p_cache) <= counting._TABLE_CROSSOVER + 1
+    assert counting._tcore_series(t, n) == value
+    assert len(counting._p_cache) == n + 1
+    assert tcore_count(t, n) == value  # now read from the table
+
+
+def test_tcore_single_values_at_the_p_guard(monkeypatch):
+    # c_t(n) = p(n) - t p(n - t) + t(t - 3)/2 p(n - 2t) for n/3 < t <= n/2,
+    # the eta power (1 - q)^t (1 - q^2)^t ... to q^2
+    monkeypatch.setattr(counting, "_p_cache", [1])
+    t, n = 50000, 100000
+    assert tcore_count(t, n) == (partition_count(n) - t * partition_count(n - t)
+                                 + t * (t - 3) // 2)
+    assert len(counting._p_cache) == 1
+
+
+def test_tcore_many_values_take_the_table(monkeypatch):
+    monkeypatch.setattr(counting, "_p_cache", [1])
+    t, n = 200, 20000  # 101 values, one more than 20000 / 200
+    tcore_count(t, n)
+    assert len(counting._p_cache) == n + 1
+
+
+def test_tcore_at_or_below_the_crossover_takes_the_table(monkeypatch):
+    # the zero-bounds sweep (n = 1000) and small counts read the table only
+    table = _core_series(7, 1000)
+    monkeypatch.setattr(counting, "partition_count", None)
+    assert [tcore_count(7, m) for m in range(7, 1001)] == table[7:]
+    assert tcore_count(5, 7) == tcore_count_bruteforce(5, 7)
+    for t in (2, 333, 999, 1000):
+        tcore_count(t, 1000)
+
 def test_count_table_lookup():
     # n-major: table[n][t] = p_t(n)
     table = build_bounded_table(10, 30)

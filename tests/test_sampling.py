@@ -1,6 +1,14 @@
+import json
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
+import threading
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +22,7 @@ from charcensus.errors import GuardError
 from charcensus.partitions import (Partition, beta_mask, enumerate_partitions,
                                    part_tuples)
 from charcensus import sampling
+from charcensus.cli import main
 from charcensus.sampling import (
     RNG_ALGORITHM,
     _draw_key,
@@ -54,6 +63,17 @@ PINNED_REPORTS = {
         "point_estimate": 0.3125, "ci_low": 0.29256143142780416,
         "ci_high": 0.3331574876723881, "conjecture_value": 0.4884786733519446,
         "seed": 42, "rng_algorithm": "mt19937-sha256-streams-v1"},
+    # three chunks, the last holding one sample
+    (20, 4097, 5): {
+        "N": 20, "samples": 4097, "zeros_observed": 1666, "failures": 0,
+        "point_estimate": 0.4066390041493776, "ci_low": 0.39169189576913066,
+        "ci_high": 0.4217610305765248, "conjecture_value": 0.6676164013906681,
+        "seed": 5, "rng_algorithm": "mt19937-sha256-streams-v1"},
+    (2, 6144, 9): {
+        "N": 2, "samples": 6144, "zeros_observed": 0, "failures": 0,
+        "point_estimate": 0.0, "ci_low": 0.0, "ci_high": 0.0006248697103711975,
+        "conjecture_value": 2.8853900817779268,
+        "seed": 9, "rng_algorithm": "mt19937-sha256-streams-v1"},
 }
 
 
@@ -294,3 +314,191 @@ def test_report_records_rng_algorithm():
     d = est.to_json_dict()
     assert d["seed"] == 3
     assert d["rng_algorithm"] == RNG_ALGORITHM
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cli(*args, **popen):
+    src = str(Path(sampling.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, *args], env=env, stdin=subprocess.DEVNULL,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen)
+
+
+DENSITY_ARGV = ["estimate", "density", "--n", "40", "--samples", "24000",
+                "--seed", "42", "--format", "json"]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children ``os.fork`` makes in this process."""
+    made, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+@pytest.mark.parametrize("n, samples, seed", [
+    (40, 24000, 42), (12, 100000, 42), (20, 4097, 5), (2, 6144, 9), (60, 2000, 42)])
+def test_every_worker_count_gives_the_same_report(monkeypatch, forks, n, samples, seed):
+    # the chunks are dealt round-robin to k processes; an offer of more
+    # workers than chunks (tried where the chunks are few) forks one
+    # process per chunk, and a single chunk forks nothing
+    chunks = -(-samples // sampling._CHUNK)
+    for offer in sorted({1, 2, 3, chunks + 1} if chunks <= 3 else {1, 2, 3}):
+        monkeypatch.setattr(sampling, "_workers", lambda: offer)
+        forks.clear()
+        report = estimate_zero_density(n, samples, seed).to_json_dict()
+        assert report == PINNED_REPORTS[n, samples, seed], offer
+        assert len(forks) == min(offer, chunks) - 1, offer
+        _no_child_left()
+
+
+def test_workers_is_one_per_usable_cpu():
+    assert sampling._workers() == len(os.sched_getaffinity(0))
+
+
+def _run_with_thread(fn):
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        return fn()
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("way", ["no fork", "live thread"])
+def test_serial_fallback(monkeypatch, forks, way):
+    # where forking is missing or unsafe the same chunks run in-process
+    args = (12, 100000, 42)
+    if way == "no fork":
+        monkeypatch.delattr(os, "fork")
+        assert sampling._workers() == 1
+        report = estimate_zero_density(*args)
+    else:
+        assert _run_with_thread(sampling._workers) == 1
+        report = _run_with_thread(lambda: estimate_zero_density(*args))
+    assert report.to_json_dict() == PINNED_REPORTS[args]
+    assert forks == []
+
+
+def test_failing_child_makes_the_caller_raise(monkeypatch, capsys):
+    # a child that raises exits nonzero, without a word on stdout or
+    # stderr; the caller raises once every child is reaped, and the CLI
+    # reports one internal error
+    caller, values = os.getpid(), sampling._values
+
+    def failing(counts, n):
+        if os.getpid() != caller:
+            raise ZeroDivisionError("in a child")
+        return values(counts, n)
+
+    monkeypatch.setattr(sampling, "_values", failing)
+    monkeypatch.setattr(sampling, "_workers", lambda: 3)
+    with pytest.raises(RuntimeError, match="density worker"):
+        estimate_zero_density(40, 24000, 42)
+    _no_child_left()
+    assert main(DENSITY_ARGV) == 1
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and json.loads(line)["error"]["type"] == "internal"
+    _no_child_left()
+
+
+def test_failing_caller_kills_its_children(monkeypatch, forks):
+    # the caller fails at its first chunk while its child still draws: the
+    # child is killed and reaped, and the caller's exception comes out
+    caller, stream_rng, statuses = os.getpid(), sampling._stream_rng, []
+    waitpid = os.waitpid
+
+    def failing(seed, index):
+        if os.getpid() == caller:
+            raise ZeroDivisionError("in the caller")
+        return stream_rng(seed, index)
+
+    def watched(pid, options):
+        statuses.append(waitpid(pid, options))
+        return statuses[-1]
+
+    monkeypatch.setattr(sampling, "_stream_rng", failing)
+    monkeypatch.setattr(sampling, "_workers", lambda: 2)
+    monkeypatch.setattr(sampling, "_CHUNK", 30000)  # about 1.5 s per chunk
+    monkeypatch.setattr(os, "waitpid", watched)
+    with pytest.raises(ZeroDivisionError, match="in the caller"):
+        estimate_zero_density(40, 60000, 1)
+    ((pid, status),) = statuses
+    assert forks == [pid]
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    monkeypatch.undo()
+    _no_child_left()
+
+
+@pytest.mark.parametrize("prefix", [None, "buffered"])
+def test_cli_density_writes_stdout_once(prefix):
+    # a forked child inherits the caller's unflushed stdout buffer and
+    # must never flush it: the output is one document, stderr empty
+    if prefix is None:
+        proc = _cli("-m", "charcensus.cli", *DENSITY_ARGV)
+    else:
+        proc = _cli("-c", "import sys; from charcensus.cli import main; "
+                          f"print({prefix!r}); sys.exit(main({DENSITY_ARGV!r}))")
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+    text = out.decode()
+    if prefix is not None:
+        assert text.startswith(prefix + "\n")
+        text = text[len(prefix) + 1:]
+    assert json.loads(text)["result"]["zeros_observed"] == 8683
+
+
+def _await_child(pid, timeout=10.0):
+    """Return once process ``pid`` has a child, or after 0.5 s where the
+    kernel lists no children under /proc."""
+    path = f"/proc/{pid}/task/{pid}/children"
+    if not os.path.exists(path):
+        time.sleep(0.5)
+        return
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            with open(path) as f:
+                if f.read().split():
+                    return
+        except OSError:  # the process is gone
+            return
+        time.sleep(0.005)
+
+
+@pytest.mark.parametrize("to_group", [False, True])
+def test_cli_density_sigint_leaves_no_process(to_group):
+    # 60000 samples at n = 40 cost 1.6 * 10^7 <= 2^24, about 1.3 s per
+    # process on 2 CPUs and 0.8 s on 4; SIGINT comes as soon as the first
+    # worker is forked, so it lands mid-run on any machine
+    proc = _cli("-m", "charcensus.cli", "estimate", "density", "--n", "40",
+                "--samples", "60000", "--seed", "1", "--format", "json",
+                start_new_session=True)
+    _await_child(proc.pid)
+    if to_group:
+        os.killpg(proc.pid, signal.SIGINT)
+    else:
+        os.kill(proc.pid, signal.SIGINT)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 130
+    assert out == b""
+    (line,) = err.decode().splitlines()
+    assert json.loads(line)["error"]["type"] == "interrupted"
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
