@@ -6,8 +6,10 @@ follows the versioned schema shipped in ``schemas/``; CSV encodes the
 same values (big integers as decimal strings, reals as shortest
 round-trip doubles).  Exit codes: 0 success, 1 numeric breakdown or an
 internal error, 2 usage error (bad input, or an --out file that cannot
-be written), 3 guard refusal, 130 interrupted (Ctrl-C or SIGINT); every
-error goes to stderr as one JSON object, never as a traceback.
+be written), 3 guard refusal, 130 interrupted (Ctrl-C or SIGINT), 141
+stdout closed by its reader (128 + SIGPIPE, as a shell reports a
+process killed by SIGPIPE; nothing is written then); every other error
+goes to stderr as one JSON object, never as a traceback.
 
 Each command imports only its own layer, inside its ``_cmd_*`` function:
 start-up loads argparse and this module, so ``count p`` and ``zeros
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import GuardError, NumericError, check_cost
@@ -272,6 +275,7 @@ def _emit(args, command: str, result: dict) -> None:
                              f"{exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a reader that closed the pipe shows here
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +458,13 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:  # Ctrl-C or SIGINT; 130 = 128 + SIGINT, as in a shell
         _write_error(130, "interrupted", "interrupted before the command finished")
         return 130
+    except BrokenPipeError:  # _emit's reader closed stdout; 141 = 128 + SIGPIPE
+        # what stdout still buffers goes to devnull at exit, so interpreter
+        # shutdown reports no second broken pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except Exception as exc:  # any other fault: one JSON line, no traceback
         import traceback
 

@@ -75,8 +75,22 @@ The guaranteed-zero lower bound sum_t c_t(N) * p_t(N-t) on the zero
 census of the p(N) x p(N) character table needs no character
 computation at all: whenever mu has a part of size t and lambda is a
 t-core, the character vanishes, and grouping mu by its largest part
-makes those zero sets disjoint.  ``lower_bound_partial`` sums it from
-the c_t series and a p_t DP truncated at n - t.
+makes those zero sets disjoint.  ``lower_bound_partial`` computes every
+term of a t range in one pass, in O(N^1.5) additions in all:
+
+* c_t(N)      -- the eta powers a_t = a_{t-1} (q;q)_inf, one running
+                 product truncated to q^(N//t); (q;q)_inf is sparse by
+                 the pentagonal theorem, so step t costs (N/t)^1.5, and
+                 c_t(N) = sum_w a_t(w) p(N - tw) reads the shared table;
+* p_t(N - t)  -- for t <= sqrt(N), the part DP truncated at N - t; above
+                 it, Euler's prod_{k>t} (1 - q^k) =
+                 sum_j (-1)^j q^(jt + j(j+1)/2) / (q;q)_j, so that
+                 p_t(m) = sum_{j < sqrt(N)} (-1)^j R_j(m - jt - j(j+1)/2)
+                 with R_j = P(q)/(q;q)_j, each R_j a stride-j prefix sum
+                 of R_{j-1} taken in place.
+
+``tcore_count`` and ``bounded_partition_count`` keep their own
+one-value paths, which the tests use as the sum's oracles.
 
 sigma comes from one sieve that grows on demand and is shared with the
 eta series of ``asymptotics``.  A brute-force t-core counter over full
@@ -85,8 +99,9 @@ enumeration serves as the independent oracle for c_t at small n.
 
 from __future__ import annotations
 
-from itertools import islice
-from operator import itemgetter, mul
+from itertools import accumulate, islice
+from math import isqrt
+from operator import add, itemgetter, mul, sub
 
 from .errors import GuardError, check_cost
 from .partitions import enumerate_partitions, is_t_core
@@ -102,11 +117,18 @@ P_EXACT_LIMIT = 10**6
 P_GUARD_N = 100_000
 PT_GUARD_STEPS = 5 * 10**7
 CORE_GUARD_STEPS = 10**8
-# steps of the guaranteed-zero sum (``lower_bound_partial``), which charge
-# nothing for c_1(n): the largest accepted lower_bound_sum, n = 11029
-# (cost 2.0 * 10^8), took 6.6-6.9 s on a 2-core Xeon at the slower of its
-# two speeds, where n = 8000 took 3.4-3.8 s (1.6 s at the faster speed)
-LOWER_BOUND_GUARD_STEPS = 2 * 10**8
+# big-int additions of the guaranteed-zero sum (``_zero_sum_steps``),
+# which charge nothing for a_1 and c_1(n).  The whole sum at n = 10^5
+# (9.8 * 10^7 steps) took 10-11 s in a fresh process on a 2-core Xeon,
+# 2.2 s of it the table p(0..n), so P_GUARD_N alone does not bound it.
+# The limit keeps the time of the earlier O(n^2) sum at its own limit,
+# n = 11029 (4.7-5.9 s in the same runs): the largest accepted
+# lower_bound_sum, n = 64100 (5.0 * 10^7 steps), took 5.1-5.5 s and
+# peaked at 54.6 MB RSS (``resource.getrusage``, fresh process);
+# n = 10^4 took 0.22-0.38 s and 17 MB.  A step costs more as n and the
+# big ints grow: 1 <= t <= 68 at n = 10^5, also at the limit, took
+# 5.0-6.4 s and 39 MB.
+LOWER_BOUND_GUARD_STEPS = 5 * 10**7
 
 _TABLE_CROSSOVER = 2000  # largest n whose p(n) extends the table
 # c_t(n) reads n//t + 1 values of p.  Above the crossover, where the
@@ -269,32 +291,113 @@ def _tcore_series(t: int, n: int) -> int:
     return sum(map(mul, _eta_power(t, n // t), _p_table(n)[n::-t]))
 
 
+def _core_counts(n: int, t_lo: int, t_hi: int) -> list[int]:
+    """c_t(n) for t_lo <= t <= t_hi <= n, unguarded, from one running
+    product a_t = a_{t-1} (q;q)_inf truncated to q^(n//t) and the shared
+    table p(0..n).  (q;q)_inf has one term per pentagonal number, so each
+    step is one slice-wise add or subtract per pentagonal g <= n//t."""
+    p = _p_table(n)
+    pairs = list(_pentagonal_pairs(n // 2))
+    a = [1] + [0] * (n // 2)  # a_1 = (q;q)_inf = 1 - sum_g sign(g) q^g
+    for g, sign in pairs:
+        a[g] = -sign
+    eta = [(g, sub if sign > 0 else add) for g, sign in pairs]
+    counts = [0] if t_lo == 1 else []  # c_1(n) = 0 for n >= 1
+    for t in range(2, t_hi + 1):
+        size = n // t + 1
+        prev = a[:size]
+        a = prev[:]
+        for g, op in eta:
+            if g >= size:
+                break
+            a[g:] = map(op, a[g:], prev)
+        if t >= t_lo:
+            counts.append(sum(map(mul, a, p[n::-t])))
+    return counts
+
+
+def _divide_one_minus(seq: list[int], step: int) -> None:
+    """Divide the truncated series seq by 1 - q^step in place:
+    seq[m] += seq[m - step] for m ascending, as prefix sums of each
+    residue class while the classes are few and long, else block by
+    block (step terms per slice)."""
+    size = len(seq)
+    if step * step < size:
+        for r in range(step):
+            seq[r::step] = accumulate(seq[r::step])
+    else:
+        for k in range(step, size, step):
+            seq[k:k + step] = map(add, seq[k:k + step], seq[k - step:k])
+
+
+def _largest_part_counts(n: int, t_lo: int, t_hi: int) -> list[int]:
+    """p_t(n - t), the partitions of n with largest part t, for
+    t_lo <= t <= t_hi <= n, unguarded.  Up to t = isqrt(n) the part DP
+    divides by 1 - q^t once per t, truncated at n - t.  Above it, Euler's
+
+        prod_{k>t} (1 - q^k) = sum_j (-1)^j q^(jt + j(j+1)/2) / (q;q)_j
+
+    times P(q) gives p_t(m) = sum_j (-1)^j R_j(m - jt - j(j+1)/2) with
+    R_j = P(q)/(q;q)_j, and j < n/t < sqrt(n).  One R_j is held at a
+    time, divided from R_{j-1} in place and cut to the last index any
+    t reads."""
+    split = isqrt(n)
+    counts = []
+    dp = [1] + [0] * (n - 1)  # p_0(m) for m < n
+    for t in range(1, min(t_hi, split) + 1):
+        del dp[n - t + 1:]
+        _divide_one_minus(dp, t)  # dp[m] = p_t(m) for m <= n - t
+        if t >= t_lo:
+            counts.append(dp[-1])
+    del dp
+    t_min = max(t_lo, split + 1)
+    if t_min > t_hi:
+        return counts
+    tail = [0] * (t_hi - t_min + 1)
+    r = _p_table(n)[:n - t_min + 1]  # R_0 = P(q)
+    j = 0
+    while True:
+        # term j at t = t_min, t_min + 1, ...: r ends at the index for t_min
+        terms = r[::-(j + 1)]
+        tail[:len(terms)] = map(sub if j % 2 else add, tail, terms)
+        j += 1
+        top = n - (j + 1) * t_min - j * (j + 1) // 2
+        if top < 0:
+            return counts + tail
+        del r[top + 1:]
+        _divide_one_minus(r, j)
+
+
+def _zero_sum_steps(n: int, t_lo: int, t_hi: int) -> int:
+    """The cost model of ``lower_bound_partial``, in big-int additions:
+    m^1.5 per eta-product step, m = n//t for 2 <= t <= t_hi (a_1 and
+    c_1 are free), n per part-DP step, t <= min(t_hi, isqrt(n)), and
+    n^2 / (2 t_min) for Euler's R_j when t_hi > isqrt(n), with t_min =
+    max(t_lo, isqrt(n) + 1)."""
+    split = isqrt(n)
+    steps = sum(m * isqrt(m) for m in map(n.__floordiv__, range(2, t_hi + 1)))
+    steps += n * min(t_hi, split)
+    if t_hi > split:
+        steps += n * n // (2 * max(t_lo, split + 1))
+    return steps
+
+
 def lower_bound_partial(n: int, t_lo: int, t_hi: int) -> int:
     """Exact partial sum over t in [t_lo, t_hi] of c_t(n) * p_t(n-t).
 
     Each term counts the guaranteed zeros contributed by pairs where mu
-    has largest part exactly t and lambda is a t-core.  Refuses n above
-    ``P_GUARD_N`` (10^5) or a cost above ``LOWER_BOUND_GUARD_STEPS``
-    (2 * 10^8): sum_t (n/t)^2 steps of the c_t series, t >= 2 (c_1 is
-    read off), n t_hi of the p_t table.
+    has largest part exactly t and lambda is a t-core.  Every c_t(n)
+    comes from ``_core_counts`` and every p_t(n - t) from
+    ``_largest_part_counts``, O(n^1.5) additions for the whole sum.
+    Refuses n above ``P_GUARD_N`` (10^5) or a cost above
+    ``LOWER_BOUND_GUARD_STEPS`` (``_zero_sum_steps``).
     """
     if not (1 <= t_lo <= t_hi <= n):
         raise ValueError(f"need 1 <= t_lo <= t_hi <= n, got ({t_lo}, {t_hi}, {n})")
     check_cost(n, P_GUARD_N, "n (exact p(0..n))")
-    check_cost(sum((n // t) ** 2 for t in range(max(t_lo, 2), t_hi + 1)) + n * t_hi,
-               LOWER_BOUND_GUARD_STEPS,
-               "sum_{t>=2} (n/t)^2 + n t_hi (steps of the guaranteed-zero sum)")
-    # dp[m] = p_t(m) for m <= n - t, built incrementally over t; step t
-    # reads only dp[n - t].  For t > n/2 the step is empty: dp[n - t]
-    # already holds p(n - t), which is p_t(n - t).
-    dp = [1] + [0] * n
-    total = 0
-    for t in range(1, t_hi + 1):
-        for m in range(t, n - t + 1):
-            dp[m] += dp[m - t]
-        if t >= t_lo:
-            total += _tcore_series(t, n) * dp[n - t]
-    return total
+    check_cost(_zero_sum_steps(n, t_lo, t_hi), LOWER_BOUND_GUARD_STEPS,
+               "steps of the guaranteed-zero sum")
+    return sum(map(mul, _core_counts(n, t_lo, t_hi), _largest_part_counts(n, t_lo, t_hi)))
 
 
 def lower_bound_sum(n: int) -> int:

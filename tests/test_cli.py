@@ -468,7 +468,8 @@ def test_sweep_bad_token_is_usage_error(run, no_work, n_list, token):
 
 
 def test_zeros_lower_bound_cost_guard(run, no_work):
-    message = _refusal(run, "zeros", "lower-bound", "--n", "20000", "--t-lo", "200")
+    # 64101 is the first n whose whole sum is refused
+    message = _refusal(run, "zeros", "lower-bound", "--n", "64101")
     assert str(counting.LOWER_BOUND_GUARD_STEPS) in message
     _refusal(run, "zeros", "lower-bound", "--n", str(10**7), "--t-lo", "1",
              "--t-hi", "1")
@@ -626,6 +627,48 @@ def test_interrupt_is_one_json_line(run, monkeypatch):
     (line,) = err.splitlines()
     error = json.loads(line)["error"]
     assert error["code"] == 130 and error["type"] == "interrupted"
+
+
+class _ClosedPipe:
+    """A stdout whose reader is gone, on a file descriptor of its own."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    flush = write
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_141_in_silence(capsys, monkeypatch, tmp_path):
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        assert main(["count", "p", "--n", "10", "--format", "json"]) == 141
+        # the descriptor now points at devnull, for the flush at exit
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_pipe_in_a_subprocess():
+    # the read end is closed before the child starts, so its write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "charcensus.cli", "count", "p", "--n", "5000",
+             "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == b""  # no JSON error, no "Exception ignored" at exit
 
 
 def _loaded_by(code: str, watched: set) -> list:

@@ -258,7 +258,7 @@ def test_tcore_matches_bruteforce():
 
 def test_one_cores_need_no_series(monkeypatch):
     # the only 1-core is the empty partition: c_1(n) is read off, with no
-    # eta power, on the counter and on the guaranteed-zero sum's series
+    # eta power, on the counter and on its series
     def fail(*args, **kwargs):
         raise AssertionError("eta power computed for t = 1")
 
@@ -333,6 +333,25 @@ def test_lower_bound_partial_matches_full_loop_oracle(monkeypatch):
     assert lower_bound_sum(1000) == _lower_bound_partial_oracle(1000, 1, 1000)
 
 
+@pytest.mark.parametrize("n", [200, 2000, 5000])
+def test_lower_bound_sum_matches_per_t_loop(n):
+    assert lower_bound_sum(n) == _lower_bound_partial_oracle(n, 1, n)
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_lower_bound_halves_match_their_counters(n):
+    # each half of the one-pass kernel on its own, for every t <= n: the
+    # running eta product against c_t(n), the part DP (t <= sqrt n) and
+    # Euler's identity (t > sqrt n) against p_t(n - t)
+    assert counting._core_counts(n, 1, n) == [tcore_count(t, n) for t in range(1, n + 1)]
+    largest = [None] + [bounded_partition_count(t, n - t) for t in range(1, n + 1)]
+    assert counting._largest_part_counts(n, 1, n) == largest[1:]
+    # a range that starts above sqrt n skips the DP; one that ends below
+    # it, Euler's identity
+    assert counting._largest_part_counts(n, 40, n // 2) == largest[40:n // 2 + 1]
+    assert counting._largest_part_counts(n, 3, 9) == largest[3:10]
+
+
 def test_lower_bound_below_exact_census():
     assert lower_bound_sum(12) <= zero_count(12).total_zeros
 
@@ -356,12 +375,14 @@ def kernels_fail(monkeypatch):
         raise AssertionError("work started before the cost guard")
 
     for module, name in ((counting, "_p_table"), (rademacher, "p_exact"),
-                         (counting, "_eta_power"), (characters, "_packed_rows"),
-                         (characters, "_values")):
+                         (counting, "_eta_power"), (counting, "_core_counts"),
+                         (counting, "_largest_part_counts"),
+                         (characters, "_packed_rows"), (characters, "_values")):
         monkeypatch.setattr(module, name, fail)
 
 
 P_EXACT, P_TABLE = counting.P_EXACT_LIMIT, counting.P_GUARD_N
+LB_MAX = 64100  # the largest accepted lower_bound_sum
 
 
 @pytest.mark.parametrize("call, args, message", [
@@ -374,12 +395,14 @@ P_EXACT, P_TABLE = counting.P_EXACT_LIMIT, counting.P_GUARD_N
     (tcore_count, (P_TABLE + 1, P_TABLE + 1), f"n (exact p(0..n)) = {P_TABLE + 1}"),
     (tcore_count, (2, 10**5), f"limit {counting.CORE_GUARD_STEPS}"),
     (lower_bound_partial, (P_TABLE + 1, 1, 1), f"n (exact p(0..n)) = {P_TABLE + 1}"),
-    (lower_bound_partial, (20000, 200, 20000),
+    (lower_bound_partial, (LB_MAX + 1, 1, LB_MAX + 1),
      f"limit {counting.LOWER_BOUND_GUARD_STEPS}"),
     (character_value, (Partition([61]), Partition([60, 1])),
      f"n <= {characters.VALUE_GUARD}, got 61"),
     # both sizes are checked before they are compared
     (character_value, (Partition([2]), Partition([10**6])), "got 1000000"),
+    # at n = 10^5 the sum is refused above t_hi = 68
+    (lower_bound_partial, (P_TABLE, 1, 69), f"limit {counting.LOWER_BOUND_GUARD_STEPS}"),
 ])
 def test_library_guards_refuse_before_work(kernels_fail, call, args, message):
     with pytest.raises(GuardError) as exc:
@@ -387,22 +410,43 @@ def test_library_guards_refuse_before_work(kernels_fail, call, args, message):
     assert message in str(exc.value)
 
 
+def _fake_kernels(monkeypatch):
+    """Every c_t(n) reads 7 and every p_t(n - t) reads 1."""
+    monkeypatch.setattr(counting, "_core_counts", lambda n, lo, hi: [7] * (hi - lo + 1))
+    monkeypatch.setattr(counting, "_largest_part_counts",
+                        lambda n, lo, hi: [1] * (hi - lo + 1))
+
+
 def test_lower_bound_not_refused_by_the_core_limit(kernels_fail, monkeypatch):
     # (20002/2)^2 eta-power steps exceed c_t's own limit, but the sum's
-    # cost 1.0002 * 10^8 + 2 * 20002 is within its limit
+    # cost, 10001^1.5 eta-product steps + 2 * 20002 DP steps, is within
+    # its limit
     with pytest.raises(GuardError):
         tcore_count(2, 20002)
-    monkeypatch.setattr(counting, "_tcore_series", lambda t, n: 7)
-    # the c_2 term times p_2(n - 2) = 10001
-    assert lower_bound_partial(20002, 2, 2) == 7 * 10001
+    assert counting._zero_sum_steps(20002, 2, 2) == 10001 * 100 + 2 * 20002
+    _fake_kernels(monkeypatch)
+    assert lower_bound_partial(20002, 2, 2) == 7
 
 
 def test_lower_bound_charges_nothing_for_one_cores(kernels_fail, monkeypatch):
-    # c_1(n) is read off, so the t = 1 term costs no (n/1)^2 steps: the
-    # cost is (20000/2)^2 + 2 * 20000, within the limit
-    monkeypatch.setattr(counting, "_tcore_series", lambda t, n: 7)
-    # 7 p_1(19999) + 7 p_2(19998) = 7 (1 + 10000)
-    assert lower_bound_partial(20000, 1, 2) == 7 * 10001
+    # a_1 = (q;q)_inf and c_1(n) = 0 are read off, so t = 1 costs only the
+    # DP step that every range runs: 1 <= t <= 68 at n = 10^5 is within
+    # the limit, and would not be with (10^5)^1.5 eta-product steps
+    # charged for t = 1
+    limit = counting.LOWER_BOUND_GUARD_STEPS
+    steps = counting._zero_sum_steps(P_TABLE, 1, 68)
+    assert steps == counting._zero_sum_steps(P_TABLE, 2, 68)
+    assert steps <= limit < steps + P_TABLE * math.isqrt(P_TABLE)
+    _fake_kernels(monkeypatch)
+    assert lower_bound_partial(P_TABLE, 1, 68) == 7 * 68
+
+
+def test_lower_bound_largest_accepted_n():
+    # the n timed and measured beside the limit is the last one accepted;
+    # the next one is refused before any work (the guard cases above)
+    steps = counting._zero_sum_steps
+    assert steps(LB_MAX, 1, LB_MAX) <= counting.LOWER_BOUND_GUARD_STEPS \
+        < steps(LB_MAX + 1, 1, LB_MAX + 1)
 
 
 def test_one_cores_are_read_off_before_the_cost_guard(kernels_fail):
