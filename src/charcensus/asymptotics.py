@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .counting import P_EXACT_LIMIT, divisor_sums, partition_count
+from .counting import P_EXACT_LIMIT, partition_count
 from .errors import GuardError, NumericError
 
 GROWTH_CONSTANT = 2 * math.pi / math.sqrt(6)  # C in p(N) ~ exp(C sqrt N) / (4 N sqrt 3)
@@ -53,7 +53,8 @@ class LogReal(NamedTuple):
 
 
 _SERIES_CAP = 64
-_SIGMA = divisor_sums(_SERIES_CAP)[: _SERIES_CAP + 1]  # sigma(n) = sum of divisors
+# sigma(n), the sum of the divisors of n; sigma(0) = 0 is a placeholder
+_SIGMA = [sum(d for d in range(1, n + 1) if n % d == 0) for n in range(_SERIES_CAP + 1)]
 
 
 def _q_sums(u: float) -> tuple[float, float, float]:

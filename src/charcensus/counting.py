@@ -15,20 +15,23 @@ Three count families, all plain Python ints (never floats):
                      c_t(n) = sum_{w <= n/t} a_t(w) p(n - t w),
 
                  where a_t(w) are the coefficients of the eta power
-                 A_t(q) = prod_k (1-q^k)^t.  Taking the log-derivative of
-                 A_t gives the exact recurrence
+                 A_t(q) = (q;q)_inf^t = prod_k (1-q^k)^t.
 
-                     w a_t(w) = -t sum_{j=1..w} sigma(j) a_t(w - j),
+p and a_t are the coefficients of two powers of one product, p of
+(q;q)_inf^(-1), and one loop, ``_eta_extend``, gives both by J. C. P.
+Miller's power recurrence.  With (q;q)_inf = 1 - sum_g s(g) q^g over
+the generalized pentagonal numbers g, s(g) the sign above,
 
-                 with sigma the divisor sum, so one c_t(n) costs
-                 O((n/t)^2) multiplications once p(0..n) is known.
+    w a(w) = sum_{g <= w} s(g) (w - (t+1) g) a(w - g),
 
-The pentagonal recurrence is run as a C-level gather: while the cache
-holds p(0..m-1), the term p(m - g) is p[-g], so the negative offsets of
-the pentagonal numbers g <= m are kept in one list per sign and read
-with an ``operator.itemgetter`` that is rebuilt only when a new
-pentagonal number comes into range (about 500 times up to n = 10^5).
-Each step is then two C-level sums, with no Python bytecode per term.
+divided exactly by w; t = -1 is Euler's recurrence.  Each coefficient
+takes O(sqrt w) terms, so one c_t(n) costs O((n/t)^1.5) once p(0..n)
+is known.  The loop is a C-level gather: while the list holds
+a(0..w-1), a(w - g) is a[-g], so the offsets -g of the g <= w are kept
+in one list per sign and read with an ``operator.itemgetter``, rebuilt
+only when a new g comes into range (about 500 times up to n = 10^5).
+A step of p is then two C-level sums, with no Python bytecode per term;
+a step of a_t adds two sums weighted by the offsets.
 
 ``partition_count(n)`` reads p(n) from that table when the table
 already reaches n, and extends it when n is at most
@@ -92,14 +95,13 @@ term of a t range in one pass, in O(N^1.5) additions in all:
 ``tcore_count`` and ``bounded_partition_count`` keep their own
 one-value paths, which the tests use as the sum's oracles.
 
-sigma comes from one sieve that grows on demand and is shared with the
-eta series of ``asymptotics``.  A brute-force t-core counter over full
-enumeration serves as the independent oracle for c_t at small n.
+A brute-force t-core counter over full enumeration serves as the
+independent oracle for c_t at small n.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import isqrt
 from operator import add, itemgetter, mul, sub
 
@@ -111,8 +113,10 @@ BRUTEFORCE_GUARD = 40
 # p(0..n) are timed above.  P_EXACT_LIMIT also bounds the n + 1 big ints
 # of p_t(n), t < n, which takes t n additions: on a 2-core Xeon 5 * 10^7
 # of them took 4.9-7.1 s (n = 20000 to 10^5), p_2(10^6) 0.24 s and 51 MB,
-# p_50(10^6) 6.8 s and 118 MB.  One c_t(n) takes (n/t)^2 eta-power steps,
-# 10^8 of them 2-3 s.
+# p_50(10^6) 6.8 s and 118 MB.  CORE_GUARD_STEPS bounds (n/t)^2, while
+# a_t takes O((n/t)^1.5) pentagonal terms: at the limit, n/t = 10^4, a_t
+# and its sum took 0.08-0.09 s (n = 20000 to 10^5) beside 0.14-2.2 s for
+# the table p(0..n).
 P_EXACT_LIMIT = 10**6
 P_GUARD_N = 100_000
 PT_GUARD_STEPS = 5 * 10**7
@@ -140,22 +144,6 @@ _TABLE_CROSSOVER = 2000  # largest n whose p(n) extends the table
 _VALUES_PER_TABLE = 200
 
 _p_cache: list[int] = [1]
-_sigma: list[int] = [0]  # _sigma[j] = sigma(j); _sigma[0] is a placeholder
-
-
-def divisor_sums(limit: int) -> list[int]:
-    """The shared sieve of sigma(j), the sum of the divisors of j, grown
-    to cover 0 <= j <= limit.  The returned list may be longer than
-    limit + 1; callers must not modify it."""
-    global _sigma
-    if limit >= len(_sigma):
-        size = max(limit + 1, 2 * len(_sigma))
-        sig = [0] * size
-        for d in range(1, size):
-            for m in range(d, size, d):
-                sig[m] += d
-        _sigma = sig
-    return _sigma
 
 
 def _pentagonal_pairs(limit: int):
@@ -197,22 +185,31 @@ def partition_count(n: int) -> int:
     return p_exact(n)
 
 
-def _p_table(n: int) -> list[int]:
-    """The shared table p(0..m), extended so that m >= n."""
-    p = _p_cache
-    if n < len(p):
-        return p
-    pos, neg = [], []  # -g for each pentagonal g <= m, by recurrence sign
+def _eta_extend(a: list[int], t: int, n: int) -> list[int]:
+    """Extend a, the coefficients a(0..m-1) of (q;q)_inf^t with a(0) = 1,
+    in place to a(0..n) by Miller's recurrence; t = -1 gives p."""
+    k = t + 1
+    pos, neg = [], []  # -g for each pentagonal g <= w, by recurrence sign
     pending = _pentagonal_pairs(n)
-    g, sign = next(pending)
-    for m in range(len(p), n + 1):
-        if g <= m:
-            while g <= m:
+    g, sign = next(pending, (n + 1, 0))
+    for w in range(len(a), n + 1):
+        if g <= w:
+            while g <= w:
                 (pos if sign > 0 else neg).append(-g)
                 g, sign = next(pending, (n + 1, 0))
             get_pos, get_neg = _gather(pos), _gather(neg)
-        p.append(sum(get_pos(p)) - sum(get_neg(p)))
-    return p
+        ahead, behind = get_pos(a), get_neg(a)
+        total = sum(ahead) - sum(behind)
+        if k:  # (t+1) sum_g s(g) (-g) a(w - g), a multiple of w
+            total += k * (sum(map(mul, pos, ahead)) - sum(map(mul, neg, behind))) // w
+        a.append(total)
+    return a
+
+
+def _p_table(n: int) -> list[int]:
+    """The shared table p(0..m), extended so that m >= n."""
+    p = _p_cache
+    return p if n < len(p) else _eta_extend(p, -1, n)
 
 
 def _check_args(t: int, n: int) -> None:
@@ -252,13 +249,7 @@ def build_bounded_table(limit_t: int, limit_n: int) -> tuple[tuple[int, ...], ..
 
 def _eta_power(t: int, limit: int) -> list[int]:
     """a_t(0..limit), the coefficients of prod_k (1-q^k)^t."""
-    sigma = divisor_sums(limit)
-    a = [1]
-    for w in range(1, limit + 1):
-        # sum_{j=1..w} sigma(j) a(w-j), pairing a(w-1), ..., a(0) with
-        # sigma(1), sigma(2), ...; the division by w is exact
-        a.append(-t * sum(map(mul, reversed(a), islice(sigma, 1, None))) // w)
-    return a
+    return _eta_extend([1], t, limit)
 
 
 def tcore_count(t: int, n: int) -> int:
@@ -266,10 +257,10 @@ def tcore_count(t: int, n: int) -> int:
     hook length reaches t, so this is p(n), guarded as ``partition_count``;
     with t = 1 it is [n = 0], since the only 1-core is the empty
     partition, at any n; otherwise refuses n > ``P_GUARD_N`` (10^5, the
-    table p(0..n)) or (n/t)^2 > ``CORE_GUARD_STEPS`` (10^8 eta-power
-    steps).  Above the table crossover, with few values of p to read
-    (n//t + 1 <= n / ``_VALUES_PER_TABLE``) and p(n) not in the table,
-    each value is one ``partition_count`` instead of the table p(0..n)."""
+    table p(0..n)) or (n/t)^2 > ``CORE_GUARD_STEPS`` (10^8).  Above the
+    table crossover, with few values of p to read (n//t + 1 <= n /
+    ``_VALUES_PER_TABLE``) and p(n) not in the table, each value is one
+    ``partition_count`` instead of the table p(0..n)."""
     _check_args(t, n)
     if t > n:
         return partition_count(n)
@@ -333,7 +324,8 @@ def _divide_one_minus(seq: list[int], step: int) -> None:
 def _largest_part_counts(n: int, t_lo: int, t_hi: int) -> list[int]:
     """p_t(n - t), the partitions of n with largest part t, for
     t_lo <= t <= t_hi <= n, unguarded.  Up to t = isqrt(n) the part DP
-    divides by 1 - q^t once per t, truncated at n - t.  Above it, Euler's
+    divides by 1 - q^t once per t, truncated at n - t; a range with
+    t_lo above isqrt(n) runs none of it.  Above it, Euler's
 
         prod_{k>t} (1 - q^k) = sum_j (-1)^j q^(jt + j(j+1)/2) / (q;q)_j
 
@@ -343,13 +335,14 @@ def _largest_part_counts(n: int, t_lo: int, t_hi: int) -> list[int]:
     t reads."""
     split = isqrt(n)
     counts = []
-    dp = [1] + [0] * (n - 1)  # p_0(m) for m < n
-    for t in range(1, min(t_hi, split) + 1):
-        del dp[n - t + 1:]
-        _divide_one_minus(dp, t)  # dp[m] = p_t(m) for m <= n - t
-        if t >= t_lo:
-            counts.append(dp[-1])
-    del dp
+    if t_lo <= split:
+        dp = [1] + [0] * (n - 1)  # p_0(m) for m < n
+        for t in range(1, min(t_hi, split) + 1):
+            del dp[n - t + 1:]
+            _divide_one_minus(dp, t)  # dp[m] = p_t(m) for m <= n - t
+            if t >= t_lo:
+                counts.append(dp[-1])
+        del dp
     t_min = max(t_lo, split + 1)
     if t_min > t_hi:
         return counts
@@ -371,12 +364,13 @@ def _largest_part_counts(n: int, t_lo: int, t_hi: int) -> list[int]:
 def _zero_sum_steps(n: int, t_lo: int, t_hi: int) -> int:
     """The cost model of ``lower_bound_partial``, in big-int additions:
     m^1.5 per eta-product step, m = n//t for 2 <= t <= t_hi (a_1 and
-    c_1 are free), n per part-DP step, t <= min(t_hi, isqrt(n)), and
-    n^2 / (2 t_min) for Euler's R_j when t_hi > isqrt(n), with t_min =
-    max(t_lo, isqrt(n) + 1)."""
+    c_1 are free), n per part-DP step, t <= min(t_hi, isqrt(n)), when
+    t_lo <= isqrt(n), and n^2 / (2 t_min) for Euler's R_j when t_hi >
+    isqrt(n), with t_min = max(t_lo, isqrt(n) + 1)."""
     split = isqrt(n)
     steps = sum(m * isqrt(m) for m in map(n.__floordiv__, range(2, t_hi + 1)))
-    steps += n * min(t_hi, split)
+    if t_lo <= split:
+        steps += n * min(t_hi, split)
     if t_hi > split:
         steps += n * n // (2 * max(t_lo, split + 1))
     return steps

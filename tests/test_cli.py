@@ -313,7 +313,8 @@ def test_zeros_exact_refused_above_the_guard(run):
 @pytest.fixture()
 def no_work(monkeypatch):
     """Make the kernels behind the guarded entry points fail loudly: the
-    table p(0..n), the Rademacher sum, the eta power, the column engine
+    table p(0..n), the Rademacher sum, the eta recurrence that extends
+    that table and gives each eta power, the column engine
     and the character recursion, on the modules that define them (the
     entry points look them up there when they run), the two kernels of
     the analytic evaluators (log p(n) and the eta series), and the
@@ -324,6 +325,7 @@ def no_work(monkeypatch):
 
     for module, name in ((counting, "_p_table"),
                          (rademacher, "p_exact"),
+                         (counting, "_eta_extend"),
                          (counting, "_eta_power"),
                          (characters, "_packed_rows"),
                          (characters, "_values"),

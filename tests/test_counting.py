@@ -10,7 +10,6 @@ from charcensus.characters import character_value, zero_count
 from charcensus.counting import (
     bounded_partition_count,
     build_bounded_table,
-    divisor_sums,
     lower_bound_partial,
     lower_bound_sum,
     partition_count,
@@ -124,6 +123,27 @@ def test_partition_count_matches_oracle_warm(monkeypatch):
     assert counting._p_cache == oracle
 
 
+def test_eta_recurrence_at_minus_one_is_euler():
+    # Miller's recurrence for (q;q)_inf^t at t = -1, from a(0) = 1 and
+    # from a list that already holds a prefix
+    oracle = _partition_counts_oracle(3000)
+    assert counting._eta_extend([1], -1, 3000) == oracle
+    assert counting._eta_extend(oracle[:1235], -1, 3000) == oracle
+    assert counting._eta_extend([1], -1, 0) == [1]
+
+
+def test_eta_power_matches_core_series_oracle():
+    # A_t(q^t) = C_t(q) (q;q)_inf for the t-core series C_t: a_t(w) is the
+    # coefficient of q^(tw) of the product, and every other one vanishes
+    for t, limit in ((2, 150), (3, 100), (5, 60), (7, 40), (24, 12), (100, 4)):
+        c = _core_series(t, t * limit)
+        pents = list(_pentagonal_pairs(t * limit))
+        product = [c[m] - sum(sign * c[m - g] for g, sign in pents if g <= m)
+                   for m in range(t * limit + 1)]
+        assert counting._eta_power(t, limit) == product[::t], t
+        assert not any(v for m, v in enumerate(product) if m % t), t
+
+
 def test_partition_count_paths(monkeypatch):
     oracle = _partition_counts_oracle(5000)
     cross = counting._TABLE_CROSSOVER
@@ -185,11 +205,14 @@ def test_rademacher_rounding_margin_raises(monkeypatch):
 
 
 def test_divisor_sums_sieve():
-    sigma = divisor_sums(300)
-    assert len(sigma) >= 301
-    for j in range(1, 301):
-        assert sigma[j] == sum(d for d in range(1, j + 1) if j % d == 0)
-    assert asymptotics._SIGMA == sigma[: asymptotics._SERIES_CAP + 1]
+    # the eta series of ``asymptotics`` reads sigma(1..64); a sieve over
+    # the multiples of each d gives the same sums
+    cap = asymptotics._SERIES_CAP
+    sigma = [0] * (cap + 1)
+    for d in range(1, cap + 1):
+        for m in range(d, cap + 1, d):
+            sigma[m] += d
+    assert asymptotics._SIGMA == sigma
 
 
 def test_bounded_count_trivial_cases():
@@ -338,18 +361,61 @@ def test_lower_bound_sum_matches_per_t_loop(n):
     assert lower_bound_sum(n) == _lower_bound_partial_oracle(n, 1, n)
 
 
+def _largest_part_oracle(n):
+    """[None, p_1(n - 1), ..., p_n(0)]: one part-by-part DP over p_t(m),
+    m <= n, read at n - t after part t."""
+    dp = [1] + [0] * n
+    largest = [None]
+    for t in range(1, n + 1):
+        for m in range(t, n + 1):
+            dp[m] += dp[m - t]
+        largest.append(dp[n - t])
+    return largest
+
+
 @pytest.mark.parametrize("n", [300, 1000])
 def test_lower_bound_halves_match_their_counters(n):
     # each half of the one-pass kernel on its own, for every t <= n: the
     # running eta product against c_t(n), the part DP (t <= sqrt n) and
     # Euler's identity (t > sqrt n) against p_t(n - t)
     assert counting._core_counts(n, 1, n) == [tcore_count(t, n) for t in range(1, n + 1)]
-    largest = [None] + [bounded_partition_count(t, n - t) for t in range(1, n + 1)]
+    largest = _largest_part_oracle(n)
     assert counting._largest_part_counts(n, 1, n) == largest[1:]
     # a range that starts above sqrt n skips the DP; one that ends below
     # it, Euler's identity
     assert counting._largest_part_counts(n, 40, n // 2) == largest[40:n // 2 + 1]
     assert counting._largest_part_counts(n, 3, 9) == largest[3:10]
+
+
+def test_lower_bound_above_sqrt_runs_no_part_dp(monkeypatch):
+    # with t_lo > isqrt(n) every p_t(n - t) comes from Euler's identity:
+    # each of its divisions is shorter than the n - t + 1 terms of a
+    # part-DP step, and the cost is the eta product's and Euler's alone
+    n = 1000
+    calls = []
+    divide = counting._divide_one_minus
+
+    def record(seq, step):
+        calls.append(len(seq) - (n - step + 1))
+        divide(seq, step)
+
+    monkeypatch.setattr(counting, "_divide_one_minus", record)
+    largest = _largest_part_oracle(n)
+    for t_lo, t_hi, runs_dp in ((31, 700, True), (32, 700, False), (100, n, False)):
+        calls.clear()
+        assert counting._largest_part_counts(n, t_lo, t_hi) == largest[t_lo:t_hi + 1]
+        assert (0 in calls) is runs_dp and all(c <= 0 for c in calls), (t_lo, t_hi)
+    eta = sum(m * math.isqrt(m) for m in (n // t for t in range(2, n + 1)))
+    assert counting._zero_sum_steps(n, 32, n) == eta + n * n // (2 * 32)
+    assert counting._zero_sum_steps(n, 100, n) == eta + n * n // (2 * 100)
+
+
+def test_tcore_at_the_core_guard_matches_the_running_product():
+    # (n/t)^2 = 10^8 at t = 2, n = 20000 is the largest accepted cost; the
+    # 2-cores are the staircases, one of each triangular size
+    assert (20000 // 2) ** 2 == counting.CORE_GUARD_STEPS
+    assert tcore_count(2, 20000) == counting._core_counts(20000, 2, 2)[0] == 0
+    assert tcore_count(2, 19900) == counting._core_counts(19900, 2, 2)[0] == 1
 
 
 def test_lower_bound_below_exact_census():
@@ -375,7 +441,8 @@ def kernels_fail(monkeypatch):
         raise AssertionError("work started before the cost guard")
 
     for module, name in ((counting, "_p_table"), (rademacher, "p_exact"),
-                         (counting, "_eta_power"), (counting, "_core_counts"),
+                         (counting, "_eta_extend"), (counting, "_eta_power"),
+                         (counting, "_core_counts"),
                          (counting, "_largest_part_counts"),
                          (characters, "_packed_rows"), (characters, "_values")):
         monkeypatch.setattr(module, name, fail)
