@@ -92,8 +92,8 @@ term of a t range in one pass, in O(N^1.5) additions in all:
                  with R_j = P(q)/(q;q)_j, each R_j a stride-j prefix sum
                  of R_{j-1} taken in place.
 
-``tcore_count`` and ``bounded_partition_count`` keep their own
-one-value paths, which the tests use as the sum's oracles.
+``tcore_count`` (n <= 10^5 at every t) and ``bounded_partition_count``
+keep their own one-value paths, which the tests use as the sum's oracles.
 
 A brute-force t-core counter over full enumeration serves as the
 independent oracle for c_t at small n.
@@ -113,14 +113,12 @@ BRUTEFORCE_GUARD = 40
 # p(0..n) are timed above.  P_EXACT_LIMIT also bounds the n + 1 big ints
 # of p_t(n), t < n, which takes t n additions: on a 2-core Xeon 5 * 10^7
 # of them took 4.9-7.1 s (n = 20000 to 10^5), p_2(10^6) 0.24 s and 51 MB,
-# p_50(10^6) 6.8 s and 118 MB.  CORE_GUARD_STEPS bounds (n/t)^2, while
-# a_t takes O((n/t)^1.5) pentagonal terms: at the limit, n/t = 10^4, a_t
-# and its sum took 0.08-0.09 s (n = 20000 to 10^5) beside 0.14-2.2 s for
-# the table p(0..n).
+# p_50(10^6) 6.8 s and 118 MB.  P_GUARD_N alone bounds c_t(n): a_t
+# takes O((n/t)^1.5) pentagonal terms, so the worst case, c_2(10^5), took
+# 3.7-4.6 s for the table plus 1.0-1.4 s for a_2 and the sum, 28-32 MB.
 P_EXACT_LIMIT = 10**6
 P_GUARD_N = 100_000
 PT_GUARD_STEPS = 5 * 10**7
-CORE_GUARD_STEPS = 10**8
 # big-int additions of the guaranteed-zero sum (``_zero_sum_steps``),
 # which charge nothing for a_1 and c_1(n).  The whole sum at n = 10^5
 # (9.8 * 10^7 steps) took 10-11 s in a fresh process on a 2-core Xeon,
@@ -247,39 +245,28 @@ def build_bounded_table(limit_t: int, limit_n: int) -> tuple[tuple[int, ...], ..
     return tuple(zip(*rows))
 
 
-def _eta_power(t: int, limit: int) -> list[int]:
-    """a_t(0..limit), the coefficients of prod_k (1-q^k)^t."""
-    return _eta_extend([1], t, limit)
-
-
 def tcore_count(t: int, n: int) -> int:
-    """Exact c_t(n), the number of t-core partitions of n.  With t > n no
-    hook length reaches t, so this is p(n), guarded as ``partition_count``;
-    with t = 1 it is [n = 0], since the only 1-core is the empty
-    partition, at any n; otherwise refuses n > ``P_GUARD_N`` (10^5, the
-    table p(0..n)) or (n/t)^2 > ``CORE_GUARD_STEPS`` (10^8).  Above the
-    table crossover, with few values of p to read (n//t + 1 <= n /
-    ``_VALUES_PER_TABLE``) and p(n) not in the table, each value is one
-    ``partition_count`` instead of the table p(0..n)."""
+    """Exact c_t(n), the number of t-core partitions of n.  With t = 1 it
+    is [n = 0], since the only 1-core is the empty partition, at any n;
+    with t > n no hook length reaches t, so it is p(n), guarded as
+    ``partition_count``; otherwise refuses n > ``P_GUARD_N`` (10^5, the
+    table p(0..n))."""
     _check_args(t, n)
+    if t == 1:
+        return int(n == 0)
     if t > n:
         return partition_count(n)
-    if t > 1:
-        check_cost(n, P_GUARD_N, "n (exact p(0..n))")
-        check_cost((n // t) ** 2, CORE_GUARD_STEPS, "(n/t)^2 (eta-power steps of c_t(n))")
-        if (n >= len(_p_cache) and n > _TABLE_CROSSOVER
-                and (n // t + 1) * _VALUES_PER_TABLE <= n):
-            return sum(a * partition_count(n - t * w)
-                       for w, a in enumerate(_eta_power(t, n // t)))
+    check_cost(n, P_GUARD_N, "n (exact p(0..n))")
     return _tcore_series(t, n)
 
 
 def _tcore_series(t: int, n: int) -> int:
-    """c_t(n) from the series, unguarded; p[n::-t] is p(n), ..., p(n mod t).
-    The only 1-core is the empty partition, so t = 1 needs no series."""
-    if t == 1:
-        return int(n == 0)
-    return sum(map(mul, _eta_power(t, n // t), _p_table(n)[n::-t]))
+    """c_t(n), 2 <= t <= n, unguarded: a_t(0..n//t) times p(n), p(n - t), ...,
+    p(n mod t), read from the table p(0..n), or each one ``partition_count``
+    when few (see ``_VALUES_PER_TABLE``) and p(n) is past the crossover."""
+    few = n >= len(_p_cache) and n > _TABLE_CROSSOVER and (n // t + 1) * _VALUES_PER_TABLE <= n
+    p = map(partition_count, range(n, -1, -t)) if few else _p_table(n)[n::-t]
+    return sum(map(mul, _eta_extend([1], t, n // t), p))
 
 
 def _core_counts(n: int, t_lo: int, t_hi: int) -> list[int]:

@@ -127,26 +127,16 @@ def beta_mask(parts: tuple[int, ...]) -> int:
     return mask >> ((mask ^ (mask + 1)).bit_length() - 1)
 
 
-# byte b -> b with its 8 bits in reverse order
-_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
 def conjugate_mask(mask: int) -> int:
     """The beta mask of the conjugate partition.
 
     Read from the top, the bits of a canonical mask trace the boundary
     of the diagram; transposing the diagram reverses that path and swaps
-    its two kinds of step, so the conjugate's mask is the bit reversal
-    of ``mask``, complemented.  The top bit of a canonical mask is set
-    and its lowest bit is clear, so the result is canonical too.
+    its two kinds of step, so the conjugate's mask is ``mask``'s binary
+    digits read backwards, complemented.  The top bit of a canonical mask
+    is set and its lowest bit is clear, so the result is canonical too.
     """
-    width = mask.bit_length()
-    size = (width + 7) // 8
-    # reversing the bits of each little-endian byte and reading the bytes
-    # big-endian reverses all 8 * size bits
-    reversed_bits = int.from_bytes(mask.to_bytes(size, "little").translate(_BIT_REVERSED),
-                                   "big")
-    return reversed_bits >> (8 * size - width) ^ ((1 << width) - 1)
+    return int(bin(mask)[:1:-1], 2) ^ ((1 << mask.bit_length()) - 1)
 
 
 def is_t_core(lam: Partition, t: int) -> bool:

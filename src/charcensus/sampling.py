@@ -181,14 +181,6 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _drain(fd: int) -> bytes:
-    """Everything read from ``fd`` up to end of file."""
-    parts = []
-    while part := os.read(fd, 4096):
-        parts.append(part)
-    return b"".join(parts)
-
-
 def _fork_sum(k: int, work) -> int:
     """``sum(work(j) for j in range(k))``: ``work(0)`` runs in the caller,
     each other j in a forked child that sends its int back through a pipe
@@ -198,18 +190,18 @@ def _fork_sum(k: int, work) -> int:
     SIGINT, so it never flushes the stdio buffers it inherited and never
     returns into the caller's code; SIGINT is blocked across each fork, so
     one cannot strike between the fork and the bookkeeping of either
-    side.  On any exception the caller kills its children; on every path
-    it reads each pipe to end of file and reaps each child before it
-    returns or raises.  A child that fails makes the caller raise
-    ``RuntimeError``.
+    side.  On any exception the caller kills its children.  On every path
+    it then reads each pipe once, to end of file, and reaps its child,
+    with SIGINT blocked: an interrupt that lands while the children finish
+    is raised once they are reaped.  A child that fails makes the caller
+    raise ``RuntimeError``.
     """
     if k == 1:
         return work(0)
     import signal
 
     children: dict[int, int] = {}  # pid: the read end of its pipe
-    replies: list[bytes] = []
-    statuses: list[int] = []
+    total, failed = 0, None
     try:
         for j in range(1, k):
             read, write = os.pipe()
@@ -234,22 +226,26 @@ def _fork_sum(k: int, work) -> int:
                 os.close(write)
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         total = work(0)
-        for read in children.values():
-            replies.append(_drain(read))
     except BaseException:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, read in children.items():
-            _drain(read)
-            os.close(read)
-            statuses.append(os.waitpid(pid, 0)[1])
-    for pid, status, reply in zip(children, statuses, replies):
-        if status or not reply:
-            raise RuntimeError(f"density worker {pid} failed "
-                               f"(exit code {os.waitstatus_to_exitcode(status)})")
-        total += int(reply)
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for pid, read in children.items():
+                with open(read, "rb") as pipe:
+                    reply = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                if status or not reply:
+                    failed = failed or (f"density worker {pid} failed "
+                                        f"(exit code {os.waitstatus_to_exitcode(status)})")
+                else:
+                    total += int(reply)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    if failed:
+        raise RuntimeError(failed)
     return total
 
 

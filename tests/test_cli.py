@@ -326,7 +326,6 @@ def no_work(monkeypatch):
     for module, name in ((counting, "_p_table"),
                          (rademacher, "p_exact"),
                          (counting, "_eta_extend"),
-                         (counting, "_eta_power"),
                          (characters, "_packed_rows"),
                          (characters, "_values"),
                          (asymptotics, "_log_p"),
@@ -390,8 +389,9 @@ def test_count_pt_usage_error(run, t, n):
 
 
 def test_count_core_cost_guard(run, no_work):
-    message = _refusal(run, "count", "core", "--t", "2", "--n", "100000")
-    assert "2500000000" in message and str(counting.CORE_GUARD_STEPS) in message
+    # n alone is bounded, at t = 2 as at any t <= n
+    message = _refusal(run, "count", "core", "--t", "2", "--n", "100001")
+    assert f"n (exact p(0..n)) = 100001 exceeds the limit {counting.P_GUARD_N}" in message
     _refusal(run, "count", "core", "--t", str(10**7), "--n", str(10**7))
     # t > n is p(n), with its limit
     message = _refusal(run, "count", "core", "--t", str(10**6 + 2), "--n", str(10**6 + 1))

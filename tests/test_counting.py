@@ -140,7 +140,7 @@ def test_eta_power_matches_core_series_oracle():
         pents = list(_pentagonal_pairs(t * limit))
         product = [c[m] - sum(sign * c[m - g] for g, sign in pents if g <= m)
                    for m in range(t * limit + 1)]
-        assert counting._eta_power(t, limit) == product[::t], t
+        assert counting._eta_extend([1], t, limit) == product[::t], t
         assert not any(v for m, v in enumerate(product) if m % t), t
 
 
@@ -281,14 +281,14 @@ def test_tcore_matches_bruteforce():
 
 def test_one_cores_need_no_series(monkeypatch):
     # the only 1-core is the empty partition: c_1(n) is read off, with no
-    # eta power, on the counter and on its series
+    # eta power
+    brute = [tcore_count_bruteforce(1, n) for n in range(0, 31)]
+
     def fail(*args, **kwargs):
         raise AssertionError("eta power computed for t = 1")
 
-    monkeypatch.setattr(counting, "_eta_power", fail)
-    for n in range(0, 31):
-        brute = tcore_count_bruteforce(1, n)
-        assert counting._tcore_series(1, n) == tcore_count(1, n) == brute, n
+    monkeypatch.setattr(counting, "_eta_extend", fail)
+    assert [tcore_count(1, n) for n in range(0, 31)] == brute
 
 
 def test_tcore_matches_series_oracle_small():
@@ -410,12 +410,12 @@ def test_lower_bound_above_sqrt_runs_no_part_dp(monkeypatch):
     assert counting._zero_sum_steps(n, 100, n) == eta + n * n // (2 * 100)
 
 
-def test_tcore_at_the_core_guard_matches_the_running_product():
-    # (n/t)^2 = 10^8 at t = 2, n = 20000 is the largest accepted cost; the
-    # 2-cores are the staircases, one of each triangular size
-    assert (20000 // 2) ** 2 == counting.CORE_GUARD_STEPS
-    assert tcore_count(2, 20000) == counting._core_counts(20000, 2, 2)[0] == 0
-    assert tcore_count(2, 19900) == counting._core_counts(19900, 2, 2)[0] == 1
+def test_tcore_at_large_n_over_t_matches_the_running_product():
+    # n/t above 10^4, where an (n/t)^2 limit of 10^8 once refused c_t(n);
+    # the 2-cores are the staircases, one of each triangular size
+    assert tcore_count(2, 20002) == counting._core_counts(20002, 2, 2)[0] == 0
+    assert tcore_count(2, 20100) == counting._core_counts(20100, 2, 2)[0] == 1
+    assert tcore_count(3, 30001) == counting._core_counts(30001, 3, 3)[0] > 0
 
 
 def test_lower_bound_below_exact_census():
@@ -441,7 +441,7 @@ def kernels_fail(monkeypatch):
         raise AssertionError("work started before the cost guard")
 
     for module, name in ((counting, "_p_table"), (rademacher, "p_exact"),
-                         (counting, "_eta_extend"), (counting, "_eta_power"),
+                         (counting, "_eta_extend"),
                          (counting, "_core_counts"),
                          (counting, "_largest_part_counts"),
                          (characters, "_packed_rows"), (characters, "_values")):
@@ -460,7 +460,8 @@ LB_MAX = 64100  # the largest accepted lower_bound_sum
     (bounded_partition_count, (1000, 10**5), f"limit {counting.PT_GUARD_STEPS}"),
     (tcore_count, (P_EXACT + 2, P_EXACT + 1), "n (exact p(n))"),
     (tcore_count, (P_TABLE + 1, P_TABLE + 1), f"n (exact p(0..n)) = {P_TABLE + 1}"),
-    (tcore_count, (2, 10**5), f"limit {counting.CORE_GUARD_STEPS}"),
+    # at every t, even t = 2 with the most eta-power terms, n alone is bounded
+    (tcore_count, (2, P_TABLE + 1), f"n (exact p(0..n)) = {P_TABLE + 1}"),
     (lower_bound_partial, (P_TABLE + 1, 1, 1), f"n (exact p(0..n)) = {P_TABLE + 1}"),
     (lower_bound_partial, (LB_MAX + 1, 1, LB_MAX + 1),
      f"limit {counting.LOWER_BOUND_GUARD_STEPS}"),
@@ -484,12 +485,9 @@ def _fake_kernels(monkeypatch):
                         lambda n, lo, hi: [1] * (hi - lo + 1))
 
 
-def test_lower_bound_not_refused_by_the_core_limit(kernels_fail, monkeypatch):
-    # (20002/2)^2 eta-power steps exceed c_t's own limit, but the sum's
-    # cost, 10001^1.5 eta-product steps + 2 * 20002 DP steps, is within
-    # its limit
-    with pytest.raises(GuardError):
-        tcore_count(2, 20002)
+def test_lower_bound_cost_of_a_single_t(kernels_fail, monkeypatch):
+    # t = 2 alone costs 10001^1.5 eta-product steps + 2 * 20002 DP steps,
+    # well within the limit, and is computed
     assert counting._zero_sum_steps(20002, 2, 2) == 10001 * 100 + 2 * 20002
     _fake_kernels(monkeypatch)
     assert lower_bound_partial(20002, 2, 2) == 7
@@ -538,13 +536,12 @@ def test_tcore_above_n_builds_no_table(monkeypatch):
 def test_tcore_single_values_match_the_table(monkeypatch, t, n):
     # above the crossover, with n//t + 1 <= n / _VALUES_PER_TABLE values
     # of p to read, c_t(n) takes each on its own and leaves the table
-    # short; the table series gives the same count
+    # short; once the table reaches n it gives the same count
     assert (n // t + 1) * counting._VALUES_PER_TABLE <= n
     monkeypatch.setattr(counting, "_p_cache", [1])
     value = tcore_count(t, n)
     assert len(counting._p_cache) <= counting._TABLE_CROSSOVER + 1
-    assert counting._tcore_series(t, n) == value
-    assert len(counting._p_cache) == n + 1
+    assert len(counting._p_table(n)) == n + 1
     assert tcore_count(t, n) == value  # now read from the table
 
 

@@ -105,6 +105,18 @@ def test_conjugate_mask_matches_transpose():
     assert widths >= set(range(2, 42)) and max(widths) > 64
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_conjugate_mask_of_random_wide_masks(seed):
+    # canonical masks up to 400 bits, top bit set and lowest bit clear,
+    # against the box-by-box transpose
+    rng = random.Random(seed)
+    for _ in range(100):
+        width = rng.randint(2, 400)
+        mask = (rng.getrandbits(width) | 1 << width - 1) & ~1
+        conj = conjugate(Partition(parts_of_mask(mask))).parts
+        assert conjugate_mask(mask) == beta_mask(conj), mask
+
+
 def test_hook_multiset_421():
     assert Counter(hook_multiset(Partition([4, 2, 1]))) == Counter([6, 4, 3, 2, 1, 1, 1])
 

@@ -446,6 +446,32 @@ def test_failing_caller_kills_its_children(monkeypatch, forks):
     _no_child_left()
 
 
+def test_interrupt_while_children_finish_is_raised_once_they_are_reaped(monkeypatch):
+    # the caller's share is done at once and it waits on its child; a
+    # SIGINT then is held until the child has sent its count and been
+    # reaped, and only then comes out as KeyboardInterrupt
+    statuses, waitpid = [], os.waitpid
+
+    def watched(pid, options):
+        statuses.append(waitpid(pid, options))
+        return statuses[-1]
+
+    def work(j):
+        if j:
+            time.sleep(0.5)  # the caller is waiting by now
+            os.kill(os.getppid(), signal.SIGINT)
+            time.sleep(0.5)  # still working when the SIGINT lands
+        return j
+
+    monkeypatch.setattr(os, "waitpid", watched)
+    with pytest.raises(KeyboardInterrupt):
+        sampling._fork_sum(2, work)
+    ((_, status),) = statuses
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+    monkeypatch.undo()
+    _no_child_left()
+
+
 @pytest.mark.parametrize("prefix", [None, "buffered"])
 def test_cli_density_writes_stdout_once(prefix):
     # a forked child inherits the caller's unflushed stdout buffer and
