@@ -9,14 +9,14 @@ beta mask of lambda.  One walk (``_values``) evaluates a whole multiset
 of pairs, each pair one int key (``_pair_key``): the beta mask of
 lambda, with a code of mu above it whose int order is the order of mu's
 parts read from the last part.  So the walk takes the keys in int
-order, the mu that end in one suffix come one after another, and it
-holds only the nodes of the current mu's suffixes, dropping each as
-soon as the walk leaves it.
+order, up or down, the mu that end in one suffix come one after
+another, and it holds only the nodes of the current mu's suffixes,
+dropping each as soon as the walk leaves it.
 Every state is still computed once.  The recursion is entered only on a
 memo miss: it runs the strip loop inline, looks each remainder up in the
 next suffix's node and recurses only on the remainders missing there.
-The density sampler evaluates all its pairs in one walk, and the
-single-value CLI call is a walk over one pair.
+The density sampler's two walkers each walk one end of its sorted
+pairs, and the single-value CLI call is a walk over one pair.
 
 Full tables and censuses apply the same rule to every column at once,
 in one breadth-first engine over the suffixes s of mu (``_packed_rows``).
@@ -56,7 +56,7 @@ import sys
 from array import array
 from math import factorial, isqrt
 from operator import mul
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import GuardError
 from .partitions import Partition, beta_mask, conjugate_mask, enumerate_partitions
@@ -86,20 +86,6 @@ def _mu_code(mu: tuple[int, ...], n: int) -> int:
     return code << width * (n - len(mu))
 
 
-def _mu_parts(code: int, n: int) -> tuple[int, ...]:
-    """The parts that ``_mu_code(parts, n)`` encodes, in their order."""
-    if not code:
-        return ()
-    width = n.bit_length()
-    digit = (1 << width) - 1
-    code >>= ((code & -code).bit_length() - 1) // width * width
-    parts = []
-    while code:
-        parts.append(code & digit)
-        code >>= width
-    return tuple(parts)
-
-
 def _pair_key(lam: int, mu: tuple[int, ...], n: int) -> int:
     """The key of the pair (beta mask ``lam``, parts ``mu``) of size at
     most n, as ``_values`` reads it: ``lam`` in the low n + 1 bits, which
@@ -108,43 +94,54 @@ def _pair_key(lam: int, mu: tuple[int, ...], n: int) -> int:
     return _mu_code(mu, n) << n + 1 | lam
 
 
-def _values(counts: dict[int, int], n: int) -> Iterator[tuple[int, int]]:
-    """Yield (character, count) for each pair of ``counts``, a mapping
-    {``_pair_key``: count} of pairs of size at most n; the parts of mu are
+def _values(keys: Iterable[int], n: int) -> Iterator[int]:
+    """Yield the character of each pair of ``keys``, ``_pair_key``s of
+    pairs of size at most n sorted either up or down; the parts of mu are
     stripped in the order encoded.
 
     The memo node of a suffix s holds the characters at s, keyed by beta
-    mask, and only the mu that end in s read it.  The keys are taken in
-    int order, which is the order of the parts of mu read from the last
-    part, so the mu that end in s are consecutive and each distinct mu is
-    decoded once.  Only the nodes on the current mu's suffix path are
-    held: a node is dropped as soon as the next mu leaves its suffix, and
-    every state is still computed once.
+    mask, and only the mu that end in s read it.  The keys' int order is
+    the order of the parts of mu read from the last part, so the mu that
+    end in s are consecutive in either direction, and of each new mu only
+    the parts before the suffix it shares with the last are decoded.
+    Only the nodes on the current mu's suffix path are held: a node is
+    dropped as soon as the next mu leaves its suffix, and every state is
+    still computed once.  The keys are pulled one at a time, so a caller
+    may feed the walk as it goes.
     """
     shift = n + 1  # _pair_key's mask width
+    width = n.bit_length()  # _mu_code's digit width
+    top = width * n  # the bits of a mu code
+    digit = (1 << width) - 1
     path = [_EMPTY_SUFFIX]  # path[d]: the node of the last d parts of mu
-    prev: tuple[int, ...] = ()
-    last = -1
-    for key in sorted(counts):
+    levels = [_EMPTY_SUFFIX]  # levels[i] is the node of mu[i:]
+    mu: tuple[int, ...] = ()
+    last = 0  # the code of mu
+    for key in keys:
         code = key >> shift
         if code != last:
+            # the leading digits the codes share are the last parts the mu
+            # share; only the parts before them are decoded
+            keep = (top - (code ^ last).bit_length()) // width
             last = code
-            mu = _mu_parts(code, n)
-            rev = mu[::-1]
-            keep = 0
-            for a, b in zip(rev, prev):
-                if a != b:
-                    break
-                keep += 1
+            new = []
+            tail = code & ((1 << top - keep * width) - 1)
+            if tail:
+                tail >>= ((tail & -tail).bit_length() - 1) // width * width
+                while tail:
+                    new.append(tail & digit)
+                    tail >>= width
+            mu = (*new, *mu[len(mu) - keep:])
             del path[keep + 1:]
-            path.extend({} for _ in range(len(rev) - keep))
-            prev = rev
-            levels = path[::-1]  # levels[i] is the node of mu[i:]
-        # the node of mu itself is new at its first key (any mu ending in
-        # mu sorts after it) and its keys hold distinct lambda, so every
-        # pair misses; mu = () is the empty class
+            path.extend({} for _ in new)
+            levels = path[::-1]
+        # walking up, the node of mu is new at its first key (any mu
+        # ending in mu sorts after it); walking down, the mu ending in mu
+        # came first and may have stored the pair already; mu = () is the
+        # empty class, whose node holds the empty partition
         lam = key ^ code << shift
-        yield (_strip(lam, mu, 0, levels) if mu else 1), counts[key]
+        value = levels[0].get(lam)
+        yield _strip(lam, mu, 0, levels) if value is None else value
 
 
 def _strip(lam: int, mu: tuple[int, ...], i: int, levels: list[dict]) -> int:
@@ -191,7 +188,7 @@ def character_value(lam: Partition, mu: Partition) -> int:
         raise ValueError(f"size mismatch: |{lam}| = {lam.size}, |{mu}| = {mu.size}")
     n = mu.size
     key = _pair_key(beta_mask(lam.parts), mu.parts, n)
-    ((value, _),) = _values({key: 1}, n)
+    (value,) = _values([key], n)
     return value
 
 

@@ -6,6 +6,8 @@ count table directly; ``sampling._draw_key`` makes the same
 builds the pair key as the parts come.  The tests compare the key
 against ``_pair_key(beta_mask(draw(...)), draw(...), n)``, and the
 uniformity and character tests draw their partitions with it.
+``mu_parts`` decodes a code of mu whole, where the walk decodes only the
+parts that a code does not share with the one before it.
 """
 
 from __future__ import annotations
@@ -36,4 +38,19 @@ def draw(n: int, rng: random.Random,
         parts.append(k)
         remaining -= k
         cap = k
+    return tuple(parts)
+
+
+def mu_parts(code: int, n: int) -> tuple[int, ...]:
+    """The parts that ``characters._mu_code(parts, n)`` encodes, in their
+    order."""
+    if not code:
+        return ()
+    width = n.bit_length()
+    digit = (1 << width) - 1
+    code >>= ((code & -code).bit_length() - 1) // width * width
+    parts = []
+    while code:
+        parts.append(code & digit)
+        code >>= width
     return tuple(parts)

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from charcensus import characters
+from charcensus import characters, sampling
 from charcensus.characters import character_table, character_value, zero_count
 from charcensus.counting import build_bounded_table, partition_count, tcore_count
 from charcensus.errors import GuardError
@@ -107,14 +107,14 @@ def test_row_orthogonality():
 
 def _walk(cells):
     """{(beta mask, mu parts): value} for the (beta mask, mu parts)
-    ``cells`` from one ``_values`` walk; the parts of mu are stripped in
-    the order given.  The walk passes each count through, so a cell's
-    index serves as its count."""
-    keys = list(dict.fromkeys(cells))
-    n = max(sum(mu) for _, mu in keys)
-    counts = {characters._pair_key(lam, mu, n): i
-              for i, (lam, mu) in enumerate(keys)}
-    return {keys[i]: value for value, i in characters._values(counts, n)}
+    ``cells`` from one ``_values`` walk up their keys; the parts of mu
+    are stripped in the order given."""
+    cells = list(dict.fromkeys(cells))
+    n = max(sum(mu) for _, mu in cells)
+    index = {characters._pair_key(lam, mu, n): i for i, (lam, mu) in enumerate(cells)}
+    keys = sorted(index)
+    return {cells[index[key]]: value
+            for key, value in zip(keys, characters._values(keys, n))}
 
 
 def _ordered(mu, order):
@@ -202,12 +202,12 @@ def test_cold_evaluation_states_bounded_by_suffix_sizes(strip_calls):
         lam, mu = beta_mask(draw(n, rng, table)), draw(n, rng, table)
         key = characters._pair_key(lam, mu, n)
         strip_calls[0] = 0
-        ((value, _),) = characters._values({key: 1}, n)
+        (value,) = characters._values([key], n)
         states = strip_calls[0]
         assert 0 < states <= sum(partition_count(sum(mu[i:]))
                                  for i in range(len(mu))), (lam, mu)
         strip_calls[0] = 0
-        assert list(characters._values({key: 2}, n)) == [(value, 2)]
+        assert list(characters._values([key, key], n)) == [value, value]
         assert strip_calls[0] == states, (lam, mu)
 
 
@@ -239,11 +239,33 @@ def test_one_strip_call_per_added_state(strip_calls):
         assert strip_calls[0] == len(shared), (lam, mu)
 
 
-def test_density_walk_strip_calls_pinned(strip_calls):
+def test_density_walk_strip_calls_pinned(monkeypatch, strip_calls):
     # the states the suffix-ordered walk computes, each once: a walk
-    # that lost its suffix grouping would compute some of them again
+    # that lost its suffix grouping would compute some of them again.
+    # With one worker the whole walk runs in this process.
+    monkeypatch.setattr(sampling, "_workers", lambda: 1)
     assert estimate_zero_density(40, 2000, seed=11).zeros_observed == 704
     assert strip_calls[0] == 74437
+
+
+@pytest.mark.parametrize("n, pairs", [(12, 3000), (40, 2000)])
+def test_walk_down_matches_walk_up(strip_calls, n, pairs):
+    # the same values in the opposite order, each state still computed
+    # once: among pairs of sizes n/2..n, walking down, the mu that end in
+    # a smaller mu come before it, and the states they stored at mu are
+    # read, not computed again
+    rng = random.Random(n)
+    keys = set()
+    for _ in range(pairs):
+        size = rng.randint(n // 2, n)
+        table = build_bounded_table(size, size)
+        keys.add(characters._pair_key(beta_mask(draw(size, rng, table)),
+                                      draw(size, rng, table), n))
+    keys = sorted(keys)
+    up = list(characters._values(keys, n))
+    states, strip_calls[0] = strip_calls[0], 0
+    assert list(characters._values(keys[::-1], n)) == up[::-1]
+    assert strip_calls[0] == states
 
 
 @pytest.mark.parametrize("n, pairs", [(40, 2000), (60, 300)])

@@ -7,12 +7,13 @@ import subprocess
 import sys
 import threading
 import time
+from array import array
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from charcensus.characters import _mu_code, _mu_parts, _pair_key, zero_count
+from charcensus.characters import _mu_code, _pair_key, zero_count
 from charcensus.counting import (
     bounded_partition_count,
     build_bounded_table,
@@ -31,7 +32,7 @@ from charcensus.sampling import (
     wilson_interval,
 )
 from diagram_oracle import random_partition
-from draw_oracle import draw
+from draw_oracle import draw, mu_parts
 
 # Per-n seeds for the convergence test; the shrink in sampling error is
 # statistical, so the schedule is fixed to a draw where the monotone
@@ -169,15 +170,15 @@ def test_mu_code_decodes_and_sorts_by_reversed_parts():
     for n in range(1, 21):
         mus = list(part_tuples(n))
         codes = [_mu_code(mu, n) for mu in mus]
-        assert [_mu_parts(code, n) for code in codes] == mus, n
-        assert [_mu_parts(code, n) for code in sorted(codes)] \
+        assert [mu_parts(code, n) for code in codes] == mus, n
+        assert [mu_parts(code, n) for code in sorted(codes)] \
             == sorted(mus, key=lambda mu: mu[::-1]), n
     table = build_bounded_table(60, 60)
     rng = random.Random(60)
     mus = [draw(60, rng, table) for _ in range(2000)]
     codes = [_mu_code(mu, 60) for mu in mus]
-    assert [_mu_parts(code, 60) for code in codes] == mus
-    assert [_mu_parts(code, 60) for code in sorted(codes)] \
+    assert [mu_parts(code, 60) for code in codes] == mus
+    assert [mu_parts(code, 60) for code in sorted(codes)] \
         == sorted(mus, key=lambda mu: mu[::-1])
 
 
@@ -348,20 +349,132 @@ def forks(monkeypatch):
     return made
 
 
+@pytest.fixture
+def blocks(monkeypatch):
+    """The block counts of the walks the caller starts."""
+    seen, walk = [], sampling._walk
+
+    def watched(n, keys, counts, width, slots, up):
+        if up:
+            seen.append(len(slots))
+        return walk(n, keys, counts, width, slots, up)
+
+    monkeypatch.setattr(sampling, "_walk", watched)
+    return seen
+
+
 @pytest.mark.parametrize("n, samples, seed", [
     (40, 24000, 42), (12, 100000, 42), (20, 4097, 5), (2, 6144, 9), (60, 2000, 42)])
-def test_every_worker_count_gives_the_same_report(monkeypatch, forks, n, samples, seed):
-    # the chunks are dealt round-robin to k processes; an offer of more
-    # workers than chunks (tried where the chunks are few) forks one
-    # process per chunk, and a single chunk forks nothing
+def test_every_worker_count_gives_the_same_report(monkeypatch, forks, blocks, n, samples, seed):
+    # the chunks are dealt round-robin to k drawers, and the merged pairs
+    # are walked from both ends by two walkers where there are two blocks
+    # or more: an offer of more workers than chunks (tried where the
+    # chunks are few) forks one drawer per chunk, a single chunk forks no
+    # drawer, so (60, 2000) forks only its walker, and the 4 pairs of
+    # n = 2 are one block, walked in the caller
     chunks = -(-samples // sampling._CHUNK)
     for offer in sorted({1, 2, 3, chunks + 1} if chunks <= 3 else {1, 2, 3}):
         monkeypatch.setattr(sampling, "_workers", lambda: offer)
         forks.clear()
+        blocks.clear()
         report = estimate_zero_density(n, samples, seed).to_json_dict()
         assert report == PINNED_REPORTS[n, samples, seed], offer
-        assert len(forks) == min(offer, chunks) - 1, offer
+        (count,) = blocks
+        assert (count > 1) == (n > 2), count
+        assert len(forks) == min(offer, chunks) - 1 + min(offer, 2, count) - 1, offer
         _no_child_left()
+
+
+def test_walkers_meet_at_every_block(monkeypatch):
+    # the caller walks up to the first block the other walker has claimed
+    # and the walker down to the first one the caller has: with one pair
+    # per block, for every meeting point, including those inside one mu's
+    # run of keys, the two ends fill every slot as one walk does
+    n, samples, seed = 8, 300, 3
+    width = (n.bit_length() * n + n + 8) // 8
+    keys, counts = sampling._multiset(sampling._drawn(n, samples, seed, range(1),
+                                                   _states(n), width), width)
+    size = len(counts)
+    mus = [int.from_bytes(keys[i * width:i * width + width], "big") >> n + 1
+           for i in range(size)]
+    assert any(a == b for a, b in zip(mus, mus[1:]))  # a mu with two pairs
+    monkeypatch.setattr(sampling, "_BLOCK", 1)
+    whole = array("q", bytes(8 * size))
+    sampling._walk(n, keys, counts, width, whole, up=True)
+    assert min(whole) >= 2
+    assert sum(whole) - 2 * size == estimate_zero_density(n, samples, seed).zeros_observed
+    for meet in range(size + 1):
+        slots = array("q", bytes(8 * size))
+        if meet < size:
+            slots[meet] = 1  # claimed by the walker
+        sampling._walk(n, keys, counts, width, slots, up=True)
+        if meet < size:
+            slots[meet] = 0
+        sampling._walk(n, keys, counts, width, slots, up=False)
+        assert slots == whole, meet
+
+
+def test_one_pair_per_block_gives_the_same_report(monkeypatch, forks):
+    # forked walkers that can meet between any two pairs
+    monkeypatch.setattr(sampling, "_BLOCK", 1)
+    for offer in (2, 3):
+        monkeypatch.setattr(sampling, "_workers", lambda: offer)
+        forks.clear()
+        report = estimate_zero_density(20, 4097, 5).to_json_dict()
+        assert report == PINNED_REPORTS[20, 4097, 5], offer
+        assert len(forks) == offer, offer
+        _no_child_left()
+
+
+@pytest.mark.parametrize("n, samples, seed", [(3, 4096, 1), (12, 8000, 2), (20, 4097, 5)])
+def test_drawn_packs_each_pair_once_with_its_count(n, samples, seed):
+    # more draws than pairs at n = 3 and 12, counted in a dict; fewer at
+    # n = 20, sorted and counted in runs: the same packed multiset
+    states, width = _states(n), (n.bit_length() * n + n + 8) // 8
+    chunks = range(-(-samples // sampling._CHUNK))
+    drawn = Counter()
+    for index in chunks:
+        rng = sampling._stream_rng(seed, index)
+        drawn.update(_draw_key(n, rng, states, n.bit_length())
+                     for _ in range(min(sampling._CHUNK, samples - index * sampling._CHUNK)))
+    keys, counts = sampling._multiset(sampling._drawn(n, samples, seed, chunks, states, width),
+                                      width)
+    assert [int.from_bytes(keys[i * width:i * width + width], "big")
+            for i in range(len(counts))] == sorted(drawn)
+    assert list(counts) == [drawn[key] for key in sorted(drawn)]
+
+
+def test_merge_keeps_a_pair_drawn_twice_once_with_both_counts():
+    rng = random.Random(5)
+    width = 2
+    halves = [Counter(rng.choices(range(1, 400), k=300)) for _ in range(2)]
+    a, b = ((bytes().join(key.to_bytes(width, "big") for key in sorted(half)),
+             array("I", [half[key] for key in sorted(half)])) for half in halves)
+    keys, counts = sampling._merge(a, b, width)
+    union = halves[0] + halves[1]
+    assert len(counts) == len(union) < 600
+    assert [int.from_bytes(keys[i * width:i * width + width], "big")
+            for i in range(len(counts))] == sorted(union)
+    assert list(counts) == [union[key] for key in sorted(union)]
+
+
+def test_pair_drawn_by_every_drawer_is_counted_with_every_count(monkeypatch, forks):
+    # S_3 has 9 pairs and one zero, chi_(2,1) at (2,1): each of three
+    # drawers draws every pair, and the zero count is that pair's draws
+    # over all chunks
+    n, chunks, seed = 3, 3, 1
+    states, zero = _states(n), _pair_key(beta_mask((2, 1)), (2, 1), n)
+    drawn = 0
+    for index in range(chunks):
+        rng = sampling._stream_rng(seed, index)
+        chunk = Counter(_draw_key(n, rng, states, n.bit_length())
+                        for _ in range(sampling._CHUNK))
+        assert len(chunk) == 9
+        drawn += chunk[zero]
+    monkeypatch.setattr(sampling, "_workers", lambda: 3)
+    assert estimate_zero_density(n, chunks * sampling._CHUNK, seed).zeros_observed == drawn
+    assert len(forks) == 3
+    _no_child_left()
 
 
 def test_workers_is_one_per_usable_cpu():
@@ -418,6 +531,30 @@ def test_failing_child_makes_the_caller_raise(monkeypatch, capsys):
     _no_child_left()
 
 
+@pytest.mark.parametrize("way", ["raises", "killed"])
+@pytest.mark.parametrize("target", ["_drawn", "_walk"])
+def test_failed_drawer_or_walker_makes_the_caller_raise(monkeypatch, forks, target, way):
+    # a drawer's failure stops the run before the walk; a walker's leaves
+    # the caller to walk on alone, then raise once the walker is reaped
+    caller, real = os.getpid(), getattr(sampling, target)
+
+    def failing(*args, **kwargs):
+        if os.getpid() != caller:
+            if way == "raises":
+                raise ZeroDivisionError("in a child")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, target, failing)
+    monkeypatch.setattr(sampling, "_workers", lambda: 2)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="density worker"):
+        estimate_zero_density(40, 24000, 42)
+    assert time.monotonic() - start < 60
+    assert len(forks) == (1 if target == "_drawn" else 2)
+    _no_child_left()
+
+
 def test_failing_caller_kills_its_children(monkeypatch, forks):
     # the caller fails at its first chunk while its child still draws: the
     # child is killed and reaped, and the caller's exception comes out
@@ -461,11 +598,11 @@ def test_interrupt_while_children_finish_is_raised_once_they_are_reaped(monkeypa
             time.sleep(0.5)  # the caller is waiting by now
             os.kill(os.getppid(), signal.SIGINT)
             time.sleep(0.5)  # still working when the SIGINT lands
-        return j
+        return bytes(j)
 
     monkeypatch.setattr(os, "waitpid", watched)
     with pytest.raises(KeyboardInterrupt):
-        sampling._fork_sum(2, work)
+        sampling._fork_map(2, work)
     ((_, status),) = statuses
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
     monkeypatch.undo()
@@ -506,6 +643,34 @@ def _await_child(pid, timeout=10.0):
         except OSError:  # the process is gone
             return
         time.sleep(0.005)
+
+
+def test_fork_map_returns_each_workers_bytes():
+    # replies of any length, the empty one and more than a pipe holds
+    assert sampling._fork_map(3, lambda j: bytes([j]) * (j * 100000)) \
+        == [b"", b"\x01" * 100000, b"\x02" * 200000]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("to_group", [False, True])
+def test_cli_density_sigint_while_walking_leaves_no_process(to_group):
+    # 2000 samples at n = 60 are one chunk, drawn in the caller in about
+    # 0.1 s; the only child is the walker, so the SIGINT lands in the walk
+    proc = _cli("-m", "charcensus.cli", "estimate", "density", "--n", "60",
+                "--samples", "2000", "--seed", "42", "--format", "json",
+                start_new_session=True)
+    _await_child(proc.pid)
+    if to_group:
+        os.killpg(proc.pid, signal.SIGINT)
+    else:
+        os.kill(proc.pid, signal.SIGINT)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 130
+    assert out == b""
+    (line,) = err.decode().splitlines()
+    assert json.loads(line)["error"]["type"] == "interrupted"
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 @pytest.mark.parametrize("to_group", [False, True])
