@@ -31,12 +31,12 @@ holds (``_masks``): those with first part t are (t,) + s for the last
 rows s of size k - t, s's beta mask with one more bead.  Since chi at
 lambda' is sgn(mu) = (-1)^(n - len mu) times chi at lambda, the size-n
 rows are built only for the masks with mask <= conjugate_mask(mask),
-one of each conjugate pair, and each comes out as its n blocks, never
-joined into one int of p(n) lanes: the census counts each block's zero
-lanes with a few big-int operations and weights the row by the size of
-its conjugate pair, and the table joins the blocks' bytes, decodes the
-lanes and fills the other rows by sign.  The size-n rows are produced
-one at a time, so the census never holds the table.
+one of each conjugate pair (the top rows), and block by block: one
+loop (``_top_block``) strips block t of every top row.  The census
+counts each block's zero lanes in that loop, a few big-int operations
+into one tally per row, keeps no block, and weights each row by the
+size of its conjugate pair at the end; the table appends each block's
+bytes to its rows, decodes the lanes and fills the other rows by sign.
 For n <= 20, where every lane is 32 bits wide, the rows of the sizes
 up to n are kept between calls, in one store: a size's blocks do not
 depend on n, so each size is built once, with every block that n = 20
@@ -45,9 +45,10 @@ lacks (the 2,087 rows of sizes below 20, about 0.5 MB, after a census
 at 19 or 20).  A call below 20 builds size n too, which the next
 larger call reads anyway, and copies the size-n blocks t <= 20 - n out
 of those rows instead of stripping them again.  Above 20 every n has
-its own lane width, so a call there builds its own levels and drops
-them on return.  The store has no lock: the package never runs two
-calls at once.
+its own lane width, so a call there builds its own levels, each as
+the top reads it: block n - m right after size m, and the rows of
+size k dropped once size (n + k) // 2, their last reader, is built.
+The store has no lock: the package never runs two calls at once.
 """
 
 from __future__ import annotations
@@ -246,7 +247,9 @@ def _masks(levels: list, m: int) -> list[int]:
     (t,) + s for the partitions s of m - t with s[0] <= t, which are the
     last ``counts[min(t, m - t)]`` rows of level m - t, and the mask of
     (t,) + s is the mask of s with one more bead, at t + len(s).  Taking
-    t from m down to 1 gives ``part_tuples(m)``'s order."""
+    t from m down to 1 gives ``part_tuples(m)``'s order.  A level's rows
+    are read only for their masks, so a level that dropped its rows for
+    their mask list serves as well."""
     masks = []
     for t in range(m, 0, -1):
         rows, count = levels[m - t]
@@ -255,41 +258,36 @@ def _masks(levels: list, m: int) -> list[int]:
     return masks
 
 
-def _block_specs(levels: list, m: int, blocks: int, width: int) -> tuple[list, list[int]]:
-    """The strip specs of blocks 1..``blocks`` of a row of size m, and the
-    running lane counts: block t has a lane for each partition of m - t
-    with first part <= t, as many as level m - t counts, and starts
-    ``width * count[t - 1]`` bits up in a kept row."""
-    bias = 1 << (width - 1)
-    specs = []
+def _counts(levels: list, m: int, blocks: int) -> list[int]:
+    """The running lane counts of blocks 1..``blocks`` of a row of size
+    m: block t has a lane for each partition of m - t with first part
+    <= t, as many as level m - t counts, all of them once t >= m - t."""
     count = [0]
     for t in range(1, blocks + 1):
-        prev, prev_count = levels[m - t]
-        # the lanes of size m - t with first part <= t, all of them once
-        # t >= m - t
-        size = prev_count[min(t, m - t)]
-        specs.append((t, (1 << (t - 1)) - 1, prev, (1 << width * size) - 1,
-                      bias * _ones(width, size), width * count[-1]))
-        count.append(count[-1] + size)
-    return specs, count
+        count.append(count[-1] + levels[m - t][1][min(t, m - t)])
+    return count
 
 
-def _stripped(lams: list[int], blocks: list, top: bool) -> Iterator:
-    """For each beta mask in ``lams``, the blocks ``blocks`` of its row,
-    from the strips of each block's length t: a kept row, its biased
-    blocks ORed into place, or with ``top`` the list of the blocks in
-    two's complement, 0 for a block with no strip of its length."""
+def _block_spec(levels: list, m: int, t: int, count: list[int], width: int) -> tuple:
+    """The strip spec of block t of a row of size m whose running lane
+    counts are ``count``: t, the mask of the t - 1 positions a strip of
+    length t passes, the rows of size m - t, the mask of the block's
+    lanes there, their biases, and the block's offset in a kept row."""
+    size = count[t] - count[t - 1]
+    return (t, (1 << (t - 1)) - 1, levels[m - t][0], (1 << width * size) - 1,
+            _ones(width, size) << (width - 1), width * count[t - 1])
+
+
+def _stripped(lams: list[int], blocks: list) -> Iterator[int]:
+    """For each beta mask in ``lams``, its kept row: the biased blocks
+    ``blocks`` ORed into place, each from the strips of its length t."""
     for lam in lams:
         row = 0
-        out = []
         for t, between, prev, keep, high, shift in blocks:
             # the border strips of length t, as in _strip; net counts the
             # strips added less those subtracted, from -1, so the biased
             # block is total less net biases per lane
             starts = (lam & ~(lam << t)) >> t << t
-            if top and not starts:
-                out.append(0)
-                continue
             total = 0
             net = -1
             while starts:
@@ -306,25 +304,87 @@ def _stripped(lams: list[int], blocks: list, top: bool) -> Iterator:
                     net += 1
             if net:
                 total -= net * high
-            if top:
-                out.append(total ^ high)
+            row |= total << shift
+        yield row
+
+
+def _level_rows(levels: list, m: int, masks: list[int], count: list[int],
+                width: int) -> dict[int, int]:
+    """The kept rows of size m, by beta mask, with the blocks that
+    ``count`` counts."""
+    blocks = [_block_spec(levels, m, t, count, width) for t in range(1, len(count))]
+    return dict(zip(masks, _stripped(masks, blocks)))
+
+
+def _top_block(lams: list[int], spec: tuple, width: int,
+               tally: tuple[list[int], list[int]] | None = None) -> list[int] | None:
+    """Block t of ``spec`` for each top row in ``lams``, in lanes of
+    ``width`` bits, from the strips of length t as in ``_stripped``.
+
+    Without ``tally`` it returns the blocks, in two's complement, 0 for
+    a row with no strip of length t.  With ``tally``, two lists indexed
+    like ``lams``, it holds no block: it adds each block's nonzero lanes
+    to the row's entry of the first, sets bit t of the row's entry of the
+    second (its core set) when the row has no strip of length t, and
+    returns None.
+    """
+    t, between, prev, keep, high, _ = spec
+    # a lane is nonzero iff its top bit is set or its low bits plus
+    # 2^(width-1) - 1 carry into it; no sum leaves its lane
+    low = high - (high >> (width - 1))
+    core = 1 << t
+    out = None if tally else []
+    nonzero, cores = tally or (None, None)
+    for i, lam in enumerate(lams):
+        starts = (lam & ~(lam << t)) >> t << t
+        if not starts:
+            if tally:
+                cores[i] |= core
             else:
-                row |= total << shift
-        yield out if top else row
+                out.append(0)
+            continue
+        total = 0
+        net = -1
+        while starts:
+            bit = starts & -starts
+            starts ^= bit
+            rem = lam ^ bit ^ (bit >> t)
+            if rem & 1:  # the bead moved to bit 0
+                rem >>= (rem ^ (rem + 1)).bit_length() - 1
+            if ((lam >> (bit.bit_length() - t)) & between).bit_count() & 1:
+                total -= prev[rem] & keep
+                net -= 1
+            else:
+                total += prev[rem] & keep
+                net += 1
+        if net:
+            total -= net * high
+        total ^= high
+        if tally:
+            nonzero[i] += ((((total & low) + low) | total) & high).bit_count()
+        else:
+            out.append(total)
+    return out
 
 
-def _packed_rows(n: int) -> tuple[list[int], list[int], Iterator[tuple[int, int, list[int]]]]:
-    """The beta masks of the partitions of n in enumeration order, the
-    number of lanes of each block t = 1..n (at index t - 1), and an
-    iterator over the rows with mask <= conjugate_mask(mask), in that
-    order, as (mask, conjugate mask, blocks).  Block t, at index t - 1,
-    holds in lanes of ``_lane_width(n)`` bits, in two's complement, the
-    characters at the partitions of n with first part t, in reverse
-    enumeration order, so the blocks' lanes, block 1's lowest first, run
-    over all p(n) classes; a block is 0 when lambda has no border strip
-    of its length.  Conjugation fixes the hook lengths, and chi at
-    lambda' is sgn(mu) times chi at lambda, so these rows determine the
-    table.  They are built one at a time as the iterator is read.
+def _packed_rows(n: int) -> tuple:
+    """The rows of size n with lambda <= lambda' (the top rows), block by
+    block, as (masks, lams, conjs, count, copied, prefixes, blocks):
+    - masks: the beta masks of the partitions of n, enumeration order;
+    - lams, conjs: the top rows' masks, mask <= conjugate_mask(mask), in
+      that order, and their conjugate masks;
+    - count: count[t] is the number of lanes of blocks 1..t;
+    - copied, prefixes: the blocks 1..copied are copied out of size n's
+      kept rows, and prefixes holds them, joined, for each top row;
+    - blocks: an iterator of (t, spec) for each other block t, which
+      ``_top_block`` strips for every top row at once.
+    Block t holds in lanes of ``_lane_width(n)`` bits, in two's
+    complement, the characters at the partitions of n with first part
+    t, in reverse enumeration order, so the blocks' lanes, block 1's
+    lowest first, run over all p(n) classes; a block is 0 when lambda
+    has no border strip of its length.  Conjugation fixes the hook
+    lengths, and chi at lambda' is sgn(mu) times chi at lambda, so these
+    rows determine the table.
 
     Let ``last`` be the largest n of this lane width: 20 at 32 bits,
     and n itself above 20, where every n has its own width.  The lanes
@@ -340,7 +400,7 @@ def _packed_rows(n: int) -> tuple[list[int], list[int], Iterator[tuple[int, int,
     biased, is the sum of +-(row(rem) & prefix) over the border strips
     of length t of lambda, one big-int add per strip for every column at
     once, less (a - s - 1) biases per lane for a strips added and s
-    subtracted.  A kept row ORs its biased blocks into place; a size-n
+    subtracted.  A kept row ORs its biased blocks into place; a top
     block drops its bias by one XOR and is never joined to the others.
 
     A call at n reads the blocks t <= n - m of size m, which do not
@@ -351,39 +411,60 @@ def _packed_rows(n: int) -> tuple[list[int], list[int], Iterator[tuple[int, int,
     interrupted call leaves the store consistent.  Below 20 that
     includes size n itself, which the next larger call reads, and the
     top copies its blocks t <= 20 - n out of those rows.  A call above
-    20 builds its own levels and drops them on return.  Nothing in the
+    20 builds its own levels, and only as the top reads them: it
+    enumerates the masks and lane counts of every size first, then
+    builds the rows of size m = 1, 2, ... and gives block n - m right
+    after size m, block n first, from size 0.  Size k is read last by
+    size (n + k) // 2, after the top's block n - k, so its rows are then
+    dropped and its mask list kept for ``_masks``.  Nothing in the
     package runs concurrently, so the store has no lock and is not for
     use from several threads at once.
     """
     width = _lane_width(n)
-    bias = 1 << (width - 1)
-    levels = _levels if n <= _KEPT_N else [({0: 1 + bias}, [1])]
-    last = max(n, _KEPT_N)
-    for m in range(len(levels), n + (n < last)):  # below last, size n too
-        blocks, count = _block_specs(levels, m, min(m, last - m), width)
-        masks = _masks(levels, m)
-        levels.append((dict(zip(masks, _stripped(masks, blocks, False))), count))
-    blocks, count = _block_specs(levels, n, n, width)
-    sizes = [b - a for a, b in zip(count, count[1:])]
+    if n <= _KEPT_N:
+        levels = _levels
+        for m in range(len(levels), n + (n < _KEPT_N)):  # below 20, size n too
+            count = _counts(levels, m, min(m, _KEPT_N - m))
+            levels.append((_level_rows(levels, m, _masks(levels, m), count, width), count))
+    else:
+        levels = [({0: 1 + (1 << (width - 1))}, [1])]
+        for m in range(1, n):  # mask lists: _top_specs builds the rows
+            levels.append((_masks(levels, m), _counts(levels, m, min(m, n - m))))
+    count = _counts(levels, n, n)
     if n < len(levels):  # size n is kept: its blocks are the top's first
         kept, kept_count = levels[n]
         masks = list(kept)
         copied = len(kept_count) - 1
     else:
-        kept, masks, copied = {}, _masks(levels, n), 0
-    top = [(lam, conj) for lam, conj in zip(masks, map(conjugate_mask, masks))
-           if lam <= conj]
-    copies = [(shift, keep, high) for *_, keep, high, shift in blocks[:copied]]
+        masks, copied = _masks(levels, n), 0
+    lams, conjs = [], []
+    for lam, conj in zip(masks, map(conjugate_mask, masks)):
+        if lam <= conj:
+            lams.append(lam)
+            conjs.append(conj)
+    prefixes = []
+    if copied:  # the kept rows' blocks in two's complement
+        high = _ones(width, count[copied]) << (width - 1)
+        prefixes = [kept[lam] ^ high for lam in lams]
+    return (masks, lams, conjs, count, copied, prefixes,
+            _top_specs(levels, n, count, copied, width))
 
-    def rows() -> Iterator[tuple[int, int, list[int]]]:
-        stripped = _stripped([lam for lam, _ in top], blocks[copied:], True)
-        for (lam, conj), out in zip(top, stripped):
-            if copies:
-                row = kept[lam]
-                out[:0] = [row >> shift & keep ^ high for shift, keep, high in copies]
-            yield lam, conj, out
 
-    return masks, sizes, rows()
+def _top_specs(levels: list, n: int, count: list[int], copied: int,
+               width: int) -> Iterator[tuple[int, tuple]]:
+    """(t, spec) for each top block t > ``copied``, from t = n down,
+    each once size n - t holds rows: above 20 block n - m comes right
+    after size m's rows are built, and each size's rows are dropped for
+    their mask list after their last reader."""
+    wide = n > _KEPT_N
+    for m in range(n - copied):  # block n - m reads size m
+        if wide and m:
+            masks, level_count = levels[m]
+            levels[m] = (_level_rows(levels, m, masks, level_count, width), level_count)
+        yield n - m, _block_spec(levels, n, n - m, count, width)
+        if wide:  # size k is read last by size (n + k) // 2 and block n - k
+            for k in range(max(2 * m - n, 0), 2 * m - n + 2):
+                levels[k] = (list(levels[k][0]), levels[k][1])
 
 
 def character_table(n: int) -> CharacterTable:
@@ -391,22 +472,29 @@ def character_table(n: int) -> CharacterTable:
 
     Guarded at ``TABLE_GUARD`` (n <= 20): beyond that the exact table is
     infeasible at desk scale and the sampling module applies.  The
-    packed engine computes the rows lambda <= lambda' block by block; the
-    bytes of a row's blocks are joined and its 32-bit lanes read in C.
+    packed engine computes the rows lambda <= lambda' block by block,
+    and each row's 32-bit lanes are read in C from its blocks' bytes.
     Each conjugate row is sgn(mu) = (-1)^(n - len mu) times its partner.
     """
     _check_table_size(n)
     parts = tuple(enumerate_partitions(n))
-    masks, sizes, top = _packed_rows(n)
+    masks, lams, conjs, count, copied, prefixes, blocks = _packed_rows(n)
+    # each top row's lanes from the last, the last class first: the
+    # blocks' bytes big-endian, from block n down
+    lanes = [array("i") for _ in lams]
+    for t, spec in blocks:
+        size = 4 * (count[t] - count[t - 1])
+        for row, block in zip(lanes, _top_block(lams, spec, 32)):
+            row.frombytes(block.to_bytes(size, "big"))
+    if copied:  # the blocks t <= copied together
+        for row, prefix in zip(lanes, prefixes):
+            row.frombytes(prefix.to_bytes(4 * count[copied], "big"))
     index = {mask: i for i, mask in enumerate(masks)}
     signs = [-1 if (n - len(p)) % 2 else 1 for p in parts]
     rows: list = [None] * len(parts)
-    for mask, conj, blocks in top:
-        row = array("i", b"".join(block.to_bytes(4 * size, "little")
-                                  for block, size in zip(blocks, sizes)))
-        if sys.byteorder == "big":
+    for mask, conj, row in zip(lams, conjs, lanes):
+        if sys.byteorder == "little":
             row.byteswap()
-        row.reverse()  # lanes run in reverse enumeration order
         rows[index[mask]] = row = tuple(row)
         rows[index[conj]] = tuple(map(mul, signs, row))
     return CharacterTable(n=n, partitions=parts, rows=tuple(rows))
@@ -437,49 +525,45 @@ def zero_count(n: int) -> ZeroCensus:
     """Exact zero census of the S_n character table, guarded like
     ``character_table``.
 
-    The zeros are counted row by row as the packed engine produces
-    them, a few big-int operations per block on the block's own lanes,
-    with none for a block that is 0, and the table is never held in
-    memory.  Only the rows lambda <= lambda' are computed: a row and its
-    conjugate have the same zeros and the same hook lengths, so each
-    such row counts twice, or once when lambda is self-conjugate, in the
-    total and in every t-core count.  A row is tested as a t-core only
-    below its largest hook; it is one for every larger t, which a
-    running sum over the largest hooks adds.
+    The zeros are counted block by block as the packed engine strips
+    them, in the strip loop itself (``_top_block``): each block of every
+    top row adds its nonzero lanes to one tally per row, a few big-int
+    operations, and a row with no strip of the block's length t gets t
+    in its core set instead, so no block is held and the table never
+    is.  The blocks copied from kept rows below 20 get one zero test
+    over each row's copied lanes and an explicit core test.  Only the
+    rows lambda <= lambda' are computed: a row and its conjugate have the
+    same zeros and the same hook lengths, so each such row counts twice,
+    or once when lambda is self-conjugate, in the total and in every
+    t-core count.
     """
     _check_table_size(n)
-    masks, sizes, top = _packed_rows(n)
+    masks, lams, conjs, count, copied, prefixes, blocks = _packed_rows(n)
     width = _lane_width(n)
-    lane_masks = []
-    for size in sizes:
-        ones = _ones(width, size)
-        high = ones << (width - 1)
-        lane_masks.append((high - ones, high))
+    nonzero = [0] * len(lams)
+    cores = [0] * len(lams)
+    if copied:  # one zero test over each row's copied lanes, as in _top_block
+        high = _ones(width, count[copied]) << (width - 1)
+        low = high - (high >> (width - 1))
+        nonzero = [((((x & low) + low) | x) & high).bit_count() for x in prefixes]
+        for t in range(1, copied + 1):  # is_t_core's test
+            core = 1 << t
+            cores = [c | core if not (lam & ~(lam << t)) >> t else c
+                     for lam, c in zip(lams, cores)]
+    tally = nonzero, cores
+    for _, spec in blocks:
+        _top_block(lams, spec, width, tally)
+    classes = len(masks)
     total = 0
-    per_core = [0] * (n + 1)  # [t]: zeros of the t-core rows with a hook above t
-    beyond = [0] * (n + 1)  # [h]: zeros of the rows whose largest hook is h
-    for mask, conj, blocks in top:
-        # a lane is nonzero iff its top bit is set or its low bits plus
-        # 2^(width-1) - 1 carry into it; no sum leaves its lane
-        zeros = len(masks)
-        for block, (low, high) in zip(blocks, lane_masks):
-            if block:
-                zeros -= ((((block & low) + low) | block) & high).bit_count()
+    by_cores: dict[int, int] = {}  # zeros by core set
+    for lam, conj, lanes, core in zip(lams, conjs, nonzero, cores):
+        zeros = classes - lanes
         if zeros:
-            if mask != conj:
+            if lam != conj:
                 zeros *= 2
             total += zeros
-            # the largest hook is the top bead's position h: the row is a
-            # t-core for every t > h, and never at t = h (bit 0 is clear)
-            hook = mask.bit_length() - 1
-            beyond[hook] += zeros
-            for t in range(1, hook):  # is_t_core's test
-                if not (mask & ~(mask << t)) >> t:
-                    per_core[t] += zeros
-    cores = {}
-    running = 0
-    for t in range(1, n + 1):
-        running += beyond[t - 1]
-        cores[t] = per_core[t] + running
-    return ZeroCensus(n=n, table_dim=len(masks), total_zeros=total,
-                      per_core_zeros=cores)
+            by_cores[core] = by_cores.get(core, 0) + zeros
+    per_core = {t: sum(zeros for core, zeros in by_cores.items() if core >> t & 1)
+                for t in range(1, n + 1)}
+    return ZeroCensus(n=n, table_dim=classes, total_zeros=total,
+                      per_core_zeros=per_core)

@@ -32,7 +32,7 @@ from .errors import GuardError, NumericError, check_cost
 SCHEMA_VERSION = 1
 
 # the only cost guard not in the library: one sweep row at n = 20 takes
-# 0.03-0.05 s from nothing, 0.02-0.03 s after the row at n = 19
+# 0.02-0.04 s from nothing, 0.007-0.016 s after the row at n = 19
 SWEEP_GUARD_ROWS = 100
 
 

@@ -1,17 +1,19 @@
 """Column certificates for the top rows of the packed census engine.
 
-Above the table guard the census has no oracle, so the size-n rows of
-``characters._packed_rows`` are checked against classical identities of
+Above the table guard the census has no oracle, so the top blocks of
+``characters._packed_rows``, stripped by the census's own kernel
+``characters._top_block``, are checked against classical identities of
 the columns of the S_n character table, summed over every lambda:
 
 - regular character: sum f_lambda chi_lambda(mu) = n! [mu = 1^n], with
-  f_lambda the one lane of block 1 (the class 1^n);
+  f_lambda from the hook length formula, since block 1 (the class 1^n)
+  comes last above n = 20;
 - Frobenius-Schur: sum chi_lambda(mu) = r(mu), the number of square
   roots of a permutation of cycle type mu;
 - column orthogonality: sum chi_lambda(mu)^2 = z_mu, the order of the
   centralizer.
 
-The engine yields only the rows lambda <= lambda', each with the mask
+The engine gives only the rows lambda <= lambda', each with the mask
 of lambda'; the row of lambda' is the row of lambda times sgn(mu) =
 (-1)^(n - len mu), so a conjugate pair adds twice the lanes of even mu
 and nothing at odd mu to both linear sums.  Each linear identity is
@@ -23,7 +25,7 @@ lambda' cancel there; the orthogonality sums decode the lanes and do.
 from __future__ import annotations
 
 from math import comb, factorial, prod
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from charcensus import characters
 from charcensus.partitions import beta_mask, conjugate_mask, part_tuples
@@ -55,20 +57,54 @@ def centralizer(mu: tuple[int, ...]) -> int:
     return prod(k ** mu.count(k) * factorial(mu.count(k)) for k in set(mu))
 
 
+def dimension(mask: int, n: int) -> int:
+    """f_lambda of the partition lambda of n with beta mask ``mask``, by
+    the hook length formula: the hook lengths are b - e for each bead b
+    and each gap e < b."""
+    hooks = 1
+    for b in range(mask.bit_length()):
+        if mask >> b & 1:
+            for e in range(b):
+                if not mask >> e & 1:
+                    hooks *= b - e
+    return factorial(n) // hooks
+
+
 def top_masks(n: int) -> list[int]:
     """The beta masks of the partitions lambda <= lambda' of n, in
     enumeration order, from ``part_tuples``: the rows the engine should
-    yield."""
+    give."""
     masks = [beta_mask(p) for p in part_tuples(n)]
     return [mask for mask in masks if mask <= conjugate_mask(mask)]
 
 
-def failures(n: int, rows: Iterable[tuple[int, int, list[int]]],
-             squares: bool = False) -> set[str]:
-    """The names of the identities that fail on ``rows``, the (mask,
-    conjugate mask, blocks) of the rows lambda <= lambda' of n, as
-    ``_packed_rows(n)`` yields them: "regular", "frobenius-schur" and,
-    with ``squares``, "orthogonality"."""
+def top_blocks(n: int) -> tuple[list[int], list[int], Iterator[tuple[int, list[int]]]]:
+    """The engine's top rows at n: their masks, their conjugate masks and
+    an iterator of (t, block t of each top row, in two's complement), in
+    the engine's order.  The blocks copied from kept rows (n < 20) are
+    cut out of the rows' copied prefixes; every other block is stripped
+    by ``characters._top_block``, the kernel the census counts with."""
+    _, lams, conjs, count, copied, prefixes, specs = characters._packed_rows(n)
+    width = characters._lane_width(n)
+
+    def blocks() -> Iterator[tuple[int, list[int]]]:
+        for t in range(1, copied + 1):
+            shift = width * count[t - 1]
+            keep = (1 << width * (count[t] - count[t - 1])) - 1
+            yield t, [prefix >> shift & keep for prefix in prefixes]
+        for t, spec in specs:
+            yield t, characters._top_block(lams, spec, width)
+
+    return lams, conjs, blocks()
+
+
+def failures(n: int, lams: list[int], conjs: list[int],
+             blocks: Iterable[tuple[int, list[int]]], squares: bool = False) -> set[str]:
+    """The names of the identities that fail on ``blocks``, (t, block t
+    of each top row) in any order, for the rows lambda <= lambda' of n
+    with masks ``lams`` and conjugate masks ``conjs``, as ``top_blocks``
+    gives them: "regular", "frobenius-schur" and, with ``squares``,
+    "orthogonality"."""
     width = characters._lane_width(n)
     bias = 1 << (width - 1)
     digit = (1 << width) - 1
@@ -81,21 +117,22 @@ def failures(n: int, rows: Iterable[tuple[int, int, list[int]]],
         odd = [(n - len(mu)) % 2 for mu in mus]
         odd_ones = sum(1 << width * i for i, o in enumerate(odd) if o)
         shapes.append((bias * ones, odd_ones * digit, bias * odd_ones))
+    dims = [dimension(mask, n) for mask in lams]
+    pairs = [mask != conj for mask, conj in zip(lams, conjs)]
     regular = [0] * n
     roots = [0] * n
     squared = [[0] * len(mus) for mus in lanes]
-    for mask, conj, blocks in rows:
-        pair = mask != conj
-        f = blocks[0] - ((blocks[0] & bias) << 1)
-        for t, (block, (high, odd_lanes, odd_bias)) in enumerate(zip(blocks, shapes)):
+    for t, column in blocks:
+        high, odd_lanes, odd_bias = shapes[t - 1]
+        sums = squared[t - 1]
+        for f, pair, block in zip(dims, pairs, column):
             biased = block ^ high
             exact = biased - high
             if pair:  # the row plus its conjugate, exact - 2 (odd lanes)
                 exact = 2 * (exact - ((biased & odd_lanes) - odd_bias))
-            regular[t] += f * exact
-            roots[t] += exact
+            regular[t - 1] += f * exact
+            roots[t - 1] += exact
             if squares:
-                sums = squared[t]
                 for i in range(len(sums)):
                     value = (biased >> width * i & digit) - bias
                     sums[i] += value * value << pair
@@ -111,6 +148,5 @@ def failures(n: int, rows: Iterable[tuple[int, int, list[int]]],
 
 
 def certify(n: int, squares: bool = False) -> set[str]:
-    """``failures`` on the engine's own top rows at n."""
-    _, _, rows = characters._packed_rows(n)
-    return failures(n, rows, squares)
+    """``failures`` on the engine's own top blocks at n."""
+    return failures(n, *top_blocks(n), squares)

@@ -74,8 +74,9 @@ def beta_strips(mask: int, t: int) -> list[tuple[int, int]]:
     A strip starts at each set bit b >= t whose bit b - t is clear; the
     remainder moves that bead to b - t, and the height parity is the
     parity of the beads strictly between.  ``characters._strip`` and the
-    packed engine's ``characters._stripped`` run the same loop inline;
-    ``column_oracle`` and the partition tests call this one.
+    packed engine's ``characters._stripped`` and ``characters._top_block``
+    run the same loop inline; ``column_oracle`` and the partition tests
+    call this one.
     """
     out = []
     starts = (mask & ~(mask << t)) >> t << t

@@ -443,28 +443,83 @@ def test_census_range_builds_each_level_once(enumerations):
         == [min(m, 20 - m) for m in range(20)]
 
 
+def _census_freeing_levels(n):
+    """zero_count(n) above 20, checking the engine's levels at each top
+    block it strips: block n - m comes right after size m is built,
+    from t = n down to 1, and then only the sizes k with 2m - n <= k <= m
+    hold rows, since size k is read last by size (n + k) // 2 and by
+    block n - k; every other size holds its mask list, and every size
+    keeps its mask order and lane counts, so ``_masks`` still
+    enumerates."""
+    masks, kernel = characters._masks, characters._top_block
+    orders = [[beta_mask(p) for p in part_tuples(k)] for k in range(n)]
+    expected = [(orders[0], [1])] + [
+        (order, [sum(1 for p in part_tuples(k) if p[0] <= t)
+                 for t in range(min(k, n - k) + 1)])
+        for k, order in enumerate(orders) if k]
+    seen = []  # the levels _masks reads, and the blocks stripped
+
+    def enumerated(levels, m):
+        seen[:1] = [levels]
+        return masks(levels, m)
+
+    def stripped(lams, spec, width, tally=None):
+        levels = seen[0]
+        m = n - spec[0]
+        held = [k for k, (rows, _) in enumerate(levels) if isinstance(rows, dict)]
+        assert held == list(range(max(2 * m - n, 0), m + 1)), (n, m, held)
+        assert spec[2] is levels[m][0]
+        assert [(list(rows), count) for rows, count in levels] == expected, (n, m)
+        seen.append(spec[0])
+        return kernel(lams, spec, width, tally)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(characters, "_masks", enumerated)
+        patch.setattr(characters, "_top_block", stripped)
+        census = zero_count(n)
+    assert seen[1:] == list(range(n, 0, -1))
+    return census
+
+
 def test_census_pinned_above_the_guard(monkeypatch, enumerations):
     zero_count(20)
     levels = characters._levels
     kept = list(levels)
     monkeypatch.setattr(characters, "TABLE_GUARD", 30)
-    # lanes of 36 and 41 bits: the per-block zero test above 32 bits
-    census = zero_count(22)
+    # lanes of 36 and 41 bits: the per-block zero test above 32 bits;
+    # N = 22..26 also check which levels hold rows at each top block
+    census = _census_freeing_levels(22)
     assert census.total_zeros == 395473
     assert census.per_core_zeros == {
         1: 0, 2: 0, 3: 1570, 4: 3546, 5: 12682, 6: 26092, 7: 38830, 8: 71880,
         9: 101221, 10: 137215, 11: 166151, 12: 220745, 13: 242256, 14: 285105,
         15: 310451, 16: 337729, 17: 352250, 18: 368345, 19: 377150, 20: 385185,
         21: 390172, 22: 391635}
-    census = zero_count(24)
+    assert _census_freeing_levels(23).total_zeros == 604113
+    census = _census_freeing_levels(24)
     assert census.total_zeros == 970294
     assert census.per_core_zeros == {
         1: 0, 2: 0, 3: 2564, 4: 6088, 5: 22837, 6: 35516, 7: 77542, 8: 133973,
         9: 197548, 10: 285251, 11: 350055, 12: 473045, 13: 528252, 14: 634042,
         15: 704783, 16: 780196, 17: 822513, 18: 870332, 19: 898860, 20: 924576,
         21: 940265, 22: 953278, 23: 961668, 24: 964002}
-    assert zero_count(26).total_zeros == 2323476
-    assert zero_count(28).total_zeros == 5349414
+    assert _census_freeing_levels(25).total_zeros == 1453749
+    census = _census_freeing_levels(26)
+    assert census.total_zeros == 2323476
+    assert census.per_core_zeros == {
+        1: 0, 2: 0, 3: 4006, 4: 6800, 5: 29770, 6: 74362, 7: 154395, 8: 250337,
+        9: 394381, 10: 562493, 11: 706778, 12: 1014380, 13: 1119818, 14: 1371752,
+        15: 1557858, 16: 1749632, 17: 1853224, 18: 2009608, 19: 2074482,
+        20: 2158516, 21: 2208483, 22: 2248014, 23: 2274862, 24: 2297322,
+        25: 2309273, 26: 2313368}
+    census = zero_count(28)
+    assert census.total_zeros == 5349414
+    assert census.per_core_zeros == {
+        1: 0, 2: 3559, 3: 0, 4: 14885, 5: 70341, 6: 125693, 7: 224537, 8: 457564,
+        9: 747366, 10: 1064969, 11: 1416921, 12: 2014634, 13: 2278364,
+        14: 2857378, 15: 3271399, 16: 3747258, 17: 4017607, 18: 4401758,
+        19: 4588463, 20: 4830362, 21: 4959125, 22: 5080968, 23: 5163538,
+        24: 5233806, 25: 5273708, 26: 5307052, 27: 5328042, 28: 5334136}
     assert zero_count(30).total_zeros == 11963861
     # a call above 20 keeps none of its wider levels: the module holds
     # the same 32-bit levels as before, and a census at 20 builds no size
@@ -485,20 +540,19 @@ def test_engine_enumerates_partitions_in_order():
     for m, (rows, _) in enumerate(characters._levels):
         assert list(rows) == [beta_mask(p) for p in part_tuples(m)], m
     for n in range(1, 27):
-        masks, sizes, _ = characters._packed_rows(n)
+        masks, _, _, count, *_ = characters._packed_rows(n)
         assert masks == [beta_mask(p) for p in part_tuples(n)], n
-        assert sizes == [sum(1 for p in part_tuples(n) if p[0] == t)
-                         for t in range(1, n + 1)], n
+        assert [b - a for a, b in zip(count, count[1:])] \
+            == [sum(1 for p in part_tuples(n) if p[0] == t) for t in range(1, n + 1)], n
 
 
 def test_engine_top_rows_are_the_half_below_their_conjugates():
     # the rows lambda <= lambda', in enumeration order, each with the
     # mask of the transposed diagram
     for n in (*range(1, 21), 22):
-        _, _, rows = characters._packed_rows(n)
-        got = [(mask, conj) for mask, conj, _ in rows]
-        assert [mask for mask, _ in got] == column_certificates.top_masks(n), n
-        for mask, conj in got:
+        lams, conjs, _ = column_certificates.top_blocks(n)
+        assert lams == column_certificates.top_masks(n), n
+        for mask, conj in zip(lams, conjs):
             assert conj == beta_mask(conjugate(P(parts_of_mask(mask))).parts), (n, mask)
 
 
@@ -599,13 +653,13 @@ def test_column_certificates_hold(n):
     assert column_certificates.certify(n, squares=n <= 24) == set()
 
 
-def _mutated(rows, row, t, change):
-    """``rows`` with block t of the given row replaced by
-    ``change(block)``."""
-    rows = list(rows)
-    mask, conj, blocks = rows[row]
-    rows[row] = mask, conj, blocks[:t - 1] + [change(blocks[t - 1])] + blocks[t:]
-    return rows
+def _mutated(blocks, row, t, change):
+    """``blocks``, a dict of each block t of the top rows, with block t
+    of the given row replaced by ``change(block)``."""
+    blocks = dict(blocks)
+    blocks[t] = list(blocks[t])
+    blocks[t][row] = change(blocks[t][row])
+    return blocks.items()
 
 
 def _plus_one(n, t, parity):
@@ -622,15 +676,15 @@ def test_column_certificates_catch_mutations():
     # at n = 24, above the guard, where no oracle reaches
     failures = column_certificates.failures
     n = 24
-    rows = list(characters._packed_rows(n)[2])
+    lams, conjs, blocks = column_certificates.top_blocks(n)
+    blocks = dict(blocks)
     row = 100  # a conjugate pair, with a nonzero block 5
-    mask, conj, blocks = rows[row]
-    assert mask != conj and blocks[4] != 0
-    assert failures(n, _mutated(rows, row, 5, lambda block: 0))
-    assert failures(n, _mutated(rows, row, 5, _plus_one(n, 5, 0)))
+    assert lams[row] != conjs[row] and blocks[5][row] != 0
+    assert failures(n, lams, conjs, _mutated(blocks, row, 5, lambda block: 0))
+    assert failures(n, lams, conjs, _mutated(blocks, row, 5, _plus_one(n, 5, 0)))
     # an odd lane of a pair row cancels against the conjugate row in the
     # linear sums; only the squares see it
-    assert failures(n, _mutated(rows, row, 5, _plus_one(n, 5, 1)),
+    assert failures(n, lams, conjs, _mutated(blocks, row, 5, _plus_one(n, 5, 1)),
                     squares=True) == {"orthogonality"}
 
 
@@ -640,12 +694,13 @@ def _block_zeros(n):
     pair's rows have the same zeros."""
     width = characters._lane_width(n)
     digit = (1 << width) - 1
-    _, sizes, rows = characters._packed_rows(n)
+    sizes = [sum(1 for p in part_tuples(n) if p[0] == t) for t in range(1, n + 1)]
+    lams, conjs, blocks = column_certificates.top_blocks(n)
     zeros = [0] * n
-    for mask, conj, blocks in rows:
-        for t, (block, size) in enumerate(zip(blocks, sizes)):
-            zeros[t] += sum(1 for i in range(size)
-                            if not block >> width * i & digit) << (mask != conj)
+    for t, column in blocks:
+        for mask, conj, block in zip(lams, conjs, column):
+            zeros[t - 1] += sum(1 for i in range(sizes[t - 1])
+                                if not block >> width * i & digit) << (mask != conj)
     return zeros
 
 
