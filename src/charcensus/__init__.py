@@ -17,7 +17,8 @@ _MODULES = {
                  "lower_bound_sum", "partition_count", "tcore_count",
                  "tcore_count_bruteforce"),
     "characters": ("CharacterTable", "ZeroCensus", "character_table",
-                   "character_value", "zero_count"),
+                   "zero_count"),
+    "values": ("character_value",),
     "asymptotics": ("LogReal", "BoundReport", "SaddleSolution",
                     "core_count_bound", "eta", "full_table_bound",
                     "rademacher_main_term", "solve_saddle",

@@ -1,42 +1,26 @@
-"""Exact symmetric-group character values and zero censuses.
+"""Exact symmetric-group character tables and zero censuses.
 
-Single character values come from the classical border-strip
-(Murnaghan-Nakayama) recursion: pick a part t of the cycle type mu,
-strip every border strip of length t from lambda, and sum the signed
-sub-characters.  The memo has one node per suffix of mu, read from the
-last part, holding the characters already known there, keyed by the
-beta mask of lambda.  One walk (``_values``) evaluates a whole multiset
-of pairs, each pair one int key (``_pair_key``): the beta mask of
-lambda, with a code of mu above it whose int order is the order of mu's
-parts read from the last part.  So the walk takes the keys in int
-order, up or down, the mu that end in one suffix come one after
-another, and it holds only the nodes of the current mu's suffixes,
-dropping each as soon as the walk leaves it.
-Every state is still computed once.  The recursion is entered only on a
-memo miss: it runs the strip loop inline, looks each remainder up in the
-next suffix's node and recurses only on the remainders missing there.
-The density sampler's two walkers each walk one end of its sorted
-pairs, and the single-value CLI call is a walk over one pair.
-
-Full tables and censuses apply the same rule to every column at once,
-in one breadth-first engine over the suffixes s of mu (``_packed_rows``).
-At each size k the characters of lambda |- k at every suffix of size k
-are packed into one int per lambda, one fixed-width lane per suffix, so
-removing the border strips of length t from lambda is a signed sum of
-whole packed rows of size k - t, one big-int add per strip, with the
-strip loop of ``_strip`` inline.  The lanes of a row whose suffix has
-first part t form its block t, which reads only size k - t.  The
-partitions of each size are enumerated from the smaller sizes the engine
-holds (``_masks``): those with first part t are (t,) + s for the last
-rows s of size k - t, s's beta mask with one more bead.  Since chi at
-lambda' is sgn(mu) = (-1)^(n - len mu) times chi at lambda, the size-n
-rows are built only for the masks with mask <= conjugate_mask(mask),
-one of each conjugate pair (the top rows), and block by block: one
-loop (``_top_block``) strips block t of every top row.  The census
-counts each block's zero lanes in that loop, a few big-int operations
-into one tally per row, keeps no block, and weights each row by the
-size of its conjugate pair at the end; the table appends each block's
-bytes to its rows, decodes the lanes and fills the other rows by sign.
+Tables and censuses apply the border-strip (Murnaghan-Nakayama) rule to
+every column at once, in one breadth-first engine over the suffixes s
+of mu (``_packed_rows``).  At each size k the characters of lambda |- k
+at every suffix of size k are packed into one int per lambda, one
+fixed-width lane per suffix, so removing the border strips of length t
+from lambda is a signed sum of whole packed rows of size k - t, one
+big-int add per strip, with the strip loop inline.  The lanes of a row
+whose suffix has first part t form its block t, which reads only size
+k - t.  The partitions of each size, and their conjugates, are
+enumerated from the smaller sizes the engine holds (``_masks``): those
+with first part t are (t,) + s for the last rows s of size k - t, s's
+beta mask with one more bead.  Since chi at lambda' is sgn(s) =
+(-1)^(k - len s) times chi at lambda, only the rows with mask <= the
+conjugate's mask are stripped, at every size: each other row of a size
+below n is its conjugate's with the odd lanes negated (``_level_rows``),
+and the size-n rows (the top rows) are built block by block: one loop
+(``_top_block``) strips block t of every top row.  The census counts
+each block's zero lanes in that loop, a few big-int operations into one
+tally per row, keeps no block, and weights each row by the size of its
+conjugate pair at the end; the table appends each block's bytes to its
+rows, decodes the lanes and fills the other rows by sign.
 For n <= 20, where every lane is 32 bits wide, the rows of the sizes
 up to n are kept between calls, in one store: a size's blocks do not
 depend on n, so each size is built once, with every block that n = 20
@@ -49,6 +33,10 @@ its own lane width, so a call there builds its own levels, each as
 the top reads it: block n - m right after size m, and the rows of
 size k dropped once size (n + k) // 2, their last reader, is built.
 The store has no lock: the package never runs two calls at once.
+
+Single character values are the ``values`` module's; this module
+imports ``partitions`` only to list a table's partitions, so a census
+loads no other layer.
 """
 
 from __future__ import annotations
@@ -57,140 +45,14 @@ import sys
 from array import array
 from math import factorial, isqrt
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import GuardError
-from .partitions import Partition, beta_mask, conjugate_mask, enumerate_partitions
+
+if TYPE_CHECKING:
+    from .partitions import Partition
 
 TABLE_GUARD = 20
-# largest n of one character value, for `char eval` and the density sampler,
-# and the only bound on one evaluation's work: each (mask, suffix) state
-# misses the memo at most once, the states at mu[i:] are partitions of
-# |mu[i:]|, and these sizes are distinct, so misses per evaluation
-# <= sum_{m<=n} p(m) = 6,639,348 at 60.  Raising the guard re-checks this.
-VALUE_GUARD = 60
-
-
-_EMPTY_SUFFIX = {0: 1}  # the node of mu = (): only the empty partition, chi 1
-
-
-def _mu_code(mu: tuple[int, ...], n: int) -> int:
-    """The code of the parts ``mu`` of a partition of at most n: one
-    digit of ``n.bit_length()`` bits per part, the last part most
-    significant, left-aligned to n digits.  The empty digits below are
-    zero, smaller than any part, so codes compare as the parts read from
-    the last part, ``mu[::-1]``, with a prefix first."""
-    width = n.bit_length()
-    code = 0
-    for part in reversed(mu):
-        code = code << width | part
-    return code << width * (n - len(mu))
-
-
-def _pair_key(lam: int, mu: tuple[int, ...], n: int) -> int:
-    """The key of the pair (beta mask ``lam``, parts ``mu``) of size at
-    most n, as ``_values`` reads it: ``lam`` in the low n + 1 bits, which
-    hold any beta mask of a partition of at most n, and ``_mu_code(mu, n)``
-    above them."""
-    return _mu_code(mu, n) << n + 1 | lam
-
-
-def _values(keys: Iterable[int], n: int) -> Iterator[int]:
-    """Yield the character of each pair of ``keys``, ``_pair_key``s of
-    pairs of size at most n sorted either up or down; the parts of mu are
-    stripped in the order encoded.
-
-    The memo node of a suffix s holds the characters at s, keyed by beta
-    mask, and only the mu that end in s read it.  The keys' int order is
-    the order of the parts of mu read from the last part, so the mu that
-    end in s are consecutive in either direction, and of each new mu only
-    the parts before the suffix it shares with the last are decoded.
-    Only the nodes on the current mu's suffix path are held: a node is
-    dropped as soon as the next mu leaves its suffix, and every state is
-    still computed once.  The keys are pulled one at a time, so a caller
-    may feed the walk as it goes.
-    """
-    shift = n + 1  # _pair_key's mask width
-    width = n.bit_length()  # _mu_code's digit width
-    top = width * n  # the bits of a mu code
-    digit = (1 << width) - 1
-    path = [_EMPTY_SUFFIX]  # path[d]: the node of the last d parts of mu
-    levels = [_EMPTY_SUFFIX]  # levels[i] is the node of mu[i:]
-    mu: tuple[int, ...] = ()
-    last = 0  # the code of mu
-    for key in keys:
-        code = key >> shift
-        if code != last:
-            # the leading digits the codes share are the last parts the mu
-            # share; only the parts before them are decoded
-            keep = (top - (code ^ last).bit_length()) // width
-            last = code
-            new = []
-            tail = code & ((1 << top - keep * width) - 1)
-            if tail:
-                tail >>= ((tail & -tail).bit_length() - 1) // width * width
-                while tail:
-                    new.append(tail & digit)
-                    tail >>= width
-            mu = (*new, *mu[len(mu) - keep:])
-            del path[keep + 1:]
-            path.extend({} for _ in new)
-            levels = path[::-1]
-        # walking up, the node of mu is new at its first key (any mu
-        # ending in mu sorts after it); walking down, the mu ending in mu
-        # came first and may have stored the pair already; mu = () is the
-        # empty class, whose node holds the empty partition
-        lam = key ^ code << shift
-        value = levels[0].get(lam)
-        yield _strip(lam, mu, 0, levels) if value is None else value
-
-
-def _strip(lam: int, mu: tuple[int, ...], i: int, levels: list[dict]) -> int:
-    """The character at (``lam``, mu[i:]), entered only when ``levels[i]``
-    misses it; stores it there.
-
-    The border strips of length t are enumerated inline: each remainder
-    is looked up in ``levels[i + 1]`` and recursed on only when missing,
-    so every call adds one memo state.
-    """
-    t = mu[i]
-    known = levels[i + 1]
-    starts = (lam & ~(lam << t)) >> t << t
-    between = (1 << (t - 1)) - 1
-    total = 0
-    while starts:
-        bit = starts & -starts
-        starts ^= bit
-        rem = lam ^ bit ^ (bit >> t)
-        if rem & 1:  # the bead moved to bit 0: shift out the trailing ones
-            rem >>= (rem ^ (rem + 1)).bit_length() - 1
-        sub = known.get(rem)
-        if sub is None:
-            sub = _strip(rem, mu, i + 1, levels)
-        if ((lam >> (bit.bit_length() - t)) & between).bit_count() & 1:
-            total -= sub
-        else:
-            total += sub
-    levels[i][lam] = total
-    return total
-
-
-def character_value(lam: Partition, mu: Partition) -> int:
-    """Exact character value of the irreducible indexed by lam at the
-    conjugacy class of cycle type mu.
-
-    Both partitions must have the same size.  The parts of mu are
-    stripped largest first.  Refuses either size above ``VALUE_GUARD``
-    (60) before comparing them.
-    """
-    _check_value_size(lam.size)
-    _check_value_size(mu.size)
-    if lam.size != mu.size:
-        raise ValueError(f"size mismatch: |{lam}| = {lam.size}, |{mu}| = {mu.size}")
-    n = mu.size
-    key = _pair_key(beta_mask(lam.parts), mu.parts, n)
-    (value,) = _values([key], n)
-    return value
 
 
 class CharacterTable(NamedTuple):
@@ -214,12 +76,6 @@ def _check_table_size(n: int) -> None:
                          "use density sampling beyond this scale")
 
 
-def _check_value_size(n: int) -> None:
-    if n > VALUE_GUARD:
-        raise GuardError(f"single character values limited to n <= {VALUE_GUARD}, "
-                         f"got {n}")
-
-
 def _ones(width: int, lanes: int) -> int:
     """The int with a 1 in each of ``lanes`` digits of ``width`` bits."""
     return ((1 << width * lanes) - 1) // ((1 << width) - 1)
@@ -234,28 +90,31 @@ def _lane_width(n: int) -> int:
 
 # the largest n of 32-bit lanes: _packed_rows keeps the levels up to it
 _KEPT_N = 20
-# the kept levels, (rows, counts) at each size k: rows maps the beta mask of
-# each partition of k, in enumeration order, to its row; counts[t] counts its
-# lanes with first part <= t; size 0 holds the empty partition at the empty
-# suffix
-_levels: list = [({0: 1 + (1 << 31)}, [1])]
+# the kept levels, one (rows, count, masks, conjs, odd) per size k, as
+# ``_level`` gives them with rows: rows maps the beta mask of each partition
+# of k to its row; size 0 holds the empty partition at the empty suffix
+_levels: list = [({0: 1 + (1 << 31)}, [1], [0], [0], 0)]
 
 
-def _masks(levels: list, m: int) -> list[int]:
-    """The beta masks of the partitions of m, in enumeration order, read
-    from the levels below m.  The partitions with first part t are
-    (t,) + s for the partitions s of m - t with s[0] <= t, which are the
-    last ``counts[min(t, m - t)]`` rows of level m - t, and the mask of
-    (t,) + s is the mask of s with one more bead, at t + len(s).  Taking
-    t from m down to 1 gives ``part_tuples(m)``'s order.  A level's rows
-    are read only for their masks, so a level that dropped its rows for
-    their mask list serves as well."""
-    masks = []
+def _masks(levels: list, m: int) -> tuple[list[int], list[int]]:
+    """The beta masks of the partitions of m, in enumeration order, and
+    the beta masks of their conjugates, read from the levels below m.
+    The partitions with first part t are (t,) + s for the partitions s
+    of m - t with s[0] <= t, which are the last ``count[min(t, m - t)]``
+    masks of level m - t, and the mask of (t,) + s is the mask of s with
+    one more bead, at t + len(s).  Taking t from m down to 1 gives
+    ``part_tuples(m)``'s order.  The conjugate of (t,) + s is s' with
+    each of its s[0] parts one longer, then d = t - s[0] parts 1, so
+    with c the mask of s' (s[0] beads, none at bit 0) its mask is
+    (c << d | (1 << d) - 1) << 1 = (c + 1 << d + 1) - 2.  A level's rows
+    are not read, so a level that holds none serves as well."""
+    masks, conjs = [], []
     for t in range(m, 0, -1):
-        rows, count = levels[m - t]
-        masks += [s | 1 << (t + s.bit_count())
-                  for s in list(rows)[len(rows) - count[min(t, m - t)]:]]
-    return masks
+        _, count, prev, prev_conjs, _ = levels[m - t]
+        start = len(prev) - count[min(t, m - t)]
+        masks += [s | 1 << (t + s.bit_count()) for s in prev[start:]]
+        conjs += [(c + 1 << t + 1 - c.bit_count()) - 2 for c in prev_conjs[start:]]
+    return masks, conjs
 
 
 def _counts(levels: list, m: int, blocks: int) -> list[int]:
@@ -266,6 +125,25 @@ def _counts(levels: list, m: int, blocks: int) -> list[int]:
     for t in range(1, blocks + 1):
         count.append(count[-1] + levels[m - t][1][min(t, m - t)])
     return count
+
+
+def _level(levels: list, m: int, blocks: int, width: int) -> tuple:
+    """Level m, blocks 1..``blocks`` in lanes of ``width`` bits, without
+    its rows: (None, count, masks, conjs, odd), with
+    - count: count[t] counts the lanes of blocks 1..t (``_counts``);
+    - masks, conjs: the beta masks of the partitions of m, in
+      enumeration order, and of their conjugates (``_masks``);
+    - odd: all ones in each lane whose suffix s has m - len(s) odd,
+      where chi at lambda' is -chi at lambda.  Block t's lanes are
+      (t,) + s for the first lanes s of level m - t, so they copy those
+      lanes' parities, flipped when t is even."""
+    count = _counts(levels, m, blocks)
+    odd = 0
+    for t in range(1, blocks + 1):
+        lanes = (1 << width * (count[t] - count[t - 1])) - 1
+        flip = 0 if t & 1 else lanes
+        odd |= ((levels[m - t][4] & lanes) ^ flip) << width * count[t - 1]
+    return (None, count, *_masks(levels, m), odd)
 
 
 def _block_spec(levels: list, m: int, t: int, count: list[int], width: int) -> tuple:
@@ -284,9 +162,9 @@ def _stripped(lams: list[int], blocks: list) -> Iterator[int]:
     for lam in lams:
         row = 0
         for t, between, prev, keep, high, shift in blocks:
-            # the border strips of length t, as in _strip; net counts the
-            # strips added less those subtracted, from -1, so the biased
-            # block is total less net biases per lane
+            # the border strips of length t, as in values._strip; net
+            # counts the strips added less those subtracted, from -1, so
+            # the biased block is total less net biases per lane
             starts = (lam & ~(lam << t)) >> t << t
             total = 0
             net = -1
@@ -308,12 +186,21 @@ def _stripped(lams: list[int], blocks: list) -> Iterator[int]:
         yield row
 
 
-def _level_rows(levels: list, m: int, masks: list[int], count: list[int],
-                width: int) -> dict[int, int]:
-    """The kept rows of size m, by beta mask, with the blocks that
-    ``count`` counts."""
+def _level_rows(levels: list, m: int, level: tuple, width: int) -> dict[int, int]:
+    """The rows of ``level``, size m, by beta mask.  Only the rows with
+    mask <= conjugate mask are stripped; each other row is its
+    conjugate's with the odd lanes negated, a biased digit x becoming
+    2 bias - x."""
+    _, count, masks, conjs, odd = level
     blocks = [_block_spec(levels, m, t, count, width) for t in range(1, len(count))]
-    return dict(zip(masks, _stripped(masks, blocks)))
+    tops = [lam for lam, conj in zip(masks, conjs) if lam <= conj]
+    rows = dict(zip(tops, _stripped(tops, blocks)))
+    high = odd & _ones(width, count[-1]) << (width - 1)
+    for lam, conj in zip(masks, conjs):
+        if lam > conj:
+            row = rows[conj]
+            rows[lam] = row + ((high - (row & odd)) << 1)
+    return rows
 
 
 def _top_block(lams: list[int], spec: tuple, width: int,
@@ -371,8 +258,8 @@ def _packed_rows(n: int) -> tuple:
     """The rows of size n with lambda <= lambda' (the top rows), block by
     block, as (masks, lams, conjs, count, copied, prefixes, blocks):
     - masks: the beta masks of the partitions of n, enumeration order;
-    - lams, conjs: the top rows' masks, mask <= conjugate_mask(mask), in
-      that order, and their conjugate masks;
+    - lams, conjs: the top rows' masks, each at most its conjugate's
+      mask, in that order, and their conjugate masks;
     - count: count[t] is the number of lanes of blocks 1..t;
     - copied, prefixes: the blocks 1..copied are copied out of size n's
       kept rows, and prefixes holds them, joined, for each top row;
@@ -392,8 +279,10 @@ def _packed_rows(n: int) -> tuple:
     ``last``, the partitions of k with s[0] <= last - k, ordered by
     first part ascending and so lexicographically.  The rows at size
     k < n are all partitions of k (``_masks``), one int each, each digit
-    holding chi + 2^(width - 1), so no digit is negative.  Size m is
-    built breadth first from the smaller ones: its lanes with first part
+    holding chi + 2^(width - 1), so no digit is negative; only the rows
+    with mask <= conjugate mask are stripped, and each other row is read
+    off its conjugate's by the sign of each lane (``_level_rows``).
+    Size m is built breadth first from the smaller ones: its lanes with first part
     t, for t <= min(m, last - m) or any t at the top, are (t,) + s for
     the suffixes s of size m - t with s[0] <= t, a prefix of that size's
     lanes read through an explicit lane mask.  So block t of row lambda,
@@ -412,11 +301,12 @@ def _packed_rows(n: int) -> tuple:
     includes size n itself, which the next larger call reads, and the
     top copies its blocks t <= 20 - n out of those rows.  A call above
     20 builds its own levels, and only as the top reads them: it
-    enumerates the masks and lane counts of every size first, then
-    builds the rows of size m = 1, 2, ... and gives block n - m right
-    after size m, block n first, from size 0.  Size k is read last by
+    enumerates the masks, conjugates, lane counts and odd lanes of
+    every size first (``_level``), then builds the rows of size m = 1,
+    2, ... and gives block n - m right after size m, block n first,
+    from size 0.  Size k is read last by
     size (n + k) // 2, after the top's block n - k, so its rows are then
-    dropped and its mask list kept for ``_masks``.  Nothing in the
+    dropped and its masks kept for ``_masks``.  Nothing in the
     package runs concurrently, so the store has no lock and is not for
     use from several threads at once.
     """
@@ -424,21 +314,20 @@ def _packed_rows(n: int) -> tuple:
     if n <= _KEPT_N:
         levels = _levels
         for m in range(len(levels), n + (n < _KEPT_N)):  # below 20, size n too
-            count = _counts(levels, m, min(m, _KEPT_N - m))
-            levels.append((_level_rows(levels, m, _masks(levels, m), count, width), count))
+            level = _level(levels, m, min(m, _KEPT_N - m), width)
+            levels.append((_level_rows(levels, m, level, width), *level[1:]))
     else:
-        levels = [({0: 1 + (1 << (width - 1))}, [1])]
-        for m in range(1, n):  # mask lists: _top_specs builds the rows
-            levels.append((_masks(levels, m), _counts(levels, m, min(m, n - m))))
+        levels = [({0: 1 + (1 << (width - 1))}, [1], [0], [0], 0)]
+        for m in range(1, n):  # no rows yet: _top_specs builds them
+            levels.append(_level(levels, m, min(m, n - m), width))
     count = _counts(levels, n, n)
     if n < len(levels):  # size n is kept: its blocks are the top's first
-        kept, kept_count = levels[n]
-        masks = list(kept)
+        kept, kept_count, masks, all_conjs, _ = levels[n]
         copied = len(kept_count) - 1
     else:
-        masks, copied = _masks(levels, n), 0
+        (masks, all_conjs), copied = _masks(levels, n), 0
     lams, conjs = [], []
-    for lam, conj in zip(masks, map(conjugate_mask, masks)):
+    for lam, conj in zip(masks, all_conjs):
         if lam <= conj:
             lams.append(lam)
             conjs.append(conj)
@@ -454,17 +343,16 @@ def _top_specs(levels: list, n: int, count: list[int], copied: int,
                width: int) -> Iterator[tuple[int, tuple]]:
     """(t, spec) for each top block t > ``copied``, from t = n down,
     each once size n - t holds rows: above 20 block n - m comes right
-    after size m's rows are built, and each size's rows are dropped for
-    their mask list after their last reader."""
+    after size m's rows are built, and each size's rows are dropped
+    after their last reader, its masks and lane counts kept."""
     wide = n > _KEPT_N
     for m in range(n - copied):  # block n - m reads size m
         if wide and m:
-            masks, level_count = levels[m]
-            levels[m] = (_level_rows(levels, m, masks, level_count, width), level_count)
+            levels[m] = (_level_rows(levels, m, levels[m], width), *levels[m][1:])
         yield n - m, _block_spec(levels, n, n - m, count, width)
         if wide:  # size k is read last by size (n + k) // 2 and block n - k
             for k in range(max(2 * m - n, 0), 2 * m - n + 2):
-                levels[k] = (list(levels[k][0]), levels[k][1])
+                levels[k] = (None, *levels[k][1:])
 
 
 def character_table(n: int) -> CharacterTable:
@@ -476,6 +364,8 @@ def character_table(n: int) -> CharacterTable:
     and each row's 32-bit lanes are read in C from its blocks' bytes.
     Each conjugate row is sgn(mu) = (-1)^(n - len mu) times its partner.
     """
+    from .partitions import enumerate_partitions  # a census never loads it
+
     _check_table_size(n)
     parts = tuple(enumerate_partitions(n))
     masks, lams, conjs, count, copied, prefixes, blocks = _packed_rows(n)

@@ -14,7 +14,8 @@ goes to stderr as one JSON object, never as a traceback.
 Each command imports only its own layer, inside its ``_cmd_*`` function:
 start-up loads argparse and this module, so ``count p`` and ``zeros
 lower-bound`` load only ``counting`` and the ``partitions`` it imports,
-and no ``bounds`` command loads ``characters`` or ``sampling``.  The
+``zeros exact`` loads ``characters`` alone, and no ``bounds`` command
+loads ``characters`` or ``sampling``.  The
 parsers are built per run from one table, ``_COMMANDS``: an argv that
 starts with a command's words builds only the parsers on its way down,
 and anything else (--help, a group, an unknown word) the whole tree.
@@ -76,7 +77,7 @@ def _cmd_count_core(args):
 
 
 def _cmd_char_eval(args):
-    from .characters import character_value
+    from .values import character_value
     from .partitions import parse_partition
 
     lam = parse_partition(args.lam)

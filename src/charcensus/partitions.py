@@ -8,8 +8,9 @@ length of that row.  Trailing ones stand for zero parts and are shifted
 out, so each partition has exactly one mask.  A border strip of length
 t is a set bit b whose bit b - t is clear; removing it moves the bead
 from b to b - t, and its height is the number of beads it passes.  The
-strip query, the t-core test and conjugation are then a few shifts and
-masks, so no path needs the diagram's hook lengths or its transpose.
+strip query and the t-core test are then a few shifts and masks, and
+the census engine enumerates each conjugate's mask with the mask, so no
+path needs the diagram's hook lengths or its transpose.
 """
 
 from __future__ import annotations
@@ -125,18 +126,6 @@ def beta_mask(parts: tuple[int, ...]) -> int:
     for i, p in enumerate(parts):
         mask |= 1 << (p + r - 1 - i)
     return mask >> ((mask ^ (mask + 1)).bit_length() - 1)
-
-
-def conjugate_mask(mask: int) -> int:
-    """The beta mask of the conjugate partition.
-
-    Read from the top, the bits of a canonical mask trace the boundary
-    of the diagram; transposing the diagram reverses that path and swaps
-    its two kinds of step, so the conjugate's mask is ``mask``'s binary
-    digits read backwards, complemented.  The top bit of a canonical mask
-    is set and its lowest bit is clear, so the result is canonical too.
-    """
-    return int(bin(mask)[:1:-1], 2) ^ ((1 << mask.bit_length()) - 1)
 
 
 def is_t_core(lam: Partition, t: int) -> bool:

@@ -19,12 +19,12 @@ Every pair is evaluated, since ``VALUE_GUARD`` bounds the work of one
 evaluation, so no pair is dropped and ``samples`` is the denominator.
 The pairs are drawn first and kept as a multiset: ``_draw_key`` builds
 each pair's int key as the parts come, the beta mask of lambda with a
-code of mu above it (``characters._pair_key``), so no part tuple is
+code of mu above it (``values._pair_key``), so no part tuple is
 made.  Each drawer counts its pairs (``_drawn``) and packs each
 distinct key once, in int order, as a fixed-width big-endian int, with
 an array of the counts after the keys, so a kept pair costs its key's
 bytes and 4 bytes, with no int object and no dict entry.
-``characters._values`` walks then evaluate each distinct pair once, in
+``values._values`` walks then evaluate each distinct pair once, in
 key order, holding only the memo of the current mu's suffixes, and the
 zeros are counted with their multiplicities.
 
@@ -88,7 +88,7 @@ from collections import Counter
 from itertools import groupby, repeat
 from typing import NamedTuple
 
-from .characters import _check_value_size, _values
+from .values import _check_value_size, _values
 from .counting import build_bounded_table
 from .errors import GuardError
 
@@ -128,7 +128,7 @@ def _states(n: int) -> tuple[tuple[tuple[tuple[int, ...], int, int], ...], ...]:
 
 
 def _draw_key(n: int, rng: random.Random, states, width: int) -> int:
-    """The ``characters._pair_key`` of one uniform pair (lambda, mu) of
+    """The ``values._pair_key`` of one uniform pair (lambda, mu) of
     partitions of n, lambda drawn first; ``states`` is ``_states(n)`` and
     ``width`` is ``n.bit_length()``, the digit width of mu's code.
 
@@ -267,7 +267,7 @@ def _walk(n: int, keys, counts, width: int, slots, up: bool) -> bytes:
     or down from the last, until the next block is one the other walker
     has claimed.  A block's slot reads 1 once it is claimed and its zeros
     plus 2 once it is walked.  All the blocks go through one
-    ``characters._values`` walk, keys taken in the walking direction, so
+    ``values._values`` walk, keys taken in the walking direction, so
     the suffix path carries over from one block to the next."""
     size = len(counts)
 
@@ -427,7 +427,7 @@ def estimate_zero_density(n: int, samples: int, seed: int) -> DensityEstimate:
     Reports the zero fraction with its 95% Wilson score interval, which
     stays honest when no zero (or no nonzero) is observed, and the
     conjectured 2/log n alongside.  Guarded by the single-value limit
-    ``characters.VALUE_GUARD`` (n <= 60): one character evaluation gets
+    ``values.VALUE_GUARD`` (n <= 60): one character evaluation gets
     combinatorially expensive past desk scale, and by ``DENSITY_GUARD``,
     since the time and the multiset of drawn pairs grow with every
     sample.  0 <= seed < 2^64.

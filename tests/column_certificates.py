@@ -28,7 +28,8 @@ from math import comb, factorial, prod
 from typing import Iterable, Iterator
 
 from charcensus import characters
-from charcensus.partitions import beta_mask, conjugate_mask, part_tuples
+from charcensus.partitions import beta_mask, part_tuples
+from strip_oracle import conjugate_mask
 
 
 def _double_factorial(m: int) -> int:

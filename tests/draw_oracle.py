@@ -42,7 +42,7 @@ def draw(n: int, rng: random.Random,
 
 
 def mu_parts(code: int, n: int) -> tuple[int, ...]:
-    """The parts that ``characters._mu_code(parts, n)`` encodes, in their
+    """The parts that ``values._mu_code(parts, n)`` encodes, in their
     order."""
     if not code:
         return ()

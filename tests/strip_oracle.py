@@ -5,6 +5,8 @@ the (lambda, mu)-keyed Murnaghan-Nakayama recursion that the library
 used before it held partitions as beta masks; the tests compare the
 mask paths against them.  ``beta_strips`` is the strip loop that the
 library runs inline, as a list, for the column oracle and the tests.
+``conjugate_mask`` transposes a beta mask on its own, as the library
+did before its census engine enumerated each conjugate with its mask.
 """
 
 from __future__ import annotations
@@ -50,6 +52,18 @@ def parts_of_mask(mask: int) -> tuple[int, ...]:
     return tuple(p for p in reversed(parts) if p > 0)
 
 
+def conjugate_mask(mask: int) -> int:
+    """The beta mask of the conjugate partition.
+
+    Read from the top, the bits of a canonical mask trace the boundary
+    of the diagram; transposing the diagram reverses that path and swaps
+    its two kinds of step, so the conjugate's mask is ``mask``'s binary
+    digits read backwards, complemented.  The top bit of a canonical mask
+    is set and its lowest bit is clear, so the result is canonical too.
+    """
+    return int(bin(mask)[:1:-1], 2) ^ ((1 << mask.bit_length()) - 1)
+
+
 def chi_tuple(lam: tuple[int, ...], mu: tuple[int, ...], memo: dict) -> int:
     """The character at (lam, mu), largest part of mu first, memoized on
     the part tuples."""
@@ -73,7 +87,7 @@ def beta_strips(mask: int, t: int) -> list[tuple[int, int]]:
 
     A strip starts at each set bit b >= t whose bit b - t is clear; the
     remainder moves that bead to b - t, and the height parity is the
-    parity of the beads strictly between.  ``characters._strip`` and the
+    parity of the beads strictly between.  ``values._strip`` and the
     packed engine's ``characters._stripped`` and ``characters._top_block``
     run the same loop inline; ``column_oracle`` and the partition tests
     call this one.

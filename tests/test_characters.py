@@ -6,8 +6,8 @@ from collections import Counter
 
 import pytest
 
-from charcensus import characters, sampling
-from charcensus.characters import character_table, character_value, zero_count
+from charcensus import characters, partitions, sampling, values
+from charcensus.characters import character_table, zero_count
 from charcensus.counting import build_bounded_table, partition_count, tcore_count
 from charcensus.errors import GuardError
 from charcensus.partitions import (
@@ -18,11 +18,12 @@ from charcensus.partitions import (
     part_tuples,
 )
 from charcensus.sampling import estimate_zero_density
+from charcensus.values import character_value
 import column_certificates
 import column_oracle
 from diagram_oracle import conjugate, hook_multiset
 from draw_oracle import draw
-from strip_oracle import beta_strips, chi_tuple, parts_of_mask
+from strip_oracle import beta_strips, chi_tuple, conjugate_mask, parts_of_mask
 
 P = Partition
 
@@ -111,10 +112,10 @@ def _walk(cells):
     are stripped in the order given."""
     cells = list(dict.fromkeys(cells))
     n = max(sum(mu) for _, mu in cells)
-    index = {characters._pair_key(lam, mu, n): i for i, (lam, mu) in enumerate(cells)}
+    index = {values._pair_key(lam, mu, n): i for i, (lam, mu) in enumerate(cells)}
     keys = sorted(index)
     return {cells[index[key]]: value
-            for key, value in zip(keys, characters._values(keys, n))}
+            for key, value in zip(keys, values._values(keys, n))}
 
 
 def _ordered(mu, order):
@@ -129,8 +130,8 @@ def _per_cell_rows(n, order):
     parts = list(enumerate_partitions(n))
     cells = [[(beta_mask(lam.parts), _ordered(mu, order)) for mu in parts]
              for lam in parts]
-    values = _walk([cell for row in cells for cell in row])
-    return tuple(tuple(values[cell] for cell in row) for row in cells)
+    got = _walk([cell for row in cells for cell in row])
+    return tuple(tuple(got[cell] for cell in row) for row in cells)
 
 
 @pytest.mark.parametrize("order", ["largest", "smallest"])
@@ -146,13 +147,13 @@ def strip_calls(monkeypatch):
     recursion looks it up by name, so the count is the number of states
     computed."""
     calls = [0]
-    strip = characters._strip
+    strip = values._strip
 
     def counted(*args):
         calls[0] += 1
         return strip(*args)
 
-    monkeypatch.setattr(characters, "_strip", counted)
+    monkeypatch.setattr(values, "_strip", counted)
     return calls
 
 
@@ -164,10 +165,10 @@ def test_chi_on_masks_matches_tuple_oracle(strip_calls, n, pairs):
     table = build_bounded_table(n, n)
     rng = random.Random(n)
     cells = [(draw(n, rng, table), draw(n, rng, table)) for _ in range(pairs)]
-    values = _walk([(beta_mask(lam), mu) for lam, mu in cells])
+    got = _walk([(beta_mask(lam), mu) for lam, mu in cells])
     oracle_memo = {}
     for lam, mu in cells:
-        assert values[beta_mask(lam), mu] == chi_tuple(lam, mu, oracle_memo), (lam, mu)
+        assert got[beta_mask(lam), mu] == chi_tuple(lam, mu, oracle_memo), (lam, mu)
     assert strip_calls[0] == len(oracle_memo)
 
 
@@ -181,14 +182,14 @@ def test_shared_memo_across_orders_and_sizes():
         table = build_bounded_table(n, n)
         lam, mu = P(draw(n, rng, table)), P(draw(n, rng, table))
         cells.append((lam, mu, rng.choice(["largest", "smallest"])))
-    values = _walk([(beta_mask(lam.parts), _ordered(mu, order))
-                    for lam, mu, order in cells])
+    got = _walk([(beta_mask(lam.parts), _ordered(mu, order))
+                 for lam, mu, order in cells])
     assert len({mu.size for _, mu, _ in cells}) > 1
     assert {order for *_, order in cells} == {"largest", "smallest"}
     for lam, mu, order in cells:
         cell = (beta_mask(lam.parts), _ordered(mu, order))
-        assert values[cell] == _walk([cell])[cell], (lam, mu, order)
-        assert values[cell] == chi_tuple(lam.parts, mu.parts, oracle_memo), (lam, mu)
+        assert got[cell] == _walk([cell])[cell], (lam, mu, order)
+        assert got[cell] == chi_tuple(lam.parts, mu.parts, oracle_memo), (lam, mu)
 
 
 def test_cold_evaluation_states_bounded_by_suffix_sizes(strip_calls):
@@ -200,14 +201,14 @@ def test_cold_evaluation_states_bounded_by_suffix_sizes(strip_calls):
         n = rng.randint(1, 22)
         table = build_bounded_table(n, n)
         lam, mu = beta_mask(draw(n, rng, table)), draw(n, rng, table)
-        key = characters._pair_key(lam, mu, n)
+        key = values._pair_key(lam, mu, n)
         strip_calls[0] = 0
-        (value,) = characters._values([key], n)
+        (value,) = values._values([key], n)
         states = strip_calls[0]
         assert 0 < states <= sum(partition_count(sum(mu[i:]))
                                  for i in range(len(mu))), (lam, mu)
         strip_calls[0] = 0
-        assert list(characters._values([key, key], n)) == [value, value]
+        assert list(values._values([key, key], n)) == [value, value]
         assert strip_calls[0] == states, (lam, mu)
 
 
@@ -259,12 +260,12 @@ def test_walk_down_matches_walk_up(strip_calls, n, pairs):
     for _ in range(pairs):
         size = rng.randint(n // 2, n)
         table = build_bounded_table(size, size)
-        keys.add(characters._pair_key(beta_mask(draw(size, rng, table)),
-                                      draw(size, rng, table), n))
+        keys.add(values._pair_key(beta_mask(draw(size, rng, table)),
+                                  draw(size, rng, table), n))
     keys = sorted(keys)
-    up = list(characters._values(keys, n))
+    up = list(values._values(keys, n))
     states, strip_calls[0] = strip_calls[0], 0
-    assert list(characters._values(keys[::-1], n)) == up[::-1]
+    assert list(values._values(keys[::-1], n)) == up[::-1]
     assert strip_calls[0] == states
 
 
@@ -277,7 +278,7 @@ def test_live_memo_is_the_suffix_path(monkeypatch, n, pairs):
     held = {0: {}}
     alone = sys.getrefcount(held[0])  # references to a node held only here
     live, calls, peak = {}, 0, 0
-    strip = characters._strip
+    strip = values._strip
 
     def watched(lam, mu, i, levels):
         nonlocal calls, peak
@@ -292,7 +293,7 @@ def test_live_memo_is_the_suffix_path(monkeypatch, n, pairs):
             peak = max(peak, sum(map(len, levels)))
         return strip(lam, mu, i, levels)
 
-    monkeypatch.setattr(characters, "_strip", watched)
+    monkeypatch.setattr(values, "_strip", watched)
     table = build_bounded_table(n, n)
     rng = random.Random(n)
     _walk([(beta_mask(draw(n, rng, table)), draw(n, rng, table))
@@ -373,7 +374,7 @@ def _check_regular_character():
     with first part 1."""
     width = 32
     bias = 1 << (width - 1)
-    for k, (rows, count) in enumerate(characters._levels):
+    for k, (rows, count, *_) in enumerate(characters._levels):
         base = bias * characters._ones(width, count[-1])
         total = sum(((row & ((1 << width) - 1)) - bias) * (row - base)
                     for row in rows.values())
@@ -385,16 +386,107 @@ def _check_kept_rows_below(n):
     32-bit width, and no row wider than its lanes."""
     levels = characters._levels
     assert len(levels) == n
-    for m, (rows, count) in enumerate(levels):
+    for m, (rows, count, *_) in enumerate(levels):
         assert len(rows) == partition_count(m), m
         assert all(row >> 32 * count[-1] == 0 for row in rows.values()), m
+
+
+def _stripped_rows(levels, m, width):
+    """The rows of level m as the engine built them before it derived
+    half of them from their conjugates: every row stripped, block t the
+    signed sum of the rows of level m - t at the strips of length t
+    (``beta_strips``), cut to the block's lanes, biased, in place."""
+    _, count, masks, *_ = levels[m]
+    rows = {}
+    for lam in masks:
+        row = 0
+        for t in range(1, len(count)):
+            size = count[t] - count[t - 1]
+            keep = (1 << width * size) - 1
+            total, net = 0, -1  # net strips, from -1: the bias of the block
+            for odd, rem in beta_strips(lam, t):
+                sign = -1 if odd else 1
+                total += sign * (levels[m - t][0][rem] & keep)
+                net += sign
+            high = characters._ones(width, size) << (width - 1)
+            row |= (total - net * high) << width * count[t - 1]
+        rows[lam] = row
+    return rows
+
+
+def _odd_lanes(m, blocks, width):
+    """The odd-lane mask of a level of size m with ``blocks`` blocks: its
+    lanes are the suffixes s with s[0] <= blocks, first part ascending,
+    each first part in reverse enumeration order; the lane of s is all
+    ones when m - len(s) is odd."""
+    lanes = [s for s in reversed(list(part_tuples(m))) if max(s, default=0) <= blocks]
+    return sum((1 << width) - 1 << width * i
+               for i, s in enumerate(lanes) if (m - len(s)) % 2)
+
+
+def _check_levels_against_oracles(levels, m, width):
+    """Level m's masks and conjugates in enumeration order, its odd
+    lanes, and every row, derived ones included, equal to the oracles."""
+    rows, count, masks, conjs, odd = levels[m]
+    assert masks == [beta_mask(p) for p in part_tuples(m)], m
+    assert conjs == list(map(conjugate_mask, masks)), m
+    assert odd == _odd_lanes(m, len(count) - 1, width), m
+    assert rows == _stripped_rows(levels, m, width), m
 
 
 def test_census_keeps_the_levels_below_n():
     zero_count(20)
     _check_kept_rows_below(20)
-    assert sum(len(rows) for rows, _ in characters._levels) == 2087
+    assert sum(len(rows) for rows, *_ in characters._levels) == 2087
     _check_regular_character()
+
+
+def test_derived_level_rows_match_every_row_stripped():
+    # the rows read off their conjugates' by lane sign, at every kept
+    # size, equal the rows stripped one by one
+    _clear_store()
+    zero_count(20)
+    assert characters._levels[0] == ({0: 1 + (1 << 31)}, [1], [0], [0], 0)
+    for m in range(1, 20):
+        _check_levels_against_oracles(characters._levels, m, 32)
+
+
+def test_enumerated_conjugates_match_the_transpose():
+    # every partition of size <= 30 and its conjugate, enumerated from
+    # the smaller sizes as a local level above 20 is, against the mask
+    # transpose oracle
+    levels = [(None, [1], [0], [0], 0)]
+    for m in range(1, 31):
+        levels.append(characters._level(levels, m, m, 32))
+        _, _, masks, conjs, _ = levels[m]
+        assert masks == [beta_mask(p) for p in part_tuples(m)], m
+        assert conjs == list(map(conjugate_mask, masks)), m
+
+
+@pytest.mark.parametrize("m, lane", [(9, 0), (12, 7)])
+def test_flipped_lane_parity_is_caught(monkeypatch, m, lane):
+    # one lane of level m's odd mask flipped: the rows read off their
+    # conjugates there go wrong, and so do the rows stripped from them;
+    # the regular character on the kept levels and the column
+    # certificates at 24, above the guard, both catch it
+    level = characters._level
+
+    def flipped(levels, k, blocks, width):
+        rows, count, masks, conjs, odd = level(levels, k, blocks, width)
+        if k == m:
+            odd ^= (1 << width) - 1 << width * lane
+        return rows, count, masks, conjs, odd
+
+    monkeypatch.setattr(characters, "_level", flipped)
+    _clear_store()
+    try:
+        zero_count(20)
+        with pytest.raises(AssertionError):
+            _check_regular_character()
+        monkeypatch.setattr(characters, "TABLE_GUARD", 24)
+        assert column_certificates.certify(24)
+    finally:
+        _clear_store()
 
 
 def test_kept_levels_are_final():
@@ -406,11 +498,12 @@ def test_kept_levels_are_final():
     _check_kept_rows_below(15)
     _check_regular_character()
     levels = characters._levels
-    kept = [(level, dict(level[0]), list(level[1])) for level in levels]
+    kept = [(level, (dict(level[0]), *map(list, level[1:4]), level[4]))
+            for level in levels]
     zero_count(20)
     assert characters._levels is levels and len(levels) == 20
-    for m, (level, rows, count) in enumerate(kept):
-        assert levels[m] is level and level == (rows, count), m
+    for m, (level, copy) in enumerate(kept):
+        assert levels[m] is level and level == copy, m
     _check_kept_rows_below(20)
 
 
@@ -439,7 +532,7 @@ def test_census_range_builds_each_level_once(enumerations):
         zero_count(n)
         assert len(characters._levels) == min(n + 1, 20), n
     assert enumerations == {m: 1 for m in range(1, 21)}
-    assert [len(count) - 1 for _, count in characters._levels] \
+    assert [len(count) - 1 for _, count, *_ in characters._levels] \
         == [min(m, 20 - m) for m in range(20)]
 
 
@@ -448,14 +541,15 @@ def _census_freeing_levels(n):
     block it strips: block n - m comes right after size m is built,
     from t = n down to 1, and then only the sizes k with 2m - n <= k <= m
     hold rows, since size k is read last by size (n + k) // 2 and by
-    block n - k; every other size holds its mask list, and every size
-    keeps its mask order and lane counts, so ``_masks`` still
-    enumerates."""
+    block n - k; every size keeps its mask order, conjugates and lane
+    counts, so ``_masks`` still enumerates.  The rows of size m, half of
+    them read off their conjugates, equal every row stripped."""
     masks, kernel = characters._masks, characters._top_block
+    width = characters._lane_width(n)
     orders = [[beta_mask(p) for p in part_tuples(k)] for k in range(n)]
-    expected = [(orders[0], [1])] + [
-        (order, [sum(1 for p in part_tuples(k) if p[0] <= t)
-                 for t in range(min(k, n - k) + 1)])
+    expected = [([1], orders[0], [0])] + [
+        ([sum(1 for p in part_tuples(k) if p[0] <= t)
+          for t in range(min(k, n - k) + 1)], order, list(map(conjugate_mask, order)))
         for k, order in enumerate(orders) if k]
     seen = []  # the levels _masks reads, and the blocks stripped
 
@@ -466,10 +560,12 @@ def _census_freeing_levels(n):
     def stripped(lams, spec, width, tally=None):
         levels = seen[0]
         m = n - spec[0]
-        held = [k for k, (rows, _) in enumerate(levels) if isinstance(rows, dict)]
+        held = [k for k, (rows, *_) in enumerate(levels) if isinstance(rows, dict)]
         assert held == list(range(max(2 * m - n, 0), m + 1)), (n, m, held)
         assert spec[2] is levels[m][0]
-        assert [(list(rows), count) for rows, count in levels] == expected, (n, m)
+        assert [level[1:4] for level in levels] == expected, (n, m)
+        if m:
+            _check_levels_against_oracles(levels, m, width)
         seen.append(spec[0])
         return kernel(lams, spec, width, tally)
 
@@ -487,7 +583,9 @@ def test_census_pinned_above_the_guard(monkeypatch, enumerations):
     kept = list(levels)
     monkeypatch.setattr(characters, "TABLE_GUARD", 30)
     # lanes of 36 and 41 bits: the per-block zero test above 32 bits;
-    # N = 22..26 also check which levels hold rows at each top block
+    # N = 21..26 also check which levels hold rows at each top block,
+    # and every row of each level
+    assert _census_freeing_levels(21).total_zeros == 239327
     census = _census_freeing_levels(22)
     assert census.total_zeros == 395473
     assert census.per_core_zeros == {
@@ -537,8 +635,9 @@ def test_engine_enumerates_partitions_in_order():
     # levels, are part_tuples' masks in order: on the kept levels and on
     # the local levels of every n above 20
     zero_count(20)
-    for m, (rows, _) in enumerate(characters._levels):
-        assert list(rows) == [beta_mask(p) for p in part_tuples(m)], m
+    for m, (rows, _, masks, *_) in enumerate(characters._levels):
+        assert masks == [beta_mask(p) for p in part_tuples(m)], m
+        assert rows.keys() == set(masks), m
     for n in range(1, 27):
         masks, _, _, count, *_ = characters._packed_rows(n)
         assert masks == [beta_mask(p) for p in part_tuples(n)], n
@@ -580,21 +679,21 @@ def test_top_below_20_copies_the_kept_blocks(fresh):
     # at n < 20 the top runs no strip of length t <= 20 - n: it copies
     # those blocks out of size n's kept rows.  Each strip reads the row
     # of its remainder at size n - t once, so the reads there count the
-    # strips the call ran: those of size n's own rows for its kept
-    # blocks t <= min(n, 20 - n), when the call builds size n, and those
-    # of the top rows for t > 20 - n.
+    # strips the call ran: those of size n's top rows for its kept
+    # blocks t <= min(n, 20 - n), when the call builds size n (its other
+    # rows are read off their conjugates'), and those of the top rows
+    # for t > 20 - n.
     for n in range(1, 20):
         _clear_store()
         if n > 1 or not fresh:
             zero_count(n - 1 if fresh else n)
         levels = characters._levels
-        levels[:] = [(_CountedReads(rows), count) for rows, count in levels]
+        levels[:] = [(_CountedReads(rows), *rest) for rows, *rest in levels]
         zero_count(n)
         assert len(levels) == n + 1
-        masks = [beta_mask(p) for p in part_tuples(n)]
         top = column_certificates.top_masks(n)
         for t in range(1, n + 1):
-            built = _strips(masks, t) if fresh and t <= 20 - n else 0
+            built = _strips(top, t) if fresh and t <= 20 - n else 0
             stripped = _strips(top, t) if t > 20 - n else 0
             assert levels[n - t][0].reads == built + stripped, (n, t)
         if not fresh:  # one read of each top row's kept row
@@ -615,7 +714,8 @@ def test_engine_rows_need_no_part_tuples(monkeypatch):
         _clear_store()
         expected[n] = zero_count(n), n <= 20 and character_table(n)
     assert not hasattr(characters, "part_tuples")
-    monkeypatch.setattr(characters, "beta_mask", fail)
+    assert not hasattr(characters, "beta_mask")
+    monkeypatch.setattr(partitions, "beta_mask", fail)
     for n in (12, 20, 22):
         _clear_store()
         assert (zero_count(n), n <= 20 and character_table(n)) == expected[n], n

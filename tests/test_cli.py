@@ -16,7 +16,7 @@ import jsonschema
 import pytest
 
 import charcensus
-from charcensus import asymptotics, characters, cli, counting, rademacher, sampling
+from charcensus import asymptotics, characters, cli, counting, rademacher, sampling, values
 from charcensus.asymptotics import P32_REGIMES
 from charcensus.cli import main
 
@@ -327,7 +327,7 @@ def no_work(monkeypatch):
                          (rademacher, "p_exact"),
                          (counting, "_eta_extend"),
                          (characters, "_packed_rows"),
-                         (characters, "_values"),
+                         (values, "_values"),
                          (asymptotics, "_log_p"),
                          (asymptotics, "_q_sums"),
                          (sampling, "build_bounded_table"),
@@ -531,7 +531,7 @@ def test_sweep_refused_before_expanding(run, no_work, n_list, got):
 def test_char_eval_size_guard(run, no_work, lam, mu, got):
     # refused before any beta mask or memo is built, whichever side is large
     message = _refusal(run, "char", "eval", "--lambda", lam, "--mu", mu)
-    assert f"n <= {characters.VALUE_GUARD}, got {got}" in message
+    assert f"n <= {values.VALUE_GUARD}, got {got}" in message
 
 
 @pytest.mark.parametrize("argv, name, digits", [
@@ -549,8 +549,8 @@ def test_bounds_size_guard(run, no_work, argv, name, digits):
 
 
 def test_char_eval_at_the_size_guard(run):
-    code, out, _ = run("char", "eval", "--lambda", f"[{characters.VALUE_GUARD}]",
-                       "--mu", f"[{characters.VALUE_GUARD}]", "--format", "json")
+    code, out, _ = run("char", "eval", "--lambda", f"[{values.VALUE_GUARD}]",
+                       "--mu", f"[{values.VALUE_GUARD}]", "--format", "json")
     assert code == 0 and json.loads(out)["result"]["chi"] == "1"
 
 
@@ -689,7 +689,7 @@ def _loaded_by(code: str, watched: set) -> list:
 
 LAYERS = {f"charcensus.{m}" for m in ("asymptotics", "characters", "sampling",
                                       "counting", "partitions",
-                                      "rademacher")}
+                                      "rademacher", "values")}
 
 
 def test_import_loads_no_layer():
@@ -751,16 +751,16 @@ COMMAND_LAYERS = {
     ("count", "p", "--n", "5"): ("counting", "partitions"),
     ("count", "pt", "--t", "2", "--n", "5"): ("counting", "partitions"),
     ("count", "core", "--t", "2", "--n", "5"): ("counting", "partitions"),
-    ("char", "eval", "--lambda", "[2,1]", "--mu", "[3]"): ("characters", "partitions"),
+    ("char", "eval", "--lambda", "[2,1]", "--mu", "[3]"): ("partitions", "values"),
     ("char", "table", "--n", "4"): ("characters", "partitions"),
-    ("zeros", "exact", "--n", "5"): ("characters", "partitions"),
+    ("zeros", "exact", "--n", "5"): ("characters",),
     ("zeros", "lower-bound", "--n", "12"): ("counting", "partitions"),
     ("bounds", "p32", "--n", "100", "--t", "10"): ("asymptotics", "counting", "partitions"),
     ("bounds", "saddle", "--n", "100", "--t", "10"): ("asymptotics", "counting", "partitions"),
     ("bounds", "t12", "--n", "12"): ("asymptotics", "counting", "partitions"),
     ("bounds", "t13", "--n", "100", "--t", "10"): ("asymptotics", "counting", "partitions"),
     ("estimate", "density", "--n", "5", "--samples", "10", "--seed", "1"):
-        ("characters", "counting", "partitions", "sampling"),
+        ("counting", "partitions", "sampling", "values"),
     ("sweep", "--n-list", "1-3"): ("asymptotics", "characters", "counting", "partitions"),
 }
 
@@ -773,8 +773,8 @@ def _path_of(argv):
 @pytest.mark.parametrize("argv, layers", [
     *(pytest.param(argv, layers, id=" ".join(_path_of(argv)))
       for argv, layers in COMMAND_LAYERS.items()),
-    # the character layer stands on partitions alone
-    pytest.param(None, ("characters", "partitions"), id="import characters"),
+    # the census engine loads no other layer
+    pytest.param(None, ("characters",), id="import characters"),
 ])
 def test_count_p_loads_only_its_layer(argv, layers):
     if argv is None:
@@ -784,6 +784,19 @@ def test_count_p_loads_only_its_layer(argv, layers):
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 f"    assert charcensus.cli.main({list(argv)!r}) == 0")
     assert _loaded_by(code, LAYERS) == [f"charcensus.{m}" for m in layers]
+
+
+def test_library_census_loads_only_the_census_engine():
+    # the census compiles no single-value walk and no partitions layer
+    code = "import charcensus; assert charcensus.zero_count(20).total_zeros == 155176"
+    assert _loaded_by(code, LAYERS) == ["charcensus.characters"]
+
+
+def test_library_density_loads_no_census_engine():
+    code = ("import charcensus\n"
+            "assert charcensus.estimate_zero_density(12, 200, seed=1).samples == 200")
+    assert _loaded_by(code, LAYERS) == [f"charcensus.{m}" for m in
+                                        ("counting", "partitions", "sampling", "values")]
 
 
 def test_every_leaf_command_has_a_layer_case():

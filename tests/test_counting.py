@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from charcensus import asymptotics, characters, counting, rademacher
-from charcensus.characters import character_value, zero_count
+from charcensus import asymptotics, characters, counting, rademacher, values
+from charcensus.characters import zero_count
 from charcensus.counting import (
     bounded_partition_count,
     build_bounded_table,
@@ -18,6 +18,7 @@ from charcensus.counting import (
 )
 from charcensus.errors import GuardError, NumericError
 from charcensus.partitions import Partition, enumerate_partitions, is_t_core
+from charcensus.values import character_value
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +445,7 @@ def kernels_fail(monkeypatch):
                          (counting, "_eta_extend"),
                          (counting, "_core_counts"),
                          (counting, "_largest_part_counts"),
-                         (characters, "_packed_rows"), (characters, "_values")):
+                         (characters, "_packed_rows"), (values, "_values")):
         monkeypatch.setattr(module, name, fail)
 
 
@@ -466,7 +467,7 @@ LB_MAX = 64100  # the largest accepted lower_bound_sum
     (lower_bound_partial, (LB_MAX + 1, 1, LB_MAX + 1),
      f"limit {counting.LOWER_BOUND_GUARD_STEPS}"),
     (character_value, (Partition([61]), Partition([60, 1])),
-     f"n <= {characters.VALUE_GUARD}, got 61"),
+     f"n <= {values.VALUE_GUARD}, got 61"),
     # both sizes are checked before they are compared
     (character_value, (Partition([2]), Partition([10**6])), "got 1000000"),
     # at n = 10^5 the sum is refused above t_hi = 68

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from charcensus.partitions import (
     Partition,
     beta_mask,
-    conjugate_mask,
     enumerate_partitions,
     is_t_core,
     parse_partition,
@@ -17,7 +16,7 @@ from charcensus.partitions import (
 from charcensus.counting import build_bounded_table
 from diagram_oracle import conjugate, hook_multiset
 from draw_oracle import draw
-from strip_oracle import beta_strips, parts_of_mask, raw_strips
+from strip_oracle import beta_strips, conjugate_mask, parts_of_mask, raw_strips
 
 
 @st.composite

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from charcensus.characters import _mu_code, _pair_key, zero_count
+from charcensus.characters import zero_count
+from charcensus.values import _mu_code, _pair_key
 from charcensus.counting import (
     bounded_partition_count,
     build_bounded_table,
