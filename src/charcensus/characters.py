@@ -13,14 +13,16 @@ enumerated from the smaller sizes the engine holds (``_masks``): those
 with first part t are (t,) + s for the last rows s of size k - t, s's
 beta mask with one more bead.  Since chi at lambda' is sgn(s) =
 (-1)^(k - len s) times chi at lambda, only the rows with mask <= the
-conjugate's mask are stripped, at every size: each other row of a size
-below n is its conjugate's with the odd lanes negated (``_level_rows``),
-and the size-n rows (the top rows) are built block by block: one loop
-(``_top_block``) strips block t of every top row.  The census counts
-each block's zero lanes in that loop, a few big-int operations into one
-tally per row, keeps no block, and weights each row by the size of its
-conjugate pair at the end; the table appends each block's bytes to its
-rows, decodes the lanes and fills the other rows by sign.
+conjugate's mask are stripped, at every size, block by block: one
+loop (``_top_block``) strips block t of every such row of a size.  A
+size below n ORs the blocks into its rows and reads each other row off
+its conjugate's with the odd lanes negated (``_level_rows``); at size
+n the rows stripped (the top rows) are never joined, and the others
+never built.  The census counts each block's zero lanes in that loop,
+a few big-int operations into one tally per row, keeps no block, and
+weights each row by the size of its conjugate pair at the end; the
+table appends each block's bytes to its rows, decodes the lanes and
+fills the other rows by sign.
 For n <= 20, where every lane is 32 bits wide, the rows of the sizes
 up to n are kept between calls, in one store: a size's blocks do not
 depend on n, so each size is built once, with every block that n = 20
@@ -156,45 +158,20 @@ def _block_spec(levels: list, m: int, t: int, count: list[int], width: int) -> t
             _ones(width, size) << (width - 1), width * count[t - 1])
 
 
-def _stripped(lams: list[int], blocks: list) -> Iterator[int]:
-    """For each beta mask in ``lams``, its kept row: the biased blocks
-    ``blocks`` ORed into place, each from the strips of its length t."""
-    for lam in lams:
-        row = 0
-        for t, between, prev, keep, high, shift in blocks:
-            # the border strips of length t, as in values._strip; net
-            # counts the strips added less those subtracted, from -1, so
-            # the biased block is total less net biases per lane
-            starts = (lam & ~(lam << t)) >> t << t
-            total = 0
-            net = -1
-            while starts:
-                bit = starts & -starts
-                starts ^= bit
-                rem = lam ^ bit ^ (bit >> t)
-                if rem & 1:  # the bead moved to bit 0
-                    rem >>= (rem ^ (rem + 1)).bit_length() - 1
-                if ((lam >> (bit.bit_length() - t)) & between).bit_count() & 1:
-                    total -= prev[rem] & keep
-                    net -= 1
-                else:
-                    total += prev[rem] & keep
-                    net += 1
-            if net:
-                total -= net * high
-            row |= total << shift
-        yield row
-
-
 def _level_rows(levels: list, m: int, level: tuple, width: int) -> dict[int, int]:
     """The rows of ``level``, size m, by beta mask.  Only the rows with
-    mask <= conjugate mask are stripped; each other row is its
-    conjugate's with the odd lanes negated, a biased digit x becoming
-    2 bias - x."""
+    mask <= conjugate mask are stripped, each block by ``_top_block``
+    and ORed into place; each other row is its conjugate's with the odd
+    lanes negated, a biased digit x becoming 2 bias - x."""
     _, count, masks, conjs, odd = level
-    blocks = [_block_spec(levels, m, t, count, width) for t in range(1, len(count))]
     tops = [lam for lam, conj in zip(masks, conjs) if lam <= conj]
-    rows = dict(zip(tops, _stripped(tops, blocks)))
+    stripped = [0] * len(tops)
+    for t in range(1, len(count)):
+        spec = _block_spec(levels, m, t, count, width)
+        shift = spec[5]
+        for i, block in enumerate(_top_block(tops, spec, width)):
+            stripped[i] |= block << shift
+    rows = dict(zip(tops, stripped))
     high = odd & _ones(width, count[-1]) << (width - 1)
     for lam, conj in zip(masks, conjs):
         if lam > conj:
@@ -205,15 +182,17 @@ def _level_rows(levels: list, m: int, level: tuple, width: int) -> dict[int, int
 
 def _top_block(lams: list[int], spec: tuple, width: int,
                tally: tuple[list[int], list[int]] | None = None) -> list[int] | None:
-    """Block t of ``spec`` for each top row in ``lams``, in lanes of
-    ``width`` bits, from the strips of length t as in ``_stripped``.
+    """Block t of ``spec`` for each row in ``lams``, in lanes of
+    ``width`` bits, from the strips of length t as in ``values._strip``:
+    the sum of +-(row(rem) & keep) over the strips, one add per strip.
 
-    Without ``tally`` it returns the blocks, in two's complement, 0 for
-    a row with no strip of length t.  With ``tally``, two lists indexed
-    like ``lams``, it holds no block: it adds each block's nonzero lanes
-    to the row's entry of the first, sets bit t of the row's entry of the
-    second (its core set) when the row has no strip of length t, and
-    returns None.
+    Without ``tally`` it returns the blocks biased, each lane chi +
+    2^(width - 1), so ``high`` for a row with no strip of length t: a
+    level ORs them into its rows, and XOR with ``high`` gives two's
+    complement.  With ``tally``, two lists indexed like ``lams``, it
+    holds no block: it adds each block's nonzero lanes to the row's
+    entry of the first, sets bit t of the row's entry of the second (its
+    core set) when the row has no strip of length t, and returns None.
     """
     t, between, prev, keep, high, _ = spec
     # a lane is nonzero iff its top bit is set or its low bits plus
@@ -228,7 +207,7 @@ def _top_block(lams: list[int], spec: tuple, width: int,
             if tally:
                 cores[i] |= core
             else:
-                out.append(0)
+                out.append(high)
             continue
         total = 0
         net = -1
@@ -244,10 +223,10 @@ def _top_block(lams: list[int], spec: tuple, width: int,
             else:
                 total += prev[rem] & keep
                 net += 1
-        if net:
+        if net:  # net counts from -1: the block is total less net biases
             total -= net * high
-        total ^= high
-        if tally:
+        if tally:  # two's complement
+            total ^= high
             nonzero[i] += ((((total & low) + low) | total) & high).bit_count()
         else:
             out.append(total)
@@ -265,13 +244,13 @@ def _packed_rows(n: int) -> tuple:
       kept rows, and prefixes holds them, joined, for each top row;
     - blocks: an iterator of (t, spec) for each other block t, which
       ``_top_block`` strips for every top row at once.
-    Block t holds in lanes of ``_lane_width(n)`` bits, in two's
-    complement, the characters at the partitions of n with first part
-    t, in reverse enumeration order, so the blocks' lanes, block 1's
-    lowest first, run over all p(n) classes; a block is 0 when lambda
-    has no border strip of its length.  Conjugation fixes the hook
-    lengths, and chi at lambda' is sgn(mu) times chi at lambda, so these
-    rows determine the table.
+    Block t holds in lanes of ``_lane_width(n)`` bits, biased as
+    ``_top_block`` gives it (the prefixes in two's complement), the
+    characters at the partitions of n with first part t, in reverse
+    enumeration order, so the blocks' lanes, block 1's lowest first, run
+    over all p(n) classes; they are 0 when lambda has no border strip of
+    length t.  Conjugation fixes the hook lengths, and chi at lambda' is
+    sgn(mu) times chi at lambda, so these rows determine the table.
 
     Let ``last`` be the largest n of this lane width: 20 at 32 bits,
     and n itself above 20, where every n has its own width.  The lanes
@@ -289,8 +268,9 @@ def _packed_rows(n: int) -> tuple:
     biased, is the sum of +-(row(rem) & prefix) over the border strips
     of length t of lambda, one big-int add per strip for every column at
     once, less (a - s - 1) biases per lane for a strips added and s
-    subtracted.  A kept row ORs its biased blocks into place; a top
-    block drops its bias by one XOR and is never joined to the others.
+    subtracted, in one loop (``_top_block``) for every row at once: a
+    level ORs each block into its rows, and a top block is never joined
+    to the others.
 
     A call at n reads the blocks t <= n - m of size m, which do not
     depend on n, so for n <= 20 the sizes are kept in the module's
@@ -374,8 +354,9 @@ def character_table(n: int) -> CharacterTable:
     lanes = [array("i") for _ in lams]
     for t, spec in blocks:
         size = 4 * (count[t] - count[t - 1])
+        high = spec[4]
         for row, block in zip(lanes, _top_block(lams, spec, 32)):
-            row.frombytes(block.to_bytes(size, "big"))
+            row.frombytes((block ^ high).to_bytes(size, "big"))
     if copied:  # the blocks t <= copied together
         for row, prefix in zip(lanes, prefixes):
             row.frombytes(prefix.to_bytes(4 * count[copied], "big"))

@@ -1,9 +1,10 @@
 """Column certificates for the top rows of the packed census engine.
 
 Above the table guard the census has no oracle, so the top blocks of
-``characters._packed_rows``, stripped by the census's own kernel
-``characters._top_block``, are checked against classical identities of
-the columns of the S_n character table, summed over every lambda:
+``characters._packed_rows``, stripped by the engine's one strip kernel
+``characters._top_block``, which also builds every level below them,
+are checked against classical identities of the columns of the S_n
+character table, summed over every lambda:
 
 - regular character: sum f_lambda chi_lambda(mu) = n! [mu = 1^n], with
   f_lambda from the hook length formula, since block 1 (the class 1^n)
@@ -84,7 +85,9 @@ def top_blocks(n: int) -> tuple[list[int], list[int], Iterator[tuple[int, list[i
     an iterator of (t, block t of each top row, in two's complement), in
     the engine's order.  The blocks copied from kept rows (n < 20) are
     cut out of the rows' copied prefixes; every other block is stripped
-    by ``characters._top_block``, the kernel the census counts with."""
+    by ``characters._top_block``, the kernel the census counts with and
+    every level is built with, its biased lanes XORed back to two's
+    complement."""
     _, lams, conjs, count, copied, prefixes, specs = characters._packed_rows(n)
     width = characters._lane_width(n)
 
@@ -94,7 +97,8 @@ def top_blocks(n: int) -> tuple[list[int], list[int], Iterator[tuple[int, list[i
             keep = (1 << width * (count[t] - count[t - 1])) - 1
             yield t, [prefix >> shift & keep for prefix in prefixes]
         for t, spec in specs:
-            yield t, characters._top_block(lams, spec, width)
+            high = spec[4]
+            yield t, [block ^ high for block in characters._top_block(lams, spec, width)]
 
     return lams, conjs, blocks()
 

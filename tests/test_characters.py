@@ -543,38 +543,51 @@ def _census_freeing_levels(n):
     hold rows, since size k is read last by size (n + k) // 2 and by
     block n - k; every size keeps its mask order, conjugates and lane
     counts, so ``_masks`` still enumerates.  The rows of size m, half of
-    them read off their conjugates, equal every row stripped."""
-    masks, kernel = characters._masks, characters._top_block
-    width = characters._lane_width(n)
+    them read off their conjugates, equal every row stripped.  The checks
+    run at each (t, spec) ``_top_specs`` yields, so the kernel's calls
+    that build the levels pass unchecked."""
+    top_specs = characters._top_specs
     orders = [[beta_mask(p) for p in part_tuples(k)] for k in range(n)]
     expected = [([1], orders[0], [0])] + [
         ([sum(1 for p in part_tuples(k) if p[0] <= t)
           for t in range(min(k, n - k) + 1)], order, list(map(conjugate_mask, order)))
         for k, order in enumerate(orders) if k]
-    seen = []  # the levels _masks reads, and the blocks stripped
+    seen = []  # the top blocks, in the order they are given
 
-    def enumerated(levels, m):
-        seen[:1] = [levels]
-        return masks(levels, m)
-
-    def stripped(lams, spec, width, tally=None):
-        levels = seen[0]
-        m = n - spec[0]
-        held = [k for k, (rows, *_) in enumerate(levels) if isinstance(rows, dict)]
-        assert held == list(range(max(2 * m - n, 0), m + 1)), (n, m, held)
-        assert spec[2] is levels[m][0]
-        assert [level[1:4] for level in levels] == expected, (n, m)
-        if m:
-            _check_levels_against_oracles(levels, m, width)
-        seen.append(spec[0])
-        return kernel(lams, spec, width, tally)
+    def checked(levels, n, count, copied, width):
+        for t, spec in top_specs(levels, n, count, copied, width):
+            m = n - t
+            held = [k for k, (rows, *_) in enumerate(levels) if isinstance(rows, dict)]
+            assert held == list(range(max(2 * m - n, 0), m + 1)), (n, m, held)
+            assert spec[2] is levels[m][0]
+            assert [level[1:4] for level in levels] == expected, (n, m)
+            if m:
+                _check_levels_against_oracles(levels, m, width)
+            seen.append(t)
+            yield t, spec
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(characters, "_masks", enumerated)
-        patch.setattr(characters, "_top_block", stripped)
+        patch.setattr(characters, "_top_specs", checked)
         census = zero_count(n)
-    assert seen[1:] == list(range(n, 0, -1))
+    assert seen == list(range(n, 0, -1))
     return census
+
+
+def test_census_freeing_check_catches_a_level_kept(monkeypatch):
+    # _top_specs with no size freed: every level keeps its rows past its
+    # last reader, and the held sizes are wrong at the first top block
+    # after one should have been freed: size 0, at block 21 - 11
+    def unfreed(levels, n, count, copied, width):
+        for m in range(n - copied):
+            if m:
+                levels[m] = (characters._level_rows(levels, m, levels[m], width),
+                             *levels[m][1:])
+            yield n - m, characters._block_spec(levels, n, n - m, count, width)
+
+    monkeypatch.setattr(characters, "TABLE_GUARD", 21)
+    monkeypatch.setattr(characters, "_top_specs", unfreed)
+    with pytest.raises(AssertionError, match=r"^\(21, 11, \[0, 1, "):
+        _census_freeing_levels(21)
 
 
 def test_census_pinned_above_the_guard(monkeypatch, enumerations):

@@ -280,6 +280,33 @@ def test_estimate_error_shrinks_with_samples():
         assert errors[0] >= errors[1] >= errors[2], (n, errors)
 
 
+# the bound on the misses of 200 honest 95% intervals: under
+# Binomial(200, 0.05), P(misses > 21) = 0.048% and P(misses < 2) = 0.040%
+COVERAGE_SEEDS = range(200)
+COVERAGE_MISSES = range(2, 22)
+
+
+def interval_misses(n: int, zeros: int, samples: int = 1000) -> tuple[int, int]:
+    """Over ``COVERAGE_SEEDS``, the runs of ``samples`` draws at n whose
+    interval lies above the exact density Z/p(n)^2, given Z = ``zeros``,
+    and those whose interval lies below it."""
+    exact = zeros / partition_count(n) ** 2
+    above = below = 0
+    for seed in COVERAGE_SEEDS:
+        est = estimate_zero_density(n, samples, seed)
+        above += exact < est.ci_low
+        below += est.ci_high < exact
+    return above, below
+
+
+def test_interval_coverage_at_20():
+    # the 95% Wilson interval against the pinned Z(20), over a fixed seed
+    # range: a miss count outside the binomial bound is a finding, not a
+    # reason to pick other seeds
+    above, below = interval_misses(20, 155176)
+    assert above + below in COVERAGE_MISSES, (above, below)
+
+
 def test_estimate_guards():
     with pytest.raises(GuardError):
         estimate_zero_density(61, 10, seed=0)
