@@ -14,7 +14,7 @@ with first part t are (t,) + s for the last rows s of size k - t, s's
 beta mask with one more bead.  Since chi at lambda' is sgn(s) =
 (-1)^(k - len s) times chi at lambda, only the rows with mask <= the
 conjugate's mask are stripped, at every size, block by block: one
-loop (``_top_block``) strips block t of every such row of a size.  A
+loop (``_strip_block``) strips block t of every such row of a size.  A
 size below n ORs the blocks into its rows and reads each other row off
 its conjugate's with the odd lanes negated (``_level_rows``); at size
 n the rows stripped (the top rows) are never joined, and the others
@@ -160,18 +160,18 @@ def _block_spec(levels: list, m: int, t: int, count: list[int], width: int) -> t
 
 def _level_rows(levels: list, m: int, level: tuple, width: int) -> dict[int, int]:
     """The rows of ``level``, size m, by beta mask.  Only the rows with
-    mask <= conjugate mask are stripped, each block by ``_top_block``
+    mask <= conjugate mask are stripped, each block by ``_strip_block``
     and ORed into place; each other row is its conjugate's with the odd
     lanes negated, a biased digit x becoming 2 bias - x."""
     _, count, masks, conjs, odd = level
-    tops = [lam for lam, conj in zip(masks, conjs) if lam <= conj]
-    stripped = [0] * len(tops)
+    lams = [lam for lam, conj in zip(masks, conjs) if lam <= conj]
+    stripped = [0] * len(lams)
     for t in range(1, len(count)):
         spec = _block_spec(levels, m, t, count, width)
         shift = spec[5]
-        for i, block in enumerate(_top_block(tops, spec, width)):
+        for i, block in enumerate(_strip_block(lams, spec, width)):
             stripped[i] |= block << shift
-    rows = dict(zip(tops, stripped))
+    rows = dict(zip(lams, stripped))
     high = odd & _ones(width, count[-1]) << (width - 1)
     for lam, conj in zip(masks, conjs):
         if lam > conj:
@@ -180,7 +180,7 @@ def _level_rows(levels: list, m: int, level: tuple, width: int) -> dict[int, int
     return rows
 
 
-def _top_block(lams: list[int], spec: tuple, width: int,
+def _strip_block(lams: list[int], spec: tuple, width: int,
                tally: tuple[list[int], list[int]] | None = None) -> list[int] | None:
     """Block t of ``spec`` for each row in ``lams``, in lanes of
     ``width`` bits, from the strips of length t as in ``values._strip``:
@@ -242,10 +242,11 @@ def _packed_rows(n: int) -> tuple:
     - count: count[t] is the number of lanes of blocks 1..t;
     - copied, prefixes: the blocks 1..copied are copied out of size n's
       kept rows, and prefixes holds them, joined, for each top row;
-    - blocks: an iterator of (t, spec) for each other block t, which
-      ``_top_block`` strips for every top row at once.
+    - blocks: an iterator of (t, spec) for each other block t, to strip
+      for every top row at once with ``_strip_block``, the kernel that
+      also builds each level's blocks.
     Block t holds in lanes of ``_lane_width(n)`` bits, biased as
-    ``_top_block`` gives it (the prefixes in two's complement), the
+    ``_strip_block`` gives it (the prefixes in two's complement), the
     characters at the partitions of n with first part t, in reverse
     enumeration order, so the blocks' lanes, block 1's lowest first, run
     over all p(n) classes; they are 0 when lambda has no border strip of
@@ -268,7 +269,7 @@ def _packed_rows(n: int) -> tuple:
     biased, is the sum of +-(row(rem) & prefix) over the border strips
     of length t of lambda, one big-int add per strip for every column at
     once, less (a - s - 1) biases per lane for a strips added and s
-    subtracted, in one loop (``_top_block``) for every row at once: a
+    subtracted, in one loop (``_strip_block``) for every row at once: a
     level ORs each block into its rows, and a top block is never joined
     to the others.
 
@@ -355,7 +356,7 @@ def character_table(n: int) -> CharacterTable:
     for t, spec in blocks:
         size = 4 * (count[t] - count[t - 1])
         high = spec[4]
-        for row, block in zip(lanes, _top_block(lams, spec, 32)):
+        for row, block in zip(lanes, _strip_block(lams, spec, 32)):
             row.frombytes((block ^ high).to_bytes(size, "big"))
     if copied:  # the blocks t <= copied together
         for row, prefix in zip(lanes, prefixes):
@@ -397,7 +398,7 @@ def zero_count(n: int) -> ZeroCensus:
     ``character_table``.
 
     The zeros are counted block by block as the packed engine strips
-    them, in the strip loop itself (``_top_block``): each block of every
+    them, in the strip loop itself (``_strip_block``): each block of every
     top row adds its nonzero lanes to one tally per row, a few big-int
     operations, and a row with no strip of the block's length t gets t
     in its core set instead, so no block is held and the table never
@@ -413,7 +414,7 @@ def zero_count(n: int) -> ZeroCensus:
     width = _lane_width(n)
     nonzero = [0] * len(lams)
     cores = [0] * len(lams)
-    if copied:  # one zero test over each row's copied lanes, as in _top_block
+    if copied:  # one zero test over each row's copied lanes, as in _strip_block
         high = _ones(width, count[copied]) << (width - 1)
         low = high - (high >> (width - 1))
         nonzero = [((((x & low) + low) | x) & high).bit_count() for x in prefixes]
@@ -423,7 +424,7 @@ def zero_count(n: int) -> ZeroCensus:
                      for lam, c in zip(lams, cores)]
     tally = nonzero, cores
     for _, spec in blocks:
-        _top_block(lams, spec, width, tally)
+        _strip_block(lams, spec, width, tally)
     classes = len(masks)
     total = 0
     by_cores: dict[int, int] = {}  # zeros by core set

@@ -2,7 +2,7 @@
 
 Above the table guard the census has no oracle, so the top blocks of
 ``characters._packed_rows``, stripped by the engine's one strip kernel
-``characters._top_block``, which also builds every level below them,
+``characters._strip_block``, which also builds every level below them,
 are checked against classical identities of the columns of the S_n
 character table, summed over every lambda:
 
@@ -85,7 +85,7 @@ def top_blocks(n: int) -> tuple[list[int], list[int], Iterator[tuple[int, list[i
     an iterator of (t, block t of each top row, in two's complement), in
     the engine's order.  The blocks copied from kept rows (n < 20) are
     cut out of the rows' copied prefixes; every other block is stripped
-    by ``characters._top_block``, the kernel the census counts with and
+    by ``characters._strip_block``, the kernel the census counts with and
     every level is built with, its biased lanes XORed back to two's
     complement."""
     _, lams, conjs, count, copied, prefixes, specs = characters._packed_rows(n)
@@ -98,7 +98,8 @@ def top_blocks(n: int) -> tuple[list[int], list[int], Iterator[tuple[int, list[i
             yield t, [prefix >> shift & keep for prefix in prefixes]
         for t, spec in specs:
             high = spec[4]
-            yield t, [block ^ high for block in characters._top_block(lams, spec, width)]
+            stripped = characters._strip_block(lams, spec, width)
+            yield t, [block ^ high for block in stripped]
 
     return lams, conjs, blocks()
 

@@ -88,7 +88,7 @@ def beta_strips(mask: int, t: int) -> list[tuple[int, int]]:
     A strip starts at each set bit b >= t whose bit b - t is clear; the
     remainder moves that bead to b - t, and the height parity is the
     parity of the beads strictly between.  ``values._strip`` and the
-    packed engine's one strip kernel ``characters._top_block``, for the
+    packed engine's one strip kernel ``characters._strip_block``, for the
     levels and the top alike, run the same loop inline; ``column_oracle``
     and the partition tests call this one.
     """
