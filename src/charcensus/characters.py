@@ -20,9 +20,16 @@ its conjugate's with the odd lanes negated (``_level_rows``); at size
 n the rows stripped (the top rows) are never joined, and the others
 never built.  The census counts each block's zero lanes in that loop,
 a few big-int operations into one tally per row, keeps no block, and
-weights each row by the size of its conjugate pair at the end; the
-table appends each block's bytes to its rows, decodes the lanes and
-fills the other rows by sign.
+weights each row by the size of its conjugate pair at the end.  It
+strips no block t > n/2: a partition of n has at most one hook of such
+a length t, in its first row or column, and block t is zero without
+one and holds the zeros of the row of size n - t the hook leaves with
+one, so the census counts each row of size n - t once, as the top
+reaches that size, and reads each top row's long hooks off its beta
+mask (``_long_blocks``).  Nor does it strip block 1, the class 1^n,
+which holds f_lambda > 0 in every row and comes last, so above 20 it
+never builds size n - 1.  The table appends each block's bytes to its
+rows, decodes the lanes and fills the other rows by sign.
 For n <= 20, where every lane is 32 bits wide, the rows of the sizes
 up to n are kept between calls, in one store: a size's blocks do not
 depend on n, so each size is built once, with every block that n = 20
@@ -32,8 +39,9 @@ at 19 or 20).  A call below 20 builds size n too, which the next
 larger call reads anyway, and copies the size-n blocks t <= 20 - n out
 of those rows instead of stripping them again.  Above 20 every n has
 its own lane width, so a call there builds its own levels, each as
-the top reads it: block n - m right after size m, and the rows of
-size k dropped once size (n + k) // 2, their last reader, is built.
+the top reads it: block n - m right after size m, the masks,
+conjugates and odd lanes of size m dropped once its rows are built,
+and the rows of size k once size (n + k) // 2, their last reader, is.
 The store has no lock: the package never runs two calls at once.
 
 Single character values are the ``values`` module's; this module
@@ -244,7 +252,8 @@ def _packed_rows(n: int) -> tuple:
       kept rows, and prefixes holds them, joined, for each top row;
     - blocks: an iterator of (t, spec) for each other block t, to strip
       for every top row at once with ``_strip_block``, the kernel that
-      also builds each level's blocks.
+      also builds each level's blocks (the census strips those up to
+      n/2 and reads the rows of size n - t of the others).
     Block t holds in lanes of ``_lane_width(n)`` bits, biased as
     ``_strip_block`` gives it (the prefixes in two's complement), the
     characters at the partitions of n with first part t, in reverse
@@ -285,9 +294,10 @@ def _packed_rows(n: int) -> tuple:
     enumerates the masks, conjugates, lane counts and odd lanes of
     every size first (``_level``), then builds the rows of size m = 1,
     2, ... and gives block n - m right after size m, block n first,
-    from size 0.  Size k is read last by
-    size (n + k) // 2, after the top's block n - k, so its rows are then
-    dropped and its masks kept for ``_masks``.  Nothing in the
+    from size 0.  Once size m's rows are built nothing reads its masks,
+    conjugates or odd lanes, so they are dropped, and size k is read
+    last by size (n + k) // 2, after the top's block n - k, so its rows
+    are then dropped too.  Nothing in the
     package runs concurrently, so the store has no lock and is not for
     use from several threads at once.
     """
@@ -324,12 +334,14 @@ def _top_specs(levels: list, n: int, count: list[int], copied: int,
                width: int) -> Iterator[tuple[int, tuple]]:
     """(t, spec) for each top block t > ``copied``, from t = n down,
     each once size n - t holds rows: above 20 block n - m comes right
-    after size m's rows are built, and each size's rows are dropped
-    after their last reader, its masks and lane counts kept."""
+    after size m's rows are built, when its masks, conjugates and odd
+    lanes are dropped, and each size's rows are dropped after their last
+    reader, its lane counts kept."""
     wide = n > _KEPT_N
     for m in range(n - copied):  # block n - m reads size m
-        if wide and m:
-            levels[m] = (_level_rows(levels, m, levels[m], width), *levels[m][1:])
+        if wide and m:  # its masks, conjugates and odd lanes have no later reader
+            rows = _level_rows(levels, m, levels[m], width)
+            levels[m] = (rows, levels[m][1], None, None, None)
         yield n - m, _block_spec(levels, n, n - m, count, width)
         if wide:  # size k is read last by size (n + k) // 2 and block n - k
             for k in range(max(2 * m - n, 0), 2 * m - n + 2):
@@ -372,6 +384,64 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(n=n, partitions=parts, rows=tuple(rows))
 
 
+def _row_nonzeros(spec: tuple, width: int) -> dict[int, int]:
+    """The nonzero lanes of each row that the top block ``spec`` reads,
+    by beta mask, for a block t > n/2: every partition of n - t < t is a
+    suffix there, so the block's lanes are all of those rows' lanes."""
+    high = spec[4]
+    low = high - (high >> (width - 1))
+    nonzero = {}
+    for kappa, row in spec[2].items():
+        row ^= high  # two's complement, zero-tested as in _strip_block
+        nonzero[kappa] = ((((row & low) + low) | row) & high).bit_count()
+    return nonzero
+
+
+def _long_hooks(lam: int, lo: int) -> Iterator[tuple[int, int]]:
+    """(h, rem) for each hook of the partition with beta mask ``lam``
+    longer than ``lo``, in its first row or column: h its length and rem
+    the beta mask of the partition less the hook, as ``_strip_block``
+    forms it.  These are all its hooks longer than lo once lo >= n // 2,
+    n its size: a hook of length h at (i, j) with i, j >= 2, the cells
+    of the first row above its arm, those of the first column left of
+    its leg and (1, 1) make 2h + 2 cells, so h < n/2.  The first
+    column's hooks move a bead to bit 0, and the first row's others move
+    the top bead to a gap."""
+    beads = lam >> lo + 1 << lo + 1
+    while beads:
+        bit = beads & -beads
+        beads ^= bit
+        rem = lam ^ bit | 1
+        yield bit.bit_length() - 1, rem >> (rem ^ (rem + 1)).bit_length() - 1
+    top = lam.bit_length() - 1
+    gaps = ~lam & (1 << max(top - lo, 1)) - 2  # the gaps 1..top - lo - 1
+    while gaps:
+        bit = gaps & -gaps
+        gaps ^= bit
+        yield top + 1 - bit.bit_length(), lam ^ bit ^ 1 << top
+
+
+def _long_blocks(lams: list[int], counts: dict[int, dict[int, int]],
+                 tally: tuple[list[int], list[int]]) -> None:
+    """Add blocks lo < t <= n of the rows ``lams`` of size n to ``tally``
+    as ``_strip_block`` does, with no strip: lo = min(counts) - 1 >=
+    n // 2, and counts[t] holds the nonzero lanes of each row of size
+    n - t (``_row_nonzeros``).  For t > n/2 a partition of n has t-weight
+    at most 1, so at most one hook of length t.  With none, block t is
+    zero and the row a t-core; with one, block t is +-kappa's row, kappa
+    the partition of n - t left when it is removed, so it has kappa's
+    nonzero lanes."""
+    lo = min(counts) - 1
+    lengths = sum(1 << t for t in counts)
+    nonzero, cores = tally
+    for i, lam in enumerate(lams):
+        hooks = 0
+        for h, rem in _long_hooks(lam, lo):
+            nonzero[i] += counts[h][rem]
+            hooks |= 1 << h
+        cores[i] |= lengths & ~hooks
+
+
 class ZeroCensus(NamedTuple):
     """Zero counts of one character table.
 
@@ -403,7 +473,12 @@ def zero_count(n: int) -> ZeroCensus:
     operations, and a row with no strip of the block's length t gets t
     in its core set instead, so no block is held and the table never
     is.  The blocks copied from kept rows below 20 get one zero test
-    over each row's copied lanes and an explicit core test.  Only the
+    over each row's copied lanes and an explicit core test.  The blocks
+    t > n/2 are not stripped: as the top reaches size n - t, each of its
+    rows gets one zero test, and then each top row adds the count of the
+    row its one t-hook leaves, or is a t-core without one
+    (``_long_blocks``).  Block 1 is one nonzero lane, f_lambda, in every
+    row, so the census ends at block 2.  Only the
     rows lambda <= lambda' are computed: a row and its conjugate have the
     same zeros and the same hook lengths, so each such row counts twice,
     or once when lambda is self-conjugate, in the total and in every
@@ -412,7 +487,6 @@ def zero_count(n: int) -> ZeroCensus:
     _check_table_size(n)
     masks, lams, conjs, count, copied, prefixes, blocks = _packed_rows(n)
     width = _lane_width(n)
-    nonzero = [0] * len(lams)
     cores = [0] * len(lams)
     if copied:  # one zero test over each row's copied lanes, as in _strip_block
         high = _ones(width, count[copied]) << (width - 1)
@@ -422,9 +496,20 @@ def zero_count(n: int) -> ZeroCensus:
             core = 1 << t
             cores = [c | core if not (lam & ~(lam << t)) >> t else c
                      for lam, c in zip(lams, cores)]
+    else:  # block 1, the class 1^n, holds f_lambda > 0 in every row
+        nonzero = [1] * len(lams)
     tally = nonzero, cores
-    for _, spec in blocks:
-        _strip_block(lams, spec, width, tally)
+    long = max(copied, n // 2)  # the blocks above it are read off the hooks
+    counts = {}
+    for t, spec in blocks:
+        if t > long:
+            counts[t] = _row_nonzeros(spec, width)
+        else:
+            _strip_block(lams, spec, width, tally)
+        if t == 2:  # block 1 is counted: size n - 1 is never built
+            break
+    if counts:
+        _long_blocks(lams, counts, tally)
     classes = len(masks)
     total = 0
     by_cores: dict[int, int] = {}  # zeros by core set

@@ -396,9 +396,9 @@ def _stripped_rows(levels, m, width):
     half of them from their conjugates: every row stripped, block t the
     signed sum of the rows of level m - t at the strips of length t
     (``beta_strips``), cut to the block's lanes, biased, in place."""
-    _, count, masks, *_ = levels[m]
+    count = levels[m][1]
     rows = {}
-    for lam in masks:
+    for lam in (beta_mask(p) for p in part_tuples(m)):
         row = 0
         for t in range(1, len(count)):
             size = count[t] - count[t - 1]
@@ -538,38 +538,49 @@ def test_census_range_builds_each_level_once(enumerations):
 
 def _census_freeing_levels(n):
     """zero_count(n) above 20, checking the engine's levels at each top
-    block it strips: block n - m comes right after size m is built,
-    from t = n down to 1, and then only the sizes k with 2m - n <= k <= m
+    block it takes: block n - m comes right after size m is built, from
+    t = n down to 2, and then only the sizes k with 2m - n <= k <= m
     hold rows, since size k is read last by size (n + k) // 2 and by
-    block n - k; every size keeps its mask order, conjugates and lane
-    counts, so ``_masks`` still enumerates.  The rows of size m, half of
-    them read off their conjugates, equal every row stripped.  The checks
-    run at each (t, spec) ``_top_specs`` yields, so the kernel's calls
-    that build the levels pass unchecked."""
+    block n - k.  Every size keeps its lane counts; an unbuilt size keeps
+    its mask order, conjugates and odd lanes, so ``_masks`` still
+    enumerates, and a built one holds them no longer.  The rows of size
+    m, half of them read off their conjugates, equal every row stripped.
+    The census ends at block 2, since block 1 is f_lambda > 0, so size
+    n - 1 never holds rows.  The checks run at each (t, spec)
+    ``_top_specs`` yields, so the kernel's calls that build the levels
+    pass unchecked."""
     top_specs = characters._top_specs
     orders = [[beta_mask(p) for p in part_tuples(k)] for k in range(n)]
-    expected = [([1], orders[0], [0])] + [
+    expected = [([1], orders[0], [0], 0)] + [
         ([sum(1 for p in part_tuples(k) if p[0] <= t)
-          for t in range(min(k, n - k) + 1)], order, list(map(conjugate_mask, order)))
+          for t in range(min(k, n - k) + 1)], order, list(map(conjugate_mask, order)),
+         _odd_lanes(k, min(k, n - k), characters._lane_width(n)))
         for k, order in enumerate(orders) if k]
     seen = []  # the top blocks, in the order they are given
+    engine = []  # the levels the census built
 
     def checked(levels, n, count, copied, width):
+        engine.append(levels)
         for t, spec in top_specs(levels, n, count, copied, width):
             m = n - t
             held = [k for k, (rows, *_) in enumerate(levels) if isinstance(rows, dict)]
             assert held == list(range(max(2 * m - n, 0), m + 1)), (n, m, held)
             assert spec[2] is levels[m][0]
-            assert [level[1:4] for level in levels] == expected, (n, m)
+            for k, level in enumerate(levels):  # size 0 is never built
+                built = 0 < k <= m
+                assert level[1:] == (expected[k][:1] + (None,) * 3 if built
+                                     else expected[k]), (n, m, k)
             if m:
-                _check_levels_against_oracles(levels, m, width)
+                assert levels[m][0] == _stripped_rows(levels, m, width), (n, m)
             seen.append(t)
             yield t, spec
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(characters, "_top_specs", checked)
         census = zero_count(n)
-    assert seen == list(range(n, 0, -1))
+    assert seen == list(range(n, 1, -1))
+    (levels,) = engine
+    assert levels[n - 1][0] is None and levels[n - 1][1:] == expected[n - 1]
     return census
 
 
@@ -696,12 +707,14 @@ def _strips(masks, t):
 @pytest.mark.parametrize("fresh", [False, True])
 def test_top_below_20_copies_the_kept_blocks(fresh):
     # at n < 20 the top runs no strip of length t <= 20 - n: it copies
-    # those blocks out of size n's kept rows.  Each strip reads the row
-    # of its remainder at size n - t once, so the reads there count the
-    # strips the call ran: those of size n's top rows for its kept
-    # blocks t <= min(n, 20 - n), when the call builds size n (its other
-    # rows are read off their conjugates'), and those of the top rows
-    # for t > 20 - n.
+    # those blocks out of size n's kept rows.  Nor does the census strip
+    # a block t > n/2: it reads each row of size n - t once, by iteration,
+    # and each top row's one t-hook.  Each strip reads the row of its
+    # remainder at size n - t once, so the reads there count the strips
+    # the call ran: those of size n's top rows for its kept blocks
+    # t <= min(n, 20 - n), when the call builds size n (its other rows
+    # are read off their conjugates'), and those of the top rows for
+    # 20 - n < t <= n/2.
     for n in range(1, 20):
         _clear_store()
         if n > 1 or not fresh:
@@ -713,7 +726,7 @@ def test_top_below_20_copies_the_kept_blocks(fresh):
         top = column_certificates.top_masks(n)
         for t in range(1, n + 1):
             built = _strips(top, t) if fresh and t <= 20 - n else 0
-            stripped = _strips(top, t) if t > 20 - n else 0
+            stripped = _strips(top, t) if 20 - n < t <= n // 2 else 0
             assert levels[n - t][0].reads == built + stripped, (n, t)
         if not fresh:  # one read of each top row's kept row
             assert levels[n][0].reads == len(top), n
@@ -836,6 +849,75 @@ def test_large_part_blocks_in_closed_form(n):
     for t in range(n // 2 + 1, n + 1):
         below = zero_count(n - t).total_zeros if t < n else 0
         assert zeros[t - 1] == tcore_count(t, n) * partition_count(n - t) + t * below, t
+
+
+def _check_long_blocks(n):
+    """The census's tally of the top blocks t > n/2, from the nonzero
+    lanes of each row of size n - t and each top row's long hooks
+    (``_long_blocks``), against ``_strip_block``'s tally of the same
+    blocks, after each t from n down: the nonzero lanes and core bits of
+    every top row.  Then each hook ``_long_hooks`` gives is a border
+    strip of the strip oracle, and each strip longer than n/2 is one."""
+    if n <= 20:  # the blocks n < 20 copies are stripped here too
+        zero_count(20)
+    width = characters._lane_width(n)
+    masks, lams, _, count, copied, _, specs = characters._packed_rows(n)
+    if copied:
+        specs = characters._top_specs(characters._levels, n, count, 0, width)
+    counts = {}
+    stripped = [0] * len(lams), [0] * len(lams)
+    for t, spec in specs:
+        if t <= n // 2:
+            break
+        counts[t] = characters._row_nonzeros(spec, width)
+        characters._strip_block(lams, spec, width, stripped)
+        tally = [0] * len(lams), [0] * len(lams)
+        characters._long_blocks(lams, counts, tally)
+        assert tally == stripped, (n, t)
+    for lam in masks:
+        assert sorted(characters._long_hooks(lam, n // 2)) == sorted(
+            (h, rem) for h in range(n // 2 + 1, n + 1)
+            for _, rem in beta_strips(lam, h)), (n, lam)
+
+
+@pytest.mark.parametrize("n", range(1, 27))
+def test_long_blocks_match_the_strip_kernel(n):
+    # above 20 too: the blocks t > n/2 the census reads off each row's
+    # one t-hook, block by block, against the blocks stripped; to 16 the
+    # hook lengths also against the diagram's
+    _check_long_blocks(n)
+    if n <= 16:
+        for parts in part_tuples(n):
+            hooks = characters._long_hooks(beta_mask(parts), n // 2)
+            assert sorted(h for h, _ in hooks) \
+                == sorted(h for h in hook_multiset(P(parts)) if h > n // 2), parts
+
+
+def test_long_block_check_catches_mutants(monkeypatch):
+    # a pass without the first column's hooks, (1, 1) among them, gives
+    # a row the wrong zeros or core bits; one that reads block t's counts
+    # off size n - t - 1 finds no remainder there, since a beta mask
+    # gives its partition's size
+    long_hooks = characters._long_hooks
+    long_blocks = characters._long_blocks
+
+    def first_row(lam, lo):
+        top = lam.bit_length() - 1
+        return [(h, rem) for h, rem in long_hooks(lam, lo)
+                if h < top and rem == lam ^ 1 << top ^ 1 << top - h]
+
+    def shifted(lams, counts, tally):
+        long_blocks(lams, {t: counts.get(t + 1, counts[t]) for t in counts}, tally)
+
+    for n in (12, 22):
+        with monkeypatch.context() as patch:
+            patch.setattr(characters, "_long_hooks", first_row)
+            with pytest.raises(AssertionError, match=rf"^\({n}, {n}\)"):
+                _check_long_blocks(n)
+        with monkeypatch.context() as patch:
+            patch.setattr(characters, "_long_blocks", shifted)
+            with pytest.raises(KeyError):
+                _check_long_blocks(n)
 
 
 def test_census_per_core_consistency():
