@@ -16,32 +16,35 @@ beta mask with one more bead.  Since chi at lambda' is sgn(s) =
 conjugate's mask are stripped, at every size, block by block: one
 loop (``_strip_block``) strips block t of every such row of a size.  A
 size below n ORs the blocks into its rows and reads each other row off
-its conjugate's with the odd lanes negated (``_level_rows``); at size
-n the rows stripped (the top rows) are never joined, and the others
-never built.  The census counts each block's zero lanes in that loop,
-a few big-int operations into one tally per row, keeps no block, and
-weights each row by the size of its conjugate pair at the end.  It
-strips no block t > n/2: a partition of n has at most one hook of such
-a length t, in its first row or column, and block t is zero without
-one and holds the zeros of the row of size n - t the hook leaves with
-one, so the census counts each row of size n - t once, as the top
-reaches that size, and reads each top row's long hooks off its beta
-mask (``_long_blocks``).  Nor does it strip block 1, the class 1^n,
-which holds f_lambda > 0 in every row and comes last, so above 20 it
-never builds size n - 1.  The table appends each block's bytes to its
-rows, decodes the lanes and fills the other rows by sign.
+its conjugate's with the odd lanes negated (``_level_rows``).  The
+table is size n built so, with every block, its rows' lanes, all p(n)
+classes, decoded in C.  The census builds no row of size n: it strips
+the rows lambda <= lambda' there (the top rows, ``_packed_rows``)
+block by block and never joins them.  It counts each block's zero
+lanes in that loop, a few big-int operations into one tally per row,
+keeps no block, and weights each row by the size of its conjugate pair
+at the end.  It strips no block t > n/2: a partition of n has at most
+one hook of such a length t, in its first row or column, and block t
+is zero without one and holds the zeros of the row of size n - t the
+hook leaves with one, so the census counts each row of size n - t
+once, as the top reaches that size, and reads each top row's long
+hooks off its beta mask (``_long_blocks``).  Nor does it strip block
+1, the class 1^n, which holds f_lambda > 0 in every row and comes
+last, so above 20 it never builds size n - 1.
 For n <= 20, where every lane is 32 bits wide, the rows of the sizes
-up to n are kept between calls, in one store: a size's blocks do not
-depend on n, so each size is built once, with every block that n = 20
-reads, and never changed, and a later call builds only the sizes it
-lacks (the 2,087 rows of sizes below 20, about 0.5 MB, after a census
-at 19 or 20).  A call below 20 builds size n too, which the next
-larger call reads anyway, and copies the size-n blocks t <= 20 - n out
-of those rows instead of stripping them again.  Above 20 every n has
-its own lane width, so a call there builds its own levels, each as
-the top reads it: block n - m right after size m, the masks,
-conjugates and odd lanes of size m dropped once its rows are built,
-and the rows of size k once size (n + k) // 2, their last reader, is.
+up to n are kept between calls, in one store (``_kept_levels``): a
+size's blocks do not depend on n, so each size is built once, with
+every block that n = 20 reads, and never changed, and a later call
+builds only the sizes it lacks (the 2,087 rows of sizes below 20,
+about 0.5 MB, after a census at 19 or 20).  A call below 20 builds
+size n too, which the next larger call reads anyway: the census copies
+its blocks t <= 20 - n instead of stripping them again, and the table
+reads it when it holds every block, n <= 10, and otherwise builds size
+n once more, whole, and keeps none of it.  Above 20 every n has its
+own lane width, so a census there builds its own levels, each as the
+top reads it: block n - m right after size m, the masks, conjugates
+and odd lanes of size m dropped once its rows are built, and the rows
+of size k once size (n + k) // 2, their last reader, is.
 The store has no lock: the package never runs two calls at once.
 
 Single character values are the ``values`` module's; this module
@@ -54,8 +57,7 @@ from __future__ import annotations
 import sys
 from array import array
 from math import factorial, isqrt
-from operator import mul
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .errors import GuardError
 
@@ -241,72 +243,40 @@ def _strip_block(lams: list[int], spec: tuple, width: int,
     return out
 
 
+def _kept_levels(n: int) -> list:
+    """The store, holding every size below n <= 20, and n itself below
+    20.  It builds the sizes it lacks, ascending, each with every block
+    n = 20 reads, and appends each once it is complete, so an
+    interrupted call leaves it consistent; no kept size is changed."""
+    levels = _levels
+    for m in range(len(levels), n + (n < _KEPT_N)):  # below 20, size n too
+        level = _level(levels, m, min(m, _KEPT_N - m), 32)
+        levels.append((_level_rows(levels, m, level, 32), *level[1:]))
+    return levels
+
+
 def _packed_rows(n: int) -> tuple:
     """The rows of size n with lambda <= lambda' (the top rows), block by
-    block, as (masks, lams, conjs, count, copied, prefixes, blocks):
-    - masks: the beta masks of the partitions of n, enumeration order;
-    - lams, conjs: the top rows' masks, each at most its conjugate's
-      mask, in that order, and their conjugate masks;
-    - count: count[t] is the number of lanes of blocks 1..t;
-    - copied, prefixes: the blocks 1..copied are copied out of size n's
-      kept rows, and prefixes holds them, joined, for each top row;
-    - blocks: an iterator of (t, spec) for each other block t, to strip
-      for every top row at once with ``_strip_block``, the kernel that
-      also builds each level's blocks (the census strips those up to
-      n/2 and reads the rows of size n - t of the others).
-    Block t holds in lanes of ``_lane_width(n)`` bits, biased as
-    ``_strip_block`` gives it (the prefixes in two's complement), the
-    characters at the partitions of n with first part t, in reverse
-    enumeration order, so the blocks' lanes, block 1's lowest first, run
-    over all p(n) classes; they are 0 when lambda has no border strip of
-    length t.  Conjugation fixes the hook lengths, and chi at lambda' is
-    sgn(mu) times chi at lambda, so these rows determine the table.
-
-    Let ``last`` be the largest n of this lane width: 20 at 32 bits,
-    and n itself above 20, where every n has its own width.  The lanes
-    at size k < n are the suffixes s of size k of a cycle type of
-    ``last``, the partitions of k with s[0] <= last - k, ordered by
-    first part ascending and so lexicographically.  The rows at size
-    k < n are all partitions of k (``_masks``), one int each, each digit
-    holding chi + 2^(width - 1), so no digit is negative; only the rows
-    with mask <= conjugate mask are stripped, and each other row is read
-    off its conjugate's by the sign of each lane (``_level_rows``).
-    Size m is built breadth first from the smaller ones: its lanes with first part
-    t, for t <= min(m, last - m) or any t at the top, are (t,) + s for
-    the suffixes s of size m - t with s[0] <= t, a prefix of that size's
-    lanes read through an explicit lane mask.  So block t of row lambda,
-    biased, is the sum of +-(row(rem) & prefix) over the border strips
-    of length t of lambda, one big-int add per strip for every column at
-    once, less (a - s - 1) biases per lane for a strips added and s
-    subtracted, in one loop (``_strip_block``) for every row at once: a
-    level ORs each block into its rows, and a top block is never joined
-    to the others.
-
-    A call at n reads the blocks t <= n - m of size m, which do not
-    depend on n, so for n <= 20 the sizes are kept in the module's
-    ``_levels`` between calls.  Each size is built once, with every
-    block n = 20 reads, and never changed: a call builds only the sizes
-    it lacks, ascending, and appends each once it is complete, so an
-    interrupted call leaves the store consistent.  Below 20 that
-    includes size n itself, which the next larger call reads, and the
-    top copies its blocks t <= 20 - n out of those rows.  A call above
-    20 builds its own levels, and only as the top reads them: it
-    enumerates the masks, conjugates, lane counts and odd lanes of
-    every size first (``_level``), then builds the rows of size m = 1,
-    2, ... and gives block n - m right after size m, block n first,
-    from size 0.  Once size m's rows are built nothing reads its masks,
-    conjugates or odd lanes, so they are dropped, and size k is read
-    last by size (n + k) // 2, after the top's block n - k, so its rows
-    are then dropped too.  Nothing in the
-    package runs concurrently, so the store has no lock and is not for
-    use from several threads at once.
+    block, as (lams, conjs, count, copied, kept, blocks):
+    - lams, conjs: the top rows' beta masks, in enumeration order, and
+      their conjugates' masks;
+    - count: count[t] is the number of lanes of blocks 1..t, p(n) in all;
+    - copied, kept: blocks 1..copied are those of size n's kept rows,
+      ``kept`` by mask (None when copied is 0);
+    - blocks: an iterator of (t, spec) for each other block t, from t = n
+      down, to strip for every top row at once with ``_strip_block``.
+    Block t holds, in lanes of ``_lane_width(n)`` bits biased as
+    ``_strip_block`` gives them, the characters at the classes with
+    first part t, in reverse enumeration order.  Conjugation fixes the
+    hook lengths, and chi at lambda' is sgn(mu) times chi at lambda, so
+    these rows determine the table.  Above 20 the levels are the call's
+    own, built as ``_top_specs`` gives the blocks and dropped after their
+    last reader.  Nothing in the package runs concurrently, so the store
+    has no lock and is not for use from several threads at once.
     """
     width = _lane_width(n)
     if n <= _KEPT_N:
-        levels = _levels
-        for m in range(len(levels), n + (n < _KEPT_N)):  # below 20, size n too
-            level = _level(levels, m, min(m, _KEPT_N - m), width)
-            levels.append((_level_rows(levels, m, level, width), *level[1:]))
+        levels = _kept_levels(n)
     else:
         levels = [({0: 1 + (1 << (width - 1))}, [1], [0], [0], 0)]
         for m in range(1, n):  # no rows yet: _top_specs builds them
@@ -316,17 +286,13 @@ def _packed_rows(n: int) -> tuple:
         kept, kept_count, masks, all_conjs, _ = levels[n]
         copied = len(kept_count) - 1
     else:
-        (masks, all_conjs), copied = _masks(levels, n), 0
+        (masks, all_conjs), kept, copied = _masks(levels, n), None, 0
     lams, conjs = [], []
     for lam, conj in zip(masks, all_conjs):
         if lam <= conj:
             lams.append(lam)
             conjs.append(conj)
-    prefixes = []
-    if copied:  # the kept rows' blocks in two's complement
-        high = _ones(width, count[copied]) << (width - 1)
-        prefixes = [kept[lam] ^ high for lam in lams]
-    return (masks, lams, conjs, count, copied, prefixes,
+    return (lams, conjs, count, copied, kept,
             _top_specs(levels, n, count, copied, width))
 
 
@@ -352,49 +318,40 @@ def character_table(n: int) -> CharacterTable:
     """Build the full p(n) x p(n) character table of S_n.
 
     Guarded at ``TABLE_GUARD`` (n <= 20): beyond that the exact table is
-    infeasible at desk scale and the sampling module applies.  The
-    packed engine computes the rows lambda <= lambda' block by block,
-    and each row's 32-bit lanes are read in C from its blocks' bytes.
-    Each conjugate row is sgn(mu) = (-1)^(n - len mu) times its partner.
+    infeasible at desk scale and the sampling module applies.  The table
+    is level n with every block, its lanes all p(n) classes in reverse
+    enumeration order: the kept level for n <= 10, otherwise built once
+    by ``_level_rows`` and not kept.  Each row's 32-bit lanes are read in
+    C from its bytes, and a built row is dropped once it is read.
     """
     from .partitions import enumerate_partitions  # a census never loads it
 
     _check_table_size(n)
     parts = tuple(enumerate_partitions(n))
-    masks, lams, conjs, count, copied, prefixes, blocks = _packed_rows(n)
-    # each top row's lanes from the last, the last class first: the
-    # blocks' bytes big-endian, from block n down
-    lanes = [array("i") for _ in lams]
-    for t, spec in blocks:
-        size = 4 * (count[t] - count[t - 1])
-        high = spec[4]
-        for row, block in zip(lanes, _strip_block(lams, spec, 32)):
-            row.frombytes((block ^ high).to_bytes(size, "big"))
-    if copied:  # the blocks t <= copied together
-        for row, prefix in zip(lanes, prefixes):
-            row.frombytes(prefix.to_bytes(4 * count[copied], "big"))
-    index = {mask: i for i, mask in enumerate(masks)}
-    signs = [-1 if (n - len(p)) % 2 else 1 for p in parts]
-    rows: list = [None] * len(parts)
-    for mask, conj, row in zip(lams, conjs, lanes):
+    levels = _kept_levels(n)
+    if n < len(levels) and len(levels[n][1]) > n:  # kept with all n blocks
+        rows, _, masks, *_ = levels[n]
+        rows = dict(rows)  # popped below: the store keeps its own
+    else:
+        _, _, masks, *_ = level = _level(levels, n, n, 32)
+        rows = _level_rows(levels, n, level, 32)
+    high = _ones(32, len(masks)) << 31
+    size = 4 * len(masks)
+    table = []
+    for mask in masks:  # big-endian bytes: lane 0, the class 1^n, comes last
+        row = array("i", (rows.pop(mask) ^ high).to_bytes(size, "big"))
         if sys.byteorder == "little":
             row.byteswap()
-        rows[index[mask]] = row = tuple(row)
-        rows[index[conj]] = tuple(map(mul, signs, row))
-    return CharacterTable(n=n, partitions=parts, rows=tuple(rows))
+        table.append(tuple(row))
+    return CharacterTable(n=n, partitions=parts, rows=tuple(table))
 
 
-def _row_nonzeros(spec: tuple, width: int) -> dict[int, int]:
-    """The nonzero lanes of each row that the top block ``spec`` reads,
-    by beta mask, for a block t > n/2: every partition of n - t < t is a
-    suffix there, so the block's lanes are all of those rows' lanes."""
-    high = spec[4]
+def _nonzeros(rows: Iterable[int], high: int, width: int) -> list[int]:
+    """The nonzero lanes of each biased row in ``rows``, whose lanes are
+    those of ``high``, the top bit of each, zero-tested in two's
+    complement as in ``_strip_block``."""
     low = high - (high >> (width - 1))
-    nonzero = {}
-    for kappa, row in spec[2].items():
-        row ^= high  # two's complement, zero-tested as in _strip_block
-        nonzero[kappa] = ((((row & low) + low) | row) & high).bit_count()
-    return nonzero
+    return [((((y := x ^ high) & low) + low | y) & high).bit_count() for x in rows]
 
 
 def _long_hooks(lam: int, lo: int) -> Iterator[tuple[int, int]]:
@@ -426,7 +383,7 @@ def _long_blocks(lams: list[int], counts: dict[int, dict[int, int]],
     """Add blocks lo < t <= n of the rows ``lams`` of size n to ``tally``
     as ``_strip_block`` does, with no strip: lo = min(counts) - 1 >=
     n // 2, and counts[t] holds the nonzero lanes of each row of size
-    n - t (``_row_nonzeros``).  For t > n/2 a partition of n has t-weight
+    n - t (``_nonzeros``).  For t > n/2 a partition of n has t-weight
     at most 1, so at most one hook of length t.  With none, block t is
     zero and the row a t-core; with one, block t is +-kappa's row, kappa
     the partition of n - t left when it is removed, so it has kappa's
@@ -485,13 +442,12 @@ def zero_count(n: int) -> ZeroCensus:
     t-core count.
     """
     _check_table_size(n)
-    masks, lams, conjs, count, copied, prefixes, blocks = _packed_rows(n)
+    lams, conjs, count, copied, kept, blocks = _packed_rows(n)
     width = _lane_width(n)
     cores = [0] * len(lams)
-    if copied:  # one zero test over each row's copied lanes, as in _strip_block
+    if copied:  # one zero test over each row's kept lanes
         high = _ones(width, count[copied]) << (width - 1)
-        low = high - (high >> (width - 1))
-        nonzero = [((((x & low) + low) | x) & high).bit_count() for x in prefixes]
+        nonzero = _nonzeros([kept[lam] for lam in lams], high, width)
         for t in range(1, copied + 1):  # is_t_core's test
             core = 1 << t
             cores = [c | core if not (lam & ~(lam << t)) >> t else c
@@ -502,15 +458,16 @@ def zero_count(n: int) -> ZeroCensus:
     long = max(copied, n // 2)  # the blocks above it are read off the hooks
     counts = {}
     for t, spec in blocks:
-        if t > long:
-            counts[t] = _row_nonzeros(spec, width)
+        if t > long:  # all the lanes of the rows of size n - t
+            rows = spec[2]
+            counts[t] = dict(zip(rows, _nonzeros(rows.values(), spec[4], width)))
         else:
             _strip_block(lams, spec, width, tally)
         if t == 2:  # block 1 is counted: size n - 1 is never built
             break
     if counts:
         _long_blocks(lams, counts, tally)
-    classes = len(masks)
+    classes = count[-1]
     total = 0
     by_cores: dict[int, int] = {}  # zeros by core set
     for lam, conj, lanes, core in zip(lams, conjs, nonzero, cores):

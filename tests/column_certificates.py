@@ -84,18 +84,20 @@ def top_blocks(n: int) -> tuple[list[int], list[int], Iterator[tuple[int, list[i
     """The engine's top rows at n: their masks, their conjugate masks and
     an iterator of (t, block t of each top row, in two's complement), in
     the engine's order.  The blocks copied from kept rows (n < 20) are
-    cut out of the rows' copied prefixes; every other block is stripped
-    by ``characters._strip_block``, the kernel the census counts with and
-    every level is built with, its biased lanes XORed back to two's
-    complement."""
-    _, lams, conjs, count, copied, prefixes, specs = characters._packed_rows(n)
+    cut out of size n's kept rows; every other block is stripped by
+    ``characters._strip_block``, the kernel the census counts with and
+    every level is built with.  Each block's biased lanes are XORed
+    back to two's complement."""
+    lams, conjs, count, copied, kept, specs = characters._packed_rows(n)
     width = characters._lane_width(n)
 
     def blocks() -> Iterator[tuple[int, list[int]]]:
         for t in range(1, copied + 1):
             shift = width * count[t - 1]
-            keep = (1 << width * (count[t] - count[t - 1])) - 1
-            yield t, [prefix >> shift & keep for prefix in prefixes]
+            size = count[t] - count[t - 1]
+            keep = (1 << width * size) - 1
+            high = characters._ones(width, size) << (width - 1)
+            yield t, [kept[lam] >> shift & keep ^ high for lam in lams]
         for t, spec in specs:
             high = spec[4]
             stripped = characters._strip_block(lams, spec, width)

@@ -467,8 +467,9 @@ def test_enumerated_conjugates_match_the_transpose():
 def test_flipped_lane_parity_is_caught(monkeypatch, m, lane):
     # one lane of level m's odd mask flipped: the rows read off their
     # conjugates there go wrong, and so do the rows stripped from them;
-    # the regular character on the kept levels and the column
-    # certificates at 24, above the guard, both catch it
+    # the regular character on the kept levels, the table at m, whose
+    # rows are level m's, kept (9) or its own (12), and the column
+    # certificates at 24, above the guard, all catch it
     level = characters._level
 
     def flipped(levels, k, blocks, width):
@@ -483,6 +484,7 @@ def test_flipped_lane_parity_is_caught(monkeypatch, m, lane):
         zero_count(20)
         with pytest.raises(AssertionError):
             _check_regular_character()
+        assert character_table(m).rows != column_oracle.table_rows(m)
         monkeypatch.setattr(characters, "TABLE_GUARD", 24)
         assert column_certificates.certify(24)
     finally:
@@ -534,6 +536,24 @@ def test_census_range_builds_each_level_once(enumerations):
     assert enumerations == {m: 1 for m in range(1, 21)}
     assert [len(count) - 1 for _, count, *_ in characters._levels] \
         == [min(m, 20 - m) for m in range(20)]
+
+
+def test_tables_leave_the_kept_levels_as_they_were(enumerations):
+    # a table at n <= 10 reads size n's kept rows, which hold every
+    # block, and enumerates nothing; above 10 it builds size n once, with
+    # every block, and keeps none of it; no kept level changes
+    _clear_store()
+    zero_count(20)
+    levels = characters._levels
+    kept = [(level, (dict(level[0]), *map(list, level[1:4]), level[4]))
+            for level in levels]
+    for n in (*range(1, 21), *range(20, 0, -1)):
+        enumerations.clear()
+        assert character_table(n).rows == column_oracle.table_rows(n), n
+        assert enumerations == ({} if n <= 10 else {n: 1}), n
+        assert characters._levels is levels and len(levels) == 20, n
+        for m, (level, copy) in enumerate(kept):
+            assert levels[m] is level and level == copy, (n, m)
 
 
 def _census_freeing_levels(n):
@@ -660,19 +680,34 @@ def test_census_pinned_above_the_guard(monkeypatch, enumerations):
     assert enumerations == {20: 1}
 
 
-def test_engine_enumerates_partitions_in_order():
+def test_engine_enumerates_partitions_in_order(monkeypatch):
     # the masks each size's rows are built for, read from the smaller
     # levels, are part_tuples' masks in order: on the kept levels and on
-    # the local levels of every n above 20
+    # the level each table decodes, the kept one to 10 and its own above;
+    # the top's blocks hold the classes of each first part, to 26 (the
+    # top rows' masks above 20 are checked with their conjugates)
     zero_count(20)
     for m, (rows, _, masks, *_) in enumerate(characters._levels):
         assert masks == [beta_mask(p) for p in part_tuples(m)], m
         assert rows.keys() == set(masks), m
+    level = characters._level
+    built = {}
+
+    def recorded(levels, m, blocks, width):
+        built[m] = level(levels, m, blocks, width)
+        return built[m]
+
+    monkeypatch.setattr(characters, "_level", recorded)
     for n in range(1, 27):
-        masks, _, _, count, *_ = characters._packed_rows(n)
-        assert masks == [beta_mask(p) for p in part_tuples(n)], n
-        assert [b - a for a, b in zip(count, count[1:])] \
-            == [sum(1 for p in part_tuples(n) if p[0] == t) for t in range(1, n + 1)], n
+        firsts = [sum(1 for p in part_tuples(n) if p[0] == t) for t in range(1, n + 1)]
+        if n <= 20:
+            character_table(n)
+            assert (n in built) == (n > 10), n
+            _, count, masks, *_ = built.pop(n, None) or characters._levels[n]
+            assert masks == [beta_mask(p) for p in part_tuples(n)], n
+            assert [b - a for a, b in zip(count, count[1:])] == firsts, n
+        count = characters._packed_rows(n)[2]
+        assert [b - a for a, b in zip(count, count[1:])] == firsts, n
 
 
 def test_engine_top_rows_are_the_half_below_their_conjugates():
@@ -861,7 +896,7 @@ def _check_long_blocks(n):
     if n <= 20:  # the blocks n < 20 copies are stripped here too
         zero_count(20)
     width = characters._lane_width(n)
-    masks, lams, _, count, copied, _, specs = characters._packed_rows(n)
+    lams, _, count, copied, _, specs = characters._packed_rows(n)
     if copied:
         specs = characters._top_specs(characters._levels, n, count, 0, width)
     counts = {}
@@ -869,12 +904,13 @@ def _check_long_blocks(n):
     for t, spec in specs:
         if t <= n // 2:
             break
-        counts[t] = characters._row_nonzeros(spec, width)
+        rows = spec[2]  # every row of size n - t, all its lanes in block t
+        counts[t] = dict(zip(rows, characters._nonzeros(rows.values(), spec[4], width)))
         characters._strip_block(lams, spec, width, stripped)
         tally = [0] * len(lams), [0] * len(lams)
         characters._long_blocks(lams, counts, tally)
         assert tally == stripped, (n, t)
-    for lam in masks:
+    for lam in (beta_mask(p) for p in part_tuples(n)):
         assert sorted(characters._long_hooks(lam, n // 2)) == sorted(
             (h, rem) for h in range(n // 2 + 1, n + 1)
             for _, rem in beta_strips(lam, h)), (n, lam)

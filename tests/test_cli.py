@@ -327,6 +327,7 @@ def no_work(monkeypatch):
                          (rademacher, "p_exact"),
                          (counting, "_eta_extend"),
                          (characters, "_packed_rows"),
+                         (characters, "_kept_levels"),
                          (values, "_values"),
                          (asymptotics, "_log_p"),
                          (asymptotics, "_q_sums"),

@@ -445,7 +445,8 @@ def kernels_fail(monkeypatch):
                          (counting, "_eta_extend"),
                          (counting, "_core_counts"),
                          (counting, "_largest_part_counts"),
-                         (characters, "_packed_rows"), (values, "_values")):
+                         (characters, "_packed_rows"), (characters, "_kept_levels"),
+                         (values, "_values")):
         monkeypatch.setattr(module, name, fail)
 
 
