@@ -15,8 +15,8 @@ beta mask with one more bead.  Since chi at lambda' is sgn(s) =
 (-1)^(k - len s) times chi at lambda, only the rows with mask <= the
 conjugate's mask are stripped, at every size, block by block: one
 loop (``_strip_block``) strips block t of every such row of a size.  A
-size below n ORs the blocks into its rows and reads each other row off
-its conjugate's with the odd lanes negated (``_level_rows``).  The
+size below n has it write each block into its row and reads each other
+row off its conjugate's with the odd lanes negated (``_level_rows``).  The
 table is size n built so, with every block, its rows' lanes, all p(n)
 classes, decoded in C.  The census builds no row of size n: it strips
 the rows lambda <= lambda' there (the top rows, ``_packed_rows``)
@@ -36,15 +36,15 @@ up to n are kept between calls, in one store (``_kept_levels``): a
 size's blocks do not depend on n, so each size is built once, with
 every block that n = 20 reads, and never changed, and a later call
 builds only the sizes it lacks (the 2,087 rows of sizes below 20,
-about 0.5 MB, after a census at 19 or 20).  A call below 20 builds
-size n too, which the next larger call reads anyway: the census copies
-its blocks t <= 20 - n instead of stripping them again, and the table
-reads it when it holds every block, n <= 10, and otherwise builds size
-n once more, whole, and keeps none of it.  Above 20 every n has its
-own lane width, so a census there builds its own levels, each as the
-top reads it: block n - m right after size m, the masks, conjugates
-and odd lanes of size m dropped once its rows are built, and the rows
-of size k once size (n + k) // 2, their last reader, is.
+about 0.5 MB, after a census at 19 or 20).  A census below 20 builds
+size n too, which the next larger call reads anyway, and copies its
+blocks t <= 20 - n from there instead of stripping them again.  The
+table reads only the sizes below n: it builds size n whole, once, and
+keeps none of it.  Above 20 every n has its own lane width, so a
+census there builds its own levels, each as the top reads it: block
+n - m right after size m, the masks, conjugates and odd lanes of size
+m dropped once its rows are built, and the rows of size k once size
+(n + k) // 2, their last reader, is.
 The store has no lock: the package never runs two calls at once.
 
 Single character values are the ``values`` module's; this module
@@ -162,7 +162,8 @@ def _block_spec(levels: list, m: int, t: int, count: list[int], width: int) -> t
     """The strip spec of block t of a row of size m whose running lane
     counts are ``count``: t, the mask of the t - 1 positions a strip of
     length t passes, the rows of size m - t, the mask of the block's
-    lanes there, their biases, and the block's offset in a kept row."""
+    lanes there, their biases, and the block's offset in its row, where
+    ``_strip_block`` ORs it into a level's row."""
     size = count[t] - count[t - 1]
     return (t, (1 << (t - 1)) - 1, levels[m - t][0], (1 << width * size) - 1,
             _ones(width, size) << (width - 1), width * count[t - 1])
@@ -170,17 +171,14 @@ def _block_spec(levels: list, m: int, t: int, count: list[int], width: int) -> t
 
 def _level_rows(levels: list, m: int, level: tuple, width: int) -> dict[int, int]:
     """The rows of ``level``, size m, by beta mask.  Only the rows with
-    mask <= conjugate mask are stripped, each block by ``_strip_block``
-    and ORed into place; each other row is its conjugate's with the odd
+    mask <= conjugate mask are stripped, ``_strip_block`` writing each
+    block into its row; each other row is its conjugate's with the odd
     lanes negated, a biased digit x becoming 2 bias - x."""
     _, count, masks, conjs, odd = level
     lams = [lam for lam, conj in zip(masks, conjs) if lam <= conj]
     stripped = [0] * len(lams)
     for t in range(1, len(count)):
-        spec = _block_spec(levels, m, t, count, width)
-        shift = spec[5]
-        for i, block in enumerate(_strip_block(lams, spec, width)):
-            stripped[i] |= block << shift
+        _strip_block(lams, _block_spec(levels, m, t, count, width), width, stripped)
     rows = dict(zip(lams, stripped))
     high = odd & _ones(width, count[-1]) << (width - 1)
     for lam, conj in zip(masks, conjs):
@@ -190,34 +188,32 @@ def _level_rows(levels: list, m: int, level: tuple, width: int) -> dict[int, int
     return rows
 
 
-def _strip_block(lams: list[int], spec: tuple, width: int,
-               tally: tuple[list[int], list[int]] | None = None) -> list[int] | None:
+def _strip_block(lams: list[int], spec: tuple, width: int, rows: list[int],
+                 cores: list[int] | None = None) -> None:
     """Block t of ``spec`` for each row in ``lams``, in lanes of
     ``width`` bits, from the strips of length t as in ``values._strip``:
-    the sum of +-(row(rem) & keep) over the strips, one add per strip.
+    the sum of +-(row(rem) & keep) over the strips, one add per strip,
+    written into ``rows``, indexed like ``lams``.
 
-    Without ``tally`` it returns the blocks biased, each lane chi +
-    2^(width - 1), so ``high`` for a row with no strip of length t: a
-    level ORs them into its rows, and XOR with ``high`` gives two's
-    complement.  With ``tally``, two lists indexed like ``lams``, it
+    Without ``cores`` (a level) it ORs each block, biased, each lane chi
+    + 2^(width - 1), so ``high`` for a row with no strip of length t,
+    into its row at the spec's offset.  With ``cores`` (the census) it
     holds no block: it adds each block's nonzero lanes to the row's
-    entry of the first, sets bit t of the row's entry of the second (its
-    core set) when the row has no strip of length t, and returns None.
+    entry of ``rows``, and sets bit t of its entry of ``cores`` (its
+    core set) when the row has no strip of length t.
     """
-    t, between, prev, keep, high, _ = spec
+    t, between, prev, keep, high, shift = spec
     # a lane is nonzero iff its top bit is set or its low bits plus
     # 2^(width-1) - 1 carry into it; no sum leaves its lane
     low = high - (high >> (width - 1))
     core = 1 << t
-    out = None if tally else []
-    nonzero, cores = tally or (None, None)
     for i, lam in enumerate(lams):
         starts = (lam & ~(lam << t)) >> t << t
         if not starts:
-            if tally:
-                cores[i] |= core
+            if cores is None:
+                rows[i] |= high << shift
             else:
-                out.append(high)
+                cores[i] |= core
             continue
         total = 0
         net = -1
@@ -235,19 +231,19 @@ def _strip_block(lams: list[int], spec: tuple, width: int,
                 net += 1
         if net:  # net counts from -1: the block is total less net biases
             total -= net * high
-        if tally:  # two's complement
+        if cores is None:
+            rows[i] |= total << shift
+        else:  # two's complement
             total ^= high
-            nonzero[i] += ((((total & low) + low) | total) & high).bit_count()
-        else:
-            out.append(total)
-    return out
+            rows[i] += ((((total & low) + low) | total) & high).bit_count()
 
 
 def _kept_levels(n: int) -> list:
     """The store, holding every size below n <= 20, and n itself below
-    20.  It builds the sizes it lacks, ascending, each with every block
-    n = 20 reads, and appends each once it is complete, so an
-    interrupted call leaves it consistent; no kept size is changed."""
+    20: a census at n reads size n's kept blocks, a table at n + 1 the
+    sizes up to n.  It builds the sizes it lacks, ascending, each with
+    every block n = 20 reads, and appends each once it is complete, so
+    an interrupted call leaves it consistent; no kept size is changed."""
     levels = _levels
     for m in range(len(levels), n + (n < _KEPT_N)):  # below 20, size n too
         level = _level(levels, m, min(m, _KEPT_N - m), 32)
@@ -320,21 +316,17 @@ def character_table(n: int) -> CharacterTable:
     Guarded at ``TABLE_GUARD`` (n <= 20): beyond that the exact table is
     infeasible at desk scale and the sampling module applies.  The table
     is level n with every block, its lanes all p(n) classes in reverse
-    enumeration order: the kept level for n <= 10, otherwise built once
-    by ``_level_rows`` and not kept.  Each row's 32-bit lanes are read in
-    C from its bytes, and a built row is dropped once it is read.
+    enumeration order, built once by ``_level_rows`` from the kept sizes
+    below n and not kept.  Each row's 32-bit lanes are read in C from
+    its bytes, and a row is dropped once it is read.
     """
     from .partitions import enumerate_partitions  # a census never loads it
 
     _check_table_size(n)
     parts = tuple(enumerate_partitions(n))
-    levels = _kept_levels(n)
-    if n < len(levels) and len(levels[n][1]) > n:  # kept with all n blocks
-        rows, _, masks, *_ = levels[n]
-        rows = dict(rows)  # popped below: the store keeps its own
-    else:
-        _, _, masks, *_ = level = _level(levels, n, n, 32)
-        rows = _level_rows(levels, n, level, 32)
+    levels = _kept_levels(n - 1)
+    _, _, masks, *_ = level = _level(levels, n, n, 32)
+    rows = _level_rows(levels, n, level, 32)
     high = _ones(32, len(masks)) << 31
     size = 4 * len(masks)
     table = []
@@ -454,7 +446,6 @@ def zero_count(n: int) -> ZeroCensus:
                      for lam, c in zip(lams, cores)]
     else:  # block 1, the class 1^n, holds f_lambda > 0 in every row
         nonzero = [1] * len(lams)
-    tally = nonzero, cores
     long = max(copied, n // 2)  # the blocks above it are read off the hooks
     counts = {}
     for t, spec in blocks:
@@ -462,11 +453,11 @@ def zero_count(n: int) -> ZeroCensus:
             rows = spec[2]
             counts[t] = dict(zip(rows, _nonzeros(rows.values(), spec[4], width)))
         else:
-            _strip_block(lams, spec, width, tally)
+            _strip_block(lams, spec, width, nonzero, cores)
         if t == 2:  # block 1 is counted: size n - 1 is never built
             break
     if counts:
-        _long_blocks(lams, counts, tally)
+        _long_blocks(lams, counts, (nonzero, cores))
     classes = count[-1]
     total = 0
     by_cores: dict[int, int] = {}  # zeros by core set

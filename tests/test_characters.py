@@ -467,9 +467,9 @@ def test_enumerated_conjugates_match_the_transpose():
 def test_flipped_lane_parity_is_caught(monkeypatch, m, lane):
     # one lane of level m's odd mask flipped: the rows read off their
     # conjugates there go wrong, and so do the rows stripped from them;
-    # the regular character on the kept levels, the table at m, whose
-    # rows are level m's, kept (9) or its own (12), and the column
-    # certificates at 24, above the guard, all catch it
+    # the regular character on the kept levels, the table at m, which
+    # builds its own level m, and the column certificates at 24, above
+    # the guard, all catch it
     level = characters._level
 
     def flipped(levels, k, blocks, width):
@@ -539,21 +539,33 @@ def test_census_range_builds_each_level_once(enumerations):
 
 
 def test_tables_leave_the_kept_levels_as_they_were(enumerations):
-    # a table at n <= 10 reads size n's kept rows, which hold every
-    # block, and enumerates nothing; above 10 it builds size n once, with
-    # every block, and keeps none of it; no kept level changes
+    # a table at n builds size n once, with every block, from the kept
+    # sizes below it, and keeps none of it: after a census at 20 no kept
+    # level changes, and from an empty store exactly sizes 0..n - 1 are
+    # kept, each with the blocks of n = 20
     _clear_store()
     zero_count(20)
     levels = characters._levels
     kept = [(level, (dict(level[0]), *map(list, level[1:4]), level[4]))
             for level in levels]
+    tables = {}
     for n in (*range(1, 21), *range(20, 0, -1)):
         enumerations.clear()
-        assert character_table(n).rows == column_oracle.table_rows(n), n
-        assert enumerations == ({} if n <= 10 else {n: 1}), n
+        tables[n] = character_table(n)
+        assert tables[n].rows == column_oracle.table_rows(n), n
+        assert enumerations == {n: 1}, n
         assert characters._levels is levels and len(levels) == 20, n
         for m, (level, copy) in enumerate(kept):
             assert levels[m] is level and level == copy, (n, m)
+    for n in range(1, 21):
+        _clear_store()
+        enumerations.clear()
+        assert character_table(n) == tables[n], n
+        assert enumerations == {m: 1 for m in range(1, n + 1)}, n
+        _check_kept_rows_below(n)
+        assert [len(count) - 1 for _, count, *_ in characters._levels] \
+            == [min(m, 20 - m) for m in range(n)], n
+    _clear_store()
 
 
 def _census_freeing_levels(n):
@@ -683,7 +695,7 @@ def test_census_pinned_above_the_guard(monkeypatch, enumerations):
 def test_engine_enumerates_partitions_in_order(monkeypatch):
     # the masks each size's rows are built for, read from the smaller
     # levels, are part_tuples' masks in order: on the kept levels and on
-    # the level each table decodes, the kept one to 10 and its own above;
+    # the level each table builds and decodes, its own at every n;
     # the top's blocks hold the classes of each first part, to 26 (the
     # top rows' masks above 20 are checked with their conjugates)
     zero_count(20)
@@ -702,8 +714,7 @@ def test_engine_enumerates_partitions_in_order(monkeypatch):
         firsts = [sum(1 for p in part_tuples(n) if p[0] == t) for t in range(1, n + 1)]
         if n <= 20:
             character_table(n)
-            assert (n in built) == (n > 10), n
-            _, count, masks, *_ = built.pop(n, None) or characters._levels[n]
+            _, count, masks, *_ = built.pop(n)
             assert masks == [beta_mask(p) for p in part_tuples(n)], n
             assert [b - a for a, b in zip(count, count[1:])] == firsts, n
         count = characters._packed_rows(n)[2]
@@ -900,13 +911,13 @@ def _check_long_blocks(n):
     if copied:
         specs = characters._top_specs(characters._levels, n, count, 0, width)
     counts = {}
-    stripped = [0] * len(lams), [0] * len(lams)
+    nonzero, cores = stripped = [0] * len(lams), [0] * len(lams)
     for t, spec in specs:
         if t <= n // 2:
             break
         rows = spec[2]  # every row of size n - t, all its lanes in block t
         counts[t] = dict(zip(rows, characters._nonzeros(rows.values(), spec[4], width)))
-        characters._strip_block(lams, spec, width, stripped)
+        characters._strip_block(lams, spec, width, nonzero, cores)
         tally = [0] * len(lams), [0] * len(lams)
         characters._long_blocks(lams, counts, tally)
         assert tally == stripped, (n, t)
