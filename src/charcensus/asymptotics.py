@@ -374,9 +374,12 @@ def core_count_bound(n: int, t: int, epsilon: float = 0.5,
     Regime I is an asymptotic equality; II, III and IV are lower-bound
     main terms.  IV replaces II or III when n >= 3 * 10^5 and
     t > (sqrt 6 / 2 pi) sqrt(n) log n.  III and IV go through p(n),
-    exact up to ``P_EXACT_LIMIT``.  Raises GuardError when t falls in
-    the uncovered gap between the regime-i and regime-ii ranges.
+    exact up to ``P_EXACT_LIMIT``.  Raises ValueError for a regime not
+    in ``P32_REGIMES``, before any other check, and GuardError when t
+    falls in the uncovered gap between the regime-i and regime-ii ranges.
     """
+    if regime not in (None, *P32_REGIMES):
+        raise ValueError(f"regime must be one of {', '.join(P32_REGIMES)}, got {regime!r}")
     _check_bound_args(n, t, epsilon)
     if regime is None:
         regime = "P32_" + _regime(n, t, epsilon)
@@ -386,8 +389,6 @@ def core_count_bound(n: int, t: int, epsilon: float = 0.5,
         if (regime != "P32_I" and n >= 300_000
                 and t > math.sqrt(6) / (2 * math.pi) * math.sqrt(n) * math.log(n)):
             regime = "P32_IV"
-    elif regime not in P32_REGIMES:
-        raise ValueError(f"unknown regime {regime!r}")
     p_source = None
     if regime == "P32_I":
         log_bound = _core_log_i(n, t)

@@ -144,6 +144,10 @@ def _cmd_bounds_saddle(args):
 def _cmd_estimate_density(args):
     from .sampling import estimate_zero_density
 
+    if args.seed is None:  # drawn here, so the config echoes it
+        import secrets
+
+        args.seed = secrets.randbits(63)
     est = estimate_zero_density(args.n, args.samples, args.seed)
     return {"kind": "density", **est.to_json_dict()}
 
@@ -222,12 +226,10 @@ def _result_to_csv(result: dict) -> str:
         writer.writerow(["lambda"] + result["partitions"])
         for lam, row in zip(result["partitions"], result["rows"]):
             writer.writerow([lam] + row)
-    elif result["kind"] == "sweep":
-        header = ["N", "p_N", "Z", "lower_bound", "lower_bound_over_Z",
-                  "z_ratio_to_t12", "log_t12_bound", "p_source"]
-        writer.writerow(header)
+    elif result["kind"] == "sweep":  # an --n-list holds at least one n
+        writer.writerow(result["rows"][0])
         for row in result["rows"]:
-            writer.writerow([_cell(row[k]) for k in header])
+            writer.writerow([_cell(v) for v in row.values()])
     else:
         flat: dict = {}
         _flatten("", {k: v for k, v in result.items() if k != "kind"}, flat)
@@ -304,23 +306,12 @@ def _n_ranges(text: str) -> list[range]:
     return out
 
 
-class _P32Regimes:
-    """The --regime choices, read from ``asymptotics`` only when argparse
-    checks a given value, so that building the parser loads no layer."""
-
-    def __iter__(self):
-        from .asymptotics import P32_REGIMES
-
-        return iter(P32_REGIMES)
-
-
-def _command(help_text: str, *options, default_format: str = "human",
-             **keywords) -> tuple:
+def _command(help_text: str, *options, default_format: str = "human") -> tuple:
     """A command of the tree: its parser takes --format and --out, then
-    ``options``, each a (flag, ``add_argument`` keywords) pair;
-    ``keywords`` go to its parser.  Its handler is the ``_cmd_*``
-    function named after it, read when the parser is built."""
-    return help_text, options, default_format, keywords
+    ``options``, each a (flag, ``add_argument`` keywords) pair.  Its
+    handler is the ``_cmd_*`` function named after it, read when the
+    parser is built."""
+    return help_text, options, default_format
 
 
 _N = ("--n", {"type": int, "required": True})
@@ -354,14 +345,10 @@ _COMMANDS = {
     "bounds": ("asymptotic bound evaluators", {
         "t12": _command("full-table zero bound 2 p(n)^2 / log n", _N),
         "t13": _command("t-core strip zero bound", _N, _T, _EPSILON),
-        # argparse lists the choices of an argument with a help text when
-        # it prints help, and of one without a metavar when it builds, so
-        # --regime has a metavar and is described on its parser
         "p32": _command("core-count bound in its four regimes", _N, _T, _EPSILON,
-                        ("--regime", {"choices": _P32Regimes(), "metavar": "REGIME",
-                                      "default": None}),
-                        description="--regime forces a regime (P32_I to "
-                                    "P32_IV) instead of auto-selecting"),
+                        ("--regime", {"default": None,
+                                      "help": "force a regime (P32_I to P32_IV) "
+                                              "instead of auto-selecting"})),
         "saddle": _command("saddle ordinate for the core-count estimate", _N, _T,
                            ("--tol", {"type": float, "default": 1e-9,
                                       "help": "relative residual tolerance"})),
@@ -405,8 +392,8 @@ def _add_commands(parser, commands: dict, path: tuple[str, ...], dest: str,
             _add_commands(sub.add_parser(name, help=entry[0]), entry[1], path[1:],
                           "sub", f"{prefix}{name}.")
             continue
-        help_text, options, default_format, keywords = entry
-        sp = sub.add_parser(name, help=help_text, **keywords)
+        help_text, options, default_format = entry
+        sp = sub.add_parser(name, help=help_text)
         # fresh actions per command: a shared parent would alias the
         # defaults across commands
         sp.add_argument("--format", choices=("json", "csv", "human"),
@@ -441,10 +428,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code or 0
-    if getattr(args, "seed", "absent") is None:
-        import secrets
-
-        args.seed = secrets.randbits(63)
     try:
         _emit(args, args.command, args.func(args))
     except GuardError as exc:

@@ -467,6 +467,16 @@ def test_core_bound_guards():
         core_count_bound(1000, 10, epsilon=2.0)
 
 
+@pytest.mark.parametrize("n", [50, -5])
+def test_core_bound_unknown_regime_before_the_guards(n):
+    # the regime name is checked first: n = 50 alone is a guard refusal,
+    # n = -5 alone an invalid argument
+    with pytest.raises(ValueError) as exc:
+        core_count_bound(n, 10, regime="P32_V")
+    assert str(exc.value) == \
+        "regime must be one of P32_I, P32_II, P32_III, P32_IV, got 'P32_V'"
+
+
 def test_full_table_bound_small_n():
     rep = full_table_bound(100)
     expected = math.log(2) + 2 * math.log(190569292) - math.log(math.log(100))
