@@ -23,14 +23,12 @@ the rows lambda <= lambda' there (the top rows, ``_packed_rows``)
 block by block and never joins them.  It counts each block's zero
 lanes in that loop, a few big-int operations into one tally per row,
 keeps no block, and weights each row by the size of its conjugate pair
-at the end.  It strips no block t > n/2: a partition of n has at most
-one hook of such a length t, in its first row or column, and block t
-is zero without one and holds the zeros of the row of size n - t the
-hook leaves with one, so the census counts each row of size n - t
-once, as the top reaches that size, and reads each top row's long
-hooks off its beta mask (``_long_blocks``).  Nor does it strip block
-1, the class 1^n, which holds f_lambda > 0 in every row and comes
-last, so above 20 it never builds size n - 1.
+at the end.  A row with one strip of length t has block t +-(kappa's
+row), kappa the partition the strip leaves, so it takes kappa's
+nonzero lanes from a memo of the block, one zero test per distinct
+kappa; above n/2 every row has at most one such strip.  It strips no
+block 1, the class 1^n, which holds f_lambda > 0 in every row and
+comes last, so above 20 it never builds size n - 1.
 For n <= 20, where every lane is 32 bits wide, the rows of the sizes
 up to n are kept between calls, in one store (``_kept_levels``): a
 size's blocks do not depend on n, so each size is built once, with
@@ -43,8 +41,9 @@ table reads only the sizes below n: it builds size n whole, once, and
 keeps none of it.  Above 20 every n has its own lane width, so a
 census there builds its own levels, each as the top reads it: block
 n - m right after size m, the masks, conjugates and odd lanes of size
-m dropped once its rows are built, and the rows of size k once size
-(n + k) // 2, their last reader, is.
+m dropped once its rows are built, its blocks above (n - m) // 2 once
+block n - m is read, since a later size reads no more of it, and the
+rows of size k once size (n + k) // 2, their last reader, is.
 The store has no lock: the package never runs two calls at once.
 
 Single character values are the ``values`` module's; this module
@@ -200,13 +199,17 @@ def _strip_block(lams: list[int], spec: tuple, width: int, rows: list[int],
     into its row at the spec's offset.  With ``cores`` (the census) it
     holds no block: it adds each block's nonzero lanes to the row's
     entry of ``rows``, and sets bit t of its entry of ``cores`` (its
-    core set) when the row has no strip of length t.
+    core set) when the row has no strip of length t.  A row with one
+    strip has the nonzero lanes of the row it reads, whatever the sign,
+    so they are counted once per remainder, in a memo that lives for
+    the call alone, since the count depends on the block's lanes.
     """
     t, between, prev, keep, high, shift = spec
     # a lane is nonzero iff its top bit is set or its low bits plus
     # 2^(width-1) - 1 carry into it; no sum leaves its lane
     low = high - (high >> (width - 1))
     core = 1 << t
+    memo = {}  # the census's nonzero lanes of block t by one strip's remainder
     for i, lam in enumerate(lams):
         starts = (lam & ~(lam << t)) >> t << t
         if not starts:
@@ -214,6 +217,16 @@ def _strip_block(lams: list[int], spec: tuple, width: int, rows: list[int],
                 rows[i] |= high << shift
             else:
                 cores[i] |= core
+            continue
+        if cores is not None and not starts & (starts - 1):  # one strip
+            rem = lam ^ starts ^ (starts >> t)
+            if rem & 1:
+                rem >>= (rem ^ (rem + 1)).bit_length() - 1
+            got = memo.get(rem)
+            if got is None:
+                x = (prev[rem] & keep) ^ high
+                got = memo[rem] = ((((x & low) + low) | x) & high).bit_count()
+            rows[i] += got
             continue
         total = 0
         net = -1
@@ -297,14 +310,21 @@ def _top_specs(levels: list, n: int, count: list[int], copied: int,
     """(t, spec) for each top block t > ``copied``, from t = n down,
     each once size n - t holds rows: above 20 block n - m comes right
     after size m's rows are built, when its masks, conjugates and odd
-    lanes are dropped, and each size's rows are dropped after their last
-    reader, its lane counts kept."""
+    lanes are dropped, then its rows are cut to the blocks later sizes
+    read, and each size's rows are dropped after their last reader, its
+    lane counts kept."""
     wide = n > _KEPT_N
     for m in range(n - copied):  # block n - m reads size m
         if wide and m:  # its masks, conjugates and odd lanes have no later reader
             rows = _level_rows(levels, m, levels[m], width)
             levels[m] = (rows, levels[m][1], None, None, None)
         yield n - m, _block_spec(levels, n, n - m, count, width)
+        if wide and m:  # later levels read blocks <= (n - m) // 2 of size m
+            rows, lanes = levels[m][0], levels[m][1]
+            if (n - m) // 2 < len(lanes) - 1:
+                cut = (1 << width * lanes[(n - m) // 2]) - 1
+                for lam in rows:
+                    rows[lam] &= cut
         if wide:  # size k is read last by size (n + k) // 2 and block n - k
             for k in range(max(2 * m - n, 0), 2 * m - n + 2):
                 levels[k] = (None, *levels[k][1:])
@@ -346,51 +366,6 @@ def _nonzeros(rows: Iterable[int], high: int, width: int) -> list[int]:
     return [((((y := x ^ high) & low) + low | y) & high).bit_count() for x in rows]
 
 
-def _long_hooks(lam: int, lo: int) -> Iterator[tuple[int, int]]:
-    """(h, rem) for each hook of the partition with beta mask ``lam``
-    longer than ``lo``, in its first row or column: h its length and rem
-    the beta mask of the partition less the hook, as ``_strip_block``
-    forms it.  These are all its hooks longer than lo once lo >= n // 2,
-    n its size: a hook of length h at (i, j) with i, j >= 2, the cells
-    of the first row above its arm, those of the first column left of
-    its leg and (1, 1) make 2h + 2 cells, so h < n/2.  The first
-    column's hooks move a bead to bit 0, and the first row's others move
-    the top bead to a gap."""
-    beads = lam >> lo + 1 << lo + 1
-    while beads:
-        bit = beads & -beads
-        beads ^= bit
-        rem = lam ^ bit | 1
-        yield bit.bit_length() - 1, rem >> (rem ^ (rem + 1)).bit_length() - 1
-    top = lam.bit_length() - 1
-    gaps = ~lam & (1 << max(top - lo, 1)) - 2  # the gaps 1..top - lo - 1
-    while gaps:
-        bit = gaps & -gaps
-        gaps ^= bit
-        yield top + 1 - bit.bit_length(), lam ^ bit ^ 1 << top
-
-
-def _long_blocks(lams: list[int], counts: dict[int, dict[int, int]],
-                 tally: tuple[list[int], list[int]]) -> None:
-    """Add blocks lo < t <= n of the rows ``lams`` of size n to ``tally``
-    as ``_strip_block`` does, with no strip: lo = min(counts) - 1 >=
-    n // 2, and counts[t] holds the nonzero lanes of each row of size
-    n - t (``_nonzeros``).  For t > n/2 a partition of n has t-weight
-    at most 1, so at most one hook of length t.  With none, block t is
-    zero and the row a t-core; with one, block t is +-kappa's row, kappa
-    the partition of n - t left when it is removed, so it has kappa's
-    nonzero lanes."""
-    lo = min(counts) - 1
-    lengths = sum(1 << t for t in counts)
-    nonzero, cores = tally
-    for i, lam in enumerate(lams):
-        hooks = 0
-        for h, rem in _long_hooks(lam, lo):
-            nonzero[i] += counts[h][rem]
-            hooks |= 1 << h
-        cores[i] |= lengths & ~hooks
-
-
 class ZeroCensus(NamedTuple):
     """Zero counts of one character table.
 
@@ -421,13 +396,12 @@ def zero_count(n: int) -> ZeroCensus:
     top row adds its nonzero lanes to one tally per row, a few big-int
     operations, and a row with no strip of the block's length t gets t
     in its core set instead, so no block is held and the table never
-    is.  The blocks copied from kept rows below 20 get one zero test
-    over each row's copied lanes and an explicit core test.  The blocks
-    t > n/2 are not stripped: as the top reaches size n - t, each of its
-    rows gets one zero test, and then each top row adds the count of the
-    row its one t-hook leaves, or is a t-core without one
-    (``_long_blocks``).  Block 1 is one nonzero lane, f_lambda, in every
-    row, so the census ends at block 2.  Only the
+    is.  A row with one strip of length t, every row with any above n/2,
+    adds the nonzero lanes of the row the strip leaves, zero-tested once
+    per block for all the rows that leave it.  The blocks copied from
+    kept rows below 20 get one zero test over each row's copied lanes
+    and an explicit core test.  Block 1 is one nonzero lane, f_lambda,
+    in every row, so the census ends at block 2.  Only the
     rows lambda <= lambda' are computed: a row and its conjugate have the
     same zeros and the same hook lengths, so each such row counts twice,
     or once when lambda is self-conjugate, in the total and in every
@@ -446,18 +420,10 @@ def zero_count(n: int) -> ZeroCensus:
                      for lam, c in zip(lams, cores)]
     else:  # block 1, the class 1^n, holds f_lambda > 0 in every row
         nonzero = [1] * len(lams)
-    long = max(copied, n // 2)  # the blocks above it are read off the hooks
-    counts = {}
     for t, spec in blocks:
-        if t > long:  # all the lanes of the rows of size n - t
-            rows = spec[2]
-            counts[t] = dict(zip(rows, _nonzeros(rows.values(), spec[4], width)))
-        else:
-            _strip_block(lams, spec, width, nonzero, cores)
+        _strip_block(lams, spec, width, nonzero, cores)
         if t == 2:  # block 1 is counted: size n - 1 is never built
             break
-    if counts:
-        _long_blocks(lams, counts, (nonzero, cores))
     classes = count[-1]
     total = 0
     by_cores: dict[int, int] = {}  # zeros by core set

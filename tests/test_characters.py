@@ -1,3 +1,4 @@
+import inspect
 import math
 import operator
 import random
@@ -573,10 +574,12 @@ def _census_freeing_levels(n):
     block it takes: block n - m comes right after size m is built, from
     t = n down to 2, and then only the sizes k with 2m - n <= k <= m
     hold rows, since size k is read last by size (n + k) // 2 and by
-    block n - k.  Every size keeps its lane counts; an unbuilt size keeps
-    its mask order, conjugates and odd lanes, so ``_masks`` still
-    enumerates, and a built one holds them no longer.  The rows of size
-    m, half of them read off their conjugates, equal every row stripped.
+    block n - k, and each size k < m holds no lane above its block
+    (n - k) // 2, the last a later size reads.  Every size keeps its lane
+    counts; an unbuilt size keeps its mask order, conjugates and odd
+    lanes, so ``_masks`` still enumerates, and a built one holds them no
+    longer.  The rows of size m, half of them read off their conjugates,
+    equal every row stripped.
     The census ends at block 2, since block 1 is f_lambda > 0, so size
     n - 1 never holds rows.  The checks run at each (t, spec)
     ``_top_specs`` yields, so the kernel's calls that build the levels
@@ -597,6 +600,10 @@ def _census_freeing_levels(n):
             m = n - t
             held = [k for k, (rows, *_) in enumerate(levels) if isinstance(rows, dict)]
             assert held == list(range(max(2 * m - n, 0), m + 1)), (n, m, held)
+            for k in held[:-1]:
+                lanes = levels[k][1]
+                top = 1 << width * lanes[min((n - k) // 2, len(lanes) - 1)]
+                assert all(row < top for row in levels[k][0].values()), (n, m, k)
             assert spec[2] is levels[m][0]
             for k, level in enumerate(levels):  # size 0 is never built
                 built = 0 < k <= m
@@ -636,6 +643,26 @@ def test_census_freeing_check_catches_a_level_kept(monkeypatch):
     monkeypatch.setattr(characters, "TABLE_GUARD", 21)
     monkeypatch.setattr(characters, "_top_specs", unfreed)
     with pytest.raises(AssertionError, match=r"^\(21, 11\b"):
+        _census_freeing_levels(21)
+
+
+def test_census_freeing_check_catches_a_level_uncut(monkeypatch):
+    # the real _top_specs with each held size's rows put back whole
+    # before each yield: the first size cut, 8 at n = 21, still holds
+    # its blocks above (21 - 8) // 2 at the next top block
+    top_specs = characters._top_specs
+
+    def uncut(levels, *args):
+        built = {}
+        for t, spec in top_specs(levels, *args):
+            for k, (rows, *_) in enumerate(levels):
+                if rows is not None:
+                    rows.update(built.setdefault(k, dict(rows)))
+            yield t, spec
+
+    monkeypatch.setattr(characters, "TABLE_GUARD", 21)
+    monkeypatch.setattr(characters, "_top_specs", uncut)
+    with pytest.raises(AssertionError, match=r"^\(21, 9, 8\)"):
         _census_freeing_levels(21)
 
 
@@ -750,17 +777,31 @@ def _strips(masks, t):
     return sum(len(beta_strips(mask, t)) for mask in masks)
 
 
+def _tally_reads(masks, t):
+    """The rows of size n - t the census's tally of block t reads for the
+    rows ``masks`` of size n: one per strip of a row with several strips
+    of length t, and one per distinct remainder of the rows with one,
+    since a memo hit reads no row."""
+    reads, rems = 0, set()
+    for mask in masks:
+        strips = beta_strips(mask, t)
+        if len(strips) == 1:
+            rems.add(strips[0][1])
+        else:
+            reads += len(strips)
+    return reads + len(rems)
+
+
 @pytest.mark.parametrize("fresh", [False, True])
 def test_top_below_20_copies_the_kept_blocks(fresh):
     # at n < 20 the top runs no strip of length t <= 20 - n: it copies
-    # those blocks out of size n's kept rows.  Nor does the census strip
-    # a block t > n/2: it reads each row of size n - t once, by iteration,
-    # and each top row's one t-hook.  Each strip reads the row of its
-    # remainder at size n - t once, so the reads there count the strips
-    # the call ran: those of size n's top rows for its kept blocks
+    # those blocks out of size n's kept rows.  Each strip reads the row
+    # of its remainder at size n - t once, so the reads there count the
+    # strips the call ran: those of size n's top rows for its kept blocks
     # t <= min(n, 20 - n), when the call builds size n (its other rows
-    # are read off their conjugates'), and those of the top rows for
-    # 20 - n < t <= n/2.
+    # are read off their conjugates'), and the census's tally of the top
+    # rows for t > 20 - n, whose one-strip rows read each remainder once
+    # (``_tally_reads``).
     for n in range(1, 20):
         _clear_store()
         if n > 1 or not fresh:
@@ -772,7 +813,7 @@ def test_top_below_20_copies_the_kept_blocks(fresh):
         top = column_certificates.top_masks(n)
         for t in range(1, n + 1):
             built = _strips(top, t) if fresh and t <= 20 - n else 0
-            stripped = _strips(top, t) if 20 - n < t <= n // 2 else 0
+            stripped = _tally_reads(top, t) if t > 20 - n else 0
             assert levels[n - t][0].reads == built + stripped, (n, t)
         if not fresh:  # one read of each top row's kept row
             assert levels[n][0].reads == len(top), n
@@ -897,74 +938,84 @@ def test_large_part_blocks_in_closed_form(n):
         assert zeros[t - 1] == tcore_count(t, n) * partition_count(n - t) + t * below, t
 
 
-def _check_long_blocks(n):
-    """The census's tally of the top blocks t > n/2, from the nonzero
-    lanes of each row of size n - t and each top row's long hooks
-    (``_long_blocks``), against ``_strip_block``'s tally of the same
-    blocks, after each t from n down: the nonzero lanes and core bits of
-    every top row.  Then each hook ``_long_hooks`` gives is a border
-    strip of the strip oracle, and each strip longer than n/2 is one."""
+def _check_tally(n, long):
+    """The census kernel's tally of each top block, from t = n down, the
+    blocks t > n/2 if ``long`` and the others if not, against the block
+    ``column_certificates.top_blocks`` strips, lane by lane: each top
+    row's nonzero lanes, and its core bit t exactly when it has no strip
+    of length t.  The one-strip rows read their counts from the memo, so
+    the tally reads as many rows of size n - t as ``_tally_reads``
+    counts."""
     if n <= 20:  # the blocks n < 20 copies are stripped here too
         zero_count(20)
     width = characters._lane_width(n)
-    lams, _, count, copied, _, specs = characters._packed_rows(n)
-    if copied:
+    digit = (1 << width) - 1
+    lams, _, blocks = column_certificates.top_blocks(n)
+    blocks = dict(blocks)
+    _, _, count, _, _, specs = characters._packed_rows(n)
+    if n <= 20:
         specs = characters._top_specs(characters._levels, n, count, 0, width)
-    counts = {}
-    nonzero, cores = stripped = [0] * len(lams), [0] * len(lams)
     for t, spec in specs:
-        if t <= n // 2:
-            break
-        rows = spec[2]  # every row of size n - t, all its lanes in block t
-        counts[t] = dict(zip(rows, characters._nonzeros(rows.values(), spec[4], width)))
-        characters._strip_block(lams, spec, width, nonzero, cores)
-        tally = [0] * len(lams), [0] * len(lams)
-        characters._long_blocks(lams, counts, tally)
-        assert tally == stripped, (n, t)
-    for lam in (beta_mask(p) for p in part_tuples(n)):
-        assert sorted(characters._long_hooks(lam, n // 2)) == sorted(
-            (h, rem) for h in range(n // 2 + 1, n + 1)
-            for _, rem in beta_strips(lam, h)), (n, lam)
+        if (t > n // 2) != long:
+            continue
+        prev = _CountedReads(spec[2])
+        nonzero, cores = [0] * len(lams), [0] * len(lams)
+        characters._strip_block(lams, (*spec[:2], prev, *spec[3:]), width, nonzero, cores)
+        lanes = range(0, width * (count[t] - count[t - 1]), width)
+        assert nonzero == [sum(1 for i in lanes if block >> i & digit)
+                           for block in blocks[t]], (n, t)
+        assert cores == [0 if beta_strips(lam, t) else 1 << t for lam in lams], (n, t)
+        assert prev.reads == _tally_reads(lams, t), (n, t)
 
 
 @pytest.mark.parametrize("n", range(1, 27))
 def test_long_blocks_match_the_strip_kernel(n):
-    # above 20 too: the blocks t > n/2 the census reads off each row's
-    # one t-hook, block by block, against the blocks stripped; to 16 the
-    # hook lengths also against the diagram's
-    _check_long_blocks(n)
+    # above 20 too: the blocks t > n/2, where a row has at most one
+    # t-strip, so every row with one reads its remainder's count from the
+    # memo; to 16 those strips also against the diagram's hook lengths
+    _check_tally(n, long=True)
     if n <= 16:
         for parts in part_tuples(n):
-            hooks = characters._long_hooks(beta_mask(parts), n // 2)
-            assert sorted(h for h, _ in hooks) \
+            strips = [len(beta_strips(beta_mask(parts), t)) for t in range(n // 2 + 1, n + 1)]
+            assert max(strips) <= 1, parts
+            assert sorted(t for t, k in zip(range(n // 2 + 1, n + 1), strips) if k) \
                 == sorted(h for h in hook_multiset(P(parts)) if h > n // 2), parts
 
 
+@pytest.mark.parametrize("n", range(1, 27))
+def test_census_tally_matches_the_stripped_blocks(n):
+    # above 20 too: the blocks t <= n/2, the one-strip rows' memo among
+    # the rows with several strips
+    _check_tally(n, long=False)
+
+
+def _mutant_kernel(*changes, memo=None):
+    """``characters._strip_block`` with each (old, new) of ``changes``
+    made in its source, compiled in the module's namespace, with
+    ``memo`` a global."""
+    source = inspect.getsource(characters._strip_block)
+    for old, new in changes:
+        assert old in source
+        source = source.replace(old, new)
+    namespace = {**vars(characters), "memo": memo}
+    exec(source, namespace)
+    return namespace["_strip_block"]
+
+
 def test_long_block_check_catches_mutants(monkeypatch):
-    # a pass without the first column's hooks, (1, 1) among them, gives
-    # a row the wrong zeros or core bits; one that reads block t's counts
-    # off size n - t - 1 finds no remainder there, since a beta mask
-    # gives its partition's size
-    long_hooks = characters._long_hooks
-    long_blocks = characters._long_blocks
-
-    def first_row(lam, lo):
-        top = lam.bit_length() - 1
-        return [(h, rem) for h, rem in long_hooks(lam, lo)
-                if h < top and rem == lam ^ 1 << top ^ 1 << top - h]
-
-    def shifted(lams, counts, tally):
-        long_blocks(lams, {t: counts.get(t + 1, counts[t]) for t in counts}, tally)
-
-    for n in (12, 22):
+    # a memo keyed by lambda, not by its remainder kappa, never hits, so
+    # it reads a row for every one-strip row: at t = n the hooks (n - k,
+    # 1^k) all leave the empty partition.  One kept across blocks holds
+    # the census at 20's counts when n = 12 is checked, so it reads no row
+    # for the empty partition at t = 12 (and from t = 5 down it would give
+    # the counts of the census's wider blocks)
+    by_lam = _mutant_kernel(("memo.get(rem)", "memo.get(lam)"), ("memo[rem]", "memo[lam]"))
+    kept = _mutant_kernel(("    memo = {}", "    pass"), memo={})
+    for mutant in (by_lam, kept):
         with monkeypatch.context() as patch:
-            patch.setattr(characters, "_long_hooks", first_row)
-            with pytest.raises(AssertionError, match=rf"^\({n}, {n}\)"):
-                _check_long_blocks(n)
-        with monkeypatch.context() as patch:
-            patch.setattr(characters, "_long_blocks", shifted)
-            with pytest.raises(KeyError):
-                _check_long_blocks(n)
+            patch.setattr(characters, "_strip_block", mutant)
+            with pytest.raises(AssertionError, match=r"^\(12, 12\)"):
+                _check_tally(12, long=True)
 
 
 def test_census_per_core_consistency():
