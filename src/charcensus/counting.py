@@ -85,10 +85,11 @@ term of a t range in one pass, in O(N^1.5) additions in all:
                  product truncated to q^(N//t); (q;q)_inf is sparse by
                  the pentagonal theorem, so step t costs (N/t)^1.5, and
                  c_t(N) = sum_w a_t(w) p(N - tw) reads the shared table;
-* p_t(N - t)  -- for t <= sqrt(N), the part DP truncated at N - t; above
-                 it, Euler's prod_{k>t} (1 - q^k) =
+* p_t(N - t)  -- one kernel per t range: the part DP truncated at N - t
+                 when the range ends at or below sqrt(N); otherwise, from
+                 its first t, Euler's prod_{k>t} (1 - q^k) =
                  sum_j (-1)^j q^(jt + j(j+1)/2) / (q;q)_j, so that
-                 p_t(m) = sum_{j < sqrt(N)} (-1)^j R_j(m - jt - j(j+1)/2)
+                 p_t(m) = sum_{j < sqrt(2N)} (-1)^j R_j(m - jt - j(j+1)/2)
                  with R_j = P(q)/(q;q)_j, each R_j a stride-j prefix sum
                  of R_{j-1} taken in place.
 
@@ -310,40 +311,36 @@ def _divide_one_minus(seq: list[int], step: int) -> None:
 
 def _largest_part_counts(n: int, t_lo: int, t_hi: int) -> list[int]:
     """p_t(n - t), the partitions of n with largest part t, for
-    t_lo <= t <= t_hi <= n, unguarded.  Up to t = isqrt(n) the part DP
-    divides by 1 - q^t once per t, truncated at n - t; a range with
-    t_lo above isqrt(n) runs none of it.  Above it, Euler's
+    t_lo <= t <= t_hi <= n, unguarded.  A range that ends at or below
+    isqrt(n) runs the part DP, dividing by 1 - q^t once per t, truncated
+    at n - t.  Any other range runs Euler's identity from t_lo,
 
-        prod_{k>t} (1 - q^k) = sum_j (-1)^j q^(jt + j(j+1)/2) / (q;q)_j
+        prod_{k>t} (1 - q^k) = sum_j (-1)^j q^(jt + j(j+1)/2) / (q;q)_j,
 
-    times P(q) gives p_t(m) = sum_j (-1)^j R_j(m - jt - j(j+1)/2) with
-    R_j = P(q)/(q;q)_j, and j < n/t < sqrt(n).  One R_j is held at a
-    time, divided from R_{j-1} in place and cut to the last index any
-    t reads."""
-    split = isqrt(n)
-    counts = []
-    if t_lo <= split:
+    which holds at every t >= 0.  Times P(q) it gives p_t(m) =
+    sum_j (-1)^j R_j(m - jt - j(j+1)/2) with R_j = P(q)/(q;q)_j, and
+    j < sqrt(2n).  One R_j is held at a time, divided from R_{j-1} in
+    place and cut to the last index any t reads."""
+    if t_hi <= isqrt(n):
+        counts = []
         dp = [1] + [0] * (n - 1)  # p_0(m) for m < n
-        for t in range(1, min(t_hi, split) + 1):
+        for t in range(1, t_hi + 1):
             del dp[n - t + 1:]
             _divide_one_minus(dp, t)  # dp[m] = p_t(m) for m <= n - t
             if t >= t_lo:
                 counts.append(dp[-1])
-        del dp
-    t_min = max(t_lo, split + 1)
-    if t_min > t_hi:
         return counts
-    tail = [0] * (t_hi - t_min + 1)
-    r = _p_table(n)[:n - t_min + 1]  # R_0 = P(q)
+    counts = [0] * (t_hi - t_lo + 1)
+    r = _p_table(n)[:n - t_lo + 1]  # R_0 = P(q)
     j = 0
     while True:
-        # term j at t = t_min, t_min + 1, ...: r ends at the index for t_min
+        # term j at t = t_lo, t_lo + 1, ...: r ends at the index for t_lo
         terms = r[::-(j + 1)]
-        tail[:len(terms)] = map(sub if j % 2 else add, tail, terms)
+        counts[:len(terms)] = map(sub if j % 2 else add, counts, terms)
         j += 1
-        top = n - (j + 1) * t_min - j * (j + 1) // 2
+        top = n - (j + 1) * t_lo - j * (j + 1) // 2
         if top < 0:
-            return counts + tail
+            return counts
         del r[top + 1:]
         _divide_one_minus(r, j)
 
@@ -351,16 +348,18 @@ def _largest_part_counts(n: int, t_lo: int, t_hi: int) -> list[int]:
 def _zero_sum_steps(n: int, t_lo: int, t_hi: int) -> int:
     """The cost model of ``lower_bound_partial``, in big-int additions:
     m^1.5 per eta-product step, m = n//t for 2 <= t <= t_hi (a_1 and
-    c_1 are free), n per part-DP step, t <= min(t_hi, isqrt(n)), when
-    t_lo <= isqrt(n), and n^2 / (2 t_min) for Euler's R_j when t_hi >
-    isqrt(n), with t_min = max(t_lo, isqrt(n) + 1)."""
+    c_1 are free), plus the p_t kernel's.  The part DP, t_hi <=
+    isqrt(n), costs n per t <= t_hi.  Euler's identity from t_lo is
+    charged as the part DP to isqrt(n), when t_lo <= isqrt(n), plus
+    n^2 / (2 t_min) for its R_j above it, t_min = max(t_lo, isqrt(n) + 1),
+    which bounds its divisions from any t_lo."""
     split = isqrt(n)
     steps = sum(m * isqrt(m) for m in map(n.__floordiv__, range(2, t_hi + 1)))
+    if t_hi <= split:
+        return steps + n * t_hi
     if t_lo <= split:
-        steps += n * min(t_hi, split)
-    if t_hi > split:
-        steps += n * n // (2 * max(t_lo, split + 1))
-    return steps
+        steps += n * split
+    return steps + n * n // (2 * max(t_lo, split + 1))
 
 
 def lower_bound_partial(n: int, t_lo: int, t_hi: int) -> int:

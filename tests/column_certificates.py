@@ -86,9 +86,9 @@ def top_blocks(n: int) -> tuple[list[int], list[int], Iterator[tuple[int, list[i
     the engine's order.  The blocks copied from kept rows (n < 20) are
     cut out of size n's kept rows; every other block is stripped by
     ``characters._strip_block``, the kernel the census counts with and
-    every level is built with, each into a zero row, shifted back from
-    its offset.  Each block's biased lanes are XORed back to two's
-    complement."""
+    every level is built with, each into a zero row at offset 0, so no
+    int spans the lanes below the block.  Each block's biased lanes are
+    XORed back to two's complement."""
     lams, conjs, count, copied, kept, specs = characters._packed_rows(n)
     width = characters._lane_width(n)
 
@@ -101,8 +101,8 @@ def top_blocks(n: int) -> tuple[list[int], list[int], Iterator[tuple[int, list[i
             yield t, [kept[lam] >> shift & keep ^ high for lam in lams]
         for t, spec in specs:
             rows = [0] * len(lams)
-            characters._strip_block(lams, spec, width, rows)
-            yield t, [row >> spec[5] ^ spec[4] for row in rows]
+            characters._strip_block(lams, (*spec[:5], 0), width, rows)
+            yield t, [row ^ spec[4] for row in rows]
 
     return lams, conjs, blocks()
 

@@ -377,38 +377,94 @@ def _largest_part_oracle(n):
 @pytest.mark.parametrize("n", [300, 1000])
 def test_lower_bound_halves_match_their_counters(n):
     # each half of the one-pass kernel on its own, for every t <= n: the
-    # running eta product against c_t(n), the part DP (t <= sqrt n) and
-    # Euler's identity (t > sqrt n) against p_t(n - t)
+    # running eta product against c_t(n), and p_t(n - t) from Euler's
+    # identity (t_lo = 1) and the part DP (a range ending below sqrt n)
     assert counting._core_counts(n, 1, n) == [tcore_count(t, n) for t in range(1, n + 1)]
     largest = _largest_part_oracle(n)
     assert counting._largest_part_counts(n, 1, n) == largest[1:]
-    # a range that starts above sqrt n skips the DP; one that ends below
-    # it, Euler's identity
     assert counting._largest_part_counts(n, 40, n // 2) == largest[40:n // 2 + 1]
     assert counting._largest_part_counts(n, 3, 9) == largest[3:10]
 
 
-def test_lower_bound_above_sqrt_runs_no_part_dp(monkeypatch):
-    # with t_lo > isqrt(n) every p_t(n - t) comes from Euler's identity:
-    # each of its divisions is shorter than the n - t + 1 terms of a
-    # part-DP step, and the cost is the eta product's and Euler's alone
-    n = 1000
+def test_largest_part_counts_match_the_oracle_on_every_range():
+    for n in range(1, 41):
+        largest = _largest_part_oracle(n)
+        for t_lo in range(1, n + 1):
+            for t_hi in range(t_lo, n + 1):
+                assert counting._largest_part_counts(n, t_lo, t_hi) \
+                    == largest[t_lo:t_hi + 1], (n, t_lo, t_hi)
+
+
+@pytest.mark.parametrize("n", [300, 1000, 5000])
+def test_largest_part_counts_match_the_oracle_across_sqrt_n(n):
+    # ranges that start at or below isqrt(n) and end above it, each
+    # computed by Euler's identity from its first t
+    largest = _largest_part_oracle(n)
+    s = math.isqrt(n)
+    for t_lo, t_hi in ((1, s + 1), (s, s + 1), (s // 2, 3 * s), (s, n), (2, n - 1)):
+        assert counting._largest_part_counts(n, t_lo, t_hi) == largest[t_lo:t_hi + 1], \
+            (t_lo, t_hi)
+
+
+def _record_divisions(monkeypatch, divide=counting._divide_one_minus):
+    """Wrap ``counting._divide_one_minus``: each call appends (len(seq),
+    step) to the returned list, then runs ``divide``."""
     calls = []
-    divide = counting._divide_one_minus
 
     def record(seq, step):
-        calls.append(len(seq) - (n - step + 1))
+        calls.append((len(seq), step))
         divide(seq, step)
 
     monkeypatch.setattr(counting, "_divide_one_minus", record)
+    return calls
+
+
+def test_range_ending_at_or_below_sqrt_runs_no_euler_step(monkeypatch):
+    cases = [(n, t_lo, t_hi) for n in (1, 2, 4, 99, 100, 1000)
+             for t_lo, t_hi in ((1, math.isqrt(n)), (math.isqrt(n), math.isqrt(n)), (1, 1))]
+    expected = [_largest_part_oracle(n)[t_lo:t_hi + 1] for n, t_lo, t_hi in cases]
+
+    def fail(n):
+        raise AssertionError("Euler's identity read p(0..n)")
+
+    monkeypatch.setattr(counting, "_p_table", fail)
+    for (n, t_lo, t_hi), counts in zip(cases, expected):
+        assert counting._largest_part_counts(n, t_lo, t_hi) == counts, (n, t_lo, t_hi)
+
+
+def test_lower_bound_above_sqrt_runs_no_part_dp(monkeypatch):
+    # a range that ends above isqrt(n) takes every p_t(n - t) from
+    # Euler's identity: each of its divisions is shorter than the n - t +
+    # 1 terms of a part-DP step, and the cost is the eta product's and
+    # Euler's alone
+    n = 1000
+    calls = _record_divisions(monkeypatch)
     largest = _largest_part_oracle(n)
-    for t_lo, t_hi, runs_dp in ((31, 700, True), (32, 700, False), (100, n, False)):
+    for t_lo, t_hi in ((1, 32), (31, 700), (32, 700), (100, n)):
         calls.clear()
         assert counting._largest_part_counts(n, t_lo, t_hi) == largest[t_lo:t_hi + 1]
-        assert (0 in calls) is runs_dp and all(c <= 0 for c in calls), (t_lo, t_hi)
+        assert calls and all(size < n - step + 1 for size, step in calls), (t_lo, t_hi)
     eta = sum(m * math.isqrt(m) for m in (n // t for t in range(2, n + 1)))
     assert counting._zero_sum_steps(n, 32, n) == eta + n * n // (2 * 32)
     assert counting._zero_sum_steps(n, 100, n) == eta + n * n // (2 * 100)
+
+
+def test_euler_divisions_within_the_cost_model(monkeypatch):
+    # Euler's identity from t_lo <= isqrt(n) is charged as the part DP to
+    # isqrt(n) plus Euler above it; its divisions must stay within that.
+    # They read only n, t_lo and j, and so does the charge less the eta
+    # term once t_hi > isqrt(n), so t_hi = isqrt(n) + 1 stands for every
+    # such t_hi; the lengths do not depend on the values, so the
+    # divisions themselves are skipped
+    calls = _record_divisions(monkeypatch, divide=lambda seq, step: None)
+    for n in range(2, 2001):
+        s = math.isqrt(n)
+        eta = sum(m * math.isqrt(m) for m in (n // t for t in range(2, s + 2)))
+        for t_lo in range(1, s + 1):
+            calls.clear()
+            counting._largest_part_counts(n, t_lo, s + 1)
+            assert sum(size for size, _ in calls) \
+                <= counting._zero_sum_steps(n, t_lo, s + 1) - eta, (n, t_lo)
 
 
 def test_tcore_at_large_n_over_t_matches_the_running_product():

@@ -271,6 +271,13 @@ def test_estimate_report_pinned(n, samples, seed):
         == PINNED_REPORTS[n, samples, seed]
 
 
+def test_pinned_interval_at_40_holds_the_exact_density():
+    # Z(40) = 502432617, the census pinned off tier-1, against the
+    # interval of the report that test_estimate_report_pinned reproduces
+    report = PINNED_REPORTS[40, 24000, 42]
+    assert report["ci_low"] < 502432617 / partition_count(40) ** 2 < report["ci_high"]
+
+
 def test_estimate_error_shrinks_with_samples():
     for n, seed in CONSISTENCY_SEEDS.items():
         z = zero_count(n)
