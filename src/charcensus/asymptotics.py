@@ -26,6 +26,10 @@ g(y) = log eta(iy) + pi/(12 y) + pi y/12, which also leaves out the
 leaves g symmetric, g(1/y) = g(y) + log(y)/2, so one body serves both
 sides of y = 1 and neither holds a term linear in y or 1/y; only
 ``eta`` adds -pi/(12 y) - pi y/12 back.
+
+The saddle solve bisects on the mu1 difference alone and the estimate
+reads the mu2 difference at the solved ordinate, so no caller needs a
+derivative of mu1 in y and ``_mu`` forms none.
 """
 
 from __future__ import annotations
@@ -101,22 +105,18 @@ def eta(y: float) -> float:
     return _log_eta(y) - math.pi / (12 * y) - math.pi * y / 12
 
 
-def _mu(y: float) -> tuple[float, float, float]:
-    """(mu1 + 1/24, mu2 - 1/12, d mu1 / dy) at iy from one kernel call:
-    the series at y for y >= 1, at 1/y through the modular transformation
-    below 1.  Here mu_k is the k-th scaled log-derivative of eta,
+def _mu(y: float) -> tuple[float, float]:
+    """(mu1 + 1/24, mu2 - 1/12) at iy from one kernel call: the series at
+    y for y >= 1, at 1/y through the modular transformation below 1.
+    Here mu_k is the k-th scaled log-derivative of eta,
     -(z^(k+1) / (2 pi i)) (d/dz)^k log eta(z) at z = iy."""
     if y >= 1:
         _, s0, s1 = _q_sums(y)
-        return (y * y / 24 - y * y * s0 + 1.0 / 24,
-                2 * math.pi * y ** 3 * s1 - 1.0 / 12,
-                y / 12 - 2 * y * s0 + 2 * math.pi * y * y * s1)
+        return y * y / 24 - y * y * s0 + 1.0 / 24, 2 * math.pi * y ** 3 * s1 - 1.0 / 12
     # transformed: mu1 + 1/24 = s0 + y/(4 pi),
     # mu2 - 1/12 = -y/(4 pi) + sum sigma(n) (2 pi n / y - 2) q^n, at u = 1/y
     _, s0, s1 = _q_sums(1.0 / y)
-    return (s0 + y / (4 * math.pi),
-            -y / (4 * math.pi) + (2 * math.pi / y * s1 - 2 * s0),
-            2 * math.pi / (y * y) * s1 + 1.0 / (4 * math.pi))
+    return s0 + y / (4 * math.pi), -y / (4 * math.pi) + (2 * math.pi / y * s1 - 2 * s0)
 
 
 def _check_args(n: int, t: int) -> None:
@@ -165,9 +165,12 @@ def saddle_bracket(n: int, t: int) -> tuple[float, float]:
 def solve_saddle(n: int, t: int, tol: float = 1e-9) -> SaddleSolution:
     """Solve (mu1(i t y) - mu1(i y)) / y^2 = n + (t^2-1)/24 for y > 0.
 
-    Bisection from the a-priori bracket down to relative width 1e-12,
-    then three safeguarded Newton steps on the analytic derivative.
-    Raises NumericError when the bracket fails to straddle the root,
+    Bisection alone, from the a-priori bracket down to relative width
+    1e-12; y is the midpoint of the last bracket, so it lies within
+    5e-13 y of the root and |residual| stays below about 5e-13 * m, with
+    m the right-hand side.  A tol under 1e-12 may therefore fail where
+    the solve is sound.  Raises NumericError when the bracket fails to
+    straddle the root or |residual| exceeds tol * m,
     ValueError for n < 0, t < 1 or tol outside (0, 1), and GuardError
     for n or t above ``ANALYTIC_GUARD``, t < 6 or n = 0.
     """
@@ -204,15 +207,6 @@ def solve_saddle(n: int, t: int, tol: float = 1e-9) -> SaddleSolution:
         else:
             b = mid
     y = 0.5 * (a + b)
-    for _ in range(3):
-        (mu1_ty, _, slope_ty), (mu1_y, _, slope_y) = _mu(t * y), _mu(y)
-        d = mu1_ty - mu1_y
-        fy = d / (y * y) - m
-        dfy = (t * slope_ty - slope_y) / (y * y) - 2 * d / (y ** 3)
-        if dfy == 0:
-            break
-        step = y - fy / dfy
-        y = step if a < step < b else 0.5 * (a + b)
     residual = f(y)
     if abs(residual) > tol * m:
         raise NumericError(

@@ -77,10 +77,10 @@ def test_eta_two_path_consistency():
         assert eta(y) == pytest.approx(_log_eta_product(y), rel=1e-14, abs=1e-15), y
 
 
-def _mu_with_constants(y: float) -> tuple[float, float, float]:
+def _mu_with_constants(y: float) -> tuple[float, float]:
     # _mu leaves out mu1's term -1/24 and mu2's term 1/12
-    mu1, mu2, slope = _mu(y)
-    return mu1 - 1 / 24, mu2 + 1 / 12, slope
+    mu1, mu2 = _mu(y)
+    return mu1 - 1 / 24, mu2 + 1 / 12
 
 
 def test_mu1_is_scaled_log_derivative_of_eta():
@@ -94,17 +94,16 @@ def test_mu1_is_scaled_log_derivative_of_eta():
             -y * y / (2 * math.pi) * slope, rel=1e-8, abs=1e-10), y
 
 
-def test_mu_slope_matches_central_difference():
-    # the Newton slope d mu1 / dy against central differences of mu1, and
+def test_mu2_matches_central_difference_of_mu1():
     # mu2 against y d mu1 / dy - 2 mu1 (from mu2 = -y^3 / (2 pi) d^2/dy^2
-    # log eta), on both sides of y = 1; mu2 falls like exp(-2 pi y) while
-    # the difference cancels terms of size y^2, hence its absolute floor
+    # log eta), d mu1 / dy by central differences of mu1, on both sides
+    # of y = 1; mu2 falls like exp(-2 pi y) while the difference cancels
+    # terms of size y^2, hence its absolute floor
     for i in range(81):
         y = 0.2 * 25 ** (i / 80)
         h = 1e-5 * y
-        mu1, mu2, slope = _mu_with_constants(y)
+        mu1, mu2 = _mu_with_constants(y)
         fd = (_mu_with_constants(y + h)[0] - _mu_with_constants(y - h)[0]) / (2 * h)
-        assert slope == pytest.approx(fd, rel=1e-8, abs=1e-10), y
         assert mu2 == pytest.approx(y * fd - 2 * mu1, rel=1e-6, abs=1e-10), y
     for y in (1 - 1e-9, 1 + 1e-9):
         assert _mu_with_constants(y) == pytest.approx(_mu_with_constants(1.0), rel=1e-8)
@@ -136,7 +135,7 @@ def test_mu1_large_y_limit():
 
 def test_mu_small_y_limits():
     # mu1 -> -1/24 and mu2 -> 1/12 as y -> 0
-    mu1, mu2, _ = _mu_with_constants(0.001)
+    mu1, mu2 = _mu_with_constants(0.001)
     assert mu1 == pytest.approx(-1 / 24 + 0.001 / (4 * math.pi))
     assert mu2 == pytest.approx(1 / 12 - 0.001 / (4 * math.pi))
 
@@ -226,6 +225,17 @@ def test_saddle_grid_inside_bracket():
             assert sol.bracket_lo < sol.y < sol.bracket_hi
             assert abs(sol.residual) < 1e-9 * m
             assert sol.ty_regime == ("SMALL" if t * sol.y < 1 else "LARGE")
+
+
+def test_saddle_lands_on_every_t_at_1000():
+    # every solve the zero-bounds benchmark makes, t = 6..1000 at n =
+    # 1000: the midpoint of a bisection to relative width 1e-12 stays
+    # inside the bracket, with |residual| at most 5e-13 m (4.99e-13 m at
+    # worst), under a tol of 1e-12
+    for t in range(6, 1001):
+        sol = solve_saddle(1000, t, tol=1e-12)
+        assert sol.bracket_lo < sol.y < sol.bracket_hi, t
+        assert abs(sol.residual) <= 1e-12 * (1000 + (t * t - 1) / 24), t
 
 
 def test_saddle_100_10():

@@ -200,6 +200,29 @@ def test_bounds_saddle(run):
     assert result["ty_regime"] == "SMALL"
 
 
+@pytest.mark.parametrize("n, t", [(100, 10), (1000, 900), (10**6, 6)])
+def test_bounds_saddle_meets_tol_1e_12(run, n, t):
+    # the bisection pins y to relative width 1e-12, so its residual stays
+    # below about 5e-13 m and a tol of 1e-12 passes
+    code, out, _ = run("bounds", "saddle", "--n", str(n), "--t", str(t),
+                       "--tol", "1e-12", "--format", "json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert abs(result["residual"]) <= 1e-12 * (n + (t * t - 1) / 24)
+
+
+def test_bounds_saddle_tol_below_the_floor_is_numeric(run):
+    # a tol under 1e-12 asks for more than the bisection pins: at
+    # (10^6, 6) the residual is about -4.5e-7 against m near 10^6
+    code, out, err = run("bounds", "saddle", "--n", str(10**6), "--t", "6",
+                         "--tol", "1e-15", "--format", "json")
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert (error["code"], error["type"]) == (1, "numeric")
+    assert "saddle residual" in error["message"]
+
+
 def test_estimate_density_deterministic(run):
     _, a, _ = run("estimate", "density", "--n", "10", "--samples", "500",
                   "--seed", "3", "--format", "json")
