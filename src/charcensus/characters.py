@@ -22,11 +22,13 @@ classes, decoded in C.  The census builds no row of size n: it strips
 the rows lambda <= lambda' there (the top rows, ``_packed_rows``)
 block by block and never joins them.  It counts each block's zero
 lanes in that loop, a few big-int operations into one tally per row,
-keeps no block, and weights each row by the size of its conjugate pair
-at the end.  A row with one strip of length t has block t +-(kappa's
-row), kappa the partition the strip leaves, so it takes kappa's
-nonzero lanes from a memo of the block, one zero test per distinct
-kappa; above n/2 every row has at most one such strip.  It strips no
+lists the rows with no strip of the block's length t, its t-cores, and
+keeps no block; each row's zeros, weighted by the size of its conjugate
+pair, are formed once at the end, and every Z_t is one sum over a list.
+A row with one strip of length t has block t +-(kappa's row), kappa the
+partition the strip leaves, so it takes kappa's nonzero lanes from a
+memo of the block, one zero test per distinct kappa; above n/2 every
+row has at most one such strip.  It strips no
 block 1, the class 1^n, which holds f_lambda > 0 in every row and
 comes last, so above 20 it never builds size n - 1.
 For n <= 20, where every lane is 32 bits wide, the rows of the sizes
@@ -159,12 +161,11 @@ def _level(levels: list, m: int, blocks: int, width: int) -> tuple:
 
 def _block_spec(levels: list, m: int, t: int, count: list[int], width: int) -> tuple:
     """The strip spec of block t of a row of size m whose running lane
-    counts are ``count``: t, the mask of the t - 1 positions a strip of
-    length t passes, the rows of size m - t, the mask of the block's
-    lanes there, their biases, and the block's offset in its row, where
-    ``_strip_block`` ORs it into a level's row."""
+    counts are ``count``: t, the rows of size m - t, the mask of the
+    block's lanes there, their biases, and the block's offset in its
+    row, where ``_strip_block`` ORs it into a level's row."""
     size = count[t] - count[t - 1]
-    return (t, (1 << (t - 1)) - 1, levels[m - t][0], (1 << width * size) - 1,
+    return (t, levels[m - t][0], (1 << width * size) - 1,
             _ones(width, size) << (width - 1), width * count[t - 1])
 
 
@@ -198,17 +199,16 @@ def _strip_block(lams: list[int], spec: tuple, width: int, rows: list[int],
     + 2^(width - 1), so ``high`` for a row with no strip of length t,
     into its row at the spec's offset.  With ``cores`` (the census) it
     holds no block: it adds each block's nonzero lanes to the row's
-    entry of ``rows``, and sets bit t of its entry of ``cores`` (its
-    core set) when the row has no strip of length t.  A row with one
-    strip has the nonzero lanes of the row it reads, whatever the sign,
-    so they are counted once per remainder, in a memo that lives for
-    the call alone, since the count depends on the block's lanes.
+    entry of ``rows``, and appends to ``cores``, block t's list, the
+    index of each row with no strip of length t, a t-core.  A row with
+    one strip has the nonzero lanes of the row it reads, whatever the
+    sign, so they are counted once per remainder, in a memo that lives
+    for the call alone, since the count depends on the block's lanes.
     """
-    t, between, prev, keep, high, shift = spec
+    t, prev, keep, high, shift = spec
     # a lane is nonzero iff its top bit is set or its low bits plus
     # 2^(width-1) - 1 carry into it; no sum leaves its lane
     low = high - (high >> (width - 1))
-    core = 1 << t
     memo = {}  # the census's nonzero lanes of block t by one strip's remainder
     for i, lam in enumerate(lams):
         starts = (lam & ~(lam << t)) >> t << t
@@ -216,7 +216,7 @@ def _strip_block(lams: list[int], spec: tuple, width: int, rows: list[int],
             if cores is None:
                 rows[i] |= high << shift
             else:
-                cores[i] |= core
+                cores.append(i)
             continue
         if cores is not None and not starts & (starts - 1):  # one strip
             rem = lam ^ starts ^ (starts >> t)
@@ -233,10 +233,11 @@ def _strip_block(lams: list[int], spec: tuple, width: int, rows: list[int],
         while starts:
             bit = starts & -starts
             starts ^= bit
-            rem = lam ^ bit ^ (bit >> t)
+            end = bit >> t
+            rem = lam ^ bit ^ end
             if rem & 1:  # the bead moved to bit 0
                 rem >>= (rem ^ (rem + 1)).bit_length() - 1
-            if ((lam >> (bit.bit_length() - t)) & between).bit_count() & 1:
+            if (lam & (bit - end)).bit_count() & 1:  # the beads it passes
                 total -= prev[rem] & keep
                 net -= 1
             else:
@@ -394,47 +395,39 @@ def zero_count(n: int) -> ZeroCensus:
     The zeros are counted block by block as the packed engine strips
     them, in the strip loop itself (``_strip_block``): each block of every
     top row adds its nonzero lanes to one tally per row, a few big-int
-    operations, and a row with no strip of the block's length t gets t
-    in its core set instead, so no block is held and the table never
-    is.  A row with one strip of length t, every row with any above n/2,
-    adds the nonzero lanes of the row the strip leaves, zero-tested once
-    per block for all the rows that leave it.  The blocks copied from
-    kept rows below 20 get one zero test over each row's copied lanes
-    and an explicit core test.  Block 1 is one nonzero lane, f_lambda,
-    in every row, so the census ends at block 2.  Only the
-    rows lambda <= lambda' are computed: a row and its conjugate have the
-    same zeros and the same hook lengths, so each such row counts twice,
-    or once when lambda is self-conjugate, in the total and in every
-    t-core count.
+    operations, and a row with no strip of the block's length t goes on
+    block t's list of t-cores instead, so no block is held and the table
+    never is.  A row with one strip of length t, every row with any above
+    n/2, adds the nonzero lanes of the row the strip leaves, zero-tested
+    once per block for all the rows that leave it.  The blocks copied
+    from kept rows below 20 get one zero test over each row's copied
+    lanes and their lists from the same core test.  Block 1 is one
+    nonzero lane, f_lambda, in every row, and no partition of n >= 1 is
+    a 1-core, so the census ends at block 2 and Z_1 is 0.  Only the rows
+    lambda <= lambda' are computed: a row and its conjugate have the same
+    zeros and the same hook lengths, so each such row weighs twice, or
+    once when lambda is self-conjugate, in the total and in every Z_t,
+    the sum of the weights of block t's list.
     """
     _check_table_size(n)
     lams, conjs, count, copied, kept, blocks = _packed_rows(n)
     width = _lane_width(n)
-    cores = [0] * len(lams)
+    cores = {}  # cores[t]: the indices of the top rows that are t-cores
     if copied:  # one zero test over each row's kept lanes
         high = _ones(width, count[copied]) << (width - 1)
         nonzero = _nonzeros([kept[lam] for lam in lams], high, width)
         for t in range(1, copied + 1):  # is_t_core's test
-            core = 1 << t
-            cores = [c | core if not (lam & ~(lam << t)) >> t else c
-                     for lam, c in zip(lams, cores)]
+            cores[t] = [i for i, lam in enumerate(lams) if not (lam & ~(lam << t)) >> t]
     else:  # block 1, the class 1^n, holds f_lambda > 0 in every row
         nonzero = [1] * len(lams)
     for t, spec in blocks:
-        _strip_block(lams, spec, width, nonzero, cores)
+        _strip_block(lams, spec, width, nonzero, listed := [])
+        cores[t] = array("i", listed)  # 4 bytes an index, not an int object
         if t == 2:  # block 1 is counted: size n - 1 is never built
             break
     classes = count[-1]
-    total = 0
-    by_cores: dict[int, int] = {}  # zeros by core set
-    for lam, conj, lanes, core in zip(lams, conjs, nonzero, cores):
-        zeros = classes - lanes
-        if zeros:
-            if lam != conj:
-                zeros *= 2
-            total += zeros
-            by_cores[core] = by_cores.get(core, 0) + zeros
-    per_core = {t: sum(zeros for core, zeros in by_cores.items() if core >> t & 1)
-                for t in range(1, n + 1)}
-    return ZeroCensus(n=n, table_dim=classes, total_zeros=total,
+    weights = [(classes - lanes) << (lam != conj)
+               for lam, conj, lanes in zip(lams, conjs, nonzero)]
+    per_core = {t: sum(map(weights.__getitem__, cores.get(t, ()))) for t in range(1, n + 1)}
+    return ZeroCensus(n=n, table_dim=classes, total_zeros=sum(weights),
                       per_core_zeros=per_core)

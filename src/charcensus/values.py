@@ -122,23 +122,25 @@ def _strip(lam: int, mu: tuple[int, ...], i: int, levels: list[dict]) -> int:
 
     The border strips of length t are enumerated inline: each remainder
     is looked up in ``levels[i + 1]`` and recursed on only when missing,
-    so every call adds one memo state.
+    so every call adds one memo state.  A strip moves the bead at ``bit``
+    to the empty ``end = bit >> t``, so ``lam & (bit - end)`` holds just
+    the beads it passes, whose parity is its height's.
     """
     t = mu[i]
     known = levels[i + 1]
     starts = (lam & ~(lam << t)) >> t << t
-    between = (1 << (t - 1)) - 1
     total = 0
     while starts:
         bit = starts & -starts
         starts ^= bit
-        rem = lam ^ bit ^ (bit >> t)
+        end = bit >> t
+        rem = lam ^ bit ^ end
         if rem & 1:  # the bead moved to bit 0: shift out the trailing ones
             rem >>= (rem ^ (rem + 1)).bit_length() - 1
         sub = known.get(rem)
         if sub is None:
             sub = _strip(rem, mu, i + 1, levels)
-        if ((lam >> (bit.bit_length() - t)) & between).bit_count() & 1:
+        if (lam & (bit - end)).bit_count() & 1:  # the beads the strip passes
             total -= sub
         else:
             total += sub

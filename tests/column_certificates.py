@@ -101,8 +101,8 @@ def top_blocks(n: int) -> tuple[list[int], list[int], Iterator[tuple[int, list[i
             yield t, [kept[lam] >> shift & keep ^ high for lam in lams]
         for t, spec in specs:
             rows = [0] * len(lams)
-            characters._strip_block(lams, (*spec[:5], 0), width, rows)
-            yield t, [row ^ spec[4] for row in rows]
+            characters._strip_block(lams, (*spec[:4], 0), width, rows)
+            yield t, [row ^ spec[3] for row in rows]
 
     return lams, conjs, blocks()
 

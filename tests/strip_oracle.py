@@ -89,8 +89,10 @@ def beta_strips(mask: int, t: int) -> list[tuple[int, int]]:
     remainder moves that bead to b - t, and the height parity is the
     parity of the beads strictly between.  ``values._strip`` and the
     packed engine's one strip kernel ``characters._strip_block``, for the
-    levels and the top alike, run the same loop inline; ``column_oracle``
-    and the partition tests call this one.
+    levels and the top alike, run the loop inline and read the height off
+    the strip's span, ``mask & (bit - (bit >> t))``; this one keeps the
+    window of the t - 1 bits below ``bit`` as the independent check.
+    ``column_oracle`` and the partition tests call it.
     """
     out = []
     starts = (mask & ~(mask << t)) >> t << t

@@ -604,7 +604,7 @@ def _census_freeing_levels(n):
                 lanes = levels[k][1]
                 top = 1 << width * lanes[min((n - k) // 2, len(lanes) - 1)]
                 assert all(row < top for row in levels[k][0].values()), (n, m, k)
-            assert spec[2] is levels[m][0]
+            assert spec[1] is levels[m][0]
             for k, level in enumerate(levels):  # size 0 is never built
                 built = 0 < k <= m
                 assert level[1:] == (expected[k][:1] + (None,) * 3 if built
@@ -942,10 +942,10 @@ def _check_tally(n, long):
     """The census kernel's tally of each top block, from t = n down, the
     blocks t > n/2 if ``long`` and the others if not, against the block
     ``column_certificates.top_blocks`` strips, lane by lane: each top
-    row's nonzero lanes, and its core bit t exactly when it has no strip
-    of length t.  The one-strip rows read their counts from the memo, so
-    the tally reads as many rows of size n - t as ``_tally_reads``
-    counts."""
+    row's nonzero lanes, and the block's list of the rows with no strip
+    of length t, in row order.  The one-strip rows read their counts
+    from the memo, so the tally reads as many rows of size n - t as
+    ``_tally_reads`` counts."""
     if n <= 20:  # the blocks n < 20 copies are stripped here too
         zero_count(20)
     width = characters._lane_width(n)
@@ -958,13 +958,13 @@ def _check_tally(n, long):
     for t, spec in specs:
         if (t > n // 2) != long:
             continue
-        prev = _CountedReads(spec[2])
-        nonzero, cores = [0] * len(lams), [0] * len(lams)
-        characters._strip_block(lams, (*spec[:2], prev, *spec[3:]), width, nonzero, cores)
+        prev = _CountedReads(spec[1])
+        nonzero, cores = [0] * len(lams), []
+        characters._strip_block(lams, (spec[0], prev, *spec[2:]), width, nonzero, cores)
         lanes = range(0, width * (count[t] - count[t - 1]), width)
         assert nonzero == [sum(1 for i in lanes if block >> i & digit)
                            for block in blocks[t]], (n, t)
-        assert cores == [0 if beta_strips(lam, t) else 1 << t for lam in lams], (n, t)
+        assert cores == [i for i, lam in enumerate(lams) if not beta_strips(lam, t)], (n, t)
         assert prev.reads == _tally_reads(lams, t), (n, t)
 
 
@@ -1016,6 +1016,23 @@ def test_long_block_check_catches_mutants(monkeypatch):
             patch.setattr(characters, "_strip_block", mutant)
             with pytest.raises(AssertionError, match=r"^\(12, 12\)"):
                 _check_tally(12, long=True)
+
+
+def test_tally_check_catches_core_list_mutants(monkeypatch):
+    # a kernel that lists no t-core, and one that also lists every row
+    # with a strip of length t, each fail the first block checked, long
+    # (t = 12 at n = 12, the hooks against the rest) and short (t = 6)
+    none = _mutant_kernel(("cores.append(i)", "pass"))
+    every = _mutant_kernel(("        if not starts:\n",
+                            "        if starts and cores is not None:\n"
+                            "            cores.append(i)\n"
+                            "        if not starts:\n"))
+    for mutant in (none, every):
+        for long, t in ((True, 12), (False, 6)):
+            with monkeypatch.context() as patch:
+                patch.setattr(characters, "_strip_block", mutant)
+                with pytest.raises(AssertionError, match=rf"^\(12, {t}\)"):
+                    _check_tally(12, long=long)
 
 
 def test_census_per_core_consistency():
