@@ -403,11 +403,12 @@ def zero_count(n: int) -> ZeroCensus:
     from kept rows below 20 get one zero test over each row's copied
     lanes and their lists from the same core test.  Block 1 is one
     nonzero lane, f_lambda, in every row, and no partition of n >= 1 is
-    a 1-core, so the census ends at block 2 and Z_1 is 0.  Only the rows
-    lambda <= lambda' are computed: a row and its conjugate have the same
-    zeros and the same hook lengths, so each such row weighs twice, or
-    once when lambda is self-conjugate, in the total and in every Z_t,
-    the sum of the weights of block t's list.
+    a 1-core, so the census ends at block 2, the core test starts at
+    t = 2 and Z_1 is 0.  Only the rows lambda <= lambda' are computed: a
+    row and its conjugate have the same zeros and the same hook lengths,
+    so each such row weighs twice, or once when lambda is
+    self-conjugate, in the total and in every Z_t, the sum of the weights
+    of block t's list.
     """
     _check_table_size(n)
     lams, conjs, count, copied, kept, blocks = _packed_rows(n)
@@ -416,7 +417,7 @@ def zero_count(n: int) -> ZeroCensus:
     if copied:  # one zero test over each row's kept lanes
         high = _ones(width, count[copied]) << (width - 1)
         nonzero = _nonzeros([kept[lam] for lam in lams], high, width)
-        for t in range(1, copied + 1):  # is_t_core's test
+        for t in range(2, copied + 1):  # is_t_core's test; no 1-cores
             cores[t] = [i for i, lam in enumerate(lams) if not (lam & ~(lam << t)) >> t]
     else:  # block 1, the class 1^n, holds f_lambda > 0 in every row
         nonzero = [1] * len(lams)

@@ -1,7 +1,7 @@
 """Monte Carlo zero-density estimation for the character table, over
 exactly-uniform random partitions.
 
-The sampler, ``_draw_key``, draws the largest part k of a partition of
+The sampler, ``_draw_keys``, draws the largest part k of a partition of
 n with its true probability (p_k(n) - p_{k-1}(n)) / p(n) straight from
 exact bounded count tables, then recurses on n - k with parts capped
 at k, so the distribution over partitions of n is uniform with no
@@ -13,11 +13,12 @@ draw states, built once per run (``_states``), holds the row, p_cap(m)
 and its bit length for every (m, cap).  The density probe draws
 independent uniform pairs (lambda, mu), which matches counting cells
 of the table: it deliberately does not weight mu by conjugacy-class
-size.
+size.  One part loop draws lambda, then mu, and one call draws all the
+pairs of a sample chunk.
 
 Every pair is evaluated, since ``VALUE_GUARD`` bounds the work of one
 evaluation, so no pair is dropped and ``samples`` is the denominator.
-The pairs are drawn first and kept as a multiset: ``_draw_key`` builds
+The pairs are drawn first and kept as a multiset: ``_draw_keys`` builds
 each pair's int key as the parts come, the beta mask of lambda with a
 code of mu above it (``values._pair_key``), so no part tuple is
 made.  Each drawer counts its pairs (``_drawn``) and packs each
@@ -85,7 +86,7 @@ import random
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 from typing import NamedTuple
 
 from .values import _check_value_size, _values
@@ -127,67 +128,60 @@ def _states(n: int) -> tuple[tuple[tuple[tuple[int, ...], int, int], ...], ...]:
                  for row in build_bounded_table(n, n))
 
 
-def _draw_key(n: int, rng: random.Random, states, width: int) -> int:
-    """The ``values._pair_key`` of one uniform pair (lambda, mu) of
-    partitions of n, lambda drawn first; ``states`` is ``_states(n)`` and
-    ``width`` is ``n.bit_length()``, the digit width of mu's code.
+def _draw_keys(n: int, rng: random.Random, states, width: int, count: int) -> list[int]:
+    """The ``values._pair_key``s of ``count`` uniform pairs (lambda, mu)
+    of partitions of n drawn in turn from ``rng``, lambda first in each;
+    ``states`` is ``_states(n)`` and ``width`` is ``n.bit_length()``, the
+    digit width of mu's code.
 
-    Each part k of a partition is drawn with its true probability: one
-    uniform integer r below top = p_cap(remaining), by the rejection loop
-    on ``getrandbits`` that ``randrange`` runs (the same stream as
-    CPython 3.10-3.13), then k is the least with p_k(remaining) > r; the
-    next part is capped at k.  Once top is 1 every part left is 1, and
-    each still reads its one-bit rejection loop.  Lambda's beta mask
-    gains one bit per part, shifted up by the gap prev - k + 1 to the
-    next part; mu's parts are ORed in as digits, the first lowest, and
-    the code is aligned as ``_mu_code`` aligns it at the end.
+    One part loop draws lambda, then mu.  Each part k is drawn with its
+    true probability: one uniform integer r below top = p_cap(remaining),
+    by the rejection loop on ``getrandbits`` that ``randrange`` runs (the
+    same stream as CPython 3.10-3.13), then k is the least with
+    p_k(remaining) > r; the next part is capped at k.  Once top is 1 every
+    part left is 1, and each still reads its one-bit rejection loop.
+    Lambda's pass shifts its beta mask up by the gap prev - k + 1 to the
+    next part and sets that part's bit; mu's pass ORs each part in as a
+    digit, the first lowest, and its ones as one block of digits 1, and
+    the code is aligned as ``_mu_code`` aligns it.
     """
     getrandbits = rng.getrandbits
-    mask = 0
-    remaining = cap = n
-    while remaining:
-        row, top, bits = states[remaining][cap]
-        if top == 1:  # remaining ones, each a one-bit loop
-            for _ in range(remaining):
-                while getrandbits(1):
-                    pass
-            break
-        r = getrandbits(bits)
-        while r >= top:
-            r = getrandbits(bits)
-        k = bisect_right(row, r, 1, cap)
-        mask = mask << cap - k + 1 | 1
-        remaining -= k
-        cap = k
-    # the ones left, then the last part's height above bit 0
-    lam = (mask << cap + remaining - 1 | (1 << remaining) - 1) << 1
-    code = shift = 0
-    remaining = cap = n
-    while remaining:
-        row, top, bits = states[remaining][cap]
-        if top == 1:
-            for _ in range(remaining):
-                while getrandbits(1):
-                    pass
-                code |= 1 << shift
-                shift += width
-            break
-        r = getrandbits(bits)
-        while r >= top:
-            r = getrandbits(bits)
-        k = bisect_right(row, r, 1, cap)
-        code |= k << shift
-        shift += width
-        remaining -= k
-        cap = k
-    return code << width * n - shift + n + 1 | lam
+    digit = (1 << width) - 1
+    keys = []
+    for _ in range(count):
+        for mu in False, True:
+            word = shift = 0
+            remaining = cap = n
+            while remaining:
+                row, top, bits = states[remaining][cap]
+                if top == 1:  # remaining ones, each a one-bit loop
+                    for _ in range(remaining):
+                        while getrandbits(1):
+                            pass
+                    break
+                r = getrandbits(bits)
+                while r >= top:
+                    r = getrandbits(bits)
+                k = bisect_right(row, r, 1, cap)
+                if mu:
+                    word |= k << shift
+                    shift += width
+                else:
+                    word = word << cap - k + 1 | 1
+                remaining -= k
+                cap = k
+            if not mu:  # the ones left, then the last part's height above bit 0
+                lam = (word << cap + remaining - 1 | (1 << remaining) - 1) << 1
+        word |= ((1 << width * remaining) - 1) // digit << shift  # mu's ones, digits 1
+        keys.append(word << width * (n - remaining) - shift + n + 1 | lam)
+    return keys
 
 
 def _drawn(n: int, samples: int, seed: int, chunks: range, states, width: int) -> bytearray:
     """The multiset of the pairs of sample chunks ``chunks``, each chunk
-    drawn from its own substream, packed: the distinct keys in int order
-    as ``width``-byte big-endian ints, then the ``array("I")`` of their
-    counts.
+    drawn from its own substream by one ``_draw_keys`` call, packed: the
+    distinct keys in int order as ``width``-byte big-endian ints, then the
+    ``array("I")`` of their counts.
 
     Where there are more draws than pairs, so that pairs repeat, they
     are counted in a {key: count} dict; otherwise they are kept in a
@@ -195,21 +189,16 @@ def _drawn(n: int, samples: int, seed: int, chunks: range, states, width: int) -
     a repeated int (at n = 30, nearly every pair is drawn once)."""
     bits = n.bit_length()
     sizes = [min(_CHUNK, samples - index * _CHUNK) for index in chunks]
-
-    def draws():
-        for index, size in zip(chunks, sizes):
-            rng = _stream_rng(seed, index)
-            for _ in range(size):
-                yield _draw_key(n, rng, states, bits)
-
+    draws = chain.from_iterable(_draw_keys(n, _stream_rng(seed, index), states, bits, size)
+                                for index, size in zip(chunks, sizes))
     if sum(sizes) > states[n][n][1] ** 2:
-        tally = Counter(draws())
+        tally = Counter(draws)
         ordered = sorted(tally)
         counts = array("I", map(tally.__getitem__, ordered))
         del tally  # before the keys are packed
     else:
         ordered, counts = [], array("I")
-        for key, run in groupby(sorted(draws())):
+        for key, run in groupby(sorted(draws)):
             ordered.append(key)
             counts.append(len(list(run)))
     size = len(ordered) * width

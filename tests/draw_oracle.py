@@ -1,10 +1,11 @@
 """The partition draw that the estimator's pair draw replaced.
 
 ``draw`` returns the parts of one uniform partition, reading the bounded
-count table directly; ``sampling._draw_key`` makes the same
-``getrandbits`` calls for two draws from a table of draw states and
-builds the pair key as the parts come.  The tests compare the key
-against ``_pair_key(beta_mask(draw(...)), draw(...), n)``, and the
+count table directly; ``sampling._draw_keys`` makes the same
+``getrandbits`` calls, two draws per pair with one part loop, from a
+table of draw states, and builds each pair key as the parts come.  The
+tests compare each key against
+``_pair_key(beta_mask(draw(...)), draw(...), n)``, and the
 uniformity and character tests draw their partitions with it.
 ``mu_parts`` decodes a code of mu whole, where the walk decodes only the
 parts that a code does not share with the one before it.

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from charcensus import sampling
 from charcensus.cli import main
 from charcensus.sampling import (
     RNG_ALGORITHM,
-    _draw_key,
+    _draw_keys,
     _states,
     estimate_zero_density,
     wilson_interval,
@@ -136,8 +137,7 @@ def test_draw_key_is_the_key_of_two_draws():
         table, states = build_bounded_table(n, n), _states(n)
         for seed in (n, 1000 + n, 2000 + n):
             rng, oracle_rng = random.Random(seed), random.Random(seed)
-            for _ in range(300):
-                key = _draw_key(n, rng, states, n.bit_length())
+            for key in _draw_keys(n, rng, states, n.bit_length(), 300):
                 lam, mu = draw(n, oracle_rng, table), draw(n, oracle_rng, table)
                 assert key == _pair_key(beta_mask(lam), mu, n), (lam, mu)
             assert rng.getrandbits(64) == oracle_rng.getrandbits(64), (n, seed)
@@ -161,8 +161,44 @@ def test_draw_key_forced_tails(lam, mu):
             break
     else:
         pytest.fail(f"no seed below 2000 draws {lam}, {mu}")
-    assert _draw_key(n, rng, states, n.bit_length()) == _pair_key(beta_mask(lam), mu, n)
+    assert _draw_keys(n, rng, states, n.bit_length(), 1) == [_pair_key(beta_mask(lam), mu, n)]
     assert rng.getstate() == oracle_rng.getstate()
+
+
+# sha256 of ",".join(map(str, keys)) for the first chunk of substream
+# (42, 0), recorded from the two-loop pair draw the one-loop draw replaced
+DRAW_DIGESTS = {
+    2: "bb86651a557f0807993d05122f0ce250d25117c51909ffd9e311103362ac1c84",
+    12: "d604f0ba214f42e9305332e2cf6248c1ca4d9c2629364352cddf93ab6d62bc0b",
+    40: "64b99a6b5caefe300da2df14d0f6a07a86a6bd5b9865665336adfb5fd7ba1074",
+    60: "e053142395646226cc91895b090b1f69b0c60b9b986f3a82df4eb1d115218ab7",
+}
+
+
+@pytest.mark.parametrize("n", sorted(DRAW_DIGESTS))
+def test_draw_stream_pinned(n):
+    keys = _draw_keys(n, sampling._stream_rng(42, 0), _states(n), n.bit_length(), sampling._CHUNK)
+    assert len(keys) == sampling._CHUNK
+    assert hashlib.sha256(",".join(map(str, keys)).encode()).hexdigest() == DRAW_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", [1, 3, 12, 60])
+def test_draw_keys_chunk_contract(n):
+    # two calls on one stream draw what one call of their total draws and
+    # leave the same next word, so no lambda, remaining or cap carries
+    # from one pair into the next; no pairs read no word
+    states, width = _states(n), n.bit_length()
+    whole_rng = random.Random(n)
+    whole = _draw_keys(n, whole_rng, states, width, 300)
+    next_word = whole_rng.getrandbits(64)
+    for a in (0, 1, 2, 137, 299, 300):
+        rng = random.Random(n)
+        assert _draw_keys(n, rng, states, width, a) + _draw_keys(n, rng, states, width, 300 - a) \
+            == whole, a
+        assert rng.getrandbits(64) == next_word, a
+    rng, fresh = random.Random(n), random.Random(n)
+    assert _draw_keys(n, rng, states, width, 0) == []
+    assert rng.getstate() == fresh.getstate()
 
 
 def test_mu_code_decodes_and_sorts_by_reversed_parts():
@@ -470,8 +506,8 @@ def test_drawn_packs_each_pair_once_with_its_count(n, samples, seed):
     drawn = Counter()
     for index in chunks:
         rng = sampling._stream_rng(seed, index)
-        drawn.update(_draw_key(n, rng, states, n.bit_length())
-                     for _ in range(min(sampling._CHUNK, samples - index * sampling._CHUNK)))
+        drawn.update(_draw_keys(n, rng, states, n.bit_length(),
+                                min(sampling._CHUNK, samples - index * sampling._CHUNK)))
     keys, counts = sampling._multiset(sampling._drawn(n, samples, seed, chunks, states, width),
                                       width)
     assert [int.from_bytes(keys[i * width:i * width + width], "big")
@@ -502,8 +538,7 @@ def test_pair_drawn_by_every_drawer_is_counted_with_every_count(monkeypatch, for
     drawn = 0
     for index in range(chunks):
         rng = sampling._stream_rng(seed, index)
-        chunk = Counter(_draw_key(n, rng, states, n.bit_length())
-                        for _ in range(sampling._CHUNK))
+        chunk = Counter(_draw_keys(n, rng, states, n.bit_length(), sampling._CHUNK))
         assert len(chunk) == 9
         drawn += chunk[zero]
     monkeypatch.setattr(sampling, "_workers", lambda: 3)
