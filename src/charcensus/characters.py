@@ -37,13 +37,14 @@ size's blocks do not depend on n, so each size is built once, with
 every block that n = 20 reads, and never changed, and a later call
 builds only the sizes it lacks (the 2,087 rows of sizes below 20,
 about 0.5 MB, after a census at 19 or 20).  A census below 20 builds
-size n too, which the next larger call reads anyway, and copies its
-blocks t <= 20 - n from there instead of stripping them again.  The
-table reads only the sizes below n: it builds size n whole, once, and
-keeps none of it.  Above 20 every n has its own lane width, so a
-census there builds its own levels, each as the top reads it: block
-n - m right after size m, the masks, conjugates and odd lanes of size
-m dropped once its rows are built, its blocks above (n - m) // 2 once
+size n too, which the next larger call reads anyway; ``zero_count``
+alone copies its blocks t <= 20 - n from there instead of stripping
+them again, though the top's stream gives every block.  The table
+reads only the sizes below n: it builds size n whole, once, and keeps
+none of it.  Above 20 every n has its own lane width, so a census
+there builds its own levels, each as the top reads it: block n - m
+right after size m, the masks, conjugates and odd lanes of size m
+dropped once its rows are built, its blocks above (n - m) // 2 once
 block n - m is read, since a later size reads no more of it, and the
 rows of size k once size (n + k) // 2, their last reader, is.
 The store has no lock: the package never runs two calls at once.
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from itertools import islice
 from math import factorial, isqrt
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
@@ -267,14 +269,14 @@ def _kept_levels(n: int) -> list:
 
 def _packed_rows(n: int) -> tuple:
     """The rows of size n with lambda <= lambda' (the top rows), block by
-    block, as (lams, conjs, count, copied, kept, blocks):
+    block, as (lams, conjs, count, kept, blocks):
     - lams, conjs: the top rows' beta masks, in enumeration order, and
       their conjugates' masks;
     - count: count[t] is the number of lanes of blocks 1..t, p(n) in all;
-    - copied, kept: blocks 1..copied are those of size n's kept rows,
-      ``kept`` by mask (None when copied is 0);
-    - blocks: an iterator of (t, spec) for each other block t, from t = n
-      down, to strip for every top row at once with ``_strip_block``.
+    - kept: size n's kept level, or None; only ``zero_count`` copies
+      its blocks instead of stripping them again;
+    - blocks: an iterator of (t, spec) for every block t, from t = n
+      down to 1, to strip for every top row at once with ``_strip_block``.
     Block t holds, in lanes of ``_lane_width(n)`` bits biased as
     ``_strip_block`` gives them, the characters at the classes with
     first part t, in reverse enumeration order.  Conjugation fixes the
@@ -292,30 +294,26 @@ def _packed_rows(n: int) -> tuple:
         for m in range(1, n):  # no rows yet: _top_specs builds them
             levels.append(_level(levels, m, min(m, n - m), width))
     count = _counts(levels, n, n)
-    if n < len(levels):  # size n is kept: its blocks are the top's first
-        kept, kept_count, masks, all_conjs, _ = levels[n]
-        copied = len(kept_count) - 1
-    else:
-        (masks, all_conjs), kept, copied = _masks(levels, n), None, 0
+    kept = levels[n] if n < len(levels) else None
+    masks, all_conjs = kept[2:4] if kept else _masks(levels, n)
     lams, conjs = [], []
     for lam, conj in zip(masks, all_conjs):
         if lam <= conj:
             lams.append(lam)
             conjs.append(conj)
-    return (lams, conjs, count, copied, kept,
-            _top_specs(levels, n, count, copied, width))
+    return lams, conjs, count, kept, _top_specs(levels, n, count, width)
 
 
-def _top_specs(levels: list, n: int, count: list[int], copied: int,
+def _top_specs(levels: list, n: int, count: list[int],
                width: int) -> Iterator[tuple[int, tuple]]:
-    """(t, spec) for each top block t > ``copied``, from t = n down,
-    each once size n - t holds rows: above 20 block n - m comes right
-    after size m's rows are built, when its masks, conjugates and odd
-    lanes are dropped, then its rows are cut to the blocks later sizes
-    read, and each size's rows are dropped after their last reader, its
-    lane counts kept."""
+    """(t, spec) for every top block t, from t = n down to 1, each once
+    size n - t holds rows: above 20 block n - m comes right after size
+    m's rows are built, when its masks, conjugates and odd lanes are
+    dropped, then its rows are cut to the blocks later sizes read, and
+    each size's rows are dropped after their last reader, its lane
+    counts kept; size n - 1 is built only if block 1 is taken."""
     wide = n > _KEPT_N
-    for m in range(n - copied):  # block n - m reads size m
+    for m in range(n):  # block n - m reads size m
         if wide and m:  # its masks, conjugates and odd lanes have no later reader
             rows = _level_rows(levels, m, levels[m], width)
             levels[m] = (rows, levels[m][1], None, None, None)
@@ -399,33 +397,33 @@ def zero_count(n: int) -> ZeroCensus:
     block t's list of t-cores instead, so no block is held and the table
     never is.  A row with one strip of length t, every row with any above
     n/2, adds the nonzero lanes of the row the strip leaves, zero-tested
-    once per block for all the rows that leave it.  The blocks copied
-    from kept rows below 20 get one zero test over each row's copied
-    lanes and their lists from the same core test.  Block 1 is one
-    nonzero lane, f_lambda, in every row, and no partition of n >= 1 is
-    a 1-core, so the census ends at block 2, the core test starts at
-    t = 2 and Z_1 is 0.  Only the rows lambda <= lambda' are computed: a
-    row and its conjugate have the same zeros and the same hook lengths,
-    so each such row weighs twice, or once when lambda is
-    self-conjugate, in the total and in every Z_t, the sum of the weights
-    of block t's list.
+    once per block for all the rows that leave it.  Below 20 it alone
+    copies blocks 1..min(n, 20 - n) from size n's kept rows: one zero
+    test over each row's copied lanes, and their lists from the same
+    core test.  Block 1 is one nonzero lane, f_lambda, in every row, and
+    no partition of n >= 1 is a 1-core, so the census takes blocks n
+    down to 2 at most, the core test starts at t = 2 and Z_1 is 0.  Only
+    the rows lambda <= lambda' are computed: a row and its conjugate
+    have the same zeros and the same hook lengths, so each such row
+    weighs twice, or once when lambda is self-conjugate, in the total
+    and in every Z_t, the sum of the weights of block t's list.
     """
     _check_table_size(n)
-    lams, conjs, count, copied, kept, blocks = _packed_rows(n)
+    lams, conjs, count, kept, blocks = _packed_rows(n)
     width = _lane_width(n)
     cores = {}  # cores[t]: the indices of the top rows that are t-cores
+    copied = len(kept[1]) - 1 if kept else 0  # size n's kept blocks
     if copied:  # one zero test over each row's kept lanes
+        rows = kept[0]
         high = _ones(width, count[copied]) << (width - 1)
-        nonzero = _nonzeros([kept[lam] for lam in lams], high, width)
+        nonzero = _nonzeros([rows[lam] for lam in lams], high, width)
         for t in range(2, copied + 1):  # is_t_core's test; no 1-cores
             cores[t] = [i for i, lam in enumerate(lams) if not (lam & ~(lam << t)) >> t]
     else:  # block 1, the class 1^n, holds f_lambda > 0 in every row
         nonzero = [1] * len(lams)
-    for t, spec in blocks:
+    for t, spec in islice(blocks, n - max(copied, 1)):  # block 1 is counted
         _strip_block(lams, spec, width, nonzero, listed := [])
         cores[t] = array("i", listed)  # 4 bytes an index, not an int object
-        if t == 2:  # block 1 is counted: size n - 1 is never built
-            break
     classes = count[-1]
     weights = [(classes - lanes) << (lam != conj)
                for lam, conj, lanes in zip(lams, conjs, nonzero)]

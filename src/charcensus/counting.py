@@ -372,6 +372,8 @@ def lower_bound_partial(n: int, t_lo: int, t_hi: int) -> int:
     Refuses n above ``P_GUARD_N`` (10^5) or a cost above
     ``LOWER_BOUND_GUARD_STEPS`` (``_zero_sum_steps``).
     """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if not (1 <= t_lo <= t_hi <= n):
         raise ValueError(f"need 1 <= t_lo <= t_hi <= n, got ({t_lo}, {t_hi}, {n})")
     check_cost(n, P_GUARD_N, "n (exact p(0..n))")
@@ -382,8 +384,6 @@ def lower_bound_partial(n: int, t_lo: int, t_hi: int) -> int:
 
 def lower_bound_sum(n: int) -> int:
     """Exact guaranteed-zero lower bound for Z(n); no characters needed."""
-    if n < 1:
-        raise ValueError("n must be positive")
     return lower_bound_partial(n, 1, n)
 
 

@@ -21,6 +21,10 @@ and nothing at odd mu to both linear sums.  Each linear identity is
 one big-int comparison per block, lanes as base-2^width digits.
 Neither sees an error in an odd lane of a pair row, since lambda and
 lambda' cancel there; the orthogonality sums decode the lanes and do.
+
+``tally`` is the census kernel's count of one top block, which the
+tests check lane by lane against these blocks, and which counts the
+zeros of the blocks t > n/2 where the tests cannot strip every block.
 """
 
 from __future__ import annotations
@@ -80,31 +84,42 @@ def top_masks(n: int) -> list[int]:
     return [mask for mask in masks if mask <= conjugate_mask(mask)]
 
 
-def top_blocks(n: int) -> tuple[list[int], list[int], Iterator[tuple[int, list[int]]]]:
+def top_blocks(n: int) -> tuple[list[int], list[int], Iterator[tuple[int, tuple, list[int]]]]:
     """The engine's top rows at n: their masks, their conjugate masks and
-    an iterator of (t, block t of each top row, in two's complement), in
-    the engine's order.  The blocks copied from kept rows (n < 20) are
-    cut out of size n's kept rows; every other block is stripped by
-    ``characters._strip_block``, the kernel the census counts with and
+    an iterator of (t, spec, block t of each top row, in two's
+    complement), in the engine's order, t = n down to 1, with the spec
+    ``characters._packed_rows`` gives the block.  Every block is stripped
+    by ``characters._strip_block``, the kernel the census counts with and
     every level is built with, each into a zero row at offset 0, so no
-    int spans the lanes below the block.  Each block's biased lanes are
-    XORed back to two's complement."""
-    lams, conjs, count, copied, kept, specs = characters._packed_rows(n)
+    int spans the lanes below the block; below 20 that includes the
+    blocks the census copies from size n's kept rows.  Each block's
+    biased lanes are XORed back to two's complement."""
+    lams, conjs, _, _, specs = characters._packed_rows(n)
     width = characters._lane_width(n)
 
-    def blocks() -> Iterator[tuple[int, list[int]]]:
-        for t in range(1, copied + 1):
-            shift = width * count[t - 1]
-            size = count[t] - count[t - 1]
-            keep = (1 << width * size) - 1
-            high = characters._ones(width, size) << (width - 1)
-            yield t, [kept[lam] >> shift & keep ^ high for lam in lams]
+    def blocks() -> Iterator[tuple[int, tuple, list[int]]]:
         for t, spec in specs:
             rows = [0] * len(lams)
             characters._strip_block(lams, (*spec[:4], 0), width, rows)
-            yield t, [row ^ spec[3] for row in rows]
+            yield t, spec, [row ^ spec[3] for row in rows]
 
     return lams, conjs, blocks()
+
+
+def tally(n: int, lams: list[int], conjs: list[int],
+          spec: tuple) -> tuple[int, list[int], list[int]]:
+    """The census kernel's tally of the top block of ``spec`` at n, as
+    ``characters.zero_count`` runs it on the top rows ``lams`` with
+    conjugate masks ``conjs``: the block's zeros in the whole table,
+    each top row's nonzero lanes, and the indices of the rows with no
+    strip of length t, its t-cores.  A conjugate pair's rows have the
+    same zeros."""
+    width = characters._lane_width(n)
+    nonzero, cores = [0] * len(lams), []
+    characters._strip_block(lams, spec, width, nonzero, cores)
+    lanes = spec[2].bit_length() // width
+    zeros = sum(lanes - k << (lam != conj) for lam, conj, k in zip(lams, conjs, nonzero))
+    return zeros, nonzero, cores
 
 
 def failures(n: int, lams: list[int], conjs: list[int],
@@ -158,4 +173,5 @@ def failures(n: int, lams: list[int], conjs: list[int],
 
 def certify(n: int, squares: bool = False) -> set[str]:
     """``failures`` on the engine's own top blocks at n."""
-    return failures(n, *top_blocks(n), squares)
+    lams, conjs, blocks = top_blocks(n)
+    return failures(n, lams, conjs, ((t, block) for t, _, block in blocks), squares)

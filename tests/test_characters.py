@@ -580,10 +580,10 @@ def _census_freeing_levels(n):
     lanes, so ``_masks`` still enumerates, and a built one holds them no
     longer.  The rows of size m, half of them read off their conjugates,
     equal every row stripped.
-    The census ends at block 2, since block 1 is f_lambda > 0, so size
-    n - 1 never holds rows.  The checks run at each (t, spec)
-    ``_top_specs`` yields, so the kernel's calls that build the levels
-    pass unchecked."""
+    The stream gives every block, but the census takes none below 2,
+    since block 1 is f_lambda > 0, so size n - 1 never holds rows.  The
+    checks run at each (t, spec) ``_top_specs`` yields, so the kernel's
+    calls that build the levels pass unchecked."""
     top_specs = characters._top_specs
     orders = [[beta_mask(p) for p in part_tuples(k)] for k in range(n)]
     expected = [([1], orders[0], [0], 0)] + [
@@ -594,9 +594,9 @@ def _census_freeing_levels(n):
     seen = []  # the top blocks, in the order they are given
     engine = []  # the levels the census built
 
-    def checked(levels, n, count, copied, width):
+    def checked(levels, n, count, width):
         engine.append(levels)
-        for t, spec in top_specs(levels, n, count, copied, width):
+        for t, spec in top_specs(levels, n, count, width):
             m = n - t
             held = [k for k, (rows, *_) in enumerate(levels) if isinstance(rows, dict)]
             assert held == list(range(max(2 * m - n, 0), m + 1)), (n, m, held)
@@ -896,7 +896,7 @@ def test_column_certificates_catch_mutations():
     failures = column_certificates.failures
     n = 24
     lams, conjs, blocks = column_certificates.top_blocks(n)
-    blocks = dict(blocks)
+    blocks = {t: block for t, _, block in blocks}
     row = 100  # a conjugate pair, with a nonzero block 5
     assert lams[row] != conjs[row] and blocks[5][row] != 0
     assert failures(n, lams, conjs, _mutated(blocks, row, 5, lambda block: 0))
@@ -907,86 +907,54 @@ def test_column_certificates_catch_mutations():
                     squares=True) == {"orthogonality"}
 
 
-def _block_zeros(n):
-    """The zeros of each block t = 1..n of the whole S_n table, at index
-    t - 1, counted lane by lane in the engine's top rows; a conjugate
-    pair's rows have the same zeros."""
+def _check_blocks(n):
+    """Every top block at n, t = n down to 1, in the one pass
+    ``column_certificates.top_blocks`` strips them in:
+    - the census kernel's tally (``column_certificates.tally``) against
+      the stripped block, lane by lane: each top row's nonzero lanes,
+      and the block's list of the rows with no strip of length t, in
+      row order;
+    - its reads of the rows of size n - t: the one-strip rows read
+      their counts from the memo, so as many as ``_tally_reads`` counts;
+    - for t > n/2, where a partition of n has at most one t-hook: the
+      t-cores give c_t(n) p(n - t) zeros in block t, and the t partitions
+      that remove to each kappa |- n - t have kappa's zeros there, so the
+      tallied zeros are c_t(n) p(n - t) + t Z(n - t), with Z(0) = 0; to
+      16 each partition's strips of length t against its hook lengths;
+    - to 20, the tallied zeros of all blocks sum to the census's Z."""
     width = characters._lane_width(n)
     digit = (1 << width) - 1
-    sizes = [sum(1 for p in part_tuples(n) if p[0] == t) for t in range(1, n + 1)]
+    below = [0] + [zero_count(k).total_zeros for k in range(1, (n + 1) // 2)]
+    hooks = [(beta_mask(p), hook_multiset(P(p))) for p in part_tuples(n)] if n <= 16 else []
     lams, conjs, blocks = column_certificates.top_blocks(n)
-    zeros = [0] * n
-    for t, column in blocks:
-        for mask, conj, block in zip(lams, conjs, column):
-            zeros[t - 1] += sum(1 for i in range(sizes[t - 1])
-                                if not block >> width * i & digit) << (mask != conj)
-    return zeros
-
-
-@pytest.mark.parametrize("n", range(1, 27))
-def test_large_part_blocks_in_closed_form(n):
-    # for t > n/2 a partition of n has at most one t-hook: the t-cores
-    # give c_t(n) p(n - t) zeros in block t, and the t partitions that
-    # remove to each kappa |- n - t have kappa's zeros there, so
-    # Z^(t)(n) = c_t(n) p(n - t) + t Z(n - t), with Z(0) = 0; above the
-    # table guard this checks single lanes where no oracle reaches
-    zeros = _block_zeros(n)
-    if n <= 20:
-        assert sum(zeros) == zero_count(n).total_zeros
-    for t in range(n // 2 + 1, n + 1):
-        below = zero_count(n - t).total_zeros if t < n else 0
-        assert zeros[t - 1] == tcore_count(t, n) * partition_count(n - t) + t * below, t
-
-
-def _check_tally(n, long):
-    """The census kernel's tally of each top block, from t = n down, the
-    blocks t > n/2 if ``long`` and the others if not, against the block
-    ``column_certificates.top_blocks`` strips, lane by lane: each top
-    row's nonzero lanes, and the block's list of the rows with no strip
-    of length t, in row order.  The one-strip rows read their counts
-    from the memo, so the tally reads as many rows of size n - t as
-    ``_tally_reads`` counts."""
-    if n <= 20:  # the blocks n < 20 copies are stripped here too
-        zero_count(20)
-    width = characters._lane_width(n)
-    digit = (1 << width) - 1
-    lams, _, blocks = column_certificates.top_blocks(n)
-    blocks = dict(blocks)
-    _, _, count, _, _, specs = characters._packed_rows(n)
-    if n <= 20:
-        specs = characters._top_specs(characters._levels, n, count, 0, width)
-    for t, spec in specs:
-        if (t > n // 2) != long:
-            continue
+    seen, total = [], 0
+    for t, spec, block in blocks:
         prev = _CountedReads(spec[1])
-        nonzero, cores = [0] * len(lams), []
-        characters._strip_block(lams, (spec[0], prev, *spec[2:]), width, nonzero, cores)
-        lanes = range(0, width * (count[t] - count[t - 1]), width)
-        assert nonzero == [sum(1 for i in lanes if block >> i & digit)
-                           for block in blocks[t]], (n, t)
+        zeros, nonzero, cores = column_certificates.tally(n, lams, conjs,
+                                                          (t, prev, *spec[2:]))
+        lanes = range(0, spec[2].bit_length(), width)
+        assert nonzero == [sum(1 for i in lanes if row >> i & digit) for row in block], (n, t)
         assert cores == [i for i, lam in enumerate(lams) if not beta_strips(lam, t)], (n, t)
         assert prev.reads == _tally_reads(lams, t), (n, t)
-
-
-@pytest.mark.parametrize("n", range(1, 27))
-def test_long_blocks_match_the_strip_kernel(n):
-    # above 20 too: the blocks t > n/2, where a row has at most one
-    # t-strip, so every row with one reads its remainder's count from the
-    # memo; to 16 those strips also against the diagram's hook lengths
-    _check_tally(n, long=True)
-    if n <= 16:
-        for parts in part_tuples(n):
-            strips = [len(beta_strips(beta_mask(parts), t)) for t in range(n // 2 + 1, n + 1)]
-            assert max(strips) <= 1, parts
-            assert sorted(t for t, k in zip(range(n // 2 + 1, n + 1), strips) if k) \
-                == sorted(h for h in hook_multiset(P(parts)) if h > n // 2), parts
+        if t > n // 2:
+            assert zeros == tcore_count(t, n) * partition_count(n - t) + t * below[n - t], (n, t)
+            for mask, hook in hooks:
+                assert len(beta_strips(mask, t)) == hook.count(t) <= 1, (n, t, mask)
+        seen.append(t)
+        total += zeros
+    assert seen == list(range(n, 0, -1)), n
+    if n <= 20:
+        assert total == zero_count(n).total_zeros, n
 
 
 @pytest.mark.parametrize("n", range(1, 27))
 def test_census_tally_matches_the_stripped_blocks(n):
-    # above 20 too: the blocks t <= n/2, the one-strip rows' memo among
-    # the rows with several strips
-    _check_tally(n, long=False)
+    # above the table guard too, where no oracle reaches: the blocks
+    # t > n/2, where every row with a t-strip reads its remainder's count
+    # from the memo, and the blocks t <= n/2, the memo among the rows with
+    # several strips; below 20 the blocks the census copies from the kept
+    # rows are stripped and tallied too
+    _check_blocks(n)
 
 
 def _mutant_kernel(*changes, memo=None):
@@ -1005,34 +973,35 @@ def _mutant_kernel(*changes, memo=None):
 def test_long_block_check_catches_mutants(monkeypatch):
     # a memo keyed by lambda, not by its remainder kappa, never hits, so
     # it reads a row for every one-strip row: at t = n the hooks (n - k,
-    # 1^k) all leave the empty partition.  One kept across blocks holds
-    # the census at 20's counts when n = 12 is checked, so it reads no row
-    # for the empty partition at t = 12 (and from t = 5 down it would give
+    # 1^k) all leave the empty partition.  One kept across blocks, a
+    # module global, holds the counts of every census before the check:
+    # after a census at 20 it reads no row for the empty partition at
+    # t = 12 when n = 12 is checked (and from t = 5 down it would give
     # the counts of the census's wider blocks)
     by_lam = _mutant_kernel(("memo.get(rem)", "memo.get(lam)"), ("memo[rem]", "memo[lam]"))
     kept = _mutant_kernel(("    memo = {}", "    pass"), memo={})
     for mutant in (by_lam, kept):
         with monkeypatch.context() as patch:
             patch.setattr(characters, "_strip_block", mutant)
+            zero_count(20)
             with pytest.raises(AssertionError, match=r"^\(12, 12\)"):
-                _check_tally(12, long=True)
+                _check_blocks(12)
 
 
 def test_tally_check_catches_core_list_mutants(monkeypatch):
     # a kernel that lists no t-core, and one that also lists every row
-    # with a strip of length t, each fail the first block checked, long
-    # (t = 12 at n = 12, the hooks against the rest) and short (t = 6)
+    # with a strip of length t, each fail the first block checked, t = 12
+    # at n = 12
     none = _mutant_kernel(("cores.append(i)", "pass"))
     every = _mutant_kernel(("        if not starts:\n",
                             "        if starts and cores is not None:\n"
                             "            cores.append(i)\n"
                             "        if not starts:\n"))
     for mutant in (none, every):
-        for long, t in ((True, 12), (False, 6)):
-            with monkeypatch.context() as patch:
-                patch.setattr(characters, "_strip_block", mutant)
-                with pytest.raises(AssertionError, match=rf"^\(12, {t}\)"):
-                    _check_tally(12, long=long)
+        with monkeypatch.context() as patch:
+            patch.setattr(characters, "_strip_block", mutant)
+            with pytest.raises(AssertionError, match=r"^\(12, 12\)"):
+                _check_blocks(12)
 
 
 def test_census_per_core_consistency():

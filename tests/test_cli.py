@@ -21,14 +21,18 @@ from charcensus.cli import main
 
 
 @pytest.fixture(scope="module")
-def schema():
-    text = resources.files("charcensus").joinpath(
-        "schemas/output-v1.schema.json").read_text()
-    return json.loads(text)
+def validator():
+    """A validator of the shipped schema, the schema itself checked once
+    for the module rather than on every validation."""
+    schema = json.loads(resources.files("charcensus").joinpath(
+        "schemas/output-v1.schema.json").read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 @pytest.fixture()
-def run(capsys, schema):
+def run(capsys, validator):
     """Run the CLI, returning (exit_code, stdout, stderr); JSON output is
     validated against the shipped schema on every call."""
 
@@ -37,7 +41,7 @@ def run(capsys, schema):
         captured = capsys.readouterr()
         if "--format" in argv and argv[argv.index("--format") + 1] == "json" \
                 and code == 0 and captured.out:
-            jsonschema.validate(json.loads(captured.out), schema)
+            validator.validate(json.loads(captured.out))
         return code, captured.out, captured.err
 
     return _run
@@ -256,17 +260,17 @@ def test_estimate_density_seed_range(run, seed, ok):
 
 
 @pytest.mark.parametrize("seed, ok", SEED_RANGE)
-def test_schema_density_seed_range(run, schema, seed, ok):
+def test_schema_density_seed_range(run, validator, seed, ok):
     # the schema admits exactly the seeds that estimate_zero_density takes
     _, out, _ = run("estimate", "density", "--n", "5", "--samples", "10",
                     "--seed", "0", "--format", "json")
     doc = json.loads(out)
     doc["result"]["seed"] = int(seed)
     if ok:
-        jsonschema.validate(doc, schema)
+        validator.validate(doc)
     else:
         with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate(doc, schema)
+            validator.validate(doc)
 
 
 def test_sweep_csv_columns(run):
@@ -446,6 +450,15 @@ def test_invalid_argument_is_usage_error_at_any_size(run, no_work, argv):
     code, out, err = run(*argv, "--format", "json")
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "usage"
+
+
+def test_lower_bound_at_n_0_names_n(run, no_work):
+    # not the t range 1..0 that the defaults would make of it
+    code, out, err = run("zeros", "lower-bound", "--n", "0", "--format", "json")
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert (error["type"], error["message"]) == ("usage", "n must be positive, got 0")
 
 
 @pytest.mark.parametrize("argv", [

@@ -329,6 +329,15 @@ def test_lower_bound_additivity():
         lower_bound_partial(n, 0, 3)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_lower_bound_names_n_before_the_t_range(n):
+    # a nonpositive n is reported as itself, not as the empty t range
+    # 1..n it leaves, by the partial sum and by the full one alike
+    for call in (lambda: lower_bound_partial(n, 1, n), lambda: lower_bound_sum(n)):
+        with pytest.raises(ValueError, match=rf"^n must be positive, got {n}$"):
+            call()
+
+
 def _lower_bound_partial_oracle(n, t_lo, t_hi):
     """The earlier loop: brings p_t(m) up to date for every m <= n."""
     dp = [1] + [0] * n
