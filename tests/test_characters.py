@@ -1,3 +1,4 @@
+import functools
 import inspect
 import math
 import operator
@@ -907,54 +908,88 @@ def test_column_certificates_catch_mutations():
                     squares=True) == {"orthogonality"}
 
 
-def _check_blocks(n):
+def _strip_pass(n):
     """Every top block at n, t = n down to 1, in the one pass
-    ``column_certificates.top_blocks`` strips them in:
-    - the census kernel's tally (``column_certificates.tally``) against
-      the stripped block, lane by lane: each top row's nonzero lanes,
-      and the block's list of the rows with no strip of length t, in
-      row order;
-    - its reads of the rows of size n - t: the one-strip rows read
-      their counts from the memo, so as many as ``_tally_reads`` counts;
-    - for t > n/2, where a partition of n has at most one t-hook: the
-      t-cores give c_t(n) p(n - t) zeros in block t, and the t partitions
-      that remove to each kappa |- n - t have kappa's zeros there, so the
-      tallied zeros are c_t(n) p(n - t) + t Z(n - t), with Z(0) = 0; to
-      16 each partition's strips of length t against its hook lengths;
-    - to 20, the tallied zeros of all blocks sum to the census's Z."""
+    ``column_certificates.top_blocks`` strips them in, each with the
+    census kernel's tally of it (``column_certificates.tally``): the top
+    masks and a list of (t, zeros, nonzero, lanes, cores, reads), with
+    ``lanes`` each top row's nonzero lanes decoded from the stripped
+    block and ``reads`` the rows of size n - t the tally read."""
     width = characters._lane_width(n)
     digit = (1 << width) - 1
-    below = [0] + [zero_count(k).total_zeros for k in range(1, (n + 1) // 2)]
-    hooks = [(beta_mask(p), hook_multiset(P(p))) for p in part_tuples(n)] if n <= 16 else []
     lams, conjs, blocks = column_certificates.top_blocks(n)
-    seen, total = [], 0
+    passed = []
     for t, spec, block in blocks:
         prev = _CountedReads(spec[1])
         zeros, nonzero, cores = column_certificates.tally(n, lams, conjs,
                                                           (t, prev, *spec[2:]))
         lanes = range(0, spec[2].bit_length(), width)
-        assert nonzero == [sum(1 for i in lanes if row >> i & digit) for row in block], (n, t)
+        decoded = [sum(1 for i in lanes if row >> i & digit) for row in block]
+        passed.append((t, zeros, nonzero, decoded, cores, prev.reads))
+    return lams, passed
+
+
+# the three per-N tests below read one pass each N; the mutant tests
+# call ``_strip_pass`` itself, so no mutant's pass is kept
+_block_pass = functools.cache(_strip_pass)
+
+
+def _check_tally(n, lams, passed, long):
+    """The census kernel's tally of each top block of ``passed``, from
+    t = n down, the blocks t > n/2 if ``long`` and the others if not,
+    against the stripped block, lane by lane: each top row's nonzero
+    lanes, and the block's list of the rows with no strip of length t, in
+    row order.  The one-strip rows read their counts from the memo, so
+    the tally reads as many rows of size n - t as ``_tally_reads``
+    counts."""
+    for t, _, nonzero, decoded, cores, reads in passed:
+        if (t > n // 2) != long:
+            continue
+        assert nonzero == decoded, (n, t)
         assert cores == [i for i, lam in enumerate(lams) if not beta_strips(lam, t)], (n, t)
-        assert prev.reads == _tally_reads(lams, t), (n, t)
-        if t > n // 2:
-            assert zeros == tcore_count(t, n) * partition_count(n - t) + t * below[n - t], (n, t)
-            for mask, hook in hooks:
-                assert len(beta_strips(mask, t)) == hook.count(t) <= 1, (n, t, mask)
-        seen.append(t)
-        total += zeros
-    assert seen == list(range(n, 0, -1)), n
+        assert reads == _tally_reads(lams, t), (n, t)
+
+
+@pytest.mark.parametrize("n", range(1, 27))
+def test_large_part_blocks_in_closed_form(n):
+    # for t > n/2 a partition of n has at most one t-hook: the t-cores
+    # give c_t(n) p(n - t) zeros in block t, and the t partitions that
+    # remove to each kappa |- n - t have kappa's zeros there, so the
+    # tallied zeros are Z^(t)(n) = c_t(n) p(n - t) + t Z(n - t), with
+    # Z(0) = 0; above the table guard this checks single lanes where no
+    # oracle reaches.  To 20 the tallied zeros of all blocks sum to Z.
+    _, passed = _block_pass(n)
+    zeros = {t: block_zeros for t, block_zeros, *_ in passed}
     if n <= 20:
-        assert total == zero_count(n).total_zeros, n
+        assert sum(zeros.values()) == zero_count(n).total_zeros
+    for t in range(n // 2 + 1, n + 1):
+        below = zero_count(n - t).total_zeros if t < n else 0
+        assert zeros[t] == tcore_count(t, n) * partition_count(n - t) + t * below, t
+
+
+@pytest.mark.parametrize("n", range(1, 27))
+def test_long_blocks_match_the_strip_kernel(n):
+    # above 20 too: the blocks t > n/2, where a row has at most one
+    # t-strip, so every row with one reads its remainder's count from the
+    # memo; to 16 those strips also against the diagram's hook lengths
+    _check_tally(n, *_block_pass(n), long=True)
+    if n <= 16:
+        for parts in part_tuples(n):
+            strips = [len(beta_strips(beta_mask(parts), t)) for t in range(n // 2 + 1, n + 1)]
+            assert max(strips) <= 1, parts
+            assert sorted(t for t, k in zip(range(n // 2 + 1, n + 1), strips) if k) \
+                == sorted(h for h in hook_multiset(P(parts)) if h > n // 2), parts
 
 
 @pytest.mark.parametrize("n", range(1, 27))
 def test_census_tally_matches_the_stripped_blocks(n):
-    # above the table guard too, where no oracle reaches: the blocks
-    # t > n/2, where every row with a t-strip reads its remainder's count
-    # from the memo, and the blocks t <= n/2, the memo among the rows with
-    # several strips; below 20 the blocks the census copies from the kept
-    # rows are stripped and tallied too
-    _check_blocks(n)
+    # above 20 too: the blocks t <= n/2, the one-strip rows' memo among
+    # the rows with several strips; below 20 the blocks the census copies
+    # from the kept rows are stripped and tallied too.  The stream gives
+    # every block, t = n down to 1.
+    lams, passed = _block_pass(n)
+    assert [t for t, *_ in passed] == list(range(n, 0, -1)), n
+    _check_tally(n, lams, passed, long=False)
 
 
 def _mutant_kernel(*changes, memo=None):
@@ -985,23 +1020,24 @@ def test_long_block_check_catches_mutants(monkeypatch):
             patch.setattr(characters, "_strip_block", mutant)
             zero_count(20)
             with pytest.raises(AssertionError, match=r"^\(12, 12\)"):
-                _check_blocks(12)
+                _check_tally(12, *_strip_pass(12), long=True)
 
 
 def test_tally_check_catches_core_list_mutants(monkeypatch):
     # a kernel that lists no t-core, and one that also lists every row
-    # with a strip of length t, each fail the first block checked, t = 12
-    # at n = 12
+    # with a strip of length t, each fail the first block checked, long
+    # (t = 12 at n = 12, the hooks against the rest) and short (t = 6)
     none = _mutant_kernel(("cores.append(i)", "pass"))
     every = _mutant_kernel(("        if not starts:\n",
                             "        if starts and cores is not None:\n"
                             "            cores.append(i)\n"
                             "        if not starts:\n"))
     for mutant in (none, every):
-        with monkeypatch.context() as patch:
-            patch.setattr(characters, "_strip_block", mutant)
-            with pytest.raises(AssertionError, match=r"^\(12, 12\)"):
-                _check_blocks(12)
+        for long, t in ((True, 12), (False, 6)):
+            with monkeypatch.context() as patch:
+                patch.setattr(characters, "_strip_block", mutant)
+                with pytest.raises(AssertionError, match=rf"^\(12, {t}\)"):
+                    _check_tally(12, *_strip_pass(12), long=long)
 
 
 def test_census_per_core_consistency():
